@@ -1,10 +1,16 @@
-"""Chunked attention with online-softmax merging.
+"""The attention kernel: online softmax over a list of KV parts.
 
-The prefix KV can be split into arbitrary contiguous parts; each part
-yields a running max, a running denominator and a partial numerator, and
-the parts combine into the exact softmax-weighted output. A boolean mask
-(True = visible) may restrict any part; masked positions get exactly zero
-weight.
+Every forward pass (prefill, draft, verify and commit) calls :func:`attend`.
+The keys and values come as contiguous ``(k, v, mask)`` parts: the cached
+prefix, read in place as one part or in ``kv_chunk`` tiles, and the new
+block, the only part that carries a mask. Each part is scored on its own
+with its own running max; the parts then merge into the exact
+softmax-weighted output (FlashAttention, Dao et al., 2022). A boolean mask
+(True = visible) gives masked positions exactly zero weight.
+
+:func:`attend_monolithic` computes the same result with a single softmax
+over the concatenated parts. No forward pass uses it; it is kept as the
+reference the tests compare :func:`attend` against.
 
 Shapes are head-generic: queries ``[..., nq, dh]`` against parts
 ``[..., L, dh]`` with leading batch/head axes broadcast by numpy matmul.
@@ -12,41 +18,16 @@ Shapes are head-generic: queries ``[..., nq, dh]`` against parts
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InternalError, ShapeError
 
 
-@dataclass
-class PartStats:
-    """Per-part online-softmax state for a block of key/value rows."""
-
-    m: np.ndarray  # [..., nq] running max of scores
-    weights: np.ndarray  # [..., nq, L] exp(score - m)
-    denom: np.ndarray  # [..., nq] sum of weights
-    acc: np.ndarray  # [..., nq, dh] weights @ values
-
-
-def part_stats(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
-               mask: np.ndarray | None = None) -> PartStats:
-    """Score one KV part against the queries."""
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    if mask is not None:
-        if mask.shape != scores.shape[-2:]:
-            raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape[-2:]}")
-        scores = np.where(mask, scores, -np.inf)
-    m = np.max(scores, axis=-1)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    weights = np.exp(scores - m_safe[..., None])
-    denom = np.sum(weights, axis=-1)
-    acc = weights @ v
-    return PartStats(m=m, weights=weights, denom=denom, acc=acc)
-
-
-def merge_parts(parts: list[PartStats], want_probs: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Combine per-part stats into the final output and optional probabilities.
+def attend(q: np.ndarray,
+           parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+           scale: float,
+           want_probs: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Attention over a list of ``(k, v, mask)`` parts via online merging.
 
     Returns ``(out [..., nq, dh], probs [..., nq, sum(L)] or None)``. The
     probabilities are normalized over the union of all visible positions, in
@@ -54,37 +35,43 @@ def merge_parts(parts: list[PartStats], want_probs: bool) -> tuple[np.ndarray, n
     """
     if not parts:
         raise ShapeError("attention requires at least one KV part")
-    m_star = parts[0].m
-    for p in parts[1:]:
-        m_star = np.maximum(m_star, p.m)
+    maxes, denoms, accs, weights = [], [], [], []
+    for k, v, mask in parts:
+        w = q @ np.swapaxes(k, -1, -2)
+        w *= scale
+        if mask is not None:
+            if mask.shape != w.shape[-2:]:
+                raise ShapeError(f"mask shape {mask.shape} does not match scores {w.shape[-2:]}")
+            np.copyto(w, -np.inf, where=np.logical_not(mask))
+        m = np.max(w, axis=-1)
+        # A row that sees nothing in this part has m = -inf; shifting it by
+        # 0 leaves its weights at exp(-inf) = 0.
+        w -= np.where(np.isfinite(m), m, 0.0)[..., None]
+        np.exp(w, out=w)
+        maxes.append(m)
+        denoms.append(np.sum(w, axis=-1))
+        accs.append(w @ v)
+        if want_probs:
+            weights.append(w)
+    m_star = np.maximum.reduce(maxes)
     if not np.all(np.isfinite(m_star)):
         raise InternalError("attention row with no visible positions")
     denom = np.zeros_like(m_star)
-    acc = np.zeros_like(parts[0].acc)
+    acc = np.zeros_like(accs[0])
     scales = []
-    for p in parts:
-        s = np.exp(np.where(np.isfinite(p.m), p.m, -np.inf) - m_star)
+    for m, d, a in zip(maxes, denoms, accs):
+        s = np.exp(m - m_star)
         scales.append(s)
-        denom = denom + s * p.denom
-        acc = acc + s[..., None] * p.acc
+        denom += s * d
+        acc += s[..., None] * a
     if np.any(denom <= 0):
         raise InternalError("attention denominator is zero")
-    out = acc / denom[..., None]
-    probs = None
-    if want_probs:
-        probs = np.concatenate(
-            [p.weights * (s / denom)[..., None] for p, s in zip(parts, scales)], axis=-1
-        )
-    return out, probs
-
-
-def attend(q: np.ndarray,
-           parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
-           scale: float,
-           want_probs: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Attention over a list of ``(k, v, mask)`` parts via online merging."""
-    stats = [part_stats(q, k, v, scale, mask) for k, v, mask in parts]
-    return merge_parts(stats, want_probs)
+    acc /= denom[..., None]
+    if not want_probs:
+        return acc, None
+    for w, s in zip(weights, scales):
+        w *= (s / denom)[..., None]
+    return acc, np.concatenate(weights, axis=-1)
 
 
 def attend_monolithic(q: np.ndarray,

@@ -16,7 +16,6 @@ position truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -59,6 +58,13 @@ class RetrievalPolicy:
 CachePolicy = FullPolicy | StreamingPolicy | RetrievalPolicy
 
 
+def _with_room(rows: np.ndarray, cap: int) -> np.ndarray:
+    """``rows`` copied to the head of a new buffer of ``cap`` rows."""
+    out = np.empty((cap,) + rows.shape[1:])
+    out[:rows.shape[0]] = rows
+    return out
+
+
 class KVCache:
     """Growable per-layer K/V store shared by one generation session."""
 
@@ -73,6 +79,7 @@ class KVCache:
         self._len = 0
         self._live = np.empty(0, dtype=np.int64)
         self._prefix_len = 0  # archive rows sealed as the input prefix
+        self._view: list[tuple[np.ndarray, np.ndarray]] | None = None  # see layer_view
 
     # -- capacity -----------------------------------------------------------
 
@@ -123,16 +130,24 @@ class KVCache:
         return int(self._pos[self._len - 1]) + 1 if self._len else 0
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live ``(k, v, pos)`` for one layer, k/v shaped ``[L, H, dh]``."""
+        """Live ``(k, v, pos)`` for one layer, k/v shaped ``[L, H, dh]``.
+
+        A non-contiguous live set is gathered once, for every layer, into
+        buffers with room to grow. Appends extend those copies and rollbacks
+        shorten them, so only an eviction, a rebuild or an overflow gathers
+        again.
+        """
         live = self._live
         n = live.shape[0]
         if n and live[0] == 0 and live[-1] == n - 1 and n == self._len:
             # Contiguous full view: return slices, no copy.
             return self._k[layer][:n], self._v[layer][:n], self._pos[:n]
-        return self._k[layer][live], self._v[layer][live], self._pos[live]
-
-    def iter_layers(self) -> Iterator[int]:
-        return iter(range(self.n_layers))
+        if self._view is None:
+            room = 2 * n + _INIT_CAP
+            self._view = [(_with_room(k[live], room), _with_room(v[live], room))
+                          for k, v in zip(self._k, self._v)]
+        k, v = self._view[layer]
+        return k[:n], v[:n], self._pos[live]
 
     # -- mutation -----------------------------------------------------------
 
@@ -156,9 +171,15 @@ class KVCache:
                 f"position {int(positions[0])} precedes current max {int(self._pos[self._len - 1])}"
             )
         self._grow(self._len + q)
+        n, view = self.length, self._view
+        if view is not None and n + q > view[0][0].shape[0]:
+            view = self._view = None
         for li in range(self.n_layers):
             self._k[li][self._len:self._len + q] = ks[li]
             self._v[li][self._len:self._len + q] = vs[li]
+            if view is not None:
+                view[li][0][n:n + q] = ks[li]
+                view[li][1][n:n + q] = vs[li]
         self._pos[self._len:self._len + q] = positions
         self._live = np.concatenate([self._live, np.arange(self._len, self._len + q)])
         self._len += q
@@ -182,6 +203,7 @@ class KVCache:
         head = self._live[:min(sink, n)]
         tail = self._live[n - min(recent, n - min(sink, n)):]
         self._live = np.concatenate([head, tail])
+        self._view = None
 
     def rebuild_retrieval(self, selected_chunks, chunk_size: int, sink: int = 0) -> None:
         """Reset the live view to the selected prefix chunks plus the suffix.
@@ -210,9 +232,4 @@ class KVCache:
             keep |= prefix_pos < sink
         live_prefix = np.flatnonzero(keep)
         self._live = np.concatenate([live_prefix, np.arange(self._prefix_len, self._len)])
-
-    # -- stats --------------------------------------------------------------
-
-    @property
-    def prefix_live_count(self) -> int:
-        return self.generation_boundary
+        self._view = None

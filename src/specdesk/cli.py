@@ -46,7 +46,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_needle(args) -> int:
-    base = parse_config(args.config, args.overrides)
     rows = []
     for policy in ("full", "streaming", "retrieval"):
         cfg = parse_config(args.config, args.overrides + [f"policy={policy}", "task=needle"])
@@ -63,14 +62,13 @@ def _cmd_needle(args) -> int:
             print(f"{policy:<12}{tau:>8.3f}{n.accuracy:>10.3f}{n.perplexity:>10.3f}"
                   f"{str(n.reproduced):>12}")
     print(DESK_SCALE_NOTE, file=sys.stderr)
-    _ = base
     return 0
 
 
 def _cmd_speedup(args) -> int:
     result = speedup_model(SpeedupInputs(
         tau=args.tau, d=args.d, t_draft=args.t_draft, t_target=args.t_target,
-        t_verify=args.t_verify, n_input=args.n))
+        t_verify=args.t_verify))
     print(json.dumps({"ratio": result.ratio, "speedup": result.speedup}, indent=2))
     return 0
 
@@ -111,7 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--t-draft", type=float, required=True)
     p.add_argument("--t-target", type=float, required=True)
     p.add_argument("--t-verify", type=float, required=True)
-    p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_speedup)
 
     p = sub.add_parser("report", help="re-aggregate an emitted run directory")

@@ -81,6 +81,11 @@ class Session:
         prompt = [int(t) for t in prompt]
         if len(prompt) < 2:
             raise ParameterError("prompt must have at least 2 tokens")
+        vocab = self.target_spec.vocab
+        if not all(0 <= t < vocab for t in prompt):
+            raise ParameterError(f"prompt tokens must lie in [0, {vocab})")
+        if gen_tokens < 1:
+            raise ParameterError(f"gen_tokens must be >= 1, got {gen_tokens}")
         t_start = time.perf_counter()
         tspec, tw = self.target_spec, self.target_weights
         dspec, dw = self.draft_spec, self.draft_weights
@@ -125,13 +130,13 @@ class Session:
                 updated = maybe_update(retr, scores, draft_cache)
                 if updated:
                     bound = retr.top_k * retr.chunk_size + retr.sink
-                    if draft_cache.prefix_live_count > bound:
+                    if draft_cache.generation_boundary > bound:
                         raise InternalError(
-                            f"draft prefix cache {draft_cache.prefix_live_count} "
+                            f"draft prefix cache {draft_cache.generation_boundary} "
                             f"exceeds working bound {bound}"
                         )
             update_ms = (time.perf_counter() - t0) * 1e3
-            max_prefix_live = max(max_prefix_live, draft_cache.prefix_live_count)
+            max_prefix_live = max(max_prefix_live, draft_cache.generation_boundary)
 
             # Sync the draft cache with tokens committed by earlier steps.
             pending = committed[draft_cache.world_len:]

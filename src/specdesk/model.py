@@ -13,6 +13,7 @@ identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,17 +196,11 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         if L:
             kc = k_cache.transpose(1, 0, 2)
             vc = v_cache.transpose(1, 0, 2)
-            if kv_chunk is None:
-                parts.append((kc, vc, None))
-            else:
-                for lo, hi in attn.split_chunks(L, kv_chunk):
-                    parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
+            for lo, hi in attn.split_chunks(L, kv_chunk or L):
+                parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
         parts.append((kh, vh, new_mask))
         want = capture_scores and li == spec.n_layers - 1
-        if kv_chunk is None:
-            out, probs = attn.attend_monolithic(qh, parts, scale, want_probs=want)
-        else:
-            out, probs = attn.attend(qh, parts, scale, want_probs=want)
+        out, probs = attn.attend(qh, parts, scale, want_probs=want)
         if want:
             captured = probs.mean(axis=0)  # head-averaged [q, L+q]
             if capture_last_only:
@@ -322,10 +317,13 @@ def next_token_dist(logits_row: np.ndarray, temperature: float) -> np.ndarray:
 # offset}...]} followed by the little-endian float64 payload; offsets are
 # byte offsets into the payload.
 
+LAYER_TENSORS = ("wq", "wk", "wv", "wo", "w_in", "w_out", "attn_gain", "mlp_gain")
+
+
 def _tensor_items(weights: Weights) -> list[tuple[str, np.ndarray]]:
     items = [("embed", weights.embed)]
     for li, lw in enumerate(weights.layers):
-        for name in ("wq", "wk", "wv", "wo", "w_in", "w_out", "attn_gain", "mlp_gain"):
+        for name in LAYER_TENSORS:
             items.append((f"layers.{li}.{name}", getattr(lw, name)))
     items.append(("final_gain", weights.final_gain))
     items.append(("unembed", weights.unembed))
@@ -353,18 +351,25 @@ def load_weights(path: str) -> tuple[ModelSpec, Weights]:
         header = json.loads(f.readline().decode("utf-8"))
         payload = f.read()
     spec = ModelSpec(**header["spec"])
+    names = {"embed", "final_gain", "unembed"} | {
+        f"layers.{li}.{name}" for li in range(spec.n_layers) for name in LAYER_TENSORS}
+    found = {entry["name"] for entry in header["tensors"]}
+    if found != names:
+        raise ShapeError(f"{path}: tensors missing {sorted(names - found)}, "
+                         f"unexpected {sorted(found - names)}")
     arrays = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        off = entry["offset"]
+        shape, off = tuple(entry["shape"]), entry["offset"]
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or off < 0 or off + 8 * count > len(payload):
+            raise ShapeError(f"{path}: tensor {entry['name']} of shape {list(shape)} at "
+                             f"offset {off} overruns the {len(payload)}-byte payload")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
     layers = []
     for li in range(spec.n_layers):
         layers.append(LayerWeights(**{
-            name: arrays[f"layers.{li}.{name}"]
-            for name in ("wq", "wk", "wv", "wo", "w_in", "w_out", "attn_gain", "mlp_gain")
+            name: arrays[f"layers.{li}.{name}"] for name in LAYER_TENSORS
         }))
     weights = Weights(embed=arrays["embed"], layers=layers,
                       final_gain=arrays["final_gain"], unembed=arrays["unembed"])

@@ -8,7 +8,7 @@ prefill and then every ``frequency`` steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class RetrievalState:
     frequency: int
     sink: int = 0
     steps_since_update: int = 0
-    last_scores: np.ndarray | None = None
     last_selection: np.ndarray | None = None
     primed: bool = False  # becomes True once the post-prefill update has run
 
@@ -78,7 +77,6 @@ def maybe_update(state: RetrievalState, s: np.ndarray | None, cache: KVCache) ->
     scores = chunk_scores(s, state.chunk_size)
     selection = select_top_k(scores, state.top_k)
     cache.rebuild_retrieval(selection, state.chunk_size, sink=state.sink)
-    state.last_scores = np.asarray(s, dtype=np.float64)
     state.last_selection = selection
     state.steps_since_update = 0
     state.primed = True

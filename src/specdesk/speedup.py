@@ -20,7 +20,6 @@ class SpeedupInputs:
     t_draft: float  # draft per-token latency, seconds
     t_target: float  # target per-token latency, seconds
     t_verify: float  # verification cost per step, seconds
-    n_input: int | None = None  # input length the latencies were measured at
 
     def __post_init__(self):
         if self.t_draft <= 0 or self.t_target <= 0 or self.t_verify <= 0:

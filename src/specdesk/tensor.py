@@ -8,22 +8,11 @@ RNG stream (PCG64) whose draw sequence is reproducible across platforms.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 
 Array = np.ndarray
-
-
-def tensor(data, shape: Sequence[int] | None = None) -> Array:
-    """Build a float64 array, optionally reshaped, and validate finiteness."""
-    x = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        x = x.reshape(tuple(shape))
-    check_finite(x, "tensor")
-    return x
 
 
 def check_finite(x: Array, what: str = "array") -> None:

@@ -151,6 +151,37 @@ class TestRetrievalRebuild:
             assert pos.tolist() == [4, 5, 6, 7]
 
 
+def test_layer_view_tracks_every_mutation():
+    # Each row holds its own position, so a view is right exactly when its
+    # rows read back the live positions.
+    rng = np.random.default_rng(5)
+    c = make_cache()
+
+    def append(n):
+        pos = np.arange(c.world_len, c.world_len + n)
+        rows = [np.broadcast_to((pos + li)[:, None, None], (n, 2, 4)) for li in range(2)]
+        c.append(rows, [-r for r in rows], pos)
+
+    append(40)
+    c.seal_prefix()
+    for _ in range(300):
+        op = rng.integers(4)
+        if op == 0:
+            append(int(rng.integers(1, 6)))
+        elif op == 1:
+            c.truncate(int(rng.integers(max(40, c.world_len - 6), c.world_len + 1)))
+        elif op == 2:
+            c.evict_streaming(int(rng.integers(0, 4)), int(rng.integers(1, 30)))
+        else:
+            chunks = np.flatnonzero(rng.random(10) < 0.4)
+            c.rebuild_retrieval(chunks, chunk_size=4, sink=int(rng.integers(0, 3)))
+        for li in range(2):
+            k, v, pos = c.layer_view(li)
+            assert pos.tolist() == c.pos_ids.tolist()
+            assert np.array_equal(k[:, 0, 0], pos + li)
+            assert np.array_equal(v[:, 1, 3], -(pos + li))
+
+
 class TestTruncate:
     def test_rollback_by_position(self):
         c = make_cache()

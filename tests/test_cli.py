@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from specdesk.cli import main
 from specdesk.model import load_weights
 
@@ -58,3 +60,15 @@ def test_report_reaggregate(tmp_path, capsys):
     assert main(["report", str(out)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["consistent_with_summary"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["model=random", "vocab=8", "task=needle", "prompt_len=64", "gen_tokens=4"],
+     "prompt tokens must lie in [0, 8)"),
+    (["model=random", "vocab=16", "task=cycle", "prompt_len=32", "gen_tokens=0"],
+     "gen_tokens must be >= 1"),
+])
+def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
+    assert main(["run", *overrides]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

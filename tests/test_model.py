@@ -257,6 +257,20 @@ class TestWeightFiles:
         with pytest.raises((ShapeError, ValueError)):
             load_weights(str(bad))
 
+    def test_truncated_or_incomplete_file_is_a_shape_error(self, tmp_path):
+        spec, w = small_model()
+        path = tmp_path / "m.bin"
+        save_weights(str(path), spec, w)
+        raw = path.read_bytes()
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(raw[:-8])
+        with pytest.raises(ShapeError, match="overruns"):
+            load_weights(str(truncated))
+        renamed = tmp_path / "renamed.bin"
+        renamed.write_bytes(raw.replace(b'"unembed"', b'"unembedX"', 1))
+        with pytest.raises(ShapeError, match="missing"):
+            load_weights(str(renamed))
+
 
 class TestModelSpecValidation:
     def test_dims_must_agree(self):

@@ -110,7 +110,7 @@ class TestMaybeUpdate:
             s = rng.generator.random(prefix_len)
             s /= s.sum()
             maybe_update(st, s, c)
-            assert c.prefix_live_count <= 32 * 8
+            assert c.generation_boundary <= 32 * 8
 
     def test_from_policy(self):
         st = RetrievalState.from_policy(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdesk.errors import ParameterError, ShapeError
-from specdesk.tensor import Rng, matmul, sample_categorical, softmax_rows, tensor
+from specdesk.tensor import Rng, matmul, sample_categorical, softmax_rows
 
 
 class TestMatmul:
@@ -118,16 +118,6 @@ class TestSampleCategorical:
             counts[sample_categorical(p, rng)] += 1
         tv = 0.5 * np.abs(counts / n - p).sum()
         assert tv <= 0.01
-
-
-class TestTensor:
-    def test_reshape_and_finite(self):
-        t = tensor([1, 2, 3, 4], shape=(2, 2))
-        assert t.shape == (2, 2) and t.dtype == np.float64
-
-    def test_rejects_nan(self):
-        with pytest.raises(ParameterError):
-            tensor([1.0, float("nan")])
 
 
 def test_rng_same_seed_same_stream():
