@@ -26,12 +26,15 @@ from .errors import InternalError, ShapeError
 def attend(q: np.ndarray,
            parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
            scale: float,
-           want_probs: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+           want_probs: bool = False,
+           last_row_only: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Attention over a list of ``(k, v, mask)`` parts via online merging.
 
     Returns ``(out [..., nq, dh], probs [..., nq, sum(L)] or None)``. The
     probabilities are normalized over the union of all visible positions, in
-    part order.
+    part order. With ``last_row_only`` the probabilities hold only the last
+    query row, ``[..., 1, sum(L)]``, bitwise equal to that row of the full
+    result; the other rows' weights are dropped as each part is scored.
     """
     if not parts:
         raise ShapeError("attention requires at least one KV part")
@@ -52,7 +55,7 @@ def attend(q: np.ndarray,
         denoms.append(np.sum(w, axis=-1))
         accs.append(w @ v)
         if want_probs:
-            weights.append(w)
+            weights.append(w[..., -1:, :].copy() if last_row_only else w)
     m_star = np.maximum.reduce(maxes)
     if not np.all(np.isfinite(m_star)):
         raise InternalError("attention row with no visible positions")
@@ -69,8 +72,9 @@ def attend(q: np.ndarray,
     acc /= denom[..., None]
     if not want_probs:
         return acc, None
+    rows = slice(-1, None) if last_row_only else slice(None)
     for w, s in zip(weights, scales):
-        w *= (s / denom)[..., None]
+        w *= (s / denom)[..., rows, None]
     return acc, np.concatenate(weights, axis=-1)
 
 

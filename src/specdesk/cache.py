@@ -66,16 +66,23 @@ def _with_room(rows: np.ndarray, cap: int) -> np.ndarray:
 
 
 class KVCache:
-    """Growable per-layer K/V store shared by one generation session."""
+    """Growable per-layer K/V store shared by one generation session.
 
-    def __init__(self, n_layers: int, n_heads: int, d_head: int):
+    ``capacity`` rows are reserved up front; a caller that knows how many
+    rows a session can hold passes that bound, so appends never reallocate.
+    Past it the store doubles.
+    """
+
+    def __init__(self, n_layers: int, n_heads: int, d_head: int,
+                 capacity: int = _INIT_CAP):
+        if capacity < 1:
+            raise ParameterError(f"capacity must be >= 1, got {capacity}")
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.d_head = d_head
-        cap = _INIT_CAP
-        self._k = [np.empty((cap, n_heads, d_head)) for _ in range(n_layers)]
-        self._v = [np.empty((cap, n_heads, d_head)) for _ in range(n_layers)]
-        self._pos = np.empty(cap, dtype=np.int64)
+        self._k = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
+        self._v = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
+        self._pos = np.empty(capacity, dtype=np.int64)
         self._len = 0
         self._live = np.empty(0, dtype=np.int64)
         self._prefix_len = 0  # archive rows sealed as the input prefix
@@ -84,10 +91,7 @@ class KVCache:
     # -- capacity -----------------------------------------------------------
 
     def _grow(self, need: int) -> None:
-        cap = self._pos.shape[0]
-        if need <= cap:
-            return
-        new_cap = cap
+        new_cap = self._pos.shape[0]
         while new_cap < need:
             new_cap *= 2
         for li in range(self.n_layers):
@@ -170,7 +174,8 @@ class KVCache:
             raise OrderingError(
                 f"position {int(positions[0])} precedes current max {int(self._pos[self._len - 1])}"
             )
-        self._grow(self._len + q)
+        if self._len + q > self._pos.shape[0]:
+            self._grow(self._len + q)
         n, view = self.length, self._view
         if view is not None and n + q > view[0][0].shape[0]:
             view = self._view = None

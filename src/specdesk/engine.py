@@ -1,10 +1,16 @@
 """Generation session: prefill, then retrieval-update / draft / verify steps.
 
 The target always runs a full cache; only the draft cache is subject to a
-policy. The draft prefills on all but the last prompt token so that every
-step, including the first, drafts from a post-update cache: the tokens a
-step commits are appended to the draft cache at the start of the next
-step's drafting, which also yields the first proposal distribution.
+policy. The draft's layers are the target's first layers (``derive_draft``,
+or the target itself), so the target's prefill has already computed the
+draft's prompt K/V: the draft cache is seeded with those rows for all but
+the last prompt token and never prefills. Every step, including the first,
+then drafts from a post-update cache: the tokens a step commits are
+appended to the draft cache at the start of the next step's drafting,
+which also yields the first proposal distribution.
+
+Both caches are sized once from the prompt length, ``gen_tokens`` and the
+largest block a step appends, so no append reallocates them.
 
 Attention scores for retrieval come from the most recent verification
 (deepest accepted token's last-layer row, root row as fallback), sliced to
@@ -23,7 +29,7 @@ from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy, StreamingP
 from .drafting import TreeBudget, draft_chain, draft_tree
 from .errors import InternalError, ParameterError
 from .metrics import ProposalLog, natural_divergence, shannon_entropy
-from .model import ModelSpec, Weights, next_token_dist, prefill
+from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill
 from .retrieval import RetrievalState, maybe_update
 from .tensor import Rng
 from .verification import VerifyOutcome, extract_scores, verify_chain, verify_tree
@@ -55,6 +61,41 @@ class SessionResult:
     draft_cache_len_by_step: list[int]
 
 
+def _check_shared_prefix(tspec: ModelSpec, tw: Weights,
+                         dspec: ModelSpec, dw: Weights) -> None:
+    """The draft must be the target's embedding and first layers, with the
+    same attention geometry, so that its prompt K/V are the target's."""
+    shared = (dw.embed is tw.embed
+              and len(dw.layers) == dspec.n_layers <= len(tw.layers)
+              and all(d is t for d, t in zip(dw.layers, tw.layers))
+              and (dspec.n_heads, dspec.d_head, dspec.rope_base)
+              == (tspec.n_heads, tspec.d_head, tspec.rope_base))
+    if not shared:
+        raise ParameterError("the draft must share the target's embedding and first "
+                             "layers (build it with derive_draft)")
+
+
+def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
+                   capacity: int) -> tuple[KVCache, KVCache, ForwardOutput]:
+    """Prefill the target on ``prompt`` and seed the draft cache from it.
+
+    Returns ``(target_cache, draft_cache, target prefill output)``, both
+    caches sealed and reserved for ``capacity`` rows. The draft, whose layers
+    are the target's first ``dspec.n_layers``, gets those layers' rows for
+    all but the last prompt token; that token is the first pending commit.
+    """
+    target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
+    out = prefill(tspec, tw, prompt, target_cache, capture_scores=True)
+    target_cache.seal_prefix()
+    n = len(prompt) - 1
+    views = [target_cache.layer_view(li) for li in range(dspec.n_layers)]
+    draft_cache = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity)
+    draft_cache.append([k[:n] for k, _, _ in views], [v[:n] for _, v, _ in views],
+                       views[0][2][:n])
+    draft_cache.seal_prefix()
+    return target_cache, draft_cache, out
+
+
 class Session:
     """One generation run; owns both caches and the RNG."""
 
@@ -67,6 +108,7 @@ class Session:
             raise ParameterError(f"unknown drafting mode: {drafting!r}")
         if drafting == "tree" and budget is None:
             budget = TreeBudget(max_nodes=50, max_depth=10, expand_threshold=0.7)
+        _check_shared_prefix(target_spec, target_weights, draft_spec, draft_weights)
         self.target_spec, self.target_weights = target_spec, target_weights
         self.draft_spec, self.draft_weights = draft_spec, draft_weights
         self.policy = policy
@@ -89,19 +131,14 @@ class Session:
         t_start = time.perf_counter()
         tspec, tw = self.target_spec, self.target_weights
         dspec, dw = self.draft_spec, self.draft_weights
-
-        target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head)
-        draft_cache = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head)
+        block = self.k if self.drafting == "chain" else self.budget.max_nodes
+        capacity = len(prompt) + gen_tokens + block + 1
 
         t0 = time.perf_counter()
-        out = prefill(tspec, tw, prompt, target_cache, capture_scores=True)
-        target_cache.seal_prefix()
+        target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
+                                                        capacity)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
         fallback_row = out.last_layer_attn[-1]
-        # Draft prefills all but the last prompt token; that token is the
-        # first pending commit, so step 1 drafts from a post-update cache.
-        prefill(dspec, dw, prompt[:-1], draft_cache)
-        draft_cache.seal_prefix()
         prefill_s = time.perf_counter() - t0
 
         prefix_len = len(prompt) - 1  # chunked document prefix, both caches
@@ -220,7 +257,8 @@ def greedy_reference(spec: ModelSpec, weights: Weights, prompt,
     """Target-only greedy decoding, the losslessness oracle."""
     from .model import decode_step
 
-    cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+    cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head,
+                    capacity=len(prompt) + gen_tokens)
     out = prefill(spec, weights, prompt, cache)
     tokens = []
     logits = out.logits[-1]

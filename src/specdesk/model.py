@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -200,11 +200,10 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
                 parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
         parts.append((kh, vh, new_mask))
         want = capture_scores and li == spec.n_layers - 1
-        out, probs = attn.attend(qh, parts, scale, want_probs=want)
+        out, probs = attn.attend(qh, parts, scale, want_probs=want,
+                                 last_row_only=capture_last_only)
         if want:
-            captured = probs.mean(axis=0)  # head-averaged [q, L+q]
-            if capture_last_only:
-                captured = captured[-1:].copy()
+            captured = probs.mean(axis=0)  # head-averaged [q or 1, L+q]
         merged = out.transpose(1, 0, 2).reshape(q_n, spec.d_model)
         x = x + merged @ lw.wo
         xm = rms_norm(x, lw.mlp_gain)
@@ -346,19 +345,47 @@ def save_weights(path: str, spec: ModelSpec, weights: Weights) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _parse_header(path: str, line: bytes) -> tuple[ModelSpec, list[dict]]:
+    """The spec and tensor directory of a weight file's header line."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ShapeError(f"{path}: header line is not JSON ({exc})") from None
+    if not (isinstance(header, dict) and isinstance(header.get("spec"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise ShapeError(f"{path}: header must be a JSON object with a 'spec' "
+                         f"object and a 'tensors' list")
+    raw = header["spec"]
+    types = {f.name: f.type for f in fields(ModelSpec)}
+    required = {f.name for f in fields(ModelSpec) if f.default is MISSING}
+    if not required <= raw.keys() <= types.keys():
+        raise ShapeError(f"{path}: spec keys missing {sorted(required - raw.keys())}, "
+                         f"unknown {sorted(raw.keys() - types.keys())}")
+    for name, value in raw.items():
+        kinds = (int,) if types[name] == "int" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ShapeError(f"{path}: spec {name} must be {types[name]}, got {value!r}")
+    for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("offset"), int)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(d, int) for d in entry["shape"])):
+            raise ShapeError(f"{path}: malformed tensor entry {entry!r}")
+    return ModelSpec(**raw), header["tensors"]
+
+
 def load_weights(path: str) -> tuple[ModelSpec, Weights]:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        spec, tensors = _parse_header(path, f.readline())
         payload = f.read()
-    spec = ModelSpec(**header["spec"])
     names = {"embed", "final_gain", "unembed"} | {
         f"layers.{li}.{name}" for li in range(spec.n_layers) for name in LAYER_TENSORS}
-    found = {entry["name"] for entry in header["tensors"]}
+    found = {entry["name"] for entry in tensors}
     if found != names:
         raise ShapeError(f"{path}: tensors missing {sorted(names - found)}, "
                          f"unexpected {sorted(found - names)}")
     arrays = {}
-    for entry in header["tensors"]:
+    for entry in tensors:
         shape, off = tuple(entry["shape"]), entry["offset"]
         count = math.prod(shape)
         if min(shape, default=0) < 0 or off < 0 or off + 8 * count > len(payload):

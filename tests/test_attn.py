@@ -31,6 +31,8 @@ def test_attend_matches_monolithic_oracle():
         assert np.all(probs[:, 0, -nq:] == 0.0)
         plain, none = attend(q, parts, scale)
         assert none is None and np.array_equal(plain, out)
+        last_out, last = attend(q, parts, scale, want_probs=True, last_row_only=True)
+        assert np.array_equal(last_out, out) and np.array_equal(last, probs[:, -1:])
 
 
 def test_row_with_no_visible_position_is_an_error():

@@ -32,6 +32,14 @@ class TestAppend:
         assert c.length == 5
         assert c.pos_ids.tolist() == [0, 1, 2, 3, 4]
 
+    def test_grows_past_reserved_capacity(self):
+        c = KVCache(2, 2, 4, capacity=3)
+        append_tokens(c, [0, 1])
+        append_tokens(c, [2, 3, 4, 5, 6])
+        assert c.pos_ids.tolist() == list(range(7))
+        with pytest.raises(ParameterError):
+            KVCache(2, 2, 4, capacity=0)
+
     def test_rejects_regression(self):
         c = make_cache()
         append_tokens(c, list(range(8)))

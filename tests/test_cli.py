@@ -72,3 +72,24 @@ def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     assert main(["run", *overrides]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (None, b"not json", "header line is not JSON"),
+    (None, b"[1, 2]", "header must be a JSON object"),
+    (b'"vocab"', b'"extra"', "unknown ['extra']"),
+    (b',"vocab":11', b"", "missing ['vocab']"),
+    (b'"n_layers":2', b'"n_layers":"2"', "spec n_layers must be int"),
+    (b'"offset":0,', b"", "malformed tensor entry"),
+])
+def test_run_rejects_malformed_weight_header(tmp_path, capsys, old, new, message):
+    path = tmp_path / "m.bin"
+    assert main(["gen-model", "--out", str(path), "--kind", "random",
+                 "--layers", "2", "--vocab", "11"]) == 0
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = new if old is None else header.replace(old, new, 1)
+    path.write_bytes(header + b"\n" + payload)
+    capsys.readouterr()
+    assert main(["run", f"model={path}", "draft_layers=1", "gen_tokens=4"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

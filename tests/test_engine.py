@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from specdesk.cache import FullPolicy, RetrievalPolicy, StreamingPolicy
+from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget
-from specdesk.engine import Session, greedy_reference
-from specdesk.model import ModelSpec, derive_draft
+from specdesk.engine import Session, greedy_reference, prefill_caches
+from specdesk.errors import ParameterError
+from specdesk.model import ModelSpec, derive_draft, prefill
 from specdesk.modelgen import random_weights
 
 
@@ -119,3 +122,60 @@ class TestBookkeeping:
         total_phase = sum(s.draft_ms + s.verify_ms + s.update_ms
                           for s in result.steps) / 1e3 + result.prefill_s
         assert total_phase <= result.wall_s + 1e-6
+
+
+class TestSeededDraftCache:
+    @pytest.mark.parametrize("n_layers", [2, 3, 4])
+    def test_matches_a_draft_prefill(self, n_layers):
+        # The draft's prompt rows come from the target's prefill; they must
+        # equal what a draft prefill of all but the last token would store.
+        spec, w = target_model(seed=40 + n_layers, n_layers=n_layers, max_pos=2048)
+        prompt = list(np.random.default_rng(n_layers).integers(0, 19, 600))
+        drafts = [derive_draft(spec, w, keep) for keep in range(1, n_layers)]
+        for dspec, dw in drafts + [(spec, w)]:
+            _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700)
+            ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head)
+            prefill(dspec, dw, prompt[:-1], ref)
+            ref.seal_prefix()
+            assert np.array_equal(seeded.pos_ids, ref.pos_ids)
+            assert seeded.prefix_len == ref.prefix_len == len(prompt) - 1
+            for li in range(dspec.n_layers):
+                (k, v, _), (rk, rv, _) = seeded.layer_view(li), ref.layer_view(li)
+                assert np.max(np.abs(k - rk)) < 1e-12
+                assert np.max(np.abs(v - rv)) < 1e-12
+
+    def test_rejects_a_draft_that_is_not_the_target_prefix(self):
+        spec, w = target_model(seed=1, n_layers=3)
+        _, other = target_model(seed=2, n_layers=3)
+        dspec, dw = derive_draft(spec, w, 2)
+        drafts = [
+            derive_draft(spec, other, 2),
+            (dspec, dataclasses.replace(dw, layers=[dw.layers[0], other.layers[1]])),
+            (dspec, dataclasses.replace(dw, embed=dw.embed.copy())),
+            (dataclasses.replace(dspec, rope_base=500.0), dw),
+        ]
+        for bad_spec, bad_w in drafts:
+            with pytest.raises(ParameterError, match="derive_draft"):
+                Session(spec, w, bad_spec, bad_w, policy=FullPolicy())
+
+
+class TestCacheSizing:
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        StreamingPolicy(sink=4, recent=24),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_no_cache_regrows(self, policy, drafting, monkeypatch):
+        # A self-draft at temperature 0 accepts most drafted tokens, so steps
+        # append the largest block and the last one overshoots gen_tokens.
+        def grow(self, need):
+            raise AssertionError(f"cache regrew to {need} rows")
+
+        monkeypatch.setattr(KVCache, "_grow", grow)
+        spec, w = target_model(seed=17)
+        sess = Session(spec, w, spec, w, policy=policy, drafting=drafting, k=4,
+                       budget=TreeBudget(6, 4, 0.5))
+        result = sess.run(PROMPT, 49)
+        assert result.output_tokens == greedy_reference(spec, w, PROMPT, 49)
+        assert sum(s.accepted + 1 for s in result.steps) > 49

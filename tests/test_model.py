@@ -3,8 +3,9 @@ import pytest
 
 from specdesk.cache import KVCache
 from specdesk.errors import CapacityError, ParameterError, ShapeError, StateError
-from specdesk.model import (ModelSpec, decode_step, derive_draft, load_weights,
-                            next_token_dist, prefill, rope_apply, save_weights)
+from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
+                            load_weights, next_token_dist, prefill, rope_apply,
+                            save_weights)
 from specdesk.modelgen import random_weights
 
 
@@ -70,6 +71,20 @@ class TestPrefillDecodeEquivalence:
         spec, w = small_model()
         out = prefill(spec, w, [1, 2, 3], fresh_cache(spec), capture_scores=False)
         assert out.last_layer_attn is None
+
+    def test_prefill_capture_keeps_the_full_block_row(self):
+        # The captured row is the last row of the full last-block result,
+        # bitwise: a recomputed row can flip a retrieval top-k near-tie.
+        spec, w = small_model(seed=5)
+        n, last = PREFILL_BLOCK + 44, PREFILL_BLOCK
+        tokens = list(np.random.default_rng(6).integers(0, 17, n))
+        got = prefill(spec, w, tokens, fresh_cache(spec), capture_scores=True)
+        cache = fresh_cache(spec)
+        prefill(spec, w, tokens[:last], cache)
+        block = decode_step(spec, w, tokens[last:], cache,
+                            positions=np.arange(last, n), capture_scores=True)
+        assert got.last_layer_attn.shape == (1, n)
+        assert np.array_equal(got.last_layer_attn[0], block.last_layer_attn[-1])
 
     def test_prefill_requires_empty_cache(self):
         spec, w = small_model()
