@@ -1,12 +1,19 @@
 """Per-layer key/value storage with Full, Streaming and Retrieval eviction.
 
-The cache separates *archive* from *live view*. Every appended row is
-archived (prefix rows are immutable once sealed); the live view is the
-subset of archive slots the next forward pass may attend to. Streaming
-eviction shrinks the live view monotonically; retrieval rebuilds re-derive
-it from the archive, so a chunk dropped by an earlier update can be
-restored by a later one. Rows keep their original absolute positions:
-keys are stored post-rotation and are never re-rotated on eviction.
+A cache is a fixed-size row store: rows ``[0, archive_len)`` are exactly the
+rows the next forward pass attends to, in position order, so every layer
+view is a slice. Rows keep their original absolute positions: keys are
+stored post-rotation and are never re-rotated on eviction. An append past
+the reserved capacity raises ``CapacityError``.
+
+Streaming eviction compacts the held rows in place. A cache built with
+``KVCache.seeded`` copies the prompt rows of a *source* cache (the draft's
+layers are the target's first layers, so the target's rows are the draft's)
+and keeps a reference to it: a retrieval rebuild gathers the selected
+prefix chunks from the source's sealed prefix and places them in front of
+the cache's own generated rows, so a chunk dropped by one update can be
+restored by a later one. The source must keep its prefix rows in place;
+the target cache never reallocates or truncates below its prompt.
 
 Positions must be non-decreasing across appends (speculative tree siblings
 share a position); committed content is strictly increasing. Rollback is by
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderingError, ParameterError
+from .errors import CapacityError, OrderingError, ParameterError, StateError
 
 _INIT_CAP = 64
 
@@ -58,19 +65,11 @@ class RetrievalPolicy:
 CachePolicy = FullPolicy | StreamingPolicy | RetrievalPolicy
 
 
-def _with_room(rows: np.ndarray, cap: int) -> np.ndarray:
-    """``rows`` copied to the head of a new buffer of ``cap`` rows."""
-    out = np.empty((cap,) + rows.shape[1:])
-    out[:rows.shape[0]] = rows
-    return out
-
-
 class KVCache:
-    """Growable per-layer K/V store shared by one generation session.
+    """Fixed-size per-layer K/V store shared by one generation session.
 
-    ``capacity`` rows are reserved up front; a caller that knows how many
-    rows a session can hold passes that bound, so appends never reallocate.
-    Past it the store doubles.
+    ``capacity`` rows are reserved up front; a caller passes the most rows a
+    session can hold.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int,
@@ -84,74 +83,59 @@ class KVCache:
         self._v = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
         self._pos = np.empty(capacity, dtype=np.int64)
         self._len = 0
-        self._live = np.empty(0, dtype=np.int64)
-        self._prefix_len = 0  # archive rows sealed as the input prefix
-        self._view: list[tuple[np.ndarray, np.ndarray]] | None = None  # see layer_view
+        self._world = 0  # see world_len
+        self._prefix_pos = np.empty(0, dtype=np.int64)  # sealed prefix, held or not
+        self._held_prefix = 0  # leading held rows that belong to the sealed prefix
+        self._source: KVCache | None = None  # where rebuilds read prefix rows
 
-    # -- capacity -----------------------------------------------------------
+    @classmethod
+    def seeded(cls, source: KVCache, n_layers: int, rows: int,
+               capacity: int) -> KVCache:
+        """A cache over the first ``n_layers`` layers of ``source``.
 
-    def _grow(self, need: int) -> None:
-        new_cap = self._pos.shape[0]
-        while new_cap < need:
-            new_cap *= 2
-        for li in range(self.n_layers):
-            nk = np.empty((new_cap, self.n_heads, self.d_head))
-            nv = np.empty((new_cap, self.n_heads, self.d_head))
-            nk[:self._len] = self._k[li][:self._len]
-            nv[:self._len] = self._v[li][:self._len]
-            self._k[li], self._v[li] = nk, nv
-        np_pos = np.empty(new_cap, dtype=np.int64)
-        np_pos[:self._len] = self._pos[:self._len]
-        self._pos = np_pos
+        It holds a copy of source rows ``[0, rows)`` as its sealed prefix;
+        retrieval rebuilds read those rows back from ``source``, which must
+        keep them in place.
+        """
+        cache = cls(n_layers, source.n_heads, source.d_head, capacity)
+        views = [source.layer_view(li) for li in range(n_layers)]
+        cache.append([k[:rows] for k, _, _ in views], [v[:rows] for _, v, _ in views],
+                     views[0][2][:rows])
+        cache.seal_prefix()
+        cache._source = source
+        return cache
 
     # -- core state ---------------------------------------------------------
 
     @property
-    def length(self) -> int:
-        """Number of live slots."""
-        return int(self._live.shape[0])
-
-    @property
     def pos_ids(self) -> np.ndarray:
-        return self._pos[self._live].copy()
+        return self._pos[:self._len].copy()
 
     @property
     def generation_boundary(self) -> int:
-        """Count of live slots that belong to the sealed input prefix."""
-        return int(np.count_nonzero(self._live < self._prefix_len))
+        """Count of held rows that belong to the sealed input prefix."""
+        return self._held_prefix
 
     @property
     def prefix_len(self) -> int:
-        return self._prefix_len
+        return int(self._prefix_pos.shape[0])
 
     @property
     def archive_len(self) -> int:
+        """Number of held rows: what attention reads."""
         return self._len
 
     @property
     def world_len(self) -> int:
-        """One past the largest archived position, live or evicted."""
-        return int(self._pos[self._len - 1]) + 1 if self._len else 0
+        """One past the largest position appended and not rolled back,
+        whether or not its row is still held."""
+        return self._world
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live ``(k, v, pos)`` for one layer, k/v shaped ``[L, H, dh]``.
-
-        A non-contiguous live set is gathered once, for every layer, into
-        buffers with room to grow. Appends extend those copies and rollbacks
-        shorten them, so only an eviction, a rebuild or an overflow gathers
-        again.
-        """
-        live = self._live
-        n = live.shape[0]
-        if n and live[0] == 0 and live[-1] == n - 1 and n == self._len:
-            # Contiguous full view: return slices, no copy.
-            return self._k[layer][:n], self._v[layer][:n], self._pos[:n]
-        if self._view is None:
-            room = 2 * n + _INIT_CAP
-            self._view = [(_with_room(k[live], room), _with_room(v[live], room))
-                          for k, v in zip(self._k, self._v)]
-        k, v = self._view[layer]
-        return k[:n], v[:n], self._pos[live]
+        """Held ``(k, v, pos)`` for one layer, k/v shaped ``[L, H, dh]``,
+        as slices of the store."""
+        n = self._len
+        return self._k[layer][:n], self._v[layer][:n], self._pos[:n]
 
     # -- mutation -----------------------------------------------------------
 
@@ -170,57 +154,59 @@ class KVCache:
             return
         if np.any(np.diff(positions) < 0):
             raise OrderingError(f"positions must be non-decreasing, got {positions.tolist()}")
-        if self._len and positions[0] < self._pos[self._len - 1]:
+        if positions[0] < self._world - 1:
             raise OrderingError(
-                f"position {int(positions[0])} precedes current max {int(self._pos[self._len - 1])}"
-            )
-        if self._len + q > self._pos.shape[0]:
-            self._grow(self._len + q)
-        n, view = self.length, self._view
-        if view is not None and n + q > view[0][0].shape[0]:
-            view = self._view = None
+                f"position {int(positions[0])} precedes current max {self._world - 1}")
+        end = self._len + q
+        if end > self._pos.shape[0]:
+            raise CapacityError(f"appending {q} rows to {self._len} overflows the "
+                                f"{self._pos.shape[0]} reserved")
         for li in range(self.n_layers):
-            self._k[li][self._len:self._len + q] = ks[li]
-            self._v[li][self._len:self._len + q] = vs[li]
-            if view is not None:
-                view[li][0][n:n + q] = ks[li]
-                view[li][1][n:n + q] = vs[li]
-        self._pos[self._len:self._len + q] = positions
-        self._live = np.concatenate([self._live, np.arange(self._len, self._len + q)])
-        self._len += q
+            self._k[li][self._len:end] = ks[li]
+            self._v[li][self._len:end] = vs[li]
+        self._pos[self._len:end] = positions
+        self._len = end
+        self._world = int(positions[-1]) + 1
 
     def seal_prefix(self) -> None:
-        """Mark everything archived so far as the input prefix."""
-        self._prefix_len = self._len
+        """Mark every held row as the input prefix."""
+        self._prefix_pos = self._pos[:self._len].copy()
+        self._held_prefix = self._len
 
     def truncate(self, world_len: int) -> None:
-        """Drop every slot whose position is >= ``world_len`` (rollback)."""
+        """Drop every row whose position is >= ``world_len`` (rollback)."""
         cut = int(np.searchsorted(self._pos[:self._len], world_len, side="left"))
         self._len = cut
-        self._live = self._live[self._live < cut]
-        self._prefix_len = min(self._prefix_len, cut)
+        self._held_prefix = min(self._held_prefix, cut)
+        self._prefix_pos = self._prefix_pos[:np.searchsorted(self._prefix_pos, world_len)]
+        self._world = min(self._world, world_len)
 
     def evict_streaming(self, sink: int, recent: int) -> None:
-        """Keep the first ``sink`` and last ``recent`` live slots."""
-        n = self.length
+        """Keep the first ``sink`` and last ``recent`` held rows."""
+        n = self._len
         if n <= sink + recent:
             return
-        head = self._live[:min(sink, n)]
-        tail = self._live[n - min(recent, n - min(sink, n)):]
-        self._live = np.concatenate([head, tail])
-        self._view = None
+        for buf in (*self._k, *self._v, self._pos):
+            buf[sink:sink + recent] = buf[n - recent:n]
+        self._held_prefix = (min(self._held_prefix, sink)
+                             + max(0, self._held_prefix - (n - recent)))
+        self._len = sink + recent
 
     def rebuild_retrieval(self, selected_chunks, chunk_size: int, sink: int = 0) -> None:
-        """Reset the live view to the selected prefix chunks plus the suffix.
+        """Hold the selected prefix chunks, read from the source, then the
+        generated rows still held.
 
         Chunk ``i`` covers prefix positions ``[i*chunk_size, (i+1)*chunk_size)``;
-        the trailing partial chunk is legal. Generated-suffix slots (at or
-        beyond the sealed prefix) always survive.
+        the trailing partial chunk is legal.
         """
+        src = self._source
+        if src is None:
+            raise StateError("a retrieval rebuild needs a source cache (KVCache.seeded)")
         if chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
         sel = np.asarray(list(selected_chunks), dtype=np.int64)
-        n_chunks = -(-self._prefix_len // chunk_size) if self._prefix_len else 0
+        prefix_pos = self._prefix_pos
+        n_chunks = -(-prefix_pos.shape[0] // chunk_size)
         if sel.size:
             if np.any(np.diff(sel) <= 0):
                 raise ParameterError("selected chunks must be strictly ascending")
@@ -228,13 +214,21 @@ class KVCache:
                 raise ParameterError(
                     f"chunk index out of range: have {n_chunks} prefix chunks, got {sel.tolist()}"
                 )
-        keep = np.zeros(self._prefix_len, dtype=bool)
-        prefix_pos = self._pos[:self._prefix_len]
+        keep = np.zeros(prefix_pos.shape[0], dtype=bool)
         for c in sel:
             lo, hi = c * chunk_size, (c + 1) * chunk_size
             keep |= (prefix_pos >= lo) & (prefix_pos < hi)
         if sink:
             keep |= prefix_pos < sink
-        live_prefix = np.flatnonzero(keep)
-        self._live = np.concatenate([live_prefix, np.arange(self._prefix_len, self._len)])
-        self._view = None
+        rows = np.flatnonzero(keep)  # the source's prefix rows are its first rows
+        m, gen = rows.shape[0], slice(self._held_prefix, self._len)
+        end = m + self._len - self._held_prefix
+        if end > self._pos.shape[0]:
+            raise CapacityError(f"rebuild needs {end} rows, {self._pos.shape[0]} reserved")
+        n = self.n_layers
+        for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
+            own[m:end] = own[gen]
+            own[:m] = theirs[rows]
+        self._pos[m:end] = self._pos[gen]
+        self._pos[:m] = prefix_pos[rows]
+        self._held_prefix, self._len = m, end

@@ -72,7 +72,11 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
     pairs: list[tuple[str, str]] = []
     if path:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -77,8 +77,7 @@ class ChainDraft:
 
 
 def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
-                pending: list[int], k: int, temperature: float, rng: Rng,
-                kv_chunk: int | None = None) -> ChainDraft:
+                pending: list[int], k: int, temperature: float, rng: Rng) -> ChainDraft:
     """Sample a k-token chain; the first distribution comes from decoding
     the pending committed tokens, so exactly k forward passes run in total."""
     if k < 1:
@@ -87,8 +86,7 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
         raise ParameterError("draft_chain needs at least one pending committed token")
     start = cache.world_len
     out = decode_step(spec, weights, pending, cache,
-                      positions=np.arange(start, start + len(pending)),
-                      kv_chunk=kv_chunk)
+                      positions=np.arange(start, start + len(pending)))
     logits_row = out.logits[-1]
     pos = start + len(pending)
     tokens: list[int] = []
@@ -102,15 +100,14 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
         logits.append(logits_row)
         if i + 1 < k:
             step = decode_step(spec, weights, [tok], cache,
-                               positions=np.array([pos]), kv_chunk=kv_chunk)
+                               positions=np.array([pos]))
             logits_row = step.logits[-1]
             pos += 1
     return ChainDraft(tokens=tokens, dists=dists, logits=logits)
 
 
 def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
-               pending: list[int], budget: TreeBudget, temperature: float,
-               kv_chunk: int | None = None) -> DraftTree:
+               pending: list[int], budget: TreeBudget, temperature: float) -> DraftTree:
     """Expand a draft tree rooted at the last committed token.
 
     Node distributions are refreshed lazily: whenever an undecoded node must
@@ -121,8 +118,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         raise ParameterError("draft_tree needs at least one pending committed token")
     start = cache.world_len
     out = decode_step(spec, weights, pending, cache,
-                      positions=np.arange(start, start + len(pending)),
-                      kv_chunk=kv_chunk)
+                      positions=np.arange(start, start + len(pending)))
     root_pos = start + len(pending) - 1
     committed_end = root_pos + 1
     root = TreeNode(token=int(pending[-1]), parent=-1, depth=0, path_logprob=0.0,
@@ -138,7 +134,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         positions = np.array([root_pos + tree.nodes[i].depth for i in order])
         mask = _ancestor_mask(tree, order)
         step = decode_step(spec, weights, tokens, cache, tree_mask=mask,
-                           positions=positions, kv_chunk=kv_chunk)
+                           positions=positions)
         for row, i in enumerate(order):
             node = tree.nodes[i]
             node.logits = step.logits[row]

@@ -4,13 +4,14 @@ The target always runs a full cache; only the draft cache is subject to a
 policy. The draft's layers are the target's first layers (``derive_draft``,
 or the target itself), so the target's prefill has already computed the
 draft's prompt K/V: the draft cache is seeded with those rows for all but
-the last prompt token and never prefills. Every step, including the first,
-then drafts from a post-update cache: the tokens a step commits are
+the last prompt token and never prefills, and its retrieval rebuilds read
+evicted prompt rows back from the target cache. Every step, including the
+first, then drafts from a post-update cache: the tokens a step commits are
 appended to the draft cache at the start of the next step's drafting,
 which also yields the first proposal distribution.
 
 Both caches are sized once from the prompt length, ``gen_tokens`` and the
-largest block a step appends, so no append reallocates them.
+largest block a step appends; an append past the reserved rows raises.
 
 Attention scores for retrieval come from the most recent verification
 (deepest accepted token's last-layer row, root row as fallback), sliced to
@@ -20,6 +21,7 @@ prefill from the prefill's last-token row.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,19 +82,14 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     """Prefill the target on ``prompt`` and seed the draft cache from it.
 
     Returns ``(target_cache, draft_cache, target prefill output)``, both
-    caches sealed and reserved for ``capacity`` rows. The draft, whose layers
-    are the target's first ``dspec.n_layers``, gets those layers' rows for
+    caches reserved for ``capacity`` rows. The draft, whose layers are the
+    target's first ``dspec.n_layers``, is seeded with those layers' rows for
     all but the last prompt token; that token is the first pending commit.
     """
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True)
-    target_cache.seal_prefix()
-    n = len(prompt) - 1
-    views = [target_cache.layer_view(li) for li in range(dspec.n_layers)]
-    draft_cache = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity)
-    draft_cache.append([k[:n] for k, _, _ in views], [v[:n] for _, v, _ in views],
-                       views[0][2][:n])
-    draft_cache.seal_prefix()
+    draft_cache = KVCache.seeded(target_cache, dspec.n_layers, len(prompt) - 1,
+                                 capacity)
     return target_cache, draft_cache, out
 
 
@@ -106,6 +103,8 @@ class Session:
                  seed: int = 0, hta_chunk: int | None = 256):
         if drafting not in ("chain", "tree"):
             raise ParameterError(f"unknown drafting mode: {drafting!r}")
+        if not (math.isfinite(temperature) and temperature >= 0):
+            raise ParameterError(f"temperature must be finite and >= 0, got {temperature}")
         if drafting == "tree" and budget is None:
             budget = TreeBudget(max_nodes=50, max_depth=10, expand_threshold=0.7)
         _check_shared_prefix(target_spec, target_weights, draft_spec, draft_weights)
@@ -241,7 +240,7 @@ class Session:
                 used_bonus=outc.bonus_token is not None, tree_nodes=tree_nodes,
                 retrieval_update=updated, draft_ms=draft_ms, verify_ms=verify_ms,
                 update_ms=update_ms, divergence=div))
-            cache_len_by_step.append(draft_cache.length)
+            cache_len_by_step.append(draft_cache.archive_len)
 
         wall_s = time.perf_counter() - t_start
         output = committed[len(prompt):len(prompt) + gen_tokens]

@@ -68,6 +68,8 @@ def build_task(cfg: RunConfig) -> tuple[np.ndarray, NeedleTask | None]:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentRun:
+    if cfg.hta_chunk < 0:
+        raise ParameterError(f"hta_chunk must be >= 0, got {cfg.hta_chunk}")
     target_spec, target_weights = build_models(cfg)
     if not 1 <= cfg.draft_layers < target_spec.n_layers:
         raise ParameterError(

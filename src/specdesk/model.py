@@ -48,8 +48,11 @@ class ModelSpec:
             raise ParameterError(f"vocab must be >= 2, got {self.vocab}")
         if self.n_layers < 1:
             raise ParameterError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.d_head % 2 != 0:
-            raise ParameterError(f"d_head must be even for rotary pairs, got {self.d_head}")
+        if self.n_heads < 1:
+            raise ParameterError(f"n_heads must be >= 1, got {self.n_heads}")
+        if self.d_head < 2 or self.d_head % 2 != 0:
+            raise ParameterError(f"d_head must be even and >= 2 for rotary pairs, "
+                                 f"got {self.d_head}")
         if self.max_pos < 1 or self.rope_base <= 0:
             raise ParameterError("max_pos must be >= 1 and rope_base > 0")
 

@@ -41,7 +41,6 @@ class RunReport:
     needle: NeedleMetrics | None
     # Desk-scale extras kept off the wire (the JSON schema is fixed).
     max_draft_prefix_live: int = 0
-    mean_draft_cache_len: float = 0.0
 
 
 def build_report(cfg_dict: dict, result: SessionResult,
@@ -84,8 +83,6 @@ def build_report(cfg_dict: dict, result: SessionResult,
         acceptance=acceptance,
         needle=needle,
         max_draft_prefix_live=result.max_draft_prefix_live,
-        mean_draft_cache_len=float(np.mean(result.draft_cache_len_by_step))
-        if result.draft_cache_len_by_step else 0.0,
     )
 
 
@@ -120,9 +117,12 @@ def emit_report(report: RunReport, steps: list[StepReport], out_dir: str) -> Non
 def reaggregate(run_dir: str) -> dict:
     """Recompute tau and bookkeeping from an emitted run directory."""
     out = Path(run_dir)
-    summary = json.loads((out / "summary.json").read_text())
-    with open(out / "steps.csv") as f:
-        rows = list(csv.DictReader(f))
+    try:
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "steps.csv") as f:
+            rows = list(csv.DictReader(f))
+    except OSError as exc:
+        raise ParameterError(f"{run_dir}: cannot read {exc.filename}: {exc.strerror}") from exc
     if not rows:
         raise ParameterError(f"{run_dir}: steps.csv has no rows")
     tau = tau_from_counts([int(r["accepted"]) for r in rows])

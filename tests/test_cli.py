@@ -62,16 +62,39 @@ def test_report_reaggregate(tmp_path, capsys):
     assert payload["consistent_with_summary"]
 
 
+SMALL_RUN = ["model=random", "vocab=16", "task=cycle", "prompt_len=32", "gen_tokens=4",
+             "n_layers=2", "draft_layers=1", "d_head=8", "max_pos=256"]
+
+
 @pytest.mark.parametrize("overrides, message", [
     (["model=random", "vocab=8", "task=needle", "prompt_len=64", "gen_tokens=4"],
      "prompt tokens must lie in [0, 8)"),
     (["model=random", "vocab=16", "task=cycle", "prompt_len=32", "gen_tokens=0"],
      "gen_tokens must be >= 1"),
+    (SMALL_RUN + ["seed=-1"], "seed must be >= 0"),
+    (SMALL_RUN + ["n_heads=-1"], "n_heads must be >= 1"),
+    (SMALL_RUN + ["n_heads=0"], "n_heads must be >= 1"),
+    (SMALL_RUN + ["d_head=0"], "d_head must be even and >= 2"),
+    (SMALL_RUN + ["temperature=nan"], "temperature must be finite and >= 0"),
+    (SMALL_RUN + ["temperature=inf"], "temperature must be finite and >= 0"),
+    (SMALL_RUN + ["hta_chunk=-1"], "hta_chunk must be >= 0"),
 ])
 def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     assert main(["run", *overrides]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gen-model --kind random --heads 0 --out {tmp}/m.bin", "n_heads must be >= 1"),
+    ("run --config {tmp}/absent.cfg", "cannot read config file"),
+    ("report {tmp}", "cannot read"),  # a directory without summary.json
+])
+def test_rejects_missing_file_or_zero_heads(tmp_path, capsys, argv, message):
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize("old, new, message", [

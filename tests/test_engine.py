@@ -134,7 +134,7 @@ class TestSeededDraftCache:
         drafts = [derive_draft(spec, w, keep) for keep in range(1, n_layers)]
         for dspec, dw in drafts + [(spec, w)]:
             _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700)
-            ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head)
+            ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity=600)
             prefill(dspec, dw, prompt[:-1], ref)
             ref.seal_prefix()
             assert np.array_equal(seeded.pos_ids, ref.pos_ids)
@@ -143,6 +143,28 @@ class TestSeededDraftCache:
                 (k, v, _), (rk, rv, _) = seeded.layer_view(li), ref.layer_view(li)
                 assert np.max(np.abs(k - rk)) < 1e-12
                 assert np.max(np.abs(v - rv)) < 1e-12
+
+    @pytest.mark.parametrize("sink", [0, 3])
+    def test_rebuild_restores_the_target_rows(self, sink):
+        # Evicted prompt rows come back from the target cache, bitwise equal
+        # to the rows the draft held before the eviction.
+        spec, w = target_model(seed=3, n_layers=3)
+        dspec, _ = derive_draft(spec, w, 2)
+        prompt = list(np.random.default_rng(3).integers(0, 19, 40))
+        target, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
+        before = [[a.copy() for a in draft.layer_view(li)[:2]] for li in range(2)]
+        draft.rebuild_retrieval([1], chunk_size=8, sink=sink)
+        draft.rebuild_retrieval([0, 2, 4], chunk_size=8, sink=sink)
+        pos = draft.pos_ids
+        assert pos.tolist() == sorted(set(range(8)) | set(range(16, 24))
+                                      | set(range(32, 39)) | set(range(sink)))
+        for li in range(2):
+            k, v, _ = draft.layer_view(li)
+            tk, tv, tpos = target.layer_view(li)
+            assert np.array_equal(tpos[pos], pos)
+            assert np.array_equal(k, tk[pos]) and np.array_equal(v, tv[pos])
+            assert np.array_equal(k, before[li][0][pos])
+            assert np.array_equal(v, before[li][1][pos])
 
     def test_rejects_a_draft_that_is_not_the_target_prefix(self):
         spec, w = target_model(seed=1, n_layers=3)
@@ -166,13 +188,10 @@ class TestCacheSizing:
         RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
     ])
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
-    def test_no_cache_regrows(self, policy, drafting, monkeypatch):
+    def test_no_cache_regrows(self, policy, drafting):
         # A self-draft at temperature 0 accepts most drafted tokens, so steps
-        # append the largest block and the last one overshoots gen_tokens.
-        def grow(self, need):
-            raise AssertionError(f"cache regrew to {need} rows")
-
-        monkeypatch.setattr(KVCache, "_grow", grow)
+        # append the largest block and the last one overshoots gen_tokens; an
+        # append past the reserved rows would raise CapacityError.
         spec, w = target_model(seed=17)
         sess = Session(spec, w, spec, w, policy=policy, drafting=drafting, k=4,
                        budget=TreeBudget(6, 4, 0.5))

@@ -15,8 +15,8 @@ def small_model(seed=0, n_layers=2, vocab=17, n_heads=2, d_head=8, max_pos=512):
     return spec, random_weights(spec, seed)
 
 
-def fresh_cache(spec):
-    return KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+def fresh_cache(spec, capacity=64):
+    return KVCache(spec.n_layers, spec.n_heads, spec.d_head, capacity)
 
 
 class TestRope:
@@ -78,8 +78,8 @@ class TestPrefillDecodeEquivalence:
         spec, w = small_model(seed=5)
         n, last = PREFILL_BLOCK + 44, PREFILL_BLOCK
         tokens = list(np.random.default_rng(6).integers(0, 17, n))
-        got = prefill(spec, w, tokens, fresh_cache(spec), capture_scores=True)
-        cache = fresh_cache(spec)
+        got = prefill(spec, w, tokens, fresh_cache(spec, n), capture_scores=True)
+        cache = fresh_cache(spec, n)
         prefill(spec, w, tokens[:last], cache)
         block = decode_step(spec, w, tokens[last:], cache,
                             positions=np.arange(last, n), capture_scores=True)
@@ -206,8 +206,8 @@ class TestDeriveDraft:
         rand_w = random_weights(derived_spec, seed=999)
 
         def agreement(draft_w):
-            tc = fresh_cache(spec)
-            dc = fresh_cache(derived_spec)
+            tc = fresh_cache(spec, 2001)
+            dc = fresh_cache(derived_spec, 2001)
             tok = 1
             t_logits = prefill(spec, w, [tok], tc).logits[-1]
             d_logits = prefill(derived_spec, draft_w, [tok], dc).logits[-1]

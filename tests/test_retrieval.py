@@ -61,12 +61,9 @@ class TestSelectTopK:
 
 
 def _cache_with_prefix(n):
-    c = KVCache(1, 1, 2)
-    ks = [np.zeros((n, 1, 2))]
-    vs = [np.zeros((n, 1, 2))]
-    c.append(ks, vs, np.arange(n))
-    c.seal_prefix()
-    return c
+    source = KVCache(1, 1, 2, capacity=n)
+    source.append([np.zeros((n, 1, 2))], [np.zeros((n, 1, 2))], np.arange(n))
+    return KVCache.seeded(source, 1, n, capacity=n)
 
 
 class TestMaybeUpdate:

@@ -54,7 +54,7 @@ class TestGenerators:
 
 
 def greedy_continuation(spec, w, prompt, n):
-    cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+    cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head, len(prompt) + n)
     logits = prefill(spec, w, prompt, cache).logits[-1]
     out = []
     pos = len(prompt)
