@@ -18,6 +18,8 @@ Shapes are head-generic: queries ``[..., nq, dh]`` against parts
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InternalError, ShapeError
@@ -27,7 +29,8 @@ def attend(q: np.ndarray,
            parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
            scale: float,
            want_probs: bool = False,
-           last_row_only: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+           last_row_only: bool = False,
+           scores: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Attention over a list of ``(k, v, mask)`` parts via online merging.
 
     Returns ``(out [..., nq, dh], probs [..., nq, sum(L)] or None)``. The
@@ -35,13 +38,22 @@ def attend(q: np.ndarray,
     part order. With ``last_row_only`` the probabilities hold only the last
     query row, ``[..., 1, sum(L)]``, bitwise equal to that row of the full
     result; the other rows' weights are dropped as each part is scored.
+
+    ``scores``, a flat buffer with room for the largest part's
+    ``[..., nq, L]`` block, receives each part's scores in turn instead of a
+    new array; it cannot hold every row's weights, so ``want_probs`` then
+    needs ``last_row_only``.
     """
     if not parts:
         raise ShapeError("attention requires at least one KV part")
+    if scores is not None and want_probs and not last_row_only:
+        raise ShapeError("a score buffer keeps only the last row's weights")
+    q = q * scale  # once here, not over every [..., nq, L] score block
     maxes, denoms, accs, weights = [], [], [], []
     for k, v, mask in parts:
-        w = q @ np.swapaxes(k, -1, -2)
-        w *= scale
+        shape = q.shape[:-1] + k.shape[-2:-1]
+        buf = None if scores is None else scores[:math.prod(shape)].reshape(shape)
+        w = np.matmul(q, np.swapaxes(k, -1, -2), out=buf)
         if mask is not None:
             if mask.shape != w.shape[-2:]:
                 raise ShapeError(f"mask shape {mask.shape} does not match scores {w.shape[-2:]}")

@@ -7,9 +7,10 @@ stored post-rotation and are never re-rotated on eviction. An append past
 the reserved capacity raises ``CapacityError``.
 
 Streaming eviction compacts the held rows in place. A cache built with
-``KVCache.seeded`` copies the prompt rows of a *source* cache (the draft's
-layers are the target's first layers, so the target's rows are the draft's)
-and keeps a reference to it: a retrieval rebuild gathers the selected
+``KVCache.seeded`` takes the prompt rows of a *source* cache as its sealed
+prefix (the draft's layers are the target's first layers, so the target's
+rows are the draft's), holding a copy of them or none, and keeps a
+reference to the source: a retrieval rebuild gathers the selected
 prefix chunks from the source's sealed prefix and places them in front of
 the cache's own generated rows, so a chunk dropped by one update can be
 restored by a later one. The source must keep its prefix rows in place;
@@ -61,6 +62,11 @@ class RetrievalPolicy:
         if self.sink < 0:
             raise ParameterError("retrieval sink must be >= 0")
 
+    @property
+    def prefix_rows(self) -> int:
+        """The most prompt rows a rebuild holds: ``top_k`` chunks and the sink."""
+        return self.top_k * self.chunk_size + self.sink
+
 
 CachePolicy = FullPolicy | StreamingPolicy | RetrievalPolicy
 
@@ -89,19 +95,24 @@ class KVCache:
         self._source: KVCache | None = None  # where rebuilds read prefix rows
 
     @classmethod
-    def seeded(cls, source: KVCache, n_layers: int, rows: int,
-               capacity: int) -> KVCache:
+    def seeded(cls, source: KVCache, n_layers: int, rows: int, capacity: int,
+               hold: bool = True) -> KVCache:
         """A cache over the first ``n_layers`` layers of ``source``.
 
-        It holds a copy of source rows ``[0, rows)`` as its sealed prefix;
-        retrieval rebuilds read those rows back from ``source``, which must
-        keep them in place.
+        Source rows ``[0, rows)`` are its sealed prefix, held as a copy, or
+        with ``hold=False`` not held at all until a retrieval rebuild reads
+        the selected ones back from ``source``, which must keep them in
+        place.
         """
         cache = cls(n_layers, source.n_heads, source.d_head, capacity)
-        views = [source.layer_view(li) for li in range(n_layers)]
-        cache.append([k[:rows] for k, _, _ in views], [v[:rows] for _, v, _ in views],
-                     views[0][2][:rows])
-        cache.seal_prefix()
+        if hold:
+            views = [source.layer_view(li) for li in range(n_layers)]
+            cache.append([k[:rows] for k, _, _ in views],
+                         [v[:rows] for _, v, _ in views], views[0][2][:rows])
+            cache.seal_prefix()
+        elif rows:
+            cache._prefix_pos = source._pos[:rows].copy()
+            cache._world = int(cache._prefix_pos[-1]) + 1
         cache._source = source
         return cache
 

@@ -5,10 +5,11 @@ policy. The draft's layers are the target's first layers (``derive_draft``,
 or the target itself), so the target's prefill has already computed the
 draft's prompt K/V: the draft cache is seeded with those rows for all but
 the last prompt token and never prefills, and its retrieval rebuilds read
-evicted prompt rows back from the target cache. Every step, including the
-first, then drafts from a post-update cache: the tokens a step commits are
-appended to the draft cache at the start of the next step's drafting,
-which also yields the first proposal distribution.
+the selected prompt rows from the target cache (a retrieval draft holds
+none until its first update). Every step, including the first, then
+drafts from a post-update cache: the tokens a step commits are appended to
+the draft cache at the start of the next step's drafting, which also
+yields the first proposal distribution.
 
 Both caches are sized once from the prompt length, ``gen_tokens`` and the
 largest block a step appends; an append past the reserved rows raises.
@@ -78,18 +79,28 @@ def _check_shared_prefix(tspec: ModelSpec, tw: Weights,
 
 
 def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
-                   capacity: int) -> tuple[KVCache, KVCache, ForwardOutput]:
+                   capacity: int, policy: CachePolicy = FullPolicy()
+                   ) -> tuple[KVCache, KVCache, ForwardOutput]:
     """Prefill the target on ``prompt`` and seed the draft cache from it.
 
-    Returns ``(target_cache, draft_cache, target prefill output)``, both
-    caches reserved for ``capacity`` rows. The draft, whose layers are the
+    Returns ``(target_cache, draft_cache, target prefill output)``; the
+    output holds the last prompt row's logits and attention only. The
+    target cache reserves ``capacity`` rows. The draft, whose layers are the
     target's first ``dspec.n_layers``, is seeded with those layers' rows for
     all but the last prompt token; that token is the first pending commit.
+    A retrieval draft holds none of them: its first update, which runs
+    before any draft forward, reads the selected rows from the target, so
+    it reserves room for those and for the generated rows only.
     """
+    n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
-    out = prefill(tspec, tw, prompt, target_cache, capture_scores=True)
-    draft_cache = KVCache.seeded(target_cache, dspec.n_layers, len(prompt) - 1,
-                                 capacity)
+    out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
+                  last_row_only=True)
+    if isinstance(policy, RetrievalPolicy):
+        draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
+                                     capacity - n + policy.prefix_rows, hold=False)
+    else:
+        draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1, capacity)
     return target_cache, draft_cache, out
 
 
@@ -135,7 +146,7 @@ class Session:
 
         t0 = time.perf_counter()
         target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
-                                                        capacity)
+                                                        capacity, self.policy)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
         fallback_row = out.last_layer_attn[-1]
         prefill_s = time.perf_counter() - t0
@@ -165,7 +176,7 @@ class Session:
             if retr is not None:
                 updated = maybe_update(retr, scores, draft_cache)
                 if updated:
-                    bound = retr.top_k * retr.chunk_size + retr.sink
+                    bound = self.policy.prefix_rows
                     if draft_cache.generation_boundary > bound:
                         raise InternalError(
                             f"draft prefix cache {draft_cache.generation_boundary} "
@@ -258,7 +269,7 @@ def greedy_reference(spec: ModelSpec, weights: Weights, prompt,
 
     cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head,
                     capacity=len(prompt) + gen_tokens)
-    out = prefill(spec, weights, prompt, cache)
+    out = prefill(spec, weights, prompt, cache, last_row_only=True)
     tokens = []
     logits = out.logits[-1]
     pos = len(prompt)

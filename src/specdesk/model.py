@@ -53,8 +53,10 @@ class ModelSpec:
         if self.d_head < 2 or self.d_head % 2 != 0:
             raise ParameterError(f"d_head must be even and >= 2 for rotary pairs, "
                                  f"got {self.d_head}")
-        if self.max_pos < 1 or self.rope_base <= 0:
-            raise ParameterError("max_pos must be >= 1 and rope_base > 0")
+        if self.max_pos < 1:
+            raise ParameterError(f"max_pos must be >= 1, got {self.max_pos}")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 0):
+            raise ParameterError(f"rope_base must be finite and > 0, got {self.rope_base}")
 
     @property
     def d_mlp(self) -> int:
@@ -112,7 +114,7 @@ class Weights:
 
 @dataclass
 class ForwardOutput:
-    logits: np.ndarray  # [q, vocab]
+    logits: np.ndarray  # [q, vocab], or the last rows only
     last_layer_attn: np.ndarray | None = None  # [q_or_1, cache_len + q], head-averaged
 
 
@@ -171,7 +173,16 @@ def _heads(x: np.ndarray, w: np.ndarray, n_heads: int, d_head: int) -> np.ndarra
 def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
              positions: np.ndarray, new_mask: np.ndarray | None,
              capture_scores: bool, kv_chunk: int | None,
-             capture_last_only: bool = False) -> ForwardOutput:
+             capture_last_only: bool = False,
+             out_rows: int | None = None,
+             scores: np.ndarray | None = None) -> ForwardOutput:
+    """One forward pass over a block; its K/V are appended to ``cache``.
+
+    With ``out_rows`` the last layer projects K/V for every row but runs
+    attention, the MLP and the unembed only for the trailing ``out_rows``
+    rows (none for 0), so logits and captured rows cover just those.
+    ``scores`` is the attention score buffer (see ``attn.attend``).
+    """
     q_n = tokens.shape[0]
     scale = 1.0 / np.sqrt(spec.d_head)
     if np.any(positions >= spec.max_pos):
@@ -179,20 +190,25 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     if new_mask is None:
         new_mask = np.tril(np.ones((q_n, q_n), dtype=bool))
     x = w.embed[tokens]
+    q_pos = positions
     new_ks: list[np.ndarray] = []
     new_vs: list[np.ndarray] = []
     captured = None
     for li, lw in enumerate(w.layers):
         xn = rms_norm(x, lw.attn_gain)
-        qh = _rope_rotate(
-            _heads(xn, lw.wq, spec.n_heads, spec.d_head).transpose(1, 0, 2),
-            positions, spec.rope_base,
-        ).transpose(1, 0, 2)
         kh = _rope_rotate(
             _heads(xn, lw.wk, spec.n_heads, spec.d_head).transpose(1, 0, 2),
             positions, spec.rope_base,
         ).transpose(1, 0, 2)
         vh = _heads(xn, lw.wv, spec.n_heads, spec.d_head)
+        last = li == spec.n_layers - 1
+        if last and out_rows is not None:
+            rows = slice(q_n - out_rows, None)
+            x, xn, q_pos, new_mask = x[rows], xn[rows], q_pos[rows], new_mask[rows]
+        qh = _rope_rotate(
+            _heads(xn, lw.wq, spec.n_heads, spec.d_head).transpose(1, 0, 2),
+            q_pos, spec.rope_base,
+        ).transpose(1, 0, 2)
         k_cache, v_cache, _ = cache.layer_view(li)  # [L, H, dh]
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
         L = k_cache.shape[0]
@@ -202,12 +218,12 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
             for lo, hi in attn.split_chunks(L, kv_chunk or L):
                 parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
         parts.append((kh, vh, new_mask))
-        want = capture_scores and li == spec.n_layers - 1
+        want = capture_scores and last
         out, probs = attn.attend(qh, parts, scale, want_probs=want,
-                                 last_row_only=capture_last_only)
+                                 last_row_only=capture_last_only, scores=scores)
         if want:
             captured = probs.mean(axis=0)  # head-averaged [q or 1, L+q]
-        merged = out.transpose(1, 0, 2).reshape(q_n, spec.d_model)
+        merged = out.transpose(1, 0, 2).reshape(x.shape[0], spec.d_model)
         x = x + merged @ lw.wo
         xm = rms_norm(x, lw.mlp_gain)
         x = x + _silu(xm @ lw.w_in) @ lw.w_out
@@ -220,12 +236,14 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
 
 
 def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
-            capture_scores: bool = False) -> ForwardOutput:
-    """Populate an empty cache with the whole input and return all logits.
+            capture_scores: bool = False, last_row_only: bool = False) -> ForwardOutput:
+    """Populate an empty cache with the whole input and return its logits.
 
     Runs in query blocks so long inputs never materialize an n x n
     probability matrix; with ``capture_scores`` only the final token's
-    attention row is kept.
+    attention row is kept. Logits cover every input row, or with
+    ``last_row_only`` the final one only: the last layer then runs
+    attention, the MLP and the unembed for that row alone.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if cache.archive_len != 0:
@@ -235,11 +253,12 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
         raise ShapeError("prefill requires at least one token")
     if n > spec.max_pos:
         raise CapacityError(f"input length {n} exceeds max_pos {spec.max_pos}")
-    logits = np.empty((n, spec.vocab))
-    captured = None
+    logits = None if last_row_only else np.empty((n, spec.vocab))
     for lo in range(0, n, PREFILL_BLOCK):
         hi = min(lo + PREFILL_BLOCK, n)
         last_block = hi == n
+        # The block's layers share one score buffer, sized for the larger of
+        # its parts: the cached prefix [H, hi - lo, lo] or the block itself.
         out = _forward(
             spec, weights, tokens[lo:hi], cache,
             positions=np.arange(lo, hi, dtype=np.int64),
@@ -247,11 +266,15 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
             capture_scores=capture_scores and last_block,
             kv_chunk=None,
             capture_last_only=True,
+            out_rows=int(last_block) if last_row_only else None,
+            scores=np.empty(spec.n_heads * (hi - lo) * max(lo, hi - lo)),
         )
-        logits[lo:hi] = out.logits
-        if capture_scores and last_block:
-            captured = out.last_layer_attn
-    return ForwardOutput(logits=logits, last_layer_attn=captured)
+        if logits is not None:
+            logits[lo:hi] = out.logits
+    # ``out`` is the final block's: it holds the captured row, if any.
+    if logits is None:
+        return out
+    return ForwardOutput(logits=logits, last_layer_attn=out.last_layer_attn)
 
 
 def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,

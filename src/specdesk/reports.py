@@ -118,15 +118,33 @@ def reaggregate(run_dir: str) -> dict:
     """Recompute tau and bookkeeping from an emitted run directory."""
     out = Path(run_dir)
     try:
-        summary = json.loads((out / "summary.json").read_text())
-        with open(out / "steps.csv") as f:
+        raw = (out / "summary.json").read_bytes()
+        with open(out / "steps.csv", newline="") as f:
             rows = list(csv.DictReader(f))
     except OSError as exc:
         raise ParameterError(f"{run_dir}: cannot read {exc.filename}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParameterError(f"{run_dir}: steps.csv is not a CSV table ({exc})") from None
+    try:
+        summary = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParameterError(f"{run_dir}: summary.json is not JSON ({exc})") from None
+    if not isinstance(summary, dict):
+        raise ParameterError(f"{run_dir}: summary.json must hold a JSON object")
+    for key in ("tau", "total_tokens"):
+        value = summary.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParameterError(f"{run_dir}: summary.json has no numeric {key!r}")
     if not rows:
         raise ParameterError(f"{run_dir}: steps.csv has no rows")
-    tau = tau_from_counts([int(r["accepted"]) for r in rows])
-    committed = sum(int(r["accepted"]) + 1 for r in rows)
+    if "accepted" not in rows[0]:
+        raise ParameterError(f"{run_dir}: steps.csv has no 'accepted' column")
+    try:
+        accepted = [int(r["accepted"]) for r in rows]
+    except (TypeError, ValueError):  # a short row reads None
+        raise ParameterError(f"{run_dir}: steps.csv has a non-integer 'accepted'") from None
+    tau = tau_from_counts(accepted)
+    committed = sum(a + 1 for a in accepted)
     consistent = (abs(tau - summary["tau"]) < 1e-9
                   and committed >= summary["total_tokens"])
     return {"tau": tau, "steps": len(rows), "committed": committed,

@@ -78,6 +78,8 @@ SMALL_RUN = ["model=random", "vocab=16", "task=cycle", "prompt_len=32", "gen_tok
     (SMALL_RUN + ["temperature=nan"], "temperature must be finite and >= 0"),
     (SMALL_RUN + ["temperature=inf"], "temperature must be finite and >= 0"),
     (SMALL_RUN + ["hta_chunk=-1"], "hta_chunk must be >= 0"),
+    (SMALL_RUN + ["rope_base=nan"], "rope_base must be finite and > 0"),
+    (SMALL_RUN + ["rope_base=inf"], "rope_base must be finite and > 0"),
 ])
 def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     assert main(["run", *overrides]) == 2
@@ -114,5 +116,29 @@ def test_run_rejects_malformed_weight_header(tmp_path, capsys, old, new, message
     path.write_bytes(header + b"\n" + payload)
     capsys.readouterr()
     assert main(["run", f"model={path}", "draft_layers=1", "gen_tokens=4"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("summary, steps, message", [
+    (b"not json", None, "summary.json is not JSON"),
+    (b"\xff\xfe", None, "summary.json is not JSON"),
+    (b"[1, 2]", None, "summary.json must hold a JSON object"),
+    (b'{"total_tokens": 12}', None, "summary.json has no numeric 'tau'"),
+    (b'{"tau": 2.0}', None, "summary.json has no numeric 'total_tokens'"),
+    (b'{"tau": "2", "total_tokens": 12}', None, "summary.json has no numeric 'tau'"),
+    (None, "step,drafted\n1,4\n", "steps.csv has no 'accepted' column"),
+    (None, "step,accepted\n1,x\n", "steps.csv has a non-integer 'accepted'"),
+    (None, "step,accepted\n1\n", "steps.csv has a non-integer 'accepted'"),
+])
+def test_report_rejects_malformed_files(tmp_path, capsys, summary, steps, message):
+    out = tmp_path / "run"
+    assert main(["run", *SMALL_RUN, f"out={out}"]) == 0
+    if summary is not None:
+        (out / "summary.json").write_bytes(summary)
+    if steps is not None:
+        (out / "steps.csv").write_text(steps)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

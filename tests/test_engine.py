@@ -6,8 +6,9 @@ import pytest
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget
 from specdesk.engine import Session, greedy_reference, prefill_caches
-from specdesk.errors import ParameterError
-from specdesk.model import ModelSpec, derive_draft, prefill
+from specdesk.errors import CapacityError, ParameterError
+from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
+                            prefill)
 from specdesk.modelgen import random_weights
 
 
@@ -166,6 +167,35 @@ class TestSeededDraftCache:
             assert np.array_equal(k, before[li][0][pos])
             assert np.array_equal(v, before[li][1][pos])
 
+    def test_retrieval_draft_holds_no_prompt_rows(self):
+        # Seeded empty, a retrieval draft's first rebuild gathers bitwise the
+        # rows a draft seeded with a copy of the prompt rows would hold.
+        spec, w = target_model(seed=3, n_layers=3)
+        dspec, _ = derive_draft(spec, w, 2)
+        prompt = list(np.random.default_rng(3).integers(0, 19, 40))
+        policy = RetrievalPolicy(chunk_size=8, top_k=2, frequency=2, sink=3)
+        target, empty, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
+        _, copied, _ = prefill_caches(spec, w, dspec, prompt, 64)
+        assert empty.archive_len == empty.generation_boundary == 0
+        assert empty.world_len == copied.world_len == empty.prefix_len == 39
+        for cache in (empty, copied):
+            cache.rebuild_retrieval([1, 2], chunk_size=8, sink=3)
+        pos = empty.pos_ids
+        assert pos.tolist() == [0, 1, 2] + list(range(8, 24))
+        assert np.array_equal(pos, copied.pos_ids)
+        assert empty.generation_boundary == copied.generation_boundary == 19
+        for li in range(2):
+            (k, v, _), (ck, cv, _) = empty.layer_view(li), copied.layer_view(li)
+            tk, tv, _ = target.layer_view(li)
+            assert np.array_equal(k, tk[pos]) and np.array_equal(v, tv[pos])
+            assert np.array_equal(k, ck) and np.array_equal(v, cv)
+        # It reserves top_k * chunk_size + sink rows plus the target's
+        # 64 - 40 rows of generation room.
+        block = [np.zeros((24, 2, 8))] * 2
+        empty.append(block, block, np.arange(39, 63))
+        with pytest.raises(CapacityError):
+            empty.append([a[:1] for a in block], [a[:1] for a in block], [63])
+
     def test_rejects_a_draft_that_is_not_the_target_prefix(self):
         spec, w = target_model(seed=1, n_layers=3)
         _, other = target_model(seed=2, n_layers=3)
@@ -198,3 +228,21 @@ class TestCacheSizing:
         result = sess.run(PROMPT, 49)
         assert result.output_tokens == greedy_reference(spec, w, PROMPT, 49)
         assert sum(s.accepted + 1 for s in result.steps) > 49
+
+
+class TestGreedyReference:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, PREFILL_BLOCK - 1, PREFILL_BLOCK,
+                                   PREFILL_BLOCK + 1, 600])
+    def test_matches_a_loop_over_all_row_logits(self, n, n_layers):
+        spec, w = target_model(seed=50 + n_layers, n_layers=n_layers)
+        prompt = list(np.random.default_rng(n).integers(0, 19, n))
+        gen = 12
+        cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head, n + gen)
+        logits = prefill(spec, w, prompt, cache).logits[-1]
+        want = []
+        for pos in range(n, n + gen):
+            want.append(int(np.argmax(logits)))
+            logits = decode_step(spec, w, want[-1:], cache,
+                                 positions=np.array([pos])).logits[-1]
+        assert greedy_reference(spec, w, prompt, gen) == want

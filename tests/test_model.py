@@ -115,6 +115,29 @@ class TestPrefillDecodeEquivalence:
             assert np.max(np.abs(got - want)) < 1e-9
 
 
+class TestLastRowPrefill:
+    # n straddles the prefill block edges; with one layer the first layer
+    # is also the last, the one that runs for the last row only.
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, PREFILL_BLOCK - 1, PREFILL_BLOCK,
+                                   PREFILL_BLOCK + 1, 600])
+    def test_matches_the_all_row_prefill(self, n, n_layers):
+        spec, w = small_model(seed=n + n_layers, n_layers=n_layers, max_pos=1024)
+        tokens = np.random.default_rng(n).integers(0, spec.vocab, n)
+        every, last = fresh_cache(spec, n), fresh_cache(spec, n)
+        want = prefill(spec, w, tokens, every, capture_scores=True)
+        got = prefill(spec, w, tokens, last, True, last_row_only=True)
+        assert want.logits.shape == (n, spec.vocab)
+        assert got.logits.shape == (1, spec.vocab)
+        assert np.max(np.abs(got.logits[-1] - want.logits[-1])) < 1e-12
+        assert got.last_layer_attn.shape == want.last_layer_attn.shape == (1, n)
+        assert np.max(np.abs(got.last_layer_attn - want.last_layer_attn)) < 1e-12
+        assert np.array_equal(last.pos_ids, every.pos_ids)
+        for li in range(n_layers):
+            for a, b in zip(last.layer_view(li), every.layer_view(li)):
+                assert np.array_equal(a, b)
+
+
 class TestDecodeStep:
     def test_empty_block_rejected(self):
         spec, w = small_model()
@@ -295,3 +318,9 @@ class TestModelSpecValidation:
     def test_vocab_floor(self):
         with pytest.raises(ParameterError):
             ModelSpec(n_layers=1, n_heads=1, d_model=8, d_head=8, vocab=1, max_pos=16)
+
+    @pytest.mark.parametrize("rope_base", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rope_base_must_be_finite_and_positive(self, rope_base):
+        with pytest.raises(ParameterError, match="rope_base"):
+            ModelSpec(n_layers=1, n_heads=1, d_model=8, d_head=8, vocab=4, max_pos=16,
+                      rope_base=rope_base)
