@@ -4,10 +4,10 @@ from .cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from .drafting import DraftTree, TreeBudget, draft_chain, draft_tree, flatten_tree
 from .engine import Session, greedy_reference
 from .model import (ForwardOutput, ModelSpec, Weights, decode_step, derive_draft,
-                    load_weights, prefill, rope_apply, save_weights)
+                    load_weights, prefill, save_weights)
 from .retrieval import RetrievalState, chunk_scores, maybe_update, select_top_k
 from .speedup import SpeedupInputs, SpeedupResult, speedup_model
-from .tensor import Rng, matmul, sample_categorical, softmax_rows
+from .tensor import Rng, sample_categorical
 from .verification import (VerifyOutcome, extract_scores, hybrid_attention,
                            verify_chain, verify_tree)
 

@@ -6,15 +6,16 @@ view is a slice. Rows keep their original absolute positions: keys are
 stored post-rotation and are never re-rotated on eviction. An append past
 the reserved capacity raises ``CapacityError``.
 
-Streaming eviction compacts the held rows in place. A cache built with
-``KVCache.seeded`` takes the prompt rows of a *source* cache as its sealed
-prefix (the draft's layers are the target's first layers, so the target's
-rows are the draft's), holding a copy of them or none, and keeps a
-reference to the source: a retrieval rebuild gathers the selected
-prefix chunks from the source's sealed prefix and places them in front of
-the cache's own generated rows, so a chunk dropped by one update can be
-restored by a later one. The source must keep its prefix rows in place;
-the target cache never reallocates or truncates below its prompt.
+A cache built with ``KVCache.seeded`` starts empty over the prompt rows of a
+*source* cache, its sealed prefix: the draft's layers are the target's
+first layers, so the target's rows are the draft's. ``hold_prefix`` is the
+one way prefix rows get in: it reads the given prefix rows from the source
+and places them in front of the cache's own generated rows. Each policy
+picks its rows: the full draft all of them, the streaming draft its sink
+and recent window, and a retrieval update the selected chunks, so a chunk
+dropped by one update can be restored by a later one. The source must keep
+its prefix rows in place; the target cache never reallocates or truncates
+below its prompt. Streaming eviction compacts the held rows in place.
 
 Positions must be non-decreasing across appends (speculative tree siblings
 share a position); committed content is strictly increasing. Rollback is by
@@ -34,7 +35,17 @@ _INIT_CAP = 64
 
 @dataclass(frozen=True)
 class FullPolicy:
+    """Each policy names the prefix rows a draft over an ``n``-row prompt
+    prefix holds once seeded (``seed_rows``) and the most it ever holds
+    (``prefix_rows``)."""
+
     kind: str = "full"
+
+    def seed_rows(self, n: int) -> np.ndarray:
+        return np.arange(n)
+
+    def prefix_rows(self, n: int) -> int:
+        return n
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,12 @@ class StreamingPolicy:
     def __post_init__(self):
         if self.sink < 0 or self.recent < 1:
             raise ParameterError("streaming policy needs sink >= 0 and recent >= 1")
+
+    def seed_rows(self, n: int) -> np.ndarray:
+        return np.r_[:min(self.sink, n), max(self.sink, n - self.recent):n]
+
+    def prefix_rows(self, n: int) -> int:
+        return min(self.sink + self.recent, n)
 
 
 @dataclass(frozen=True)
@@ -62,10 +79,11 @@ class RetrievalPolicy:
         if self.sink < 0:
             raise ParameterError("retrieval sink must be >= 0")
 
-    @property
-    def prefix_rows(self) -> int:
-        """The most prompt rows a rebuild holds: ``top_k`` chunks and the sink."""
-        return self.top_k * self.chunk_size + self.sink
+    def seed_rows(self, n: int) -> np.ndarray:
+        return np.arange(0)  # the first update, before any draft forward, fills it
+
+    def prefix_rows(self, n: int) -> int:
+        return min(self.top_k * self.chunk_size + self.sink, n)
 
 
 CachePolicy = FullPolicy | StreamingPolicy | RetrievalPolicy
@@ -92,26 +110,19 @@ class KVCache:
         self._world = 0  # see world_len
         self._prefix_pos = np.empty(0, dtype=np.int64)  # sealed prefix, held or not
         self._held_prefix = 0  # leading held rows that belong to the sealed prefix
-        self._source: KVCache | None = None  # where rebuilds read prefix rows
+        self._source: KVCache | None = None  # where hold_prefix reads prefix rows
 
     @classmethod
-    def seeded(cls, source: KVCache, n_layers: int, rows: int, capacity: int,
-               hold: bool = True) -> KVCache:
-        """A cache over the first ``n_layers`` layers of ``source``.
+    def seeded(cls, source: KVCache, n_layers: int, rows: int, capacity: int) -> KVCache:
+        """An empty cache over the first ``n_layers`` layers of ``source``,
+        whose rows ``[0, rows)`` are its sealed prefix.
 
-        Source rows ``[0, rows)`` are its sealed prefix, held as a copy, or
-        with ``hold=False`` not held at all until a retrieval rebuild reads
-        the selected ones back from ``source``, which must keep them in
-        place.
+        ``hold_prefix`` reads prefix rows back from ``source``, which must
+        keep them in place.
         """
         cache = cls(n_layers, source.n_heads, source.d_head, capacity)
-        if hold:
-            views = [source.layer_view(li) for li in range(n_layers)]
-            cache.append([k[:rows] for k, _, _ in views],
-                         [v[:rows] for _, v, _ in views], views[0][2][:rows])
-            cache.seal_prefix()
-        elif rows:
-            cache._prefix_pos = source._pos[:rows].copy()
+        cache._prefix_pos = source._pos[:rows].copy()
+        if rows:
             cache._world = int(cache._prefix_pos[-1]) + 1
         cache._source = source
         return cache
@@ -179,11 +190,6 @@ class KVCache:
         self._len = end
         self._world = int(positions[-1]) + 1
 
-    def seal_prefix(self) -> None:
-        """Mark every held row as the input prefix."""
-        self._prefix_pos = self._pos[:self._len].copy()
-        self._held_prefix = self._len
-
     def truncate(self, world_len: int) -> None:
         """Drop every row whose position is >= ``world_len`` (rollback)."""
         cut = int(np.searchsorted(self._pos[:self._len], world_len, side="left"))
@@ -203,43 +209,28 @@ class KVCache:
                              + max(0, self._held_prefix - (n - recent)))
         self._len = sink + recent
 
-    def rebuild_retrieval(self, selected_chunks, chunk_size: int, sink: int = 0) -> None:
-        """Hold the selected prefix chunks, read from the source, then the
-        generated rows still held.
-
-        Chunk ``i`` covers prefix positions ``[i*chunk_size, (i+1)*chunk_size)``;
-        the trailing partial chunk is legal.
-        """
+    def hold_prefix(self, rows) -> None:
+        """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
+        read from the source, then the generated rows still held."""
         src = self._source
         if src is None:
-            raise StateError("a retrieval rebuild needs a source cache (KVCache.seeded)")
-        if chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-        sel = np.asarray(list(selected_chunks), dtype=np.int64)
-        prefix_pos = self._prefix_pos
-        n_chunks = -(-prefix_pos.shape[0] // chunk_size)
-        if sel.size:
-            if np.any(np.diff(sel) <= 0):
-                raise ParameterError("selected chunks must be strictly ascending")
-            if sel[0] < 0 or sel[-1] >= n_chunks:
-                raise ParameterError(
-                    f"chunk index out of range: have {n_chunks} prefix chunks, got {sel.tolist()}"
-                )
-        keep = np.zeros(prefix_pos.shape[0], dtype=bool)
-        for c in sel:
-            lo, hi = c * chunk_size, (c + 1) * chunk_size
-            keep |= (prefix_pos >= lo) & (prefix_pos < hi)
-        if sink:
-            keep |= prefix_pos < sink
-        rows = np.flatnonzero(keep)  # the source's prefix rows are its first rows
-        m, gen = rows.shape[0], slice(self._held_prefix, self._len)
+            raise StateError("holding prefix rows needs a source cache (KVCache.seeded)")
+        rows = np.asarray(rows, dtype=np.int64)
+        m = rows.shape[0]
+        if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= self.prefix_len):
+            raise ParameterError(
+                f"prefix rows must be strictly ascending in [0, {self.prefix_len})")
+        gen = slice(self._held_prefix, self._len)
         end = m + self._len - self._held_prefix
         if end > self._pos.shape[0]:
-            raise CapacityError(f"rebuild needs {end} rows, {self._pos.shape[0]} reserved")
+            raise CapacityError(f"holding {m} prefix rows needs {end} rows, "
+                                f"{self._pos.shape[0]} reserved")
         n = self.n_layers
         for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
             own[m:end] = own[gen]
-            own[:m] = theirs[rows]
+            # The rows are in range, so "clip" changes nothing; unlike the
+            # default "raise" it writes into ``out`` without a temporary.
+            np.take(theirs, rows, axis=0, out=own[:m], mode="clip")
         self._pos[m:end] = self._pos[gen]
-        self._pos[:m] = prefix_pos[rows]
+        self._pos[:m] = self._prefix_pos[rows]
         self._held_prefix, self._len = m, end

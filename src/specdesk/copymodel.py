@@ -24,8 +24,11 @@ positions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ParameterError
 from .model import LayerWeights, ModelSpec, Weights, rope_angles
 
 VOCAB = 32
@@ -116,7 +119,12 @@ def build_copy_model(weak_match_mass: float = 400.0,
     draft-visible match head (matched-position weight relative to the
     weight 1 of an unmatched position)."""
     if n_layers < 3:
-        raise ValueError("copy model needs the offset, weak and strong layers")
+        raise ParameterError("copy model needs the offset, weak and strong layers")
+    # Below a mass of 1 the match weight sqrt(log(mass) * ...) has no real value.
+    for name, mass in (("weak_match_mass", weak_match_mass),
+                       ("strong_match_mass", strong_match_mass)):
+        if not (math.isfinite(mass) and mass >= 1):
+            raise ParameterError(f"{name} must be finite and >= 1, got {mass}")
     spec = ModelSpec(n_layers=n_layers, n_heads=N_HEADS, d_model=D_MODEL,
                      d_head=D_HEAD, vocab=VOCAB, max_pos=MAX_POS,
                      rope_base=ROPE_BASE)

@@ -3,16 +3,18 @@
 The target always runs a full cache; only the draft cache is subject to a
 policy. The draft's layers are the target's first layers (``derive_draft``,
 or the target itself), so the target's prefill has already computed the
-draft's prompt K/V: the draft cache is seeded with those rows for all but
-the last prompt token and never prefills, and its retrieval rebuilds read
-the selected prompt rows from the target cache (a retrieval draft holds
-none until its first update). Every step, including the first, then
+draft's prompt K/V for all but the last prompt token. The draft never
+prefills: it reads the prompt rows its policy holds from the target cache,
+all of them for a full draft, the sink and recent window for a streaming
+draft, and the selected chunks at each update for a retrieval draft (none
+before its first). Every step, including the first, then
 drafts from a post-update cache: the tokens a step commits are appended to
 the draft cache at the start of the next step's drafting, which also
 yields the first proposal distribution.
 
 Both caches are sized once from the prompt length, ``gen_tokens`` and the
-largest block a step appends; an append past the reserved rows raises.
+largest block a step appends, the draft's for the most prompt rows its
+policy holds; an append past the reserved rows raises.
 
 Attention scores for retrieval come from the most recent verification
 (deepest accepted token's last-layer row, root row as fallback), sliced to
@@ -86,21 +88,18 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     Returns ``(target_cache, draft_cache, target prefill output)``; the
     output holds the last prompt row's logits and attention only. The
     target cache reserves ``capacity`` rows. The draft, whose layers are the
-    target's first ``dspec.n_layers``, is seeded with those layers' rows for
-    all but the last prompt token; that token is the first pending commit.
-    A retrieval draft holds none of them: its first update, which runs
-    before any draft forward, reads the selected rows from the target, so
-    it reserves room for those and for the generated rows only.
+    target's first ``dspec.n_layers``, is seeded over those layers' rows for
+    all but the last prompt token, which is the first pending commit, and
+    holds the rows ``policy.seed_rows`` picks. It reserves room for the most
+    prompt rows the policy holds and for the target's generation room.
     """
     n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
                   last_row_only=True)
-    if isinstance(policy, RetrievalPolicy):
-        draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
-                                     capacity - n + policy.prefix_rows, hold=False)
-    else:
-        draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1, capacity)
+    draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
+                                 policy.prefix_rows(n - 1) + capacity - n)
+    draft_cache.hold_prefix(policy.seed_rows(n - 1))
     return target_cache, draft_cache, out
 
 
@@ -114,6 +113,8 @@ class Session:
                  seed: int = 0, hta_chunk: int | None = 256):
         if drafting not in ("chain", "tree"):
             raise ParameterError(f"unknown drafting mode: {drafting!r}")
+        if not isinstance(policy, CachePolicy):
+            raise ParameterError(f"unknown cache policy: {policy!r}")
         if not (math.isfinite(temperature) and temperature >= 0):
             raise ParameterError(f"temperature must be finite and >= 0, got {temperature}")
         if drafting == "tree" and budget is None:
@@ -155,10 +156,6 @@ class Session:
         retr = None
         if isinstance(self.policy, RetrievalPolicy):
             retr = RetrievalState.from_policy(self.policy)
-        elif isinstance(self.policy, StreamingPolicy):
-            draft_cache.evict_streaming(self.policy.sink, self.policy.recent)
-        elif not isinstance(self.policy, FullPolicy):
-            raise ParameterError(f"unknown cache policy: {self.policy!r}")
 
         committed = list(prompt)
         scores = extract_scores(fallback_row, prefix_len)
@@ -176,7 +173,7 @@ class Session:
             if retr is not None:
                 updated = maybe_update(retr, scores, draft_cache)
                 if updated:
-                    bound = self.policy.prefix_rows
+                    bound = self.policy.prefix_rows(prefix_len)
                     if draft_cache.generation_boundary > bound:
                         raise InternalError(
                             f"draft prefix cache {draft_cache.generation_boundary} "

@@ -51,13 +51,6 @@ def buckets_from_entropies(entropies, accepted,
     return out
 
 
-def entropy_buckets(distributions: list[np.ndarray], accepted: list[bool],
-                    hard_quantile: float = 0.90) -> dict[str, float | None]:
-    """Acceptance rate split by target-distribution entropy."""
-    entropies = [shannon_entropy(p) for p in distributions]
-    return buckets_from_entropies(entropies, accepted, hard_quantile)
-
-
 @dataclass
 class ProposalLog:
     """One drafted position: what the draft proposed and how sure it was."""

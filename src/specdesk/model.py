@@ -140,13 +140,6 @@ def rope_angles(d_head: int, rope_base: float) -> np.ndarray:
     return rope_base ** (-2.0 * i / d_head)
 
 
-def rope_apply(x: np.ndarray, position: int, rope_base: float) -> np.ndarray:
-    """Rotate one vector (last axis = head dim) to an absolute position."""
-    if position < 0:
-        raise ParameterError(f"position must be >= 0, got {position}")
-    return _rope_rotate(x[None, ...], np.array([position], dtype=np.int64), rope_base)[0]
-
-
 def _rope_rotate(x: np.ndarray, positions: np.ndarray, rope_base: float) -> np.ndarray:
     """Rotate a batch ``[n, ..., d_head]`` at per-row absolute positions."""
     d = x.shape[-1]
@@ -173,7 +166,6 @@ def _heads(x: np.ndarray, w: np.ndarray, n_heads: int, d_head: int) -> np.ndarra
 def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
              positions: np.ndarray, new_mask: np.ndarray | None,
              capture_scores: bool, kv_chunk: int | None,
-             capture_last_only: bool = False,
              out_rows: int | None = None,
              scores: np.ndarray | None = None) -> ForwardOutput:
     """One forward pass over a block; its K/V are appended to ``cache``.
@@ -181,7 +173,8 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     With ``out_rows`` the last layer projects K/V for every row but runs
     attention, the MLP and the unembed only for the trailing ``out_rows``
     rows (none for 0), so logits and captured rows cover just those.
-    ``scores`` is the attention score buffer (see ``attn.attend``).
+    ``scores`` is the attention score buffer (see ``attn.attend``); with it
+    only the last row's attention is captured.
     """
     q_n = tokens.shape[0]
     scale = 1.0 / np.sqrt(spec.d_head)
@@ -220,7 +213,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         parts.append((kh, vh, new_mask))
         want = capture_scores and last
         out, probs = attn.attend(qh, parts, scale, want_probs=want,
-                                 last_row_only=capture_last_only, scores=scores)
+                                 last_row_only=scores is not None, scores=scores)
         if want:
             captured = probs.mean(axis=0)  # head-averaged [q or 1, L+q]
         merged = out.transpose(1, 0, 2).reshape(x.shape[0], spec.d_model)
@@ -265,7 +258,6 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
             new_mask=None,
             capture_scores=capture_scores and last_block,
             kv_chunk=None,
-            capture_last_only=True,
             out_rows=int(last_block) if last_row_only else None,
             scores=np.empty(spec.n_heads * (hi - lo) * max(lo, hi - lo)),
         )
@@ -365,10 +357,13 @@ def save_weights(path: str, spec: ModelSpec, weights: Weights) -> None:
         offset += arr.size * 8
     header = json.dumps({"spec": spec.to_dict(), "tensors": directory},
                         sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + b"\n")
-        for _, arr in items:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    try:
+        with open(path, "wb") as f:
+            f.write(header.encode("utf-8") + b"\n")
+            for _, arr in items:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    except OSError as exc:
+        raise ParameterError(f"cannot write weight file {path}: {exc.strerror}") from None
 
 
 def _parse_header(path: str, line: bytes) -> tuple[ModelSpec, list[dict]]:
@@ -401,9 +396,12 @@ def _parse_header(path: str, line: bytes) -> tuple[ModelSpec, list[dict]]:
 
 
 def load_weights(path: str) -> tuple[ModelSpec, Weights]:
-    with open(path, "rb") as f:
-        spec, tensors = _parse_header(path, f.readline())
-        payload = f.read()
+    try:
+        with open(path, "rb") as f:
+            head, payload = f.readline(), f.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read weight file {path}: {exc.strerror}") from None
+    spec, tensors = _parse_header(path, head)
     names = {"embed", "final_gain", "unembed"} | {
         f"layers.{li}.{name}" for li in range(spec.n_layers) for name in LAYER_TENSORS}
     found = {entry["name"] for entry in tensors}

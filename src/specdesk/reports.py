@@ -103,15 +103,18 @@ def report_json(report: RunReport) -> dict:
 
 def emit_report(report: RunReport, steps: list[StepReport], out_dir: str) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.json").write_text(json.dumps(report_json(report), indent=2) + "\n")
-    with open(out / "steps.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for s in steps:
-            writer.writerow([s.step, s.drafted, s.accepted, s.tree_nodes,
-                             int(s.retrieval_update), f"{s.draft_ms:.3f}",
-                             f"{s.verify_ms:.3f}", f"{s.update_ms:.3f}"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "summary.json").write_text(json.dumps(report_json(report), indent=2) + "\n")
+        with open(out / "steps.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(CSV_COLUMNS)
+            for s in steps:
+                writer.writerow([s.step, s.drafted, s.accepted, s.tree_nodes,
+                                 int(s.retrieval_update), f"{s.draft_ms:.3f}",
+                                 f"{s.verify_ms:.3f}", f"{s.update_ms:.3f}"])
+    except OSError as exc:
+        raise ParameterError(f"cannot write report to {out_dir}: {exc.strerror}") from None
 
 
 def reaggregate(run_dir: str) -> dict:

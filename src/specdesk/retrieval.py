@@ -2,7 +2,8 @@
 
 The target model's last-layer attention row over the input prefix is
 averaged per fixed-size chunk; the top-k chunks (ties broken toward the
-lower index) are what the draft keeps. Updates run on the first step after
+lower index) and the first ``sink`` rows are what the draft holds, read
+back from the target's cache. Updates run on the first step after
 prefill and then every ``frequency`` steps.
 """
 
@@ -50,6 +51,27 @@ def chunk_scores(s: np.ndarray, chunk_size: int) -> np.ndarray:
     return out
 
 
+def chunk_rows(selected, chunk_size: int, n: int, sink: int = 0) -> np.ndarray:
+    """Ascending rows of an ``n``-row prefix covered by the selected chunks
+    or the first ``sink`` rows.
+
+    Chunk ``i`` covers rows ``[i*chunk_size, (i+1)*chunk_size)``; the
+    trailing partial chunk is legal.
+    """
+    if chunk_size < 1:
+        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+    sel = np.asarray(list(selected), dtype=np.int64)
+    n_chunks = -(-n // chunk_size)
+    if sel.size:
+        if np.any(np.diff(sel) <= 0):
+            raise ParameterError("selected chunks must be strictly ascending")
+        if sel[0] < 0 or sel[-1] >= n_chunks:
+            raise ParameterError(
+                f"chunk index out of range: have {n_chunks} prefix chunks, got {sel.tolist()}")
+    rows = (sel[:, None] * chunk_size + np.arange(chunk_size)).ravel()
+    return np.union1d(np.arange(min(sink, n)), rows[rows < n])
+
+
 def select_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
     """Indices of the k largest scores, ties toward the lower index,
     returned ascending (document order)."""
@@ -76,7 +98,7 @@ def maybe_update(state: RetrievalState, s: np.ndarray | None, cache: KVCache) ->
         raise StateError("retrieval update due but no attention scores available")
     scores = chunk_scores(s, state.chunk_size)
     selection = select_top_k(scores, state.top_k)
-    cache.rebuild_retrieval(selection, state.chunk_size, sink=state.sink)
+    cache.hold_prefix(chunk_rows(selection, state.chunk_size, cache.prefix_len, state.sink))
     state.last_selection = selection
     state.steps_since_update = 0
     state.primed = True

@@ -48,7 +48,6 @@ class VerifyOutcome:
     accepted_count: int
     correction_token: int | None
     bonus_token: int | None
-    target_rows: list[np.ndarray]  # committed-path target distributions
     last_accepted_attn_row: np.ndarray | None
     last_committed_attn_row: np.ndarray | None
     next_root_dist: np.ndarray
@@ -111,7 +110,6 @@ class WalkResult:
     accepted: list[int]
     correction: int | None
     bonus: int | None
-    target_rows: list[np.ndarray]
     levels: list[LevelRecord]
 
 
@@ -125,7 +123,6 @@ def walk_chain(tokens: list[int], proposals: list[np.ndarray],
     is sampled from the last row when everything is accepted.
     """
     accepted: list[int] = []
-    target_rows: list[np.ndarray] = []
     levels: list[LevelRecord] = []
     correction = None
     bonus = None
@@ -136,7 +133,6 @@ def walk_chain(tokens: list[int], proposals: list[np.ndarray],
                           first_candidate=tok, committed=-1, accepted=ok,
                           draft_logits=logits[i] if logits else None)
         levels.append(rec)
-        target_rows.append(q_cur)
         if ok:
             accepted.append(tok)
             rec.committed = tok
@@ -148,11 +144,10 @@ def walk_chain(tokens: list[int], proposals: list[np.ndarray],
             break
     if correction is None:
         bonus = _draw(q_cur, rng, temperature)
-        target_rows.append(q_cur)
         levels.append(LevelRecord(target_dist=q_cur, proposal_dist=None,
                                   first_candidate=None, committed=bonus,
                                   accepted=False))
-    return WalkResult(accepted, correction, bonus, target_rows, levels)
+    return WalkResult(accepted, correction, bonus, levels)
 
 
 def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
@@ -161,7 +156,6 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
     removing each rejected child's mass from the residual; sample the
     correction from the final residual, or the bonus at an accepted leaf."""
     accepted: list[int] = []
-    target_rows: list[np.ndarray] = []
     levels: list[LevelRecord] = []
     correction = None
     bonus = None
@@ -173,7 +167,6 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
                           key=lambda c: (-float(parent_dist[tree.nodes[c].token]), c))
         if not children:
             bonus = _draw(q_cur, rng, temperature)
-            target_rows.append(q_cur)
             levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
                                       first_candidate=None, committed=bonus,
                                       accepted=False,
@@ -188,7 +181,6 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
                 break
             residual = residual_after_reject(residual, tok, None)
         first = tree.nodes[children[0]].token
-        target_rows.append(q_cur)
         if chosen is None:
             correction = _draw(residual, rng, temperature)
             levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
@@ -203,7 +195,7 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
                                   accepted=True,
                                   draft_logits=tree.nodes[node].logits))
         node = chosen
-    return WalkResult(accepted, correction, bonus, target_rows, levels)
+    return WalkResult(accepted, correction, bonus, levels)
 
 
 # -- chain ---------------------------------------------------------------------
@@ -270,7 +262,6 @@ def _commit(spec: ModelSpec, weights: Weights, cache: KVCache,
         accepted_count=a,
         correction_token=walk.correction,
         bonus_token=walk.bonus,
-        target_rows=walk.target_rows,
         last_accepted_attn_row=attn_rows[a - 1].copy() if a >= 1 else None,
         last_committed_attn_row=attn_rows[-1].copy(),
         next_root_dist=next_token_dist(out.logits[-1], temperature),

@@ -3,6 +3,7 @@ import pytest
 
 from specdesk.cache import KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.errors import CapacityError, OrderingError, ParameterError, StateError
+from specdesk.retrieval import chunk_rows
 
 
 def make_cache(n_layers=2, n_heads=2, d_head=4):
@@ -10,10 +11,12 @@ def make_cache(n_layers=2, n_heads=2, d_head=4):
 
 
 def seeded_cache(n, n_layers=2):
-    # A draft cache seeded with n prompt rows of a deeper source cache.
+    # A draft cache holding all n prompt rows of a deeper source cache.
     source = make_cache(n_layers=n_layers + 1)
     append_tokens(source, list(range(n)))
-    return KVCache.seeded(source, n_layers, n, capacity=64)
+    cache = KVCache.seeded(source, n_layers, n, capacity=64)
+    cache.hold_prefix(np.arange(n))
+    return cache
 
 
 def append_tokens(cache, positions):
@@ -88,6 +91,19 @@ class TestStreaming:
         c.evict_streaming(sink=0, recent=1)
         assert c.pos_ids.tolist() == [4]
 
+    def test_seed_rows_match_an_eviction(self):
+        # A streaming draft seeds the rows that evicting a full prefix keeps.
+        for n in range(1, 12):
+            for sink in range(4):
+                for recent in range(1, 6):
+                    c = make_cache()
+                    append_tokens(c, list(range(n)))
+                    c.evict_streaming(sink, recent)
+                    policy = StreamingPolicy(sink, recent)
+                    rows = policy.seed_rows(n)
+                    assert rows.tolist() == c.pos_ids.tolist()
+                    assert policy.prefix_rows(n) == len(rows)
+
     def test_original_positions_preserved(self):
         c = make_cache()
         append_tokens(c, list(range(20)))
@@ -96,47 +112,47 @@ class TestStreaming:
 
 
 class TestRetrievalRebuild:
+    """``hold_prefix``, the gather a retrieval update runs."""
+
     def test_basic_selection(self):
         c = seeded_cache(12)
-        c.rebuild_retrieval([0, 2], chunk_size=4)
+        c.hold_prefix([0, 1, 2, 3, 8, 9, 10, 11])
         assert c.pos_ids.tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
 
     def test_select_all_is_identity(self):
         c = seeded_cache(12)
-        c.rebuild_retrieval([0, 1, 2], chunk_size=4)
+        c.hold_prefix(np.arange(12))
         assert c.pos_ids.tolist() == list(range(12))
 
-    def test_partial_trailing_chunk(self):
+    def test_rows_must_be_ascending_prefix_rows(self):
         c = seeded_cache(10)
-        c.rebuild_retrieval([2], chunk_size=4)
-        assert c.pos_ids.tolist() == [8, 9]
-
-    def test_out_of_range_chunk(self):
-        c = seeded_cache(10)
-        with pytest.raises(ParameterError):
-            c.rebuild_retrieval([3], chunk_size=4)
+        for rows in ([10], [-1, 0], [3, 2], [4, 4]):
+            with pytest.raises(ParameterError):
+                c.hold_prefix(rows)
+        assert c.pos_ids.tolist() == list(range(10))
 
     def test_suffix_always_survives(self):
         c = seeded_cache(12)
         append_tokens(c, [12, 13, 14])  # generated
-        c.rebuild_retrieval([1], chunk_size=4)
+        c.hold_prefix([4, 5, 6, 7])
         assert c.pos_ids.tolist() == [4, 5, 6, 7, 12, 13, 14]
         assert c.generation_boundary == 4
 
     def test_rebuild_can_restore_dropped_chunks(self):
         c = seeded_cache(12)
-        c.rebuild_retrieval([0], chunk_size=4)
+        c.hold_prefix([0, 1, 2, 3])
         assert c.pos_ids.tolist() == [0, 1, 2, 3]
-        c.rebuild_retrieval([1, 2], chunk_size=4)
+        c.hold_prefix(np.arange(4, 12))
         assert c.pos_ids.tolist() == [4, 5, 6, 7, 8, 9, 10, 11]
 
     def test_restored_rows_are_the_source_rows(self):
         source = make_cache(n_layers=3)
         append_tokens(source, list(range(12)))
         c = KVCache.seeded(source, 2, 12, capacity=64)
+        assert c.archive_len == 0 and c.world_len == 12
         append_tokens(c, [12, 13])
-        c.rebuild_retrieval([1], chunk_size=4)
-        c.rebuild_retrieval([0, 2], chunk_size=4)
+        c.hold_prefix([4, 5, 6, 7])
+        c.hold_prefix([0, 1, 2, 3, 8, 9, 10, 11])
         for li in range(2):
             k, v, pos = c.layer_view(li)
             sk, sv, _ = source.layer_view(li)
@@ -145,7 +161,7 @@ class TestRetrievalRebuild:
 
     def test_world_len_survives_dropping_the_last_chunk(self):
         c = seeded_cache(12)
-        c.rebuild_retrieval([0], chunk_size=4)
+        c.hold_prefix([0, 1, 2, 3])
         assert c.pos_ids.tolist() == [0, 1, 2, 3]
         assert c.world_len == 12
         append_tokens(c, [12])
@@ -155,29 +171,33 @@ class TestRetrievalRebuild:
     def test_rebuild_needs_a_source(self):
         c = make_cache()
         append_tokens(c, list(range(12)))
-        c.seal_prefix()
         with pytest.raises(StateError):
-            c.rebuild_retrieval([0], chunk_size=4)
+            c.hold_prefix([0])
 
     def test_idempotent(self):
         c = seeded_cache(16)
-        c.rebuild_retrieval([1, 3], chunk_size=4)
+        c.hold_prefix([4, 5, 6, 7, 12, 13, 14, 15])
         before = c.pos_ids.tolist()
-        c.rebuild_retrieval([1, 3], chunk_size=4)
+        c.hold_prefix([4, 5, 6, 7, 12, 13, 14, 15])
         assert c.pos_ids.tolist() == before
-
-    def test_optional_sink(self):
-        c = seeded_cache(12)
-        c.rebuild_retrieval([2], chunk_size=4, sink=2)
-        assert c.pos_ids.tolist() == [0, 1, 8, 9, 10, 11]
 
     def test_layers_consistent(self):
         c = seeded_cache(12, n_layers=3)
-        c.rebuild_retrieval([1], chunk_size=4)
+        c.hold_prefix([4, 5, 6, 7])
         views = [c.layer_view(li) for li in range(3)]
         for k, v, pos in views:
             assert k.shape[0] == 4
             assert pos.tolist() == [4, 5, 6, 7]
+
+    def test_prefix_past_capacity_raises(self):
+        source = make_cache()
+        append_tokens(source, list(range(12)))
+        c = KVCache.seeded(source, 2, 12, capacity=6)
+        append_tokens(c, [12, 13])
+        with pytest.raises(CapacityError):
+            c.hold_prefix(np.arange(5))
+        c.hold_prefix(np.arange(4))
+        assert c.pos_ids.tolist() == [0, 1, 2, 3, 12, 13]
 
 
 def test_layer_view_tracks_every_mutation():
@@ -194,6 +214,7 @@ def test_layer_view_tracks_every_mutation():
     source = KVCache(3, 2, 4, capacity=40)
     source.append(*rows_for(np.arange(40), 3), np.arange(40))
     c = KVCache.seeded(source, 2, 40, capacity=400)
+    c.hold_prefix(np.arange(40))
     held, appended = list(range(40)), list(range(40))
 
     def append(n):
@@ -219,7 +240,7 @@ def test_layer_view_tracks_every_mutation():
         else:
             chunks = np.flatnonzero(rng.random(10) < 0.4)
             sink = int(rng.integers(0, 3))
-            c.rebuild_retrieval(chunks, chunk_size=4, sink=sink)
+            c.hold_prefix(chunk_rows(chunks, 4, c.prefix_len, sink))
             held[:] = ([p for p in range(40) if p // 4 in chunks or p < sink]
                        + [p for p in held if p >= 40])
         assert c.pos_ids.tolist() == held
@@ -244,7 +265,9 @@ class TestTruncate:
         c = seeded_cache(12)
         c.truncate(6)
         assert (c.prefix_len, c.world_len) == (6, 6)
-        c.rebuild_retrieval([0, 1], chunk_size=4)
+        with pytest.raises(ParameterError):
+            c.hold_prefix(np.arange(8))
+        c.hold_prefix(chunk_rows([0, 1], 4, c.prefix_len))
         assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_truncate_then_reappend(self):

@@ -80,6 +80,8 @@ SMALL_RUN = ["model=random", "vocab=16", "task=cycle", "prompt_len=32", "gen_tok
     (SMALL_RUN + ["hta_chunk=-1"], "hta_chunk must be >= 0"),
     (SMALL_RUN + ["rope_base=nan"], "rope_base must be finite and > 0"),
     (SMALL_RUN + ["rope_base=inf"], "rope_base must be finite and > 0"),
+    (["weak_match_mass=0"], "weak_match_mass must be finite and >= 1, got 0.0"),
+    (["weak_match_mass=nan"], "weak_match_mass must be finite and >= 1, got nan"),
 ])
 def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     assert main(["run", *overrides]) == 2
@@ -91,12 +93,24 @@ def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     ("gen-model --kind random --heads 0 --out {tmp}/m.bin", "n_heads must be >= 1"),
     ("run --config {tmp}/absent.cfg", "cannot read config file"),
     ("report {tmp}", "cannot read"),  # a directory without summary.json
+    ("run model={tmp} draft_layers=1", "cannot read weight file {tmp}"),
+    ("gen-model --out {tmp}", "cannot write weight file {tmp}"),
+    ("gen-model --weak-match-mass 0.5 --out {tmp}/m.bin",
+     "weak_match_mass must be finite and >= 1, got 0.5"),
 ])
 def test_rejects_missing_file_or_zero_heads(tmp_path, capsys, argv, message):
     assert main(argv.format(tmp=tmp_path).split()) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message.format(tmp=tmp_path) in err and "Traceback" not in err
     assert not (tmp_path / "m.bin").exists()
+
+
+def test_run_rejects_a_report_path_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", *SMALL_RUN, f"out={out}"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write report to {out}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -21,7 +21,6 @@ def small_model(seed=0, vocab=7, n_layers=1):
 def prepped_cache(spec, w, prompt):
     cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
     prefill(spec, w, prompt[:-1], cache)
-    cache.seal_prefix()
     return cache
 
 

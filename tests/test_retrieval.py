@@ -3,7 +3,8 @@ import pytest
 
 from specdesk.cache import KVCache, RetrievalPolicy
 from specdesk.errors import ParameterError, StateError
-from specdesk.retrieval import RetrievalState, chunk_scores, maybe_update, select_top_k
+from specdesk.retrieval import (RetrievalState, chunk_rows, chunk_scores, maybe_update,
+                                select_top_k)
 from specdesk.tensor import Rng
 
 
@@ -31,6 +32,36 @@ class TestChunkScores:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             chunk_scores(np.array([]), 4)
+
+
+class TestChunkRows:
+    def test_partial_trailing_chunk(self):
+        assert chunk_rows([2], 4, 10).tolist() == [8, 9]
+
+    def test_out_of_range_chunk(self):
+        with pytest.raises(ParameterError):
+            chunk_rows([3], 4, 10)
+        with pytest.raises(ParameterError):
+            chunk_rows([-1], 4, 10)
+
+    def test_chunks_must_ascend(self):
+        for sel in ([1, 0], [1, 1]):
+            with pytest.raises(ParameterError):
+                chunk_rows(sel, 4, 12)
+
+    def test_optional_sink(self):
+        assert chunk_rows([2], 4, 12, sink=2).tolist() == [0, 1, 8, 9, 10, 11]
+        assert chunk_rows([], 4, 3, sink=5).tolist() == [0, 1, 2]
+
+    def test_membership_oracle(self):
+        # Oracle: a row is held iff its chunk is selected or it is a sink row.
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n, size = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+            sel = np.flatnonzero(rng.random(-(-n // size)) < 0.4)
+            sink = int(rng.integers(0, 5))
+            want = [r for r in range(n) if r // size in sel or r < sink]
+            assert chunk_rows(sel, size, n, sink).tolist() == want
 
 
 class TestSelectTopK:

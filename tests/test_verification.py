@@ -23,7 +23,6 @@ def small_model(seed=0, vocab=8, n_layers=1):
 def prepped(spec, w, prompt):
     cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
     out = prefill(spec, w, prompt, cache)
-    cache.seal_prefix()
     return cache, out.logits[-1]
 
 
@@ -157,7 +156,7 @@ class TestChainVerification:
 
         with pytest.raises(InternalError):
             VerifyOutcome(accepted_tokens=[], accepted_count=0,
-                          correction_token=1, bonus_token=2, target_rows=[],
+                          correction_token=1, bonus_token=2,
                           last_accepted_attn_row=None,
                           last_committed_attn_row=np.ones(1),
                           next_root_dist=np.ones(1))
@@ -277,7 +276,6 @@ class TestVerifyTreeEndToEnd:
         prompt = [1, 5, 2, 8]
         dcache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
         prefill(spec, w, prompt[:-1], dcache)
-        dcache.seal_prefix()
         tree = draft_tree(spec, w, dcache, [prompt[-1]],
                           TreeBudget(8, 3, 0.5), temperature=0.0)
         tcache, last_logits = prepped(spec, w, prompt)
