@@ -48,7 +48,7 @@ class RunConfig:
     needle_body: int = 12
     needle_pos: int = -1  # -1 = auto (chunk-aligned mid-document)
     loop_len: int = 15
-    hta_chunk: int = 256  # 0 reads the verify prefix as one part
+    hta_chunk: int = 0  # 0 reads the verify prefix as one part; n > 0 in n-row tiles
     out: str = ""  # report directory; empty = no files
 
 

@@ -86,7 +86,7 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
         raise ParameterError("draft_chain needs at least one pending committed token")
     start = cache.world_len
     out = decode_step(spec, weights, pending, cache,
-                      positions=np.arange(start, start + len(pending)))
+                      positions=np.arange(start, start + len(pending)), out_rows=1)
     logits_row = out.logits[-1]
     pos = start + len(pending)
     tokens: list[int] = []
@@ -118,7 +118,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         raise ParameterError("draft_tree needs at least one pending committed token")
     start = cache.world_len
     out = decode_step(spec, weights, pending, cache,
-                      positions=np.arange(start, start + len(pending)))
+                      positions=np.arange(start, start + len(pending)), out_rows=1)
     root_pos = start + len(pending) - 1
     committed_end = root_pos + 1
     root = TreeNode(token=int(pending[-1]), parent=-1, depth=0, path_logprob=0.0,

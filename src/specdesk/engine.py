@@ -110,7 +110,7 @@ class Session:
                  draft_spec: ModelSpec, draft_weights: Weights,
                  policy: CachePolicy, drafting: str = "chain", k: int = 4,
                  budget: TreeBudget | None = None, temperature: float = 0.0,
-                 seed: int = 0, hta_chunk: int | None = 256):
+                 seed: int = 0, hta_chunk: int | None = None):
         if drafting not in ("chain", "tree"):
             raise ParameterError(f"unknown drafting mode: {drafting!r}")
         if not isinstance(policy, CachePolicy):

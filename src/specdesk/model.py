@@ -12,6 +12,7 @@ identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -73,6 +74,13 @@ class ModelSpec:
 
 @dataclass
 class LayerWeights:
+    """One block's weights.
+
+    ``wq``, ``wk`` and ``wv`` become column views of ``wqkv``, the fused
+    ``[D, 3D]`` projection built here, so the forward pass projects once per
+    layer and an in-place edit of ``wq``/``wk``/``wv`` shows in ``wqkv``.
+    """
+
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -81,6 +89,15 @@ class LayerWeights:
     w_out: np.ndarray
     attn_gain: np.ndarray
     mlp_gain: np.ndarray
+    wqkv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = {np.shape(w) for w in (self.wq, self.wk, self.wv)}
+        if len(shapes) != 1 or len(np.shape(self.wq)) != 2:
+            raise ShapeError(f"wq, wk and wv must share one 2-D shape, got {sorted(shapes)}")
+        self.wqkv = np.concatenate([self.wq, self.wk, self.wv], axis=1)
+        d = self.wqkv.shape[1] // 3
+        self.wq, self.wk, self.wv = (self.wqkv[:, i * d:(i + 1) * d] for i in range(3))
 
 
 @dataclass
@@ -121,33 +138,38 @@ class ForwardOutput:
 # -- numerics ----------------------------------------------------------------
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(x * x, axis=-1, keepdims=True)
+    # np.mean's own sum without its Python wrappers: bitwise the same result.
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
     return x * gain / np.sqrt(ms + RMS_EPS)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    """``x * sigmoid(x)`` as ``h + h * tanh(h)`` with ``h = x / 2``.
+
+    ``tanh`` saturates instead of overflowing, so no branch is needed.
+    """
+    h = 0.5 * x
+    out = np.tanh(h)
+    out *= h
+    out += h
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def rope_angles(d_head: int, rope_base: float) -> np.ndarray:
-    """Per-pair rotation frequency in radians per position."""
+    """Per-pair rotation frequency in radians per position (read-only)."""
     i = np.arange(d_head // 2, dtype=np.float64)
-    return rope_base ** (-2.0 * i / d_head)
+    theta = rope_base ** (-2.0 * i / d_head)
+    theta.setflags(write=False)
+    return theta
 
 
 def _rope_rotate(x: np.ndarray, positions: np.ndarray, rope_base: float) -> np.ndarray:
     """Rotate a batch ``[n, ..., d_head]`` at per-row absolute positions."""
     d = x.shape[-1]
-    theta = rope_angles(d, rope_base)
-    ang = positions.astype(np.float64)[:, None] * theta[None, :]  # [n, d/2]
-    cos, sin = np.cos(ang), np.sin(ang)
+    ang = positions.astype(np.float64)[:, None] * rope_angles(d, rope_base)
     shape = (x.shape[0],) + (1,) * (x.ndim - 2) + (d // 2,)
-    cos, sin = cos.reshape(shape), sin.reshape(shape)
+    cos, sin = np.cos(ang).reshape(shape), np.sin(ang).reshape(shape)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin
@@ -155,13 +177,15 @@ def _rope_rotate(x: np.ndarray, positions: np.ndarray, rope_base: float) -> np.n
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_mask(n: int) -> np.ndarray:
+    """The read-only ``[n, n]`` lower-triangular visibility mask."""
+    mask = np.tril(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 # -- forward -----------------------------------------------------------------
-
-def _heads(x: np.ndarray, w: np.ndarray, n_heads: int, d_head: int) -> np.ndarray:
-    """Project ``[q, D] @ [D, D]`` and split to ``[H, q, dh]``."""
-    y = x @ w
-    return y.reshape(y.shape[0], n_heads, d_head).transpose(1, 0, 2)
-
 
 def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
              positions: np.ndarray, new_mask: np.ndarray | None,
@@ -177,31 +201,31 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     only the last row's attention is captured.
     """
     q_n = tokens.shape[0]
-    scale = 1.0 / np.sqrt(spec.d_head)
+    H, dh, D = spec.n_heads, spec.d_head, spec.d_model
+    scale = 1.0 / np.sqrt(dh)
     if np.any(positions >= spec.max_pos):
         raise CapacityError(f"position >= max_pos ({spec.max_pos})")
     if new_mask is None:
-        new_mask = np.tril(np.ones((q_n, q_n), dtype=bool))
+        new_mask = _causal_mask(q_n)
     x = w.embed[tokens]
-    q_pos = positions
     new_ks: list[np.ndarray] = []
     new_vs: list[np.ndarray] = []
     captured = None
     for li, lw in enumerate(w.layers):
         xn = rms_norm(x, lw.attn_gain)
-        kh = _rope_rotate(
-            _heads(xn, lw.wk, spec.n_heads, spec.d_head).transpose(1, 0, 2),
-            positions, spec.rope_base,
-        ).transpose(1, 0, 2)
-        vh = _heads(xn, lw.wv, spec.n_heads, spec.d_head)
         last = li == spec.n_layers - 1
         if last and out_rows is not None:
+            # K/V for every row, Q for the trailing rows only.
             rows = slice(q_n - out_rows, None)
-            x, xn, q_pos, new_mask = x[rows], xn[rows], q_pos[rows], new_mask[rows]
-        qh = _rope_rotate(
-            _heads(xn, lw.wq, spec.n_heads, spec.d_head).transpose(1, 0, 2),
-            q_pos, spec.rope_base,
-        ).transpose(1, 0, 2)
+            kv = (xn @ lw.wqkv[:, D:]).reshape(q_n, 2 * H, dh)
+            k, v = _rope_rotate(kv[:, :H], positions, spec.rope_base), kv[:, H:]
+            x, new_mask = x[rows], new_mask[rows]
+            q = _rope_rotate((xn[rows] @ lw.wq).reshape(-1, H, dh),
+                             positions[rows], spec.rope_base)
+        else:
+            qkv = (xn @ lw.wqkv).reshape(q_n, 3 * H, dh)
+            qk = _rope_rotate(qkv[:, :2 * H], positions, spec.rope_base)
+            q, k, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H:]
         k_cache, v_cache, _ = cache.layer_view(li)  # [L, H, dh]
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
         L = k_cache.shape[0]
@@ -210,18 +234,16 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
             vc = v_cache.transpose(1, 0, 2)
             for lo, hi in attn.split_chunks(L, kv_chunk or L):
                 parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
-        parts.append((kh, vh, new_mask))
+        parts.append((k.transpose(1, 0, 2), v.transpose(1, 0, 2), new_mask))
         want = capture_scores and last
-        out, probs = attn.attend(qh, parts, scale, want_probs=want,
+        out, probs = attn.attend(q.transpose(1, 0, 2), parts, scale, want_probs=want,
                                  last_row_only=scores is not None, scores=scores)
         if want:
             captured = probs.mean(axis=0)  # head-averaged [q or 1, L+q]
-        merged = out.transpose(1, 0, 2).reshape(x.shape[0], spec.d_model)
-        x = x + merged @ lw.wo
-        xm = rms_norm(x, lw.mlp_gain)
-        x = x + _silu(xm @ lw.w_in) @ lw.w_out
-        new_ks.append(kh.transpose(1, 0, 2))
-        new_vs.append(vh.transpose(1, 0, 2))
+        x += out.transpose(1, 0, 2).reshape(x.shape[0], D) @ lw.wo
+        x += _silu(rms_norm(x, lw.mlp_gain) @ lw.w_in) @ lw.w_out
+        new_ks.append(k)
+        new_vs.append(v)
     logits = rms_norm(x, w.final_gain) @ w.unembed
     check_finite(logits, "logits")
     cache.append(new_ks, new_vs, positions)
@@ -271,13 +293,16 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
 
 def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
                 tree_mask: np.ndarray | None = None, positions=None,
-                capture_scores: bool = False, kv_chunk: int | None = None) -> ForwardOutput:
+                capture_scores: bool = False, kv_chunk: int | None = None,
+                out_rows: int | None = None) -> ForwardOutput:
     """Decode a block of new tokens against the cached context.
 
     Queries attend to every cache entry plus the new tokens allowed by
     ``tree_mask`` (row i, column j visible iff node j is an ancestor-or-self
     of node i); without a mask the block is causal. The cache is extended by
-    the new tokens' K/V.
+    the new tokens' K/V. With ``out_rows`` the logits (and captured scores)
+    cover only the last ``out_rows`` rows, and the last layer runs its
+    attention and MLP for those rows alone.
     """
     new_tokens = np.asarray(new_tokens, dtype=np.int64)
     q_n = new_tokens.shape[0]
@@ -292,8 +317,10 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
         tree_mask = np.asarray(tree_mask, dtype=bool)
         if tree_mask.shape != (q_n, q_n):
             raise ShapeError(f"tree mask shape {tree_mask.shape}, expected {(q_n, q_n)}")
+    if out_rows is not None and not 1 <= out_rows <= q_n:
+        raise ShapeError(f"out_rows must be in [1, {q_n}], got {out_rows}")
     return _forward(spec, weights, new_tokens, cache, positions, tree_mask,
-                    capture_scores, kv_chunk)
+                    capture_scores, kv_chunk, out_rows)
 
 
 def derive_draft(spec: ModelSpec, weights: Weights, keep_layers: int) -> tuple[ModelSpec, Weights]:

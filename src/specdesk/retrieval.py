@@ -60,6 +60,9 @@ def chunk_rows(selected, chunk_size: int, n: int, sink: int = 0) -> np.ndarray:
     """
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+    # A chunk of n or more rows is the whole prefix: sizing the offsets by it
+    # would allocate (or overflow int64) for nothing.
+    chunk_size = min(chunk_size, max(n, 1))
     sel = np.asarray(list(selected), dtype=np.int64)
     n_chunks = -(-n // chunk_size)
     if sel.size:

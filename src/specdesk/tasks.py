@@ -74,8 +74,9 @@ def gen_needle_task(filler_vocab: int, total_len: int, needle: list[int],
 def standard_needle(total_len: int, seed: int, body_len: int = 12,
                     needle_pos: int | None = None) -> NeedleTask:
     """Default needle: id token plus a distinct-token body, chunk-aligned."""
-    if body_len > len(NEEDLE_ALPHABET):
-        raise ParameterError(f"body_len must be <= {len(NEEDLE_ALPHABET)}")
+    if not 1 <= body_len <= len(NEEDLE_ALPHABET):
+        raise ParameterError(f"needle_body must be in [1, {len(NEEDLE_ALPHABET)}], "
+                             f"got {body_len}")
     rng = Rng(seed ^ 0x5EED)
     body = [NEEDLE_ALPHABET[i] for i in rng.permutation(len(NEEDLE_ALPHABET))[:body_len]]
     needle = [RECALL_ID] + body
@@ -93,8 +94,9 @@ def loop_doc_task(total_len: int, seed: int, loop_len: int = 15,
     body, so greedy continuation after the query enters B and keeps looping
     it with period ``loop_len``.
     """
-    if loop_len > len(NEEDLE_ALPHABET):
-        raise ParameterError(f"loop_len must be <= {len(NEEDLE_ALPHABET)}")
+    if not 1 <= loop_len <= len(NEEDLE_ALPHABET):
+        raise ParameterError(f"loop_len must be in [1, {len(NEEDLE_ALPHABET)}], "
+                             f"got {loop_len}")
     rng = Rng(seed ^ 0x100F)
     body = [NEEDLE_ALPHABET[i] for i in rng.permutation(len(NEEDLE_ALPHABET))[:loop_len]]
     half = loop_len // 2

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from specdesk.cli import main
+from specdesk.config import RunConfig
 from specdesk.model import load_weights
 
 
@@ -82,6 +89,10 @@ SMALL_RUN = ["model=random", "vocab=16", "task=cycle", "prompt_len=32", "gen_tok
     (SMALL_RUN + ["rope_base=inf"], "rope_base must be finite and > 0"),
     (["weak_match_mass=0"], "weak_match_mass must be finite and >= 1, got 0.0"),
     (["weak_match_mass=nan"], "weak_match_mass must be finite and >= 1, got nan"),
+    (["prompt_len=256", "gen_tokens=8", "needle_body=-2"],
+     "needle_body must be in [1, 15], got -2"),
+    (["task=doc", "prompt_len=256", "gen_tokens=8", "loop_len=-3"],
+     "loop_len must be in [1, 15], got -3"),
 ])
 def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     assert main(["run", *overrides]) == 2
@@ -156,3 +167,85 @@ def test_report_rejects_malformed_files(tmp_path, capsys, summary, steps, messag
     assert main(["report", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# -- fuzz: hostile key=value overrides through ``specdesk run`` -----------------
+
+HOSTILE_INTS = ["-1", "0", "1000000", "9223372036854775808", "x", "1.5", ""]
+HOSTILE_FLOATS = ["-1", "0", "1e-300", "1e300", "inf", "-inf", "nan", "x"]
+# (usable, hostile) values of the keys that size a run or a random model, so
+# every example stays tiny: prompt_len <= 256, gen_tokens <= 8, k <= 8 and
+# max_nodes <= 16; and of the keys that name a choice.
+CAPPED = {
+    "prompt_len": (["64", "256"], ["-1", "0", "1", "2", "3", "x"]),
+    "gen_tokens": (["1", "8"], ["-1", "0", "nan"]),
+    "k": (["1", "3", "8"], ["-1", "0", "1.5"]),
+    "max_nodes": (["1", "5", "16"], ["-1", "0", ""]),
+    "vocab": (["17", "33"], ["-1", "0", "1", "2", "x"]),
+    "n_layers": (["2", "4"], ["-1", "0", "1", "x"]),
+    "n_heads": (["1", "3"], ["-1", "0", "inf"]),
+    "d_head": (["2", "8"], ["-1", "0", "1", "3", ""]),
+    "model": (["copy", "random"], ["no/such/weights.bin", ""]),
+    "policy": (["full", "streaming", "retrieval"], ["lru", ""]),
+    "drafting": (["chain", "tree"], ["beam", ""]),
+    "task": (["needle", "doc", "cycle"], ["essay", ""]),
+}
+SIZED = ("prompt_len", "gen_tokens", "k", "max_nodes")
+# ``out`` writes files; the fuzz points it into a temporary directory.
+FUZZ_KEYS = [f.name for f in fields(RunConfig) if f.name != "out"]
+
+
+def usable(key):
+    return CAPPED[key][0] if key in CAPPED else [str(getattr(RunConfig(), key))]
+
+
+def hostile(key):
+    if key in CAPPED:
+        return CAPPED[key][1]
+    return HOSTILE_FLOATS if isinstance(getattr(RunConfig(), key), float) else HOSTILE_INTS
+
+
+def run_cli(overrides, out_dir=None):
+    """``specdesk run`` in process: (exit code, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    out = [f"out={out_dir}"] if out_dir else []
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["run", *overrides, *out])
+    return code, stderr.getvalue()
+
+
+def test_every_key_rejects_each_hostile_value_cleanly():
+    # One hostile key at a time on a run that otherwise succeeds.
+    base = {"prompt_len": "64", "gen_tokens": "4", "max_nodes": "8"}
+    assert run_cli([f"{k}={v}" for k, v in base.items()])[0] == 0
+    bad = []
+    for key in FUZZ_KEYS:
+        for value in hostile(key):
+            try:
+                code, err = run_cli([f"{k}={v}" for k, v in {**base, key: value}.items()])
+            except Exception as exc:  # anything but a SpecDeskError escapes main
+                code, err = None, repr(exc)
+            if code not in (0, 2) or "Traceback" in err:
+                bad.append(f"{key}={value}: {err.strip()[-200:]}")
+    assert bad == []
+
+
+@st.composite
+def hostile_overrides(draw):
+    # The sized keys are always set; up to four more keys join them, and at
+    # most three of all the keys get a hostile value.
+    free = [k for k in FUZZ_KEYS if k not in SIZED]
+    keys = list(SIZED) + draw(st.lists(st.sampled_from(free), max_size=4, unique=True))
+    bad = set(draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)))
+    return [f"{k}={draw(st.sampled_from(hostile(k) if k in bad else usable(k)))}"
+            for k in keys]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hostile_overrides(), st.booleans())
+def test_fuzzed_run_overrides_exit_cleanly(overrides, with_out):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_cli(overrides, f"{tmp}/run" if with_out else None)
+    event(f"exit code {code}")
+    assert code in (0, 2), overrides
+    assert "Traceback" not in err

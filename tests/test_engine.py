@@ -54,10 +54,14 @@ class TestGreedyLosslessness:
         assert full.output_tokens == retr.output_tokens
 
     def test_hta_chunking_preserves_output(self):
+        # The default reads the verify prefix as one part.
         spec, w = target_model(seed=31)
-        a = session_for(spec, w, FullPolicy(), hta_chunk=None).run(PROMPT, 32)
-        b = session_for(spec, w, FullPolicy(), hta_chunk=5).run(PROMPT, 32)
-        assert a.output_tokens == b.output_tokens
+        for drafting in ("chain", "tree"):
+            kw = dict(drafting=drafting, budget=TreeBudget(10, 4, 0.5))
+            a = session_for(spec, w, FullPolicy(), **kw).run(PROMPT, 32)
+            b = session_for(spec, w, FullPolicy(), hta_chunk=5, **kw).run(PROMPT, 32)
+            assert a.output_tokens == b.output_tokens
+            assert [s.accepted for s in a.steps] == [s.accepted for s in b.steps]
 
 
 class TestSelfDraft:

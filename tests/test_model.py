@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from specdesk.cache import KVCache
 from specdesk.errors import CapacityError, ParameterError, ShapeError, StateError
-from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
-                            _rope_rotate, load_weights, next_token_dist, prefill,
-                            save_weights)
+from specdesk.model import (PREFILL_BLOCK, RMS_EPS, LayerWeights, ModelSpec,
+                            _causal_mask, _rope_rotate, _silu, decode_step,
+                            derive_draft, load_weights, next_token_dist, prefill,
+                            rms_norm, rope_angles, save_weights)
 from specdesk.modelgen import random_weights
 
 
@@ -46,6 +49,105 @@ class TestRope:
             theta = base ** (-2.0 * i / d) * pos
             assert got[2 * i] == pytest.approx(np.cos(theta), abs=1e-12)
             assert got[2 * i + 1] == pytest.approx(np.sin(theta), abs=1e-12)
+
+
+def rope_pairs_oracle(x, positions, base):
+    """Rotary embedding written pair by pair, recomputing every angle."""
+    d = x.shape[-1]
+    out = np.empty_like(x)
+    for n, pos in enumerate(positions):
+        for i in range(d // 2):
+            ang = float(pos) * base ** (-2.0 * i / d)
+            c, s = np.cos(ang), np.sin(ang)
+            even, odd = x[n, ..., 2 * i], x[n, ..., 2 * i + 1]
+            out[n, ..., 2 * i] = even * c - odd * s
+            out[n, ..., 2 * i + 1] = even * s + odd * c
+    return out
+
+
+class TestRopeBatch:
+    def test_joint_rotation_equals_the_pair_oracle(self):
+        # q and k rotated in one call, as the forward pass does: [n, 2H, dh].
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 4, 8))
+        positions = np.array([0, 3, 3, 70, 511])
+        got = _rope_rotate(x, positions, 10000.0)
+        assert np.max(np.abs(got - rope_pairs_oracle(x, positions, 10000.0))) < 1e-12
+        q = _rope_rotate(x[:, :2], positions, 10000.0)
+        k = _rope_rotate(x[:, 2:], positions, 10000.0)
+        assert np.array_equal(got, np.concatenate([q, k], axis=1))
+
+    def test_cached_angles_are_read_only(self):
+        theta = rope_angles(8, 10000.0)
+        assert rope_angles(8, 10000.0) is theta
+        with pytest.raises(ValueError):
+            theta[0] = 2.0
+
+
+def silu_oracle(x):
+    """The branched logistic form: exp never sees a positive argument."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    return out
+
+
+def rms_norm_oracle(x, gain):
+    return x * gain / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+
+
+class TestNumerics:
+    def test_silu_matches_the_logistic_form_without_warnings(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200001),
+                            [-800.0, 800.0, -1e300, 1e300, 0.0, -0.0, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _silu(x)
+        assert np.max(np.abs(got - silu_oracle(x))) < 1e-13
+        assert got[-5] == 0.0 and got[-4] == 1e300
+
+    def test_rms_norm_is_bitwise_the_mean_form(self):
+        rng = np.random.default_rng(8)
+        for shape in [(1, 16), (7, 128), (256, 128)]:
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, (shape[0], 1))
+            gain = rng.standard_normal(shape[1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rms_norm(x, gain)
+            assert np.array_equal(got, rms_norm_oracle(x, gain))
+
+    def test_causal_mask_is_cached_and_read_only(self):
+        mask = _causal_mask(5)
+        assert _causal_mask(5) is mask
+        assert np.array_equal(mask, np.tril(np.ones((5, 5), dtype=bool)))
+        with pytest.raises(ValueError):
+            mask[0, 1] = True
+
+
+class TestFusedProjection:
+    def test_in_place_edits_show_in_the_fused_weight(self):
+        spec, w = small_model()
+        lw = w.layers[0]
+        d = spec.d_model
+        assert lw.wqkv.shape == (d, 3 * d)
+        for col, name in enumerate(("wq", "wk", "wv")):
+            getattr(lw, name)[1, 2] = 7.5 + col
+            assert lw.wqkv[1, col * d + 2] == 7.5 + col
+        lw.wk[...] = 0.0
+        assert not lw.wqkv[:, d:2 * d].any()
+
+    def test_the_draft_shares_the_fused_weight(self):
+        spec, w = small_model(n_layers=2)
+        _, dw = derive_draft(spec, w, 1)
+        assert dw.layers[0].wqkv is w.layers[0].wqkv
+
+    def test_mismatched_projections_are_a_shape_error(self):
+        d = np.zeros((4, 4))
+        with pytest.raises(ShapeError, match="wq, wk and wv"):
+            LayerWeights(wq=d, wk=np.zeros((4, 5)), wv=d, wo=d, w_in=d, w_out=d,
+                         attn_gain=np.ones(4), mlp_gain=np.ones(4))
 
 
 class TestPrefillDecodeEquivalence:
@@ -206,6 +308,33 @@ class TestDecodeStep:
         assert np.max(np.abs(mono.last_layer_attn - hyb.last_layer_attn)) < 1e-9
 
 
+class TestOutRows:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("q_n", [1, 5])
+    def test_last_row_matches_the_all_row_pass(self, n_layers, q_n):
+        spec, w = small_model(seed=q_n + n_layers, n_layers=n_layers)
+        tokens = list(np.random.default_rng(q_n).integers(0, spec.vocab, 30 + q_n))
+        every, last = fresh_cache(spec), fresh_cache(spec)
+        for cache in (every, last):
+            prefill(spec, w, tokens[:30], cache)
+        positions = np.arange(30, 30 + q_n)
+        want = decode_step(spec, w, tokens[30:], every, positions=positions)
+        got = decode_step(spec, w, tokens[30:], last, positions=positions, out_rows=1)
+        assert got.logits.shape == (1, spec.vocab)
+        assert np.max(np.abs(got.logits[0] - want.logits[-1])) < 1e-12
+        assert np.array_equal(last.pos_ids, every.pos_ids)
+        for li in range(n_layers):
+            for a, b in zip(last.layer_view(li), every.layer_view(li)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("out_rows", [0, 3])
+    def test_out_of_range_is_a_shape_error(self, out_rows):
+        spec, w = small_model()
+        with pytest.raises(ShapeError, match="out_rows"):
+            decode_step(spec, w, [1, 2], fresh_cache(spec), positions=np.array([0, 1]),
+                        out_rows=out_rows)
+
+
 class TestDeriveDraft:
     def test_rejects_full_depth(self):
         spec, w = small_model(n_layers=2)
@@ -269,6 +398,20 @@ class TestWeightFiles:
         assert spec2 == spec
         assert np.array_equal(w2.embed, w.embed)
         assert np.array_equal(w2.layers[1].w_out, w.layers[1].w_out)
+
+    def test_roundtrip_is_bitwise(self, tmp_path):
+        spec, w = small_model(seed=4, n_layers=3)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_weights(str(first), spec, w)
+        _, loaded = load_weights(str(first))
+        for name in ("embed", "final_gain", "unembed"):
+            assert np.array_equal(getattr(loaded, name), getattr(w, name))
+        for a, b in zip(loaded.layers, w.layers):
+            for name in ("wq", "wk", "wv", "wqkv", "wo", "w_in", "w_out",
+                         "attn_gain", "mlp_gain"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        save_weights(str(second), spec, loaded)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_same_seed_byte_identical(self, tmp_path):
         spec, _ = small_model()

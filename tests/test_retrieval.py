@@ -53,6 +53,10 @@ class TestChunkRows:
         assert chunk_rows([2], 4, 12, sink=2).tolist() == [0, 1, 8, 9, 10, 11]
         assert chunk_rows([], 4, 3, sink=5).tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("size", [10, 11, 10**12, 2**63 - 1, 2**63])
+    def test_a_chunk_past_the_prefix_is_the_whole_prefix(self, size):
+        assert chunk_rows([0], size, 10).tolist() == list(range(10))
+
     def test_membership_oracle(self):
         # Oracle: a row is held iff its chunk is selected or it is a sink row.
         rng = np.random.default_rng(11)
