@@ -58,28 +58,28 @@ def attend(q: np.ndarray,
             if mask.shape != w.shape[-2:]:
                 raise ShapeError(f"mask shape {mask.shape} does not match scores {w.shape[-2:]}")
             np.copyto(w, -np.inf, where=np.logical_not(mask))
-        m = np.max(w, axis=-1)
+        # ufunc methods, not np.max / np.sum: same sums, no Python wrappers.
+        m = np.maximum.reduce(w, axis=-1)
         # A row that sees nothing in this part has m = -inf; shifting it by
         # 0 leaves its weights at exp(-inf) = 0.
         w -= np.where(np.isfinite(m), m, 0.0)[..., None]
         np.exp(w, out=w)
         maxes.append(m)
-        denoms.append(np.sum(w, axis=-1))
+        denoms.append(np.add.reduce(w, axis=-1))
         accs.append(w @ v)
         if want_probs:
             weights.append(w[..., -1:, :].copy() if last_row_only else w)
     m_star = np.maximum.reduce(maxes)
-    if not np.all(np.isfinite(m_star)):
+    if not np.isfinite(m_star).all():
         raise InternalError("attention row with no visible positions")
-    denom = np.zeros_like(m_star)
-    acc = np.zeros_like(accs[0])
-    scales = []
+    # The first part's terms become the sums (0.0 + x is x, bitwise).
+    denom, acc, scales = 0.0, 0.0, []
     for m, d, a in zip(maxes, denoms, accs):
         s = np.exp(m - m_star)
         scales.append(s)
         denom += s * d
         acc += s[..., None] * a
-    if np.any(denom <= 0):
+    if (denom <= 0).any():
         raise InternalError("attention denominator is zero")
     acc /= denom[..., None]
     if not want_probs:

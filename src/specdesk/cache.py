@@ -17,9 +17,11 @@ dropped by one update can be restored by a later one. The source must keep
 its prefix rows in place; the target cache never reallocates or truncates
 below its prompt. Streaming eviction compacts the held rows in place.
 
-Positions must be non-decreasing across appends (speculative tree siblings
-share a position); committed content is strictly increasing. Rollback is by
-position truncation.
+Committed rows are held in increasing position order. Behind them may come
+a speculative tail, a draft tree's decoded nodes after its root, in any
+order (siblings share a position); every tail position exceeds the root's.
+Rollback is by position truncation; ``keep`` compacts any subset of the held
+rows in place, as streaming eviction and a tree's accepted path need.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, OrderingError, ParameterError, StateError
+from .errors import CapacityError, OrderingError, ParameterError, ShapeError, StateError
 
 _INIT_CAP = 64
 
@@ -161,24 +163,30 @@ class KVCache:
 
     # -- mutation -----------------------------------------------------------
 
-    def append(self, ks: list[np.ndarray], vs: list[np.ndarray], positions: np.ndarray) -> None:
+    def append(self, ks: list[np.ndarray], vs: list[np.ndarray], positions: np.ndarray,
+               tail: int = 0) -> None:
         """Append one block of rows to every layer.
 
-        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``; positions must be
-        non-decreasing and must not precede the current maximum (speculative
-        siblings may share a position).
+        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``. The last ``tail``
+        held rows are a speculative tail; the block's positions may come in
+        any order, but each must exceed the last held row before the tail,
+        and without a tail every position appended and not rolled back.
         """
         positions = np.asarray(positions, dtype=np.int64)
         q = positions.shape[0]
         if len(ks) != self.n_layers or len(vs) != self.n_layers:
             raise ParameterError("append expects one K and V block per layer")
+        if not 0 <= tail <= self._len:
+            raise ShapeError(f"a tail of {tail} rows, but {self._len} are held")
         if q == 0:
             return
-        if np.any(np.diff(positions) < 0):
-            raise OrderingError(f"positions must be non-decreasing, got {positions.tolist()}")
-        if positions[0] < self._world - 1:
+        if tail:
+            bound = int(self._pos[self._len - tail - 1]) if self._len > tail else -1
+        else:
+            bound = self._world - 1
+        if positions.min() <= bound:
             raise OrderingError(
-                f"position {int(positions[0])} precedes current max {self._world - 1}")
+                f"position {int(positions.min())} does not follow position {bound}")
         end = self._len + q
         if end > self._pos.shape[0]:
             raise CapacityError(f"appending {q} rows to {self._len} overflows the "
@@ -188,26 +196,43 @@ class KVCache:
             self._v[li][self._len:end] = vs[li]
         self._pos[self._len:end] = positions
         self._len = end
-        self._world = int(positions[-1]) + 1
+        self._world = max(self._world, int(positions.max()) + 1)
 
     def truncate(self, world_len: int) -> None:
-        """Drop every row whose position is >= ``world_len`` (rollback)."""
-        cut = int(np.searchsorted(self._pos[:self._len], world_len, side="left"))
+        """Drop every row whose position is >= ``world_len`` (rollback).
+
+        The rows below ``world_len`` must come first, as they do for any cut
+        at or before a speculative tail; a cut through an unordered tail
+        raises ``OrderingError``.
+        """
+        pos = self._pos[:self._len]
+        cut = int(np.searchsorted(pos, world_len, side="left"))
+        if (pos[:cut] >= world_len).any() or (pos[cut:] < world_len).any():
+            raise OrderingError(f"the rows below position {world_len} do not come first")
         self._len = cut
         self._held_prefix = min(self._held_prefix, cut)
         self._prefix_pos = self._prefix_pos[:np.searchsorted(self._prefix_pos, world_len)]
         self._world = min(self._world, world_len)
 
+    def keep(self, rows) -> None:
+        """Hold only the held rows ``rows`` (strictly ascending indices),
+        compacted in place; positions dropped here stay in ``world_len``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        m = rows.shape[0]
+        if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= self._len):
+            raise ParameterError(f"kept rows must be strictly ascending in [0, {self._len})")
+        # ``rows[i] - i`` never decreases; rows where it is 0 are in place.
+        still = int(np.searchsorted(rows - np.arange(m), 0, side="right"))
+        for buf in (*self._k, *self._v, self._pos):
+            buf[still:m] = buf[rows[still:]]
+        self._held_prefix = int(np.searchsorted(rows, self._held_prefix))
+        self._len = m
+
     def evict_streaming(self, sink: int, recent: int) -> None:
         """Keep the first ``sink`` and last ``recent`` held rows."""
         n = self._len
-        if n <= sink + recent:
-            return
-        for buf in (*self._k, *self._v, self._pos):
-            buf[sink:sink + recent] = buf[n - recent:n]
-        self._held_prefix = (min(self._held_prefix, sink)
-                             + max(0, self._held_prefix - (n - recent)))
-        self._len = sink + recent
+        if n > sink + recent:
+            self.keep(np.r_[:sink, n - recent:n])
 
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),

@@ -24,6 +24,7 @@ positions.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,8 +69,13 @@ def offset_score_profile(max_delta: int = MAX_POS) -> np.ndarray:
     return np.cos(deltas[:, None] * theta[None, :]).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=1)
 def _offset_scale() -> float:
-    """Score multiplier making non-adjacent positions negligible in softmax."""
+    """Score multiplier making non-adjacent positions negligible in softmax.
+
+    A constant of the recipe; computing it scans a 32769-row cosine table,
+    most of a build's cost, so it runs once per process.
+    """
     profile = offset_score_profile()
     peak = profile[1]
     gap = peak - max(profile[0], profile[2:].max())

@@ -9,8 +9,10 @@ node budget is exhausted or nothing qualifies. Children are deterministic
 top-probability picks, so their proposal is a point mass; chain proposals
 are the full sampled-from distributions.
 
-The draft cache is only ever extended speculatively here; callers roll the
-speculation back by position truncation after verification.
+The draft cache is only ever extended speculatively here. A chain's rows
+are in position order, so callers roll back by position truncation; a
+tree's rows follow its root in decode order, and ``keep_path`` compacts the
+accepted path's rows before that truncation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import KVCache
-from .errors import ParameterError
+from .errors import InternalError, ParameterError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, sample_categorical
 
@@ -56,10 +58,15 @@ class TreeNode:
 
 @dataclass
 class DraftTree:
-    """Speculated token tree; the root is the last committed token."""
+    """Speculated token tree; the root is the last committed token.
+
+    ``tail[r]`` is the node whose K/V the ``r``-th cached row after the
+    root holds.
+    """
 
     nodes: list[TreeNode]
     root_pos: int
+    tail: list[int] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -110,9 +117,14 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                pending: list[int], budget: TreeBudget, temperature: float) -> DraftTree:
     """Expand a draft tree rooted at the last committed token.
 
-    Node distributions are refreshed lazily: whenever an undecoded node must
-    be expanded, the current tree is re-decoded in one masked step from the
-    committed cache.
+    The pending committed tokens are decoded first; the last one is the
+    root. Each other node is decoded once: whenever a node without a
+    distribution must be expanded, every such node is decoded in one step,
+    under a mask over the tree rows already cached, so each sees the
+    committed rows, its ancestors and itself. The decoded rows stay in the
+    cache after the root, one per non-root node at ``root_pos + depth``, in
+    the order ``tree.tail`` records; the caller keeps the accepted path's
+    rows (``keep_path``) and truncates the rest.
     """
     if not pending:
         raise ParameterError("draft_tree needs at least one pending committed token")
@@ -120,25 +132,26 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     out = decode_step(spec, weights, pending, cache,
                       positions=np.arange(start, start + len(pending)), out_rows=1)
     root_pos = start + len(pending) - 1
-    committed_end = root_pos + 1
     root = TreeNode(token=int(pending[-1]), parent=-1, depth=0, path_logprob=0.0,
                     logits=out.logits[-1],
                     dist=next_token_dist(out.logits[-1], temperature))
     tree = DraftTree(nodes=[root], root_pos=root_pos)
 
     def refresh() -> None:
-        """Roll back speculation and decode every non-root node in one pass."""
-        cache.truncate(committed_end)
-        order = sorted(range(1, tree.size), key=lambda i: (tree.nodes[i].depth, i))
-        tokens = [tree.nodes[i].token for i in order]
-        positions = np.array([root_pos + tree.nodes[i].depth for i in order])
-        mask = _ancestor_mask(tree, order)
+        """Decode every node added since the last refresh, in one pass."""
+        cached = tree.tail  # nodes only get appended: the rest are the newest
+        new = sorted(range(len(cached) + 1, tree.size),
+                     key=lambda i: (tree.nodes[i].depth, i))
+        tokens = [tree.nodes[i].token for i in new]
+        positions = np.array([root_pos + tree.nodes[i].depth for i in new])
+        mask = _ancestor_mask(tree, new, cached)
         step = decode_step(spec, weights, tokens, cache, tree_mask=mask,
                            positions=positions)
-        for row, i in enumerate(order):
+        for row, i in enumerate(new):
             node = tree.nodes[i]
             node.logits = step.logits[row]
             node.dist = next_token_dist(step.logits[row], temperature)
+        cached.extend(new)
 
     def top_children(idx: int) -> list[tuple[float, int]]:
         dist = tree.nodes[idx].dist
@@ -195,20 +208,19 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
             if child is not None:
                 push(child)
 
-    # Ensure every node is decoded, then roll speculation back.
     if any(n.dist is None for n in tree.nodes):
         refresh()
-    cache.truncate(committed_end)
     assert tree.size <= budget.max_nodes
     assert max(n.depth for n in tree.nodes) <= budget.max_depth
     return tree
 
 
-def _ancestor_mask(tree: DraftTree, order: list[int]) -> np.ndarray:
-    """Visibility among the given nodes: ancestor-or-self, in ``order``."""
-    index_of = {node: row for row, node in enumerate(order)}
-    n = len(order)
-    mask = np.zeros((n, n), dtype=bool)
+def _ancestor_mask(tree: DraftTree, order: list[int],
+                   cached: list[int] = ()) -> np.ndarray:
+    """Ancestor-or-self visibility of the nodes in ``order``: columns for the
+    ``cached`` nodes, then for ``order`` itself."""
+    index_of = {node: col for col, node in enumerate([*cached, *order])}
+    mask = np.zeros((len(order), len(index_of)), dtype=bool)
     for row, node in enumerate(order):
         cur = node
         while cur != -1:
@@ -216,6 +228,21 @@ def _ancestor_mask(tree: DraftTree, order: list[int]) -> np.ndarray:
                 mask[row, index_of[cur]] = True
             cur = tree.nodes[cur].parent
     return mask
+
+
+def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
+    """Keep, of the tree rows ``draft_tree`` left in ``cache``, those of the
+    path that spells ``tokens`` from the root, compacted in place."""
+    base = cache.archive_len - len(tree.tail)
+    row_of = {node: base + r for r, node in enumerate(tree.tail)}
+    rows, node = [], 0
+    for tok in tokens:
+        match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
+        if not match:
+            raise InternalError(f"token {tok} is not a child of tree node {node}")
+        node = match[0]
+        rows.append(row_of[node])
+    cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
 
 
 def flatten_tree(tree: DraftTree) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -8,9 +8,12 @@ prefills: it reads the prompt rows its policy holds from the target cache,
 all of them for a full draft, the sink and recent window for a streaming
 draft, and the selected chunks at each update for a retrieval draft (none
 before its first). Every step, including the first, then
-drafts from a post-update cache: the tokens a step commits are appended to
-the draft cache at the start of the next step's drafting, which also
-yields the first proposal distribution.
+drafts from a post-update cache. The drafters leave their rows in the draft
+cache; after verification it keeps the rows of the accepted tokens (a
+tree's accepted path compacted in place) and drops the rest. So the pending
+block of the next step's drafting is the correction or bonus token, after
+a fully accepted chain also the last drafted token, which a chain never
+decodes; its last row yields the first proposal distribution.
 
 Both caches are sized once from the prompt length, ``gen_tokens`` and the
 largest block a step appends, the draft's for the most prompt rows its
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
-from .drafting import TreeBudget, draft_chain, draft_tree
+from .drafting import TreeBudget, draft_chain, draft_tree, keep_path
 from .errors import InternalError, ParameterError
 from .metrics import ProposalLog, natural_divergence, shannon_entropy
 from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill
@@ -214,11 +217,11 @@ class Session:
             committed.extend(commits)
             root_dist = outc.next_root_dist
 
-            # Roll the draft cache back to the committed world.
-            if self.drafting == "chain":
-                draft_cache.truncate(n_before + outc.accepted_count)
-            else:
-                draft_cache.truncate(n_before)
+            # Roll the draft cache back to the committed world, keeping the
+            # accepted tokens' rows.
+            if self.drafting == "tree":
+                keep_path(draft_cache, tree, outc.accepted_tokens)
+            draft_cache.truncate(n_before + outc.accepted_count)
             if isinstance(self.policy, StreamingPolicy):
                 draft_cache.evict_streaming(self.policy.sink, self.policy.recent)
 

@@ -194,6 +194,9 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
              scores: np.ndarray | None = None) -> ForwardOutput:
     """One forward pass over a block; its K/V are appended to ``cache``.
 
+    A ``new_mask`` of shape ``[q, T + q]`` reads the cache's last ``T`` held
+    rows, a speculative tail, as their own masked part; the rows before them
+    are visible to every query, and the block's own columns come last.
     With ``out_rows`` the last layer projects K/V for every row but runs
     attention, the MLP and the unembed only for the trailing ``out_rows``
     rows (none for 0), so logits and captured rows cover just those.
@@ -207,6 +210,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         raise CapacityError(f"position >= max_pos ({spec.max_pos})")
     if new_mask is None:
         new_mask = _causal_mask(q_n)
+    tail = new_mask.shape[1] - q_n
     x = w.embed[tokens]
     new_ks: list[np.ndarray] = []
     new_vs: list[np.ndarray] = []
@@ -228,13 +232,15 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
             q, k, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H:]
         k_cache, v_cache, _ = cache.layer_view(li)  # [L, H, dh]
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
-        L = k_cache.shape[0]
-        if L:
-            kc = k_cache.transpose(1, 0, 2)
-            vc = v_cache.transpose(1, 0, 2)
-            for lo, hi in attn.split_chunks(L, kv_chunk or L):
+        kc = k_cache.transpose(1, 0, 2)
+        vc = v_cache.transpose(1, 0, 2)
+        P = k_cache.shape[0] - tail  # rows every query sees
+        if P:
+            for lo, hi in attn.split_chunks(P, kv_chunk or P):
                 parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
-        parts.append((k.transpose(1, 0, 2), v.transpose(1, 0, 2), new_mask))
+        if tail:
+            parts.append((kc[:, P:], vc[:, P:], new_mask[:, :tail]))
+        parts.append((k.transpose(1, 0, 2), v.transpose(1, 0, 2), new_mask[:, tail:]))
         want = capture_scores and last
         out, probs = attn.attend(q.transpose(1, 0, 2), parts, scale, want_probs=want,
                                  last_row_only=scores is not None, scores=scores)
@@ -246,7 +252,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         new_vs.append(v)
     logits = rms_norm(x, w.final_gain) @ w.unembed
     check_finite(logits, "logits")
-    cache.append(new_ks, new_vs, positions)
+    cache.append(new_ks, new_vs, positions, tail=tail)
     return ForwardOutput(logits=logits, last_layer_attn=captured)
 
 
@@ -299,10 +305,12 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
 
     Queries attend to every cache entry plus the new tokens allowed by
     ``tree_mask`` (row i, column j visible iff node j is an ancestor-or-self
-    of node i); without a mask the block is causal. The cache is extended by
-    the new tokens' K/V. With ``out_rows`` the logits (and captured scores)
-    cover only the last ``out_rows`` rows, and the last layer runs its
-    attention and MLP for those rows alone.
+    of node i); without a mask the block is causal. A ``[q, T + q]`` mask
+    also covers the cache's last ``T`` rows, the tree nodes decoded before:
+    its first ``T`` columns say which of them each query sees. The cache is
+    extended by the new tokens' K/V. With ``out_rows`` the logits (and
+    captured scores) cover only the last ``out_rows`` rows, and the last
+    layer runs its attention and MLP for those rows alone.
     """
     new_tokens = np.asarray(new_tokens, dtype=np.int64)
     q_n = new_tokens.shape[0]
@@ -315,8 +323,10 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
         raise ShapeError(f"{q_n} tokens but {positions.shape[0]} positions")
     if tree_mask is not None:
         tree_mask = np.asarray(tree_mask, dtype=bool)
-        if tree_mask.shape != (q_n, q_n):
-            raise ShapeError(f"tree mask shape {tree_mask.shape}, expected {(q_n, q_n)}")
+        if (tree_mask.ndim != 2 or tree_mask.shape[0] != q_n
+                or not q_n <= tree_mask.shape[1] <= q_n + cache.archive_len):
+            raise ShapeError(f"tree mask shape {tree_mask.shape}, expected ({q_n}, {q_n} + T) "
+                             f"for a tail of T <= {cache.archive_len} held rows")
     if out_rows is not None and not 1 <= out_rows <= q_n:
         raise ShapeError(f"out_rows must be in [1, {q_n}], got {out_rows}")
     return _forward(spec, weights, new_tokens, cache, positions, tree_mask,

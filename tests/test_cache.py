@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from specdesk.cache import KVCache, RetrievalPolicy, StreamingPolicy
-from specdesk.errors import CapacityError, OrderingError, ParameterError, StateError
+from specdesk.errors import (CapacityError, OrderingError, ParameterError, ShapeError,
+                             StateError)
+from specdesk.model import ModelSpec, decode_step
+from specdesk.modelgen import random_weights
 from specdesk.retrieval import chunk_rows
 
 
@@ -19,13 +22,13 @@ def seeded_cache(n, n_layers=2):
     return cache
 
 
-def append_tokens(cache, positions):
+def append_tokens(cache, positions, tail=0):
     positions = np.asarray(positions, dtype=np.int64)
     q = positions.shape[0]
     ks = [np.random.default_rng(int(positions[0]) + li).standard_normal(
         (q, cache.n_heads, cache.d_head)) for li in range(cache.n_layers)]
     vs = [k + 1.0 for k in ks]
-    cache.append(ks, vs, positions)
+    cache.append(ks, vs, positions, tail=tail)
 
 
 class TestAppend:
@@ -69,6 +72,99 @@ class TestAppend:
         append_tokens(c, list(range(10)))
         pos = c.pos_ids
         assert np.all(np.diff(pos) > 0)
+
+
+class TestSpeculativeTail:
+    """A draft tree's rows after its root, appended in decode order."""
+
+    def test_out_of_order_tail_block_is_accepted(self):
+        c = make_cache()
+        append_tokens(c, list(range(5)))  # root at position 4
+        append_tokens(c, [5, 6, 7])  # a greedy chain
+        append_tokens(c, [5, 6], tail=3)  # a sibling branch, shallower
+        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 5, 6]
+        assert c.world_len == 8
+        c.truncate(5)
+        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4]
+        assert c.world_len == 5
+
+    def test_block_at_or_before_the_root_raises(self):
+        c = make_cache()
+        append_tokens(c, list(range(5)))
+        append_tokens(c, [5, 6])
+        for bad in ([4], [6, 4], [3]):
+            with pytest.raises(OrderingError):
+                append_tokens(c, bad, tail=2)
+        with pytest.raises(OrderingError):
+            append_tokens(c, [6])  # no tail: must follow position 6
+        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_tail_longer_than_the_held_rows_raises(self):
+        c = make_cache()
+        append_tokens(c, [0, 1])
+        with pytest.raises(ShapeError):
+            append_tokens(c, [2], tail=3)
+
+    def test_mask_wider_than_the_held_rows_raises(self):
+        spec = ModelSpec(n_layers=1, n_heads=2, d_model=8, d_head=4, vocab=5,
+                         max_pos=64)
+        w = random_weights(spec, 0)
+        c = KVCache(1, 2, 4)
+        decode_step(spec, w, [1, 2], c, positions=[0, 1])
+        with pytest.raises(ShapeError):
+            decode_step(spec, w, [3], c, tree_mask=np.ones((1, 4), bool),
+                        positions=[2])
+        out = decode_step(spec, w, [3], c, tree_mask=np.ones((1, 3), bool),
+                          positions=[2])
+        assert out.logits.shape == (1, 5) and c.archive_len == 3
+
+    def test_truncate_checks_the_rows_it_drops(self):
+        c = make_cache()
+        append_tokens(c, list(range(3)))
+        append_tokens(c, [5])
+        append_tokens(c, [3, 4], tail=1)
+        with pytest.raises(OrderingError):
+            c.truncate(4)  # position 3 would follow the cut
+        c.truncate(3)
+        assert c.pos_ids.tolist() == [0, 1, 2]
+
+    def test_truncate_checks_the_rows_it_keeps(self):
+        c = make_cache()
+        append_tokens(c, list(range(7)))
+        append_tokens(c, [9])
+        append_tokens(c, [7, 8], tail=1)
+        with pytest.raises(OrderingError):
+            c.truncate(9)  # the search ends past position 9's row
+        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 7, 8]
+
+
+class TestKeep:
+    def test_compacts_in_place(self):
+        c = seeded_cache(6)
+        append_tokens(c, [6, 7, 8, 9])
+        k_before = c.layer_view(1)[0].copy()
+        c.keep([0, 2, 3, 5, 7, 9])
+        assert c.pos_ids.tolist() == [0, 2, 3, 5, 7, 9]
+        assert np.array_equal(c.layer_view(1)[0], k_before[[0, 2, 3, 5, 7, 9]])
+        assert c.generation_boundary == 4  # four of the six prefix rows held
+        assert c.world_len == 10  # dropped positions stay in the world
+
+    def test_keep_everything_or_nothing(self):
+        c = seeded_cache(6)
+        append_tokens(c, [6, 7])
+        c.keep(np.arange(8))
+        assert c.pos_ids.tolist() == list(range(8))
+        assert c.generation_boundary == 6
+        c.keep([])
+        assert (c.archive_len, c.generation_boundary, c.world_len) == (0, 0, 8)
+
+    def test_rows_must_be_strictly_ascending_held_rows(self):
+        c = make_cache()
+        append_tokens(c, list(range(5)))
+        for rows in ([5], [-1, 0], [3, 2], [1, 1]):
+            with pytest.raises(ParameterError):
+                c.keep(rows)
+        assert c.pos_ids.tolist() == list(range(5))
 
 
 class TestStreaming:
@@ -223,12 +319,31 @@ def test_layer_view_tracks_every_mutation():
         held.extend(pos.tolist())
         appended.extend(pos.tolist())
 
-    for _ in range(300):
-        op = rng.integers(4)
+    def append_tail(n):
+        # A speculative block after a tail of up to 4 rows: positions in any
+        # order, each past the last row before the tail, a generated root.
+        tail = int(rng.integers(0, max(0, min(4, len(held) - c.generation_boundary - 1)) + 1))
+        root = held[-tail - 1] if tail else c.world_len - 1
+        pos = rng.permutation(np.arange(root + 1, root + 1 + n))
+        c.append(*rows_for(pos, 2), pos, tail=tail)
+        held.extend(pos.tolist())
+        appended.extend(pos.tolist())
+
+    for _ in range(400):
+        op = rng.integers(6)
         if op == 0:
             append(int(rng.integers(1, 6)))
+        elif op == 4:
+            append_tail(int(rng.integers(1, 4)))
+        elif op == 5:
+            rows = np.flatnonzero(rng.random(len(held)) < 0.7)
+            c.keep(rows)
+            held[:] = [held[r] for r in rows]
         elif op == 1:
-            w = int(rng.integers(max(40, c.world_len - 6), c.world_len + 1))
+            # Cut at or before any unordered tail, as a rollback does.
+            lo = min([c.world_len] + [p for i, p in enumerate(held)
+                                      if p <= max(held[:i], default=-1)])
+            w = int(rng.integers(max(40, min(lo, c.world_len - 6)), lo + 1))
             c.truncate(w)
             held[:] = [p for p in held if p < w]
             appended[:] = [p for p in appended if p < w]

@@ -3,9 +3,10 @@ import heapq
 import numpy as np
 import pytest
 
+from specdesk import drafting
 from specdesk.cache import KVCache
 from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
-                               draft_tree, flatten_tree)
+                               draft_tree, flatten_tree, keep_path)
 from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
@@ -97,12 +98,17 @@ class TestDraftTree:
         assert tree.size <= 12
         assert max(n.depth for n in tree.nodes) <= 3
 
-    def test_rollback_leaves_committed_only(self):
+    def test_leaves_committed_rows_then_one_row_per_node(self):
         spec, w = small_model(seed=8)
         cache = prepped_cache(spec, w, PROMPT)
-        draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(8, 3, 0.5),
-                   temperature=0.8)
-        assert cache.pos_ids.tolist() == list(range(len(PROMPT)))
+        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(8, 3, 0.5),
+                          temperature=0.8)
+        assert tree.size > 2
+        assert sorted(tree.tail) == list(range(1, tree.size))
+        pos = cache.pos_ids.tolist()
+        assert pos[:len(PROMPT)] == list(range(len(PROMPT)))
+        assert pos[len(PROMPT):] == [tree.root_pos + tree.nodes[i].depth
+                                     for i in tree.tail]
 
     def test_path_logprob_monotone(self):
         spec, w = small_model(seed=11)
@@ -184,6 +190,69 @@ class TestDraftTree:
 
         got = sorted(path_of(i) for i in range(tree.size))
         assert got == expected
+
+
+def path_to(tree, node):
+    path = []
+    while node != -1:
+        path.append(node)
+        node = tree.nodes[node].parent
+    return path[::-1]
+
+
+class TestDecodeOnce:
+    """``draft_tree`` decodes each node once, over its cached ancestors."""
+
+    @pytest.mark.parametrize("seed,temperature", [(19, 1.0), (23, 0.9), (29, 0.8),
+                                                  (31, 1.0)])
+    def test_node_logits_match_decoding_the_path_alone(self, seed, temperature):
+        spec, w = small_model(seed=seed, n_layers=2)
+        cache = prepped_cache(spec, w, PROMPT)
+        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2),
+                          temperature)
+        assert any(len(n.children) > 1 for n in tree.nodes)  # it branches
+        for node in range(1, tree.size):
+            c2 = prepped_cache(spec, w, PROMPT)
+            path = path_to(tree, node)
+            out = decode_step(spec, w, [tree.nodes[i].token for i in path], c2,
+                              positions=np.arange(tree.root_pos,
+                                                  tree.root_pos + len(path)))
+            got = tree.nodes[node].logits
+            assert np.max(np.abs(got - out.logits[-1])) < 1e-9
+
+    @pytest.mark.parametrize("pending", [[PROMPT[-1]], [2, 6, PROMPT[-1]]])
+    def test_decodes_each_row_once(self, monkeypatch, pending):
+        spec, w = small_model(seed=23)
+        cache = prepped_cache(spec, w, PROMPT)
+        decoded = []
+        orig = drafting.decode_step
+
+        def counted(spec, weights, new_tokens, *args, **kwargs):
+            decoded.append(len(new_tokens))
+            return orig(spec, weights, new_tokens, *args, **kwargs)
+
+        monkeypatch.setattr(drafting, "decode_step", counted)
+        tree = draft_tree(spec, w, cache, pending, TreeBudget(16, 4, 0.2), 0.9)
+        assert tree.size > 8
+        assert sum(decoded) == len(pending) + tree.size - 1
+        assert cache.archive_len == len(PROMPT) - 1 + len(pending) + tree.size - 1
+
+    def test_keep_path_holds_the_accepted_rows(self):
+        spec, w = small_model(seed=23, n_layers=2)
+        cache = prepped_cache(spec, w, PROMPT)
+        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2), 0.9)
+        leaf = max(range(tree.size), key=lambda i: (tree.nodes[i].depth, i))
+        path = path_to(tree, leaf)[1:]
+        rows = {node: len(PROMPT) + r for r, node in enumerate(tree.tail)}
+        want = [cache.layer_view(li)[0][[rows[i] for i in path]].copy()
+                for li in range(spec.n_layers)]
+        keep_path(cache, tree, [tree.nodes[i].token for i in path])
+        n = len(PROMPT) + len(path)
+        assert cache.pos_ids.tolist() == list(range(n))
+        for li in range(spec.n_layers):
+            assert np.array_equal(cache.layer_view(li)[0][len(PROMPT):], want[li])
+        cache.truncate(n)
+        assert cache.world_len == n
 
 
 def hand_tree(structure, root_pos=3, vocab=6):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from specdesk import engine
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget
 from specdesk.engine import Session, greedy_reference, prefill_caches
@@ -111,6 +112,55 @@ class TestWorkingCacheBound:
         sess = session_for(spec, w, StreamingPolicy(sink=4, recent=16))
         result = sess.run(prompt, 24)
         assert max(result.draft_cache_len_by_step) <= 4 + 16 + 8
+
+
+class TestDraftCacheInvariant:
+    """After every tree step the draft holds the committed tokens but the
+    last, so the next step's pending block is the one token the step added."""
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("hta_chunk", [None, 5])
+    def test_full_tree_draft_holds_all_but_the_last_commit(self, temperature, hta_chunk):
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, FullPolicy(), drafting="tree",
+                             temperature=temperature, seed=3, hta_chunk=hta_chunk,
+                             budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        assert sum(s.accepted for s in result.steps) > 0
+        assert min(s.tree_nodes for s in result.steps) >= 5  # the depth-4 chain at least
+        generated = 0
+        for s, held in zip(result.steps, result.draft_cache_len_by_step):
+            generated += s.accepted + 1
+            assert held == len(PROMPT) - 1 + generated
+
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        StreamingPolicy(sink=2, recent=6),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_pending_block_size(self, monkeypatch, policy, drafting):
+        # A tree leaves every node's row, so one token is pending: the draft
+        # is neither ahead of the committed tokens nor more than one behind.
+        # A chain never decodes its last drafted token, so after a step that
+        # accepts all k it is two behind; it is never ahead.
+        pending_lens = []
+
+        def recorded(fn):
+            def draft(spec, weights, cache, pending, *args):
+                pending_lens.append(len(pending))
+                return fn(spec, weights, cache, pending, *args)
+            return draft
+
+        for name in ("draft_chain", "draft_tree"):
+            monkeypatch.setattr(engine, name, recorded(getattr(engine, name)))
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
+                             seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        if drafting == "tree":
+            assert pending_lens == [1] * len(result.steps)
+        else:
+            all_in = [False] + [s.accepted == s.drafted for s in result.steps[:-1]]
+            assert pending_lens == [1 + a for a in all_in] and 2 in pending_lens
 
 
 class TestBookkeeping:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from specdesk import copymodel
 from specdesk.cache import KVCache
 from specdesk.copymodel import build_copy_model
 from specdesk.errors import ParameterError
-from specdesk.model import decode_step, derive_draft, prefill
+from specdesk.model import _tensor_items, decode_step, derive_draft, prefill
 from specdesk.tasks import (FILLER_VOCAB, RECALL_ID, cyclic_filler,
                             gen_needle_task, loop_doc_task, standard_needle)
 
@@ -65,6 +66,20 @@ def greedy_continuation(spec, w, prompt, n):
                              positions=np.array([pos])).logits[-1]
         pos += 1
     return out
+
+
+class TestCopyModelBuild:
+    def test_cached_offset_scale_equals_a_fresh_computation(self):
+        copymodel._offset_scale()  # cached from here on
+        assert copymodel._offset_scale() == copymodel._offset_scale.__wrapped__()
+
+    def test_two_builds_give_bitwise_equal_weights(self):
+        (sa, wa), (sb, wb) = build_copy_model(100.0), build_copy_model(100.0)
+        assert sa == sb
+        for (name, a), (_, b) in zip(_tensor_items(wa), _tensor_items(wb)):
+            assert np.array_equal(a, b), name
+        for la, lb in zip(wa.layers, wb.layers):
+            assert np.array_equal(la.wqkv, lb.wqkv)
 
 
 class TestTaskValidity:
