@@ -1,7 +1,7 @@
 """Desk-scale speculative decoding with a retrieval-guided draft KV cache."""
 
 from .cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
-from .drafting import DraftTree, TreeBudget, draft_chain, draft_tree, flatten_tree
+from .drafting import DraftTree, TreeBudget, draft_chain, draft_tree
 from .engine import Session, greedy_reference
 from .model import (ForwardOutput, ModelSpec, Weights, decode_step, derive_draft,
                     load_weights, prefill, save_weights)

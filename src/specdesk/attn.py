@@ -8,6 +8,10 @@ with its own running max; the parts then merge into the exact
 softmax-weighted output (FlashAttention, Dao et al., 2022). A boolean mask
 (True = visible) gives masked positions exactly zero weight.
 
+A score buffer keeps the last row: the parts' scores can go into one
+caller-owned buffer instead of new arrays, and the probabilities then
+cover the last query row only, the row a prefill keeps.
+
 :func:`attend_monolithic` computes the same result with a single softmax
 over the concatenated parts. No forward pass uses it; it is kept as the
 reference the tests compare :func:`attend` against.
@@ -29,25 +33,21 @@ def attend(q: np.ndarray,
            parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
            scale: float,
            want_probs: bool = False,
-           last_row_only: bool = False,
            scores: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Attention over a list of ``(k, v, mask)`` parts via online merging.
 
     Returns ``(out [..., nq, dh], probs [..., nq, sum(L)] or None)``. The
     probabilities are normalized over the union of all visible positions, in
-    part order. With ``last_row_only`` the probabilities hold only the last
-    query row, ``[..., 1, sum(L)]``, bitwise equal to that row of the full
-    result; the other rows' weights are dropped as each part is scored.
+    part order.
 
     ``scores``, a flat buffer with room for the largest part's
     ``[..., nq, L]`` block, receives each part's scores in turn instead of a
-    new array; it cannot hold every row's weights, so ``want_probs`` then
-    needs ``last_row_only``.
+    new array. It cannot hold every row's weights, so with it the
+    probabilities hold only the last query row, ``[..., 1, sum(L)]``,
+    bitwise equal to that row of the full result.
     """
     if not parts:
         raise ShapeError("attention requires at least one KV part")
-    if scores is not None and want_probs and not last_row_only:
-        raise ShapeError("a score buffer keeps only the last row's weights")
     q = q * scale  # once here, not over every [..., nq, L] score block
     maxes, denoms, accs, weights = [], [], [], []
     for k, v, mask in parts:
@@ -68,7 +68,7 @@ def attend(q: np.ndarray,
         denoms.append(np.add.reduce(w, axis=-1))
         accs.append(w @ v)
         if want_probs:
-            weights.append(w[..., -1:, :].copy() if last_row_only else w)
+            weights.append(w if scores is None else w[..., -1:, :].copy())
     m_star = np.maximum.reduce(maxes)
     if not np.isfinite(m_star).all():
         raise InternalError("attention row with no visible positions")
@@ -84,7 +84,7 @@ def attend(q: np.ndarray,
     acc /= denom[..., None]
     if not want_probs:
         return acc, None
-    rows = slice(-1, None) if last_row_only else slice(None)
+    rows = slice(None) if scores is None else slice(-1, None)
     for w, s in zip(weights, scales):
         w *= (s / denom)[..., rows, None]
     return acc, np.concatenate(weights, axis=-1)

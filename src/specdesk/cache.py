@@ -15,13 +15,15 @@ picks its rows: the full draft all of them, the streaming draft its sink
 and recent window, and a retrieval update the selected chunks, so a chunk
 dropped by one update can be restored by a later one. The source must keep
 its prefix rows in place; the target cache never reallocates or truncates
-below its prompt. Streaming eviction compacts the held rows in place.
+below its prompt.
 
 Committed rows are held in increasing position order. Behind them may come
 a speculative tail, a draft tree's decoded nodes after its root, in any
 order (siblings share a position); every tail position exceeds the root's.
 Rollback is by position truncation; ``keep`` compacts any subset of the held
-rows in place, as streaming eviction and a tree's accepted path need.
+rows in place: a tree's accepted path, or after every step a streaming
+draft's sink and recent window, the rows its policy's ``held_rows`` names.
+The cache itself knows no policy.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ _INIT_CAP = 64
 
 @dataclass(frozen=True)
 class FullPolicy:
-    """Each policy names the prefix rows a draft over an ``n``-row prompt
-    prefix holds once seeded (``seed_rows``) and the most it ever holds
-    (``prefix_rows``)."""
+    """Each policy names the rows a draft holds out of ``n`` (``held_rows``):
+    of its prompt prefix once seeded and, for a streaming draft, of all its
+    rows after every step. ``prefix_rows`` is the most prompt rows it ever
+    holds."""
 
-    kind: str = "full"
-
-    def seed_rows(self, n: int) -> np.ndarray:
+    def held_rows(self, n: int) -> np.ndarray:
         return np.arange(n)
 
     def prefix_rows(self, n: int) -> int:
@@ -54,13 +55,12 @@ class FullPolicy:
 class StreamingPolicy:
     sink: int
     recent: int
-    kind: str = "streaming"
 
     def __post_init__(self):
         if self.sink < 0 or self.recent < 1:
             raise ParameterError("streaming policy needs sink >= 0 and recent >= 1")
 
-    def seed_rows(self, n: int) -> np.ndarray:
+    def held_rows(self, n: int) -> np.ndarray:
         return np.r_[:min(self.sink, n), max(self.sink, n - self.recent):n]
 
     def prefix_rows(self, n: int) -> int:
@@ -73,7 +73,6 @@ class RetrievalPolicy:
     top_k: int
     frequency: int
     sink: int = 0
-    kind: str = "retrieval"
 
     def __post_init__(self):
         if self.chunk_size < 1 or self.top_k < 1 or self.frequency < 1:
@@ -81,7 +80,7 @@ class RetrievalPolicy:
         if self.sink < 0:
             raise ParameterError("retrieval sink must be >= 0")
 
-    def seed_rows(self, n: int) -> np.ndarray:
+    def held_rows(self, n: int) -> np.ndarray:
         return np.arange(0)  # the first update, before any draft forward, fills it
 
     def prefix_rows(self, n: int) -> int:
@@ -105,9 +104,12 @@ class KVCache:
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.d_head = d_head
-        self._k = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
-        self._v = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
-        self._pos = np.empty(capacity, dtype=np.int64)
+        try:
+            self._k = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
+            self._v = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
+            self._pos = np.empty(capacity, dtype=np.int64)
+        except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+            raise CapacityError(f"cannot reserve {capacity} cache rows") from None
         self._len = 0
         self._world = 0  # see world_len
         self._prefix_pos = np.empty(0, dtype=np.int64)  # sealed prefix, held or not
@@ -227,12 +229,6 @@ class KVCache:
             buf[still:m] = buf[rows[still:]]
         self._held_prefix = int(np.searchsorted(rows, self._held_prefix))
         self._len = m
-
-    def evict_streaming(self, sink: int, recent: int) -> None:
-        """Keep the first ``sink`` and last ``recent`` held rows."""
-        n = self._len
-        if n > sink + recent:
-            self.keep(np.r_[:sink, n - recent:n])
 
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),

@@ -12,7 +12,9 @@ are the full sampled-from distributions.
 The draft cache is only ever extended speculatively here. A chain's rows
 are in position order, so callers roll back by position truncation; a
 tree's rows follow its root in decode order, and ``keep_path`` compacts the
-accepted path's rows before that truncation.
+accepted path's rows before that truncation. That order, ``DraftTree.tail``,
+is also the order in which the target verifies the nodes: both sides build
+their decode block with ``tree_block``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class DraftTree:
     """Speculated token tree; the root is the last committed token.
 
     ``tail[r]`` is the node whose K/V the ``r``-th cached row after the
-    root holds.
+    root holds, and the ``r``-th row of the target's verify block.
     """
 
     nodes: list[TreeNode]
@@ -142,9 +144,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         cached = tree.tail  # nodes only get appended: the rest are the newest
         new = sorted(range(len(cached) + 1, tree.size),
                      key=lambda i: (tree.nodes[i].depth, i))
-        tokens = [tree.nodes[i].token for i in new]
-        positions = np.array([root_pos + tree.nodes[i].depth for i in new])
-        mask = _ancestor_mask(tree, new, cached)
+        tokens, mask, positions = tree_block(tree, new, cached)
         step = decode_step(spec, weights, tokens, cache, tree_mask=mask,
                            positions=positions)
         for row, i in enumerate(new):
@@ -215,19 +215,22 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     return tree
 
 
-def _ancestor_mask(tree: DraftTree, order: list[int],
-                   cached: list[int] = ()) -> np.ndarray:
-    """Ancestor-or-self visibility of the nodes in ``order``: columns for the
-    ``cached`` nodes, then for ``order`` itself."""
-    index_of = {node: col for col, node in enumerate([*cached, *order])}
-    mask = np.zeros((len(order), len(index_of)), dtype=bool)
-    for row, node in enumerate(order):
+def tree_block(tree: DraftTree, nodes: list[int], cached: list[int] = ()
+               ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The decode block of ``nodes``: their tokens, their ancestor-or-self
+    mask (columns for the ``cached`` nodes, then for ``nodes``) and their
+    positions ``root_pos + depth``."""
+    index_of = {node: col for col, node in enumerate([*cached, *nodes])}
+    mask = np.zeros((len(nodes), len(index_of)), dtype=bool)
+    for row, node in enumerate(nodes):
         cur = node
         while cur != -1:
             if cur in index_of:
                 mask[row, index_of[cur]] = True
             cur = tree.nodes[cur].parent
-    return mask
+    tokens = [tree.nodes[i].token for i in nodes]
+    positions = np.array([tree.root_pos + tree.nodes[i].depth for i in nodes])
+    return tokens, mask, positions
 
 
 def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
@@ -243,13 +246,3 @@ def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
         node = match[0]
         rows.append(row_of[node])
     cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
-
-
-def flatten_tree(tree: DraftTree) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Breadth-first flattening: tokens, ancestor-or-self mask, positions."""
-    order = sorted(range(tree.size), key=lambda i: (tree.nodes[i].depth, i))
-    tokens = [tree.nodes[i].token for i in order]
-    positions = np.array([tree.root_pos + tree.nodes[i].depth for i in order],
-                         dtype=np.int64)
-    mask = _ancestor_mask(tree, order)
-    return tokens, mask, positions

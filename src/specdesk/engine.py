@@ -35,7 +35,7 @@ import numpy as np
 
 from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from .drafting import TreeBudget, draft_chain, draft_tree, keep_path
-from .errors import InternalError, ParameterError
+from .errors import CapacityError, InternalError, ParameterError
 from .metrics import ProposalLog, natural_divergence, shannon_entropy
 from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill
 from .retrieval import RetrievalState, maybe_update
@@ -93,7 +93,7 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     target cache reserves ``capacity`` rows. The draft, whose layers are the
     target's first ``dspec.n_layers``, is seeded over those layers' rows for
     all but the last prompt token, which is the first pending commit, and
-    holds the rows ``policy.seed_rows`` picks. It reserves room for the most
+    holds the rows ``policy.held_rows`` picks. It reserves room for the most
     prompt rows the policy holds and for the target's generation room.
     """
     n = len(prompt)
@@ -102,7 +102,7 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
                   last_row_only=True)
     draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
                                  policy.prefix_rows(n - 1) + capacity - n)
-    draft_cache.hold_prefix(policy.seed_rows(n - 1))
+    draft_cache.hold_prefix(policy.held_rows(n - 1))
     return target_cache, draft_cache, out
 
 
@@ -120,6 +120,10 @@ class Session:
             raise ParameterError(f"unknown cache policy: {policy!r}")
         if not (math.isfinite(temperature) and temperature >= 0):
             raise ParameterError(f"temperature must be finite and >= 0, got {temperature}")
+        if drafting == "chain" and k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
+        if hta_chunk is not None and hta_chunk < 0:
+            raise ParameterError(f"hta_chunk must be >= 0, got {hta_chunk}")
         if drafting == "tree" and budget is None:
             budget = TreeBudget(max_nodes=50, max_depth=10, expand_threshold=0.7)
         _check_shared_prefix(target_spec, target_weights, draft_spec, draft_weights)
@@ -142,6 +146,12 @@ class Session:
             raise ParameterError(f"prompt tokens must lie in [0, {vocab})")
         if gen_tokens < 1:
             raise ParameterError(f"gen_tokens must be >= 1, got {gen_tokens}")
+        # The last commit decodes position len + gen - 1, a chain's first
+        # verify len + k - 1: refuse before reserving rows for either.
+        reach = len(prompt) + max(gen_tokens, self.k if self.drafting == "chain" else 1)
+        if reach > self.target_spec.max_pos:
+            raise CapacityError(f"the run decodes position {reach - 1}, past max_pos "
+                                f"{self.target_spec.max_pos}")
         t_start = time.perf_counter()
         tspec, tw = self.target_spec, self.target_weights
         dspec, dw = self.draft_spec, self.draft_weights
@@ -223,7 +233,7 @@ class Session:
                 keep_path(draft_cache, tree, outc.accepted_tokens)
             draft_cache.truncate(n_before + outc.accepted_count)
             if isinstance(self.policy, StreamingPolicy):
-                draft_cache.evict_streaming(self.policy.sink, self.policy.recent)
+                draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
 
             row = (outc.last_accepted_attn_row
                    if outc.accepted_count >= 1 else fallback_row)

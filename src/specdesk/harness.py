@@ -68,13 +68,7 @@ def build_task(cfg: RunConfig) -> tuple[np.ndarray, NeedleTask | None]:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentRun:
-    if cfg.hta_chunk < 0:
-        raise ParameterError(f"hta_chunk must be >= 0, got {cfg.hta_chunk}")
     target_spec, target_weights = build_models(cfg)
-    if not 1 <= cfg.draft_layers < target_spec.n_layers:
-        raise ParameterError(
-            f"draft_layers must be in [1, {target_spec.n_layers - 1}], got {cfg.draft_layers}"
-        )
     draft_spec, draft_weights = derive_draft(target_spec, target_weights,
                                              cfg.draft_layers)
     prompt, task = build_task(cfg)
@@ -83,7 +77,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentRun:
         policy=build_policy(cfg), drafting=cfg.drafting, k=cfg.k,
         budget=TreeBudget(cfg.max_nodes, cfg.max_depth, cfg.expand_threshold),
         temperature=cfg.temperature, seed=cfg.seed,
-        hta_chunk=cfg.hta_chunk if cfg.hta_chunk > 0 else None,
+        hta_chunk=cfg.hta_chunk,
     )
     result = session.run(prompt, cfg.gen_tokens)
     expected = task.expected if task is not None else None

@@ -243,7 +243,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         parts.append((k.transpose(1, 0, 2), v.transpose(1, 0, 2), new_mask[:, tail:]))
         want = capture_scores and last
         out, probs = attn.attend(q.transpose(1, 0, 2), parts, scale, want_probs=want,
-                                 last_row_only=scores is not None, scores=scores)
+                                 scores=scores)
         if want:
             captured = probs.mean(axis=0)  # head-averaged [q or 1, L+q]
         x += out.transpose(1, 0, 2).reshape(x.shape[0], D) @ lw.wo
@@ -337,7 +337,7 @@ def derive_draft(spec: ModelSpec, weights: Weights, keep_layers: int) -> tuple[M
     """Layer-truncated draft sharing embedding, unembedding and final norm."""
     if not 1 <= keep_layers < spec.n_layers:
         raise ParameterError(
-            f"keep_layers must be in [1, {spec.n_layers - 1}], got {keep_layers}"
+            f"draft_layers must be in [1, {spec.n_layers - 1}], got {keep_layers}"
         )
     draft_spec = ModelSpec(
         n_layers=keep_layers, n_heads=spec.n_heads, d_model=spec.d_model,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import KVCache
-from .drafting import ChainDraft, DraftTree, flatten_tree
+from .drafting import ChainDraft, DraftTree, tree_block
 from .errors import InternalError, ShapeError, StateError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, sample_categorical
@@ -222,22 +222,23 @@ def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
 def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
-    """Verify a draft tree in one masked decode, then commit the surviving path."""
+    """Verify a draft tree in one masked decode, in the order the draft
+    decoded its nodes (``tree.tail``), then commit the surviving path."""
     committed_before = cache.world_len
     if tree.root_pos != committed_before - 1:
         raise StateError(
             f"tree root position {tree.root_pos} does not match cache ({committed_before - 1})"
         )
-    tokens, mask, positions = flatten_tree(tree)
-    order = sorted(range(tree.size), key=lambda i: (tree.nodes[i].depth, i))
+    if sorted(tree.tail) != list(range(1, tree.size)):
+        raise StateError(f"the tree's tail must hold each of its {tree.size - 1} "
+                         f"non-root nodes once, got {tree.tail}")
     rows: dict[int, np.ndarray] = {0: root_dist}
-    if tree.size > 1:
-        sub = [row for row, idx in enumerate(order) if idx != 0]
-        out = decode_step(spec, weights, [tokens[r] for r in sub], cache,
-                          tree_mask=mask[np.ix_(sub, sub)],
-                          positions=positions[sub], kv_chunk=kv_chunk)
-        for r_new, r_old in enumerate(sub):
-            rows[order[r_old]] = next_token_dist(out.logits[r_new], temperature)
+    if tree.tail:
+        tokens, mask, positions = tree_block(tree, tree.tail)
+        out = decode_step(spec, weights, tokens, cache, tree_mask=mask,
+                          positions=positions, kv_chunk=kv_chunk)
+        for row, node in enumerate(tree.tail):
+            rows[node] = next_token_dist(out.logits[row], temperature)
     walk = walk_tree(tree, rows, rng, temperature)
     return _commit(spec, weights, cache, committed_before, walk, temperature, kv_chunk)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specdesk.attn import attend, attend_monolithic
-from specdesk.errors import InternalError, ShapeError
+from specdesk.errors import InternalError
 
 
 def random_part(rng, heads, width, d_head, mask=None):
@@ -31,14 +31,10 @@ def test_attend_matches_monolithic_oracle():
         assert np.all(probs[:, 0, -nq:] == 0.0)
         plain, none = attend(q, parts, scale)
         assert none is None and np.array_equal(plain, out)
-        last_out, last = attend(q, parts, scale, want_probs=True, last_row_only=True)
-        assert np.array_equal(last_out, out) and np.array_equal(last, probs[:, -1:])
+        # A score buffer keeps the last row's weights only.
         buf = np.empty(heads * nq * max(k.shape[-2] for k, _, _ in parts))
-        kept_out, kept = attend(q, parts, scale, want_probs=True, last_row_only=True,
-                                scores=buf)
-        assert np.array_equal(kept_out, out) and np.array_equal(kept, last)
-        with pytest.raises(ShapeError):
-            attend(q, parts, scale, want_probs=True, scores=buf)
+        kept_out, kept = attend(q, parts, scale, want_probs=True, scores=buf)
+        assert np.array_equal(kept_out, out) and np.array_equal(kept, probs[:, -1:])
 
 
 def test_row_with_no_visible_position_is_an_error():

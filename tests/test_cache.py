@@ -45,6 +45,12 @@ class TestAppend:
         assert c.archive_len == 5
         assert c.pos_ids.tolist() == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("rows", [10**12, 10**18, 2**63])
+    def test_a_capacity_that_cannot_be_reserved_raises(self, rows):
+        # 32 PB and more for the first layer's keys: past any address space.
+        with pytest.raises(CapacityError, match=f"cannot reserve {rows} cache rows"):
+            KVCache(1, 64, 64, capacity=rows)
+
     def test_append_past_capacity_raises(self):
         c = KVCache(2, 2, 4, capacity=3)
         append_tokens(c, [0, 1])
@@ -167,43 +173,44 @@ class TestKeep:
         assert c.pos_ids.tolist() == list(range(5))
 
 
+def evict(cache, sink, recent):
+    # What the engine does after every step of a streaming draft.
+    cache.keep(StreamingPolicy(sink, recent).held_rows(cache.archive_len))
+
+
 class TestStreaming:
     def test_sink_and_recent(self):
         c = make_cache()
         append_tokens(c, list(range(10)))
-        c.evict_streaming(sink=2, recent=3)
+        evict(c, sink=2, recent=3)
         assert c.pos_ids.tolist() == [0, 1, 7, 8, 9]
         assert c.world_len == 10
+        # Oracle: all n rows, or the first sink and the last recent.
+        for n in range(1, 12):
+            for sink in range(4):
+                for recent in range(1, 6):
+                    policy = StreamingPolicy(sink, recent)
+                    rows = policy.held_rows(n).tolist()
+                    want = ([*range(sink), *range(n - recent, n)]
+                            if n > sink + recent else list(range(n)))
+                    assert rows == want and policy.prefix_rows(n) == len(rows)
 
     def test_noop_when_small(self):
         c = make_cache()
         append_tokens(c, list(range(4)))
-        c.evict_streaming(sink=2, recent=3)
+        evict(c, sink=2, recent=3)
         assert c.archive_len == 4
 
     def test_zero_sink(self):
         c = make_cache()
         append_tokens(c, list(range(5)))
-        c.evict_streaming(sink=0, recent=1)
+        evict(c, sink=0, recent=1)
         assert c.pos_ids.tolist() == [4]
-
-    def test_seed_rows_match_an_eviction(self):
-        # A streaming draft seeds the rows that evicting a full prefix keeps.
-        for n in range(1, 12):
-            for sink in range(4):
-                for recent in range(1, 6):
-                    c = make_cache()
-                    append_tokens(c, list(range(n)))
-                    c.evict_streaming(sink, recent)
-                    policy = StreamingPolicy(sink, recent)
-                    rows = policy.seed_rows(n)
-                    assert rows.tolist() == c.pos_ids.tolist()
-                    assert policy.prefix_rows(n) == len(rows)
 
     def test_original_positions_preserved(self):
         c = make_cache()
         append_tokens(c, list(range(20)))
-        c.evict_streaming(sink=1, recent=4)
+        evict(c, sink=1, recent=4)
         assert c.pos_ids.tolist() == [0, 16, 17, 18, 19]
 
 
@@ -349,7 +356,7 @@ def test_layer_view_tracks_every_mutation():
             appended[:] = [p for p in appended if p < w]
         elif op == 2:
             sink, recent = int(rng.integers(0, 4)), int(rng.integers(1, 30))
-            c.evict_streaming(sink, recent)
+            evict(c, sink, recent)
             if len(held) > sink + recent:
                 held[:] = held[:sink] + held[-recent:]
         else:

@@ -116,6 +116,20 @@ def test_rejects_missing_file_or_zero_heads(tmp_path, capsys, argv, message):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["k=1000000000000"], "past max_pos 32768"),
+    (["gen_tokens=1000000000000"], "past max_pos 32768"),
+    (["prompt_len=1000000"], "past max_pos 32768"),
+    (["drafting=tree", "max_nodes=1000000000000"], "cannot reserve"),
+    (["drafting=tree", "max_nodes=1000000000000000000"], "cannot reserve"),
+])
+def test_run_rejects_a_size_that_can_never_run(overrides, message, capsys):
+    # Each fails before a row is reserved, or when the reservation fails.
+    assert main(["run", "prompt_len=64", "gen_tokens=4", *overrides]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_run_rejects_a_report_path_that_is_a_file(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")

@@ -6,7 +6,7 @@ import pytest
 from specdesk import drafting
 from specdesk.cache import KVCache
 from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
-                               draft_tree, flatten_tree, keep_path)
+                               draft_tree, keep_path, tree_block)
 from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
@@ -269,22 +269,27 @@ def hand_tree(structure, root_pos=3, vocab=6):
 
 
 class TestFlattenTree:
+    """``tree_block`` flattens tree nodes into one decode block."""
+
     def test_chain_lower_triangular(self):
         tree = hand_tree([(1, -1), (2, 0), (3, 1), (4, 2)])
-        tokens, mask, positions = flatten_tree(tree)
-        assert tokens == [1, 2, 3, 4]
-        assert np.array_equal(mask, np.tril(np.ones((4, 4), bool)))
-        assert positions.tolist() == [3, 4, 5, 6]
+        tokens, mask, positions = tree_block(tree, [1, 2, 3])
+        assert tokens == [2, 3, 4]
+        assert np.array_equal(mask, np.tril(np.ones((3, 3), bool)))
+        assert positions.tolist() == [4, 5, 6]
+        tokens, mask, positions = tree_block(tree, [3], cached=[1, 2])
+        assert tokens == [4] and mask.tolist() == [[True, True, True]]
+        assert positions.tolist() == [6]
 
     def test_two_children_see_self_only(self):
         tree = hand_tree([(1, -1), (2, 0), (3, 0)])
-        _, mask, positions = flatten_tree(tree)
-        assert mask[1].tolist() == [True, True, False]
-        assert mask[2].tolist() == [True, False, True]
-        assert positions.tolist() == [3, 4, 4]
+        _, mask, positions = tree_block(tree, [1, 2])
+        assert mask.tolist() == [[True, False], [False, True]]
+        assert positions.tolist() == [4, 4]
 
     def test_random_tree_reachability_oracle(self):
-        # Oracle: transitive closure of the parent relation.
+        # Oracle: transitive closure of the parent relation, over any split
+        # of the non-root nodes into cached rows and a block, in any order.
         rng = np.random.default_rng(17)
         for _ in range(25):
             n = int(rng.integers(2, 11))
@@ -293,39 +298,39 @@ class TestFlattenTree:
                 structure.append((int(rng.integers(0, 6)),
                                   int(rng.integers(0, i))))
             tree = hand_tree(structure)
-            order = sorted(range(n), key=lambda i: (tree.nodes[i].depth, i))
-            _, mask, _ = flatten_tree(tree)
+            order = [int(i) for i in rng.permutation(np.arange(1, n))]
+            split = int(rng.integers(0, n - 1))
+            cached, nodes = order[:split], order[split:]
+            tokens, mask, positions = tree_block(tree, nodes, cached)
             reach = np.eye(n, dtype=bool)
             for i in range(1, n):
                 p = structure[i][1]
                 reach[i] |= reach[p]
-            for r, i in enumerate(order):
-                for c, j in enumerate(order):
+            assert mask.shape == (len(nodes), n - 1)
+            for r, i in enumerate(nodes):
+                assert tokens[r] == structure[i][0]
+                assert positions[r] == tree.root_pos + tree.nodes[i].depth
+                for c, j in enumerate(cached + nodes):
                     assert mask[r, c] == reach[i, j]
 
     def test_flattened_paths_match_sequential_decode(self):
-        # Every root-to-leaf path through one masked decode equals decoding
-        # that path alone.
+        # The block the target verifies, the tree's nodes in the order the
+        # draft decoded them (``tree.tail``), gives every root-to-leaf path
+        # the logits of decoding that path alone.
         spec, w = small_model(seed=19)
         cache = prepped_cache(spec, w, PROMPT)
         tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(10, 3, 0.2),
                           temperature=1.0)
-        tokens, mask, positions = flatten_tree(tree)
-        order = sorted(range(tree.size), key=lambda i: (tree.nodes[i].depth, i))
-        # The flattened batch includes the root, so decode it from a cache
-        # that does not hold the root's K/V yet.
-        cache.truncate(tree.root_pos)
+        assert tree.size > 5
+        # Drop the draft's tree rows; the root's row stays.
+        cache.truncate(tree.root_pos + 1)
+        tokens, mask, positions = tree_block(tree, tree.tail)
         batch = decode_step(spec, w, tokens, cache, tree_mask=mask,
                             positions=positions)
-        row_of = {node: r for r, node in enumerate(order)}
+        row_of = {node: r for r, node in enumerate(tree.tail)}
         leaves = [i for i in range(tree.size) if not tree.nodes[i].children]
         for leaf in leaves:
-            path = []
-            cur = leaf
-            while cur != -1:
-                path.append(cur)
-                cur = tree.nodes[cur].parent
-            path.reverse()
+            path = path_to(tree, leaf)
             c2 = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
             prefill(spec, w, PROMPT[:-1], c2)
             seq_logits = []
@@ -333,7 +338,7 @@ class TestFlattenTree:
                 out = decode_step(spec, w, [tree.nodes[node].token], c2,
                                   positions=np.array([len(PROMPT) - 1 + step]))
                 seq_logits.append(out.logits[0])
-            for node, want in zip(path, seq_logits):
+            for node, want in zip(path[1:], seq_logits[1:]):
                 got = batch.logits[row_of[node]]
                 assert np.max(np.abs(got - want)) < 1e-9
 

@@ -253,7 +253,7 @@ class TestSeededDraftCache:
     def test_streaming_draft_holds_only_its_window(self):
         # A streaming draft reads only its sink and recent rows from the
         # target: bitwise the rows that a copy of every prompt row followed
-        # by evict_streaming holds.
+        # by the engine's eviction after a step holds.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
@@ -263,7 +263,7 @@ class TestSeededDraftCache:
         ref = KVCache(2, spec.n_heads, spec.d_head, capacity=64)
         ref.append([k[:39] for k, _, _ in views], [v[:39] for _, v, _ in views],
                    np.arange(39))
-        ref.evict_streaming(policy.sink, policy.recent)
+        ref.keep(policy.held_rows(ref.archive_len))
         assert draft.pos_ids.tolist() == ref.pos_ids.tolist() == [0, 1, 2] + list(range(34, 39))
         assert (draft.world_len, draft.generation_boundary, draft.prefix_len) == (39, 8, 39)
         for li in range(2):
@@ -308,6 +308,31 @@ class TestCacheSizing:
         result = sess.run(PROMPT, 49)
         assert result.output_tokens == greedy_reference(spec, w, PROMPT, 49)
         assert sum(s.accepted + 1 for s in result.steps) > 49
+
+
+class TestRunBoundary:
+    def test_rejects_a_bad_k_or_hta_chunk_before_any_work(self):
+        spec, w = target_model()
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            session_for(spec, w, FullPolicy(), k=0)
+        session_for(spec, w, FullPolicy(), drafting="tree", k=0)  # no chain to draft
+        with pytest.raises(ParameterError, match="hta_chunk must be >= 0"):
+            session_for(spec, w, FullPolicy(), hta_chunk=-1)
+        for hta_chunk in (None, 0):  # both read the verify prefix as one part
+            sess = session_for(spec, w, FullPolicy(), hta_chunk=hta_chunk)
+            assert sess.run(PROMPT, 8).output_tokens == greedy_reference(spec, w, PROMPT, 8)
+
+    @pytest.mark.parametrize("drafting, gen, k", [
+        ("chain", 1024 - 15, 4),  # the last commit decodes position 16 + gen - 1
+        ("tree", 1024 - 15, 4),
+        ("chain", 4, 1024 - 15),  # a chain's first verify decodes 16 + k - 1
+    ])
+    def test_a_run_past_max_pos_fails_before_prefill(self, monkeypatch, drafting, gen, k):
+        spec, w = target_model()  # max_pos 1024
+        monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
+        sess = session_for(spec, w, FullPolicy(), drafting=drafting, k=k)
+        with pytest.raises(CapacityError, match="position 1024, past max_pos 1024"):
+            sess.run(PROMPT, gen)
 
 
 class TestGreedyReference:

@@ -3,7 +3,7 @@ import pytest
 
 from specdesk.cache import KVCache
 from specdesk.drafting import ChainDraft, DraftTree, TreeBudget, TreeNode, draft_tree
-from specdesk.errors import InternalError, ShapeError
+from specdesk.errors import InternalError, ShapeError, StateError
 from specdesk.metrics import natural_divergence
 from specdesk.model import ModelSpec, next_token_dist, prefill
 from specdesk.modelgen import random_weights
@@ -287,6 +287,29 @@ class TestVerifyTreeEndToEnd:
         assert out.bonus_token is not None
         assert tcache.pos_ids.tolist() == list(range(len(prompt) + 4))
 
+    def test_a_tail_without_every_node_is_a_state_error(self):
+        # The target verifies the nodes in the order the draft decoded them,
+        # so a tree whose tail misses a node, or repeats one, cannot be
+        # verified.
+        spec, w = small_model(seed=31, vocab=9)
+        prompt = [1, 5, 2, 8]
+        vocab = spec.vocab
+        tree = hand_tree([(8, -1), (3, 0), (4, 0), (6, 1)],
+                         [np.full(vocab, 1 / vocab)] * 4,
+                         root_pos=len(prompt) - 1, vocab=vocab)
+        for tail in ([], [1, 2], [1, 2, 2], [1, 2, 3, 3]):
+            tree.tail = tail
+            cache, last_logits = prepped(spec, w, prompt)
+            with pytest.raises(StateError, match="non-root nodes"):
+                verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
+                            Rng(0), 0.0)
+            assert cache.pos_ids.tolist() == list(range(len(prompt)))
+        tree.tail = [2, 1, 3]  # any order of every non-root node is a tail
+        cache, last_logits = prepped(spec, w, prompt)
+        out = verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
+                          Rng(0), 0.0)
+        assert cache.world_len == len(prompt) + len(out.committed)
+
     def test_attention_rows_are_distributions(self):
         spec, w = small_model(seed=33)
         prompt = [0, 1, 2, 3]
@@ -313,8 +336,6 @@ class TestExtractScores:
         assert np.allclose(s, [0.5, 0.5])
 
     def test_not_captured_is_state_error(self):
-        from specdesk.errors import StateError
-
         with pytest.raises(StateError):
             extract_scores(None, 4)
 
