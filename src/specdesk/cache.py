@@ -134,10 +134,6 @@ class KVCache:
     # -- core state ---------------------------------------------------------
 
     @property
-    def pos_ids(self) -> np.ndarray:
-        return self._pos[:self._len].copy()
-
-    @property
     def generation_boundary(self) -> int:
         """Count of held rows that belong to the sealed input prefix."""
         return self._held_prefix

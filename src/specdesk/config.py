@@ -1,7 +1,6 @@
 """Flat key=value run configuration with CLI overrides.
 
-Unknown keys are errors. Types are coerced from the dataclass field types;
-booleans accept true/false/1/0.
+Unknown keys are errors. Types are coerced from the dataclass field types.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ class RunConfig:
 
 def _coerce(name: str, kind: type, raw: str):
     try:
-        if kind is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes"):
-                return True
-            if low in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError as exc:
         raise ParameterError(f"cannot parse {name}={raw!r} as {kind.__name__}") from exc

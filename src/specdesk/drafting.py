@@ -6,8 +6,12 @@ threshold budget: the greedy chain is always included, then the most
 probable unexpanded node whose path probability clears
 ``expand_threshold ** depth`` is expanded with its top children until the
 node budget is exhausted or nothing qualifies. Children are deterministic
-top-probability picks, so their proposal is a point mass; chain proposals
-are the full sampled-from distributions.
+top-probability picks, so their proposal is a point mass.
+
+A chain is verified as the path tree it is: ``chain_tree`` gives node
+``i + 1`` the chain's token ``i`` and node ``i`` the distribution it was
+drawn from. Its ``DraftTree.sampled`` is set, which tells verification that
+each child's proposal is its parent's ``dist`` rather than a point mass.
 
 The draft cache is only ever extended speculatively here. A chain's rows
 are in position order, so callers roll back by position truncation; a
@@ -27,7 +31,7 @@ import numpy as np
 from .cache import KVCache
 from .errors import InternalError, ParameterError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
-from .tensor import Rng, sample_categorical
+from .tensor import Rng, draw
 
 TOP_CHILDREN = 2
 
@@ -64,11 +68,14 @@ class DraftTree:
 
     ``tail[r]`` is the node whose K/V the ``r``-th cached row after the
     root holds, and the ``r``-th row of the target's verify block.
+    ``sampled`` says that each child was drawn from its parent's ``dist``
+    (a chain's path tree), not picked as a top child.
     """
 
     nodes: list[TreeNode]
     root_pos: int
     tail: list[int] = field(default_factory=list)
+    sampled: bool = False
 
     @property
     def size(self) -> int:
@@ -103,7 +110,7 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
     logits: list[np.ndarray] = []
     for i in range(k):
         p = next_token_dist(logits_row, temperature)
-        tok = int(np.argmax(p)) if temperature == 0 else sample_categorical(p, rng)
+        tok = draw(p, rng, temperature)
         tokens.append(tok)
         dists.append(p)
         logits.append(logits_row)
@@ -113,6 +120,23 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
             logits_row = step.logits[-1]
             pos += 1
     return ChainDraft(tokens=tokens, dists=dists, logits=logits)
+
+
+def chain_tree(draft: ChainDraft, root_pos: int) -> DraftTree:
+    """The path tree of a drafted chain whose root sits at ``root_pos``.
+
+    Node ``i + 1`` holds token ``i``; node ``i`` carries the distribution
+    token ``i`` was drawn from and its logits. The last node has neither,
+    because the draft never decodes it. The root's token is not read, and
+    ``path_logprob``, the tree drafter's expansion order, is left at 0.
+    """
+    nodes = [TreeNode(token=-1, parent=-1, depth=0, path_logprob=0.0)]
+    for i, tok in enumerate(draft.tokens):
+        nodes[i].dist, nodes[i].logits = draft.dists[i], draft.logits[i]
+        nodes[i].children.append(i + 1)
+        nodes.append(TreeNode(token=tok, parent=i, depth=i + 1, path_logprob=0.0))
+    return DraftTree(nodes=nodes, root_pos=root_pos, tail=list(range(1, len(nodes))),
+                     sampled=True)
 
 
 def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,

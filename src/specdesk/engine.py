@@ -48,7 +48,6 @@ class StepReport:
     step: int
     drafted: int
     accepted: int
-    used_bonus: bool  # False => correction token
     tree_nodes: int  # 0 for chain steps
     retrieval_update: bool
     draft_ms: float
@@ -258,8 +257,8 @@ class Session:
 
             steps.append(StepReport(
                 step=step_idx, drafted=drafted_n, accepted=outc.accepted_count,
-                used_bonus=outc.bonus_token is not None, tree_nodes=tree_nodes,
-                retrieval_update=updated, draft_ms=draft_ms, verify_ms=verify_ms,
+                tree_nodes=tree_nodes, retrieval_update=updated,
+                draft_ms=draft_ms, verify_ms=verify_ms,
                 update_ms=update_ms, divergence=div))
             cache_len_by_step.append(draft_cache.archive_len)
 

@@ -68,17 +68,20 @@ def build_task(cfg: RunConfig) -> tuple[np.ndarray, NeedleTask | None]:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentRun:
+    # Cheap checks first: the policy, then the session's parameters, then
+    # the prompt, so a bad value fails before the work it would waste.
+    policy = build_policy(cfg)
     target_spec, target_weights = build_models(cfg)
     draft_spec, draft_weights = derive_draft(target_spec, target_weights,
                                              cfg.draft_layers)
-    prompt, task = build_task(cfg)
     session = Session(
         target_spec, target_weights, draft_spec, draft_weights,
-        policy=build_policy(cfg), drafting=cfg.drafting, k=cfg.k,
+        policy=policy, drafting=cfg.drafting, k=cfg.k,
         budget=TreeBudget(cfg.max_nodes, cfg.max_depth, cfg.expand_threshold),
         temperature=cfg.temperature, seed=cfg.seed,
         hta_chunk=cfg.hta_chunk,
     )
+    prompt, task = build_task(cfg)
     result = session.run(prompt, cfg.gen_tokens)
     expected = task.expected if task is not None else None
     report = build_report(config_dict(cfg), result, expected)

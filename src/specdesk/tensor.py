@@ -63,3 +63,11 @@ def sample_categorical(p: Array, rng: Rng) -> int:
     u = rng.uniform() * cum[-1]
     idx = int(np.searchsorted(cum, u, side="right"))
     return min(idx, len(p) - 1)
+
+
+def draw(p: Array, rng: Rng, temperature: float) -> int:
+    """The token a sampler picks from ``p``: its argmax at temperature 0
+    (no draw), otherwise one ``sample_categorical`` draw."""
+    if temperature == 0:
+        return int(np.argmax(p))
+    return sample_categorical(p, rng)

@@ -1,10 +1,14 @@
-"""Target-side verification: lossless accept/reject/correct for chains and
-trees, hybrid chunked+tree attention, and attention-score extraction.
+"""Target-side verification: lossless accept/reject/correct over a draft
+tree, hybrid chunked+tree attention, and attention-score extraction.
+
+There is one walk and one verify decode. A drafted chain is verified as its
+path tree (``drafting.chain_tree``), whose mask is the causal mask.
 
 Acceptance follows the standard ratio rule ``u < min(1, q(x)/p(x))``
 against the proposal distribution each candidate was actually drawn from.
-Chain candidates are sampled from the recorded draft distributions; tree
-children are deterministic top-probability picks, i.e. point-mass
+The children of a sampled tree, a chain's, were drawn from their parent's
+recorded draft distribution, which is their proposal. The children of a
+drafted tree are deterministic top-probability picks, i.e. point-mass
 proposals, so a rejected child simply has its token's mass removed from the
 residual before the next sibling is tried. Either way each attempt is one
 exact rejection-sampling round, so the committed token is distributed as
@@ -23,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import KVCache
-from .drafting import ChainDraft, DraftTree, tree_block
+from .drafting import ChainDraft, DraftTree, chain_tree, tree_block
 from .errors import InternalError, ShapeError, StateError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
-from .tensor import Rng, sample_categorical
+from .tensor import Rng, draw
 from . import attn
 
 
@@ -99,12 +103,6 @@ def _attempt(residual: np.ndarray, token: int, proposal: np.ndarray | None,
     return rng.uniform() < p
 
 
-def _draw(dist: np.ndarray, rng: Rng, temperature: float) -> int:
-    if temperature == 0:
-        return int(np.argmax(dist))
-    return sample_categorical(dist, rng)
-
-
 @dataclass
 class WalkResult:
     accepted: list[int]
@@ -113,48 +111,12 @@ class WalkResult:
     levels: list[LevelRecord]
 
 
-def walk_chain(tokens: list[int], proposals: list[np.ndarray],
-               rows: list[np.ndarray], root_dist: np.ndarray, rng: Rng,
-               temperature: float,
-               logits: list[np.ndarray] | None = None) -> WalkResult:
-    """Pure accept/reject/correct walk over a drafted chain.
-
-    ``rows[i]`` is the target distribution after drafted token i; the bonus
-    is sampled from the last row when everything is accepted.
-    """
-    accepted: list[int] = []
-    levels: list[LevelRecord] = []
-    correction = None
-    bonus = None
-    q_cur = root_dist
-    for i, tok in enumerate(tokens):
-        ok = _attempt(q_cur, tok, proposals[i], rng, temperature)
-        rec = LevelRecord(target_dist=q_cur, proposal_dist=proposals[i],
-                          first_candidate=tok, committed=-1, accepted=ok,
-                          draft_logits=logits[i] if logits else None)
-        levels.append(rec)
-        if ok:
-            accepted.append(tok)
-            rec.committed = tok
-            q_cur = rows[i]
-        else:
-            residual = residual_after_reject(q_cur, tok, proposals[i])
-            correction = _draw(residual, rng, temperature)
-            rec.committed = correction
-            break
-    if correction is None:
-        bonus = _draw(q_cur, rng, temperature)
-        levels.append(LevelRecord(target_dist=q_cur, proposal_dist=None,
-                                  first_candidate=None, committed=bonus,
-                                  accepted=False))
-    return WalkResult(accepted, correction, bonus, levels)
-
-
 def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
               temperature: float) -> WalkResult:
     """Pure walk from the root: try children in draft-probability order,
-    removing each rejected child's mass from the residual; sample the
-    correction from the final residual, or the bonus at an accepted leaf."""
+    taking each rejected child's proposal out of the residual (its token's
+    mass, or its parent's ``dist`` in a sampled tree); sample the correction
+    from the final residual, or the bonus at an accepted leaf."""
     accepted: list[int] = []
     levels: list[LevelRecord] = []
     correction = None
@@ -166,23 +128,24 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
         children = sorted(tree.children_of(node),
                           key=lambda c: (-float(parent_dist[tree.nodes[c].token]), c))
         if not children:
-            bonus = _draw(q_cur, rng, temperature)
+            bonus = draw(q_cur, rng, temperature)
             levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
                                       first_candidate=None, committed=bonus,
                                       accepted=False,
                                       draft_logits=tree.nodes[node].logits))
             break
+        proposal = parent_dist if tree.sampled else None
         residual = q_cur
         chosen = None
         for c in children:
             tok = tree.nodes[c].token
-            if _attempt(residual, tok, None, rng, temperature):
+            if _attempt(residual, tok, proposal, rng, temperature):
                 chosen = c
                 break
-            residual = residual_after_reject(residual, tok, None)
+            residual = residual_after_reject(residual, tok, proposal)
         first = tree.nodes[children[0]].token
         if chosen is None:
-            correction = _draw(residual, rng, temperature)
+            correction = draw(residual, rng, temperature)
             levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
                                       first_candidate=first, committed=correction,
                                       accepted=False,
@@ -198,26 +161,7 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
     return WalkResult(accepted, correction, bonus, levels)
 
 
-# -- chain ---------------------------------------------------------------------
-
-def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
-                 draft: ChainDraft, root_dist: np.ndarray, rng: Rng,
-                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
-    """Verify a drafted chain in one masked decode, then commit."""
-    if len(draft.tokens) != len(draft.dists):
-        raise ShapeError("drafted tokens and distributions disagree in length")
-    committed_before = cache.world_len
-    k = len(draft.tokens)
-    out = decode_step(spec, weights, draft.tokens, cache,
-                      positions=np.arange(committed_before, committed_before + k),
-                      kv_chunk=kv_chunk)
-    rows = [next_token_dist(out.logits[i], temperature) for i in range(k)]
-    walk = walk_chain(draft.tokens, draft.dists, rows, root_dist, rng,
-                      temperature, logits=draft.logits)
-    return _commit(spec, weights, cache, committed_before, walk, temperature, kv_chunk)
-
-
-# -- tree ------------------------------------------------------------------------
+# -- verify ---------------------------------------------------------------------
 
 def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
@@ -241,6 +185,16 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
             rows[node] = next_token_dist(out.logits[row], temperature)
     walk = walk_tree(tree, rows, rng, temperature)
     return _commit(spec, weights, cache, committed_before, walk, temperature, kv_chunk)
+
+
+def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
+                 draft: ChainDraft, root_dist: np.ndarray, rng: Rng,
+                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
+    """Verify a drafted chain as its path tree, then commit."""
+    if len(draft.tokens) != len(draft.dists):
+        raise ShapeError("drafted tokens and distributions disagree in length")
+    return verify_tree(spec, weights, cache, chain_tree(draft, cache.world_len - 1),
+                       root_dist, rng, temperature, kv_chunk)
 
 
 # -- commit ---------------------------------------------------------------------

@@ -36,14 +36,14 @@ class TestAppend:
         c = make_cache()
         append_tokens(c, [0])
         assert c.archive_len == 1
-        assert c.pos_ids.tolist() == [0]
+        assert c.layer_view(0)[2].tolist() == [0]
 
     def test_blocks(self):
         c = make_cache()
         append_tokens(c, [0, 1, 2])
         append_tokens(c, [3, 4])
         assert c.archive_len == 5
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("rows", [10**12, 10**18, 2**63])
     def test_a_capacity_that_cannot_be_reserved_raises(self, rows):
@@ -57,7 +57,7 @@ class TestAppend:
         with pytest.raises(CapacityError):
             append_tokens(c, [2, 3])
         append_tokens(c, [2])
-        assert c.pos_ids.tolist() == [0, 1, 2]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2]
         with pytest.raises(ParameterError):
             KVCache(2, 2, 4, capacity=0)
 
@@ -71,12 +71,12 @@ class TestAppend:
         c = make_cache()
         append_tokens(c, [0, 1])
         append_tokens(c, [2, 2, 3])  # two siblings at depth 1
-        assert c.pos_ids.tolist() == [0, 1, 2, 2, 3]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 2, 3]
 
     def test_committed_positions_strictly_increase(self):
         c = make_cache()
         append_tokens(c, list(range(10)))
-        pos = c.pos_ids
+        pos = c.layer_view(0)[2]
         assert np.all(np.diff(pos) > 0)
 
 
@@ -88,10 +88,10 @@ class TestSpeculativeTail:
         append_tokens(c, list(range(5)))  # root at position 4
         append_tokens(c, [5, 6, 7])  # a greedy chain
         append_tokens(c, [5, 6], tail=3)  # a sibling branch, shallower
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 5, 6]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 5, 6]
         assert c.world_len == 8
         c.truncate(5)
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4]
         assert c.world_len == 5
 
     def test_block_at_or_before_the_root_raises(self):
@@ -103,7 +103,7 @@ class TestSpeculativeTail:
                 append_tokens(c, bad, tail=2)
         with pytest.raises(OrderingError):
             append_tokens(c, [6])  # no tail: must follow position 6
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5, 6]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6]
 
     def test_tail_longer_than_the_held_rows_raises(self):
         c = make_cache()
@@ -132,7 +132,7 @@ class TestSpeculativeTail:
         with pytest.raises(OrderingError):
             c.truncate(4)  # position 3 would follow the cut
         c.truncate(3)
-        assert c.pos_ids.tolist() == [0, 1, 2]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2]
 
     def test_truncate_checks_the_rows_it_keeps(self):
         c = make_cache()
@@ -141,7 +141,7 @@ class TestSpeculativeTail:
         append_tokens(c, [7, 8], tail=1)
         with pytest.raises(OrderingError):
             c.truncate(9)  # the search ends past position 9's row
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 7, 8]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 7, 8]
 
 
 class TestKeep:
@@ -150,7 +150,7 @@ class TestKeep:
         append_tokens(c, [6, 7, 8, 9])
         k_before = c.layer_view(1)[0].copy()
         c.keep([0, 2, 3, 5, 7, 9])
-        assert c.pos_ids.tolist() == [0, 2, 3, 5, 7, 9]
+        assert c.layer_view(0)[2].tolist() == [0, 2, 3, 5, 7, 9]
         assert np.array_equal(c.layer_view(1)[0], k_before[[0, 2, 3, 5, 7, 9]])
         assert c.generation_boundary == 4  # four of the six prefix rows held
         assert c.world_len == 10  # dropped positions stay in the world
@@ -159,7 +159,7 @@ class TestKeep:
         c = seeded_cache(6)
         append_tokens(c, [6, 7])
         c.keep(np.arange(8))
-        assert c.pos_ids.tolist() == list(range(8))
+        assert c.layer_view(0)[2].tolist() == list(range(8))
         assert c.generation_boundary == 6
         c.keep([])
         assert (c.archive_len, c.generation_boundary, c.world_len) == (0, 0, 8)
@@ -170,7 +170,7 @@ class TestKeep:
         for rows in ([5], [-1, 0], [3, 2], [1, 1]):
             with pytest.raises(ParameterError):
                 c.keep(rows)
-        assert c.pos_ids.tolist() == list(range(5))
+        assert c.layer_view(0)[2].tolist() == list(range(5))
 
 
 def evict(cache, sink, recent):
@@ -183,7 +183,7 @@ class TestStreaming:
         c = make_cache()
         append_tokens(c, list(range(10)))
         evict(c, sink=2, recent=3)
-        assert c.pos_ids.tolist() == [0, 1, 7, 8, 9]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 7, 8, 9]
         assert c.world_len == 10
         # Oracle: all n rows, or the first sink and the last recent.
         for n in range(1, 12):
@@ -205,13 +205,13 @@ class TestStreaming:
         c = make_cache()
         append_tokens(c, list(range(5)))
         evict(c, sink=0, recent=1)
-        assert c.pos_ids.tolist() == [4]
+        assert c.layer_view(0)[2].tolist() == [4]
 
     def test_original_positions_preserved(self):
         c = make_cache()
         append_tokens(c, list(range(20)))
         evict(c, sink=1, recent=4)
-        assert c.pos_ids.tolist() == [0, 16, 17, 18, 19]
+        assert c.layer_view(0)[2].tolist() == [0, 16, 17, 18, 19]
 
 
 class TestRetrievalRebuild:
@@ -220,33 +220,33 @@ class TestRetrievalRebuild:
     def test_basic_selection(self):
         c = seeded_cache(12)
         c.hold_prefix([0, 1, 2, 3, 8, 9, 10, 11])
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
 
     def test_select_all_is_identity(self):
         c = seeded_cache(12)
         c.hold_prefix(np.arange(12))
-        assert c.pos_ids.tolist() == list(range(12))
+        assert c.layer_view(0)[2].tolist() == list(range(12))
 
     def test_rows_must_be_ascending_prefix_rows(self):
         c = seeded_cache(10)
         for rows in ([10], [-1, 0], [3, 2], [4, 4]):
             with pytest.raises(ParameterError):
                 c.hold_prefix(rows)
-        assert c.pos_ids.tolist() == list(range(10))
+        assert c.layer_view(0)[2].tolist() == list(range(10))
 
     def test_suffix_always_survives(self):
         c = seeded_cache(12)
         append_tokens(c, [12, 13, 14])  # generated
         c.hold_prefix([4, 5, 6, 7])
-        assert c.pos_ids.tolist() == [4, 5, 6, 7, 12, 13, 14]
+        assert c.layer_view(0)[2].tolist() == [4, 5, 6, 7, 12, 13, 14]
         assert c.generation_boundary == 4
 
     def test_rebuild_can_restore_dropped_chunks(self):
         c = seeded_cache(12)
         c.hold_prefix([0, 1, 2, 3])
-        assert c.pos_ids.tolist() == [0, 1, 2, 3]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
         c.hold_prefix(np.arange(4, 12))
-        assert c.pos_ids.tolist() == [4, 5, 6, 7, 8, 9, 10, 11]
+        assert c.layer_view(0)[2].tolist() == [4, 5, 6, 7, 8, 9, 10, 11]
 
     def test_restored_rows_are_the_source_rows(self):
         source = make_cache(n_layers=3)
@@ -265,7 +265,7 @@ class TestRetrievalRebuild:
     def test_world_len_survives_dropping_the_last_chunk(self):
         c = seeded_cache(12)
         c.hold_prefix([0, 1, 2, 3])
-        assert c.pos_ids.tolist() == [0, 1, 2, 3]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
         assert c.world_len == 12
         append_tokens(c, [12])
         c.truncate(12)
@@ -280,9 +280,9 @@ class TestRetrievalRebuild:
     def test_idempotent(self):
         c = seeded_cache(16)
         c.hold_prefix([4, 5, 6, 7, 12, 13, 14, 15])
-        before = c.pos_ids.tolist()
+        before = c.layer_view(0)[2].tolist()
         c.hold_prefix([4, 5, 6, 7, 12, 13, 14, 15])
-        assert c.pos_ids.tolist() == before
+        assert c.layer_view(0)[2].tolist() == before
 
     def test_layers_consistent(self):
         c = seeded_cache(12, n_layers=3)
@@ -300,7 +300,7 @@ class TestRetrievalRebuild:
         with pytest.raises(CapacityError):
             c.hold_prefix(np.arange(5))
         c.hold_prefix(np.arange(4))
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 12, 13]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13]
 
 
 def test_layer_view_tracks_every_mutation():
@@ -365,12 +365,12 @@ def test_layer_view_tracks_every_mutation():
             c.hold_prefix(chunk_rows(chunks, 4, c.prefix_len, sink))
             held[:] = ([p for p in range(40) if p // 4 in chunks or p < sink]
                        + [p for p in held if p >= 40])
-        assert c.pos_ids.tolist() == held
+        assert c.layer_view(0)[2].tolist() == held
         assert c.world_len == max(appended) + 1
         assert c.generation_boundary == sum(p < 40 for p in held)
         for li in range(2):
             k, v, pos = c.layer_view(li)
-            assert pos.tolist() == c.pos_ids.tolist()
+            assert pos.tolist() == held
             assert np.array_equal(k[:, 0, 0], pos + li)
             assert np.array_equal(v[:, 1, 3], -(pos + li))
 
@@ -381,7 +381,7 @@ class TestTruncate:
         append_tokens(c, list(range(6)))
         append_tokens(c, [6, 6, 7])  # speculative tree rows
         c.truncate(6)
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_rollback_into_the_prefix_is_not_restored(self):
         c = seeded_cache(12)
@@ -390,14 +390,14 @@ class TestTruncate:
         with pytest.raises(ParameterError):
             c.hold_prefix(np.arange(8))
         c.hold_prefix(chunk_rows([0, 1], 4, c.prefix_len))
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4, 5]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_truncate_then_reappend(self):
         c = make_cache()
         append_tokens(c, list(range(4)))
         c.truncate(2)
         append_tokens(c, [2, 3, 4])
-        assert c.pos_ids.tolist() == [0, 1, 2, 3, 4]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4]
 
 
 class TestPolicyValidation:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from specdesk import harness
 from specdesk.cli import main
 from specdesk.config import RunConfig
 from specdesk.model import load_weights
@@ -98,6 +99,20 @@ def test_run_rejects_bad_prompt_or_length(overrides, message, capsys):
     assert main(["run", *overrides]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_a_bad_policy_or_mode_fails_before_the_work_it_would_waste(monkeypatch, capsys):
+    calls = []
+    for name in ("build_models", "build_task"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda cfg, real=real, name=name: calls.append(name) or real(cfg))
+    assert main(["run", *SMALL_RUN, "policy=bogus"]) == 2
+    assert "unknown policy: 'bogus'" in capsys.readouterr().err
+    assert calls == []  # no model built
+    assert main(["run", *SMALL_RUN, "drafting=bogus"]) == 2
+    assert "unknown drafting mode: 'bogus'" in capsys.readouterr().err
+    assert calls == ["build_models"]  # no prompt built
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,8 +5,8 @@ import pytest
 
 from specdesk import drafting
 from specdesk.cache import KVCache
-from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
-                               draft_tree, keep_path, tree_block)
+from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, chain_tree,
+                               draft_chain, draft_tree, keep_path, tree_block)
 from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
@@ -70,6 +70,35 @@ class TestDraftChain:
                         rng=Rng(0))
 
 
+class TestChainTree:
+    def test_a_chain_is_a_sampled_path_tree(self):
+        spec, w = small_model(seed=4)
+        cache = prepped_cache(spec, w, PROMPT)
+        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=4, temperature=0.7,
+                            rng=Rng(1))
+        tree = chain_tree(chain, root_pos=len(PROMPT) - 1)
+        assert tree.sampled and tree.root_pos == len(PROMPT) - 1
+        assert [n.parent for n in tree.nodes] == [-1, 0, 1, 2, 3]
+        assert [n.depth for n in tree.nodes] == [0, 1, 2, 3, 4]
+        assert [n.children for n in tree.nodes] == [[1], [2], [3], [4], []]
+        assert [n.token for n in tree.nodes[1:]] == chain.tokens
+        assert tree.tail == [1, 2, 3, 4]
+        for i in range(4):
+            assert tree.nodes[i].dist is chain.dists[i]
+            assert tree.nodes[i].logits is chain.logits[i]
+        # The draft never decodes the last drafted token.
+        assert tree.nodes[4].dist is None and tree.nodes[4].logits is None
+
+    def test_its_block_is_the_causal_block(self):
+        chain = drafting.ChainDraft(tokens=[3, 1, 4], dists=[np.ones(7) / 7] * 3,
+                                    logits=[np.zeros(7)] * 3)
+        tree = chain_tree(chain, root_pos=9)
+        tokens, mask, positions = tree_block(tree, tree.tail)
+        assert tokens == [3, 1, 4]
+        assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
+        assert positions.tolist() == [10, 11, 12]
+
+
 class TestDraftTree:
     def test_one_hot_degenerates_to_chain(self):
         # Greedy dists are one-hot, so the tree is a chain of
@@ -105,7 +134,7 @@ class TestDraftTree:
                           temperature=0.8)
         assert tree.size > 2
         assert sorted(tree.tail) == list(range(1, tree.size))
-        pos = cache.pos_ids.tolist()
+        pos = cache.layer_view(0)[2].tolist()
         assert pos[:len(PROMPT)] == list(range(len(PROMPT)))
         assert pos[len(PROMPT):] == [tree.root_pos + tree.nodes[i].depth
                                      for i in tree.tail]
@@ -248,7 +277,7 @@ class TestDecodeOnce:
                 for li in range(spec.n_layers)]
         keep_path(cache, tree, [tree.nodes[i].token for i in path])
         n = len(PROMPT) + len(path)
-        assert cache.pos_ids.tolist() == list(range(n))
+        assert cache.layer_view(0)[2].tolist() == list(range(n))
         for li in range(spec.n_layers):
             assert np.array_equal(cache.layer_view(li)[0][len(PROMPT):], want[li])
         cache.truncate(n)

@@ -73,7 +73,7 @@ class TestSelfDraft:
         sess = Session(spec, w, spec, w, policy=FullPolicy(), drafting="chain",
                        k=1, temperature=0.0, seed=0)
         result = sess.run(PROMPT, 40)
-        assert all(s.accepted == 1 and s.used_bonus for s in result.steps)
+        assert all(s.accepted == 1 for s in result.steps)
         taus = [s.accepted + 1 for s in result.steps]
         assert np.mean(taus) == 2.0
 
@@ -192,7 +192,7 @@ class TestSeededDraftCache:
             _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700)
             ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity=600)
             prefill(dspec, dw, prompt[:-1], ref)
-            assert np.array_equal(seeded.pos_ids, ref.pos_ids)
+            assert np.array_equal(seeded.layer_view(0)[2], ref.layer_view(0)[2])
             assert seeded.prefix_len == seeded.generation_boundary == len(prompt) - 1
             for li in range(dspec.n_layers):
                 (k, v, _), (rk, rv, _) = seeded.layer_view(li), ref.layer_view(li)
@@ -210,7 +210,7 @@ class TestSeededDraftCache:
         before = [[a.copy() for a in draft.layer_view(li)[:2]] for li in range(2)]
         draft.hold_prefix(chunk_rows([1], 8, draft.prefix_len, sink))
         draft.hold_prefix(chunk_rows([0, 2, 4], 8, draft.prefix_len, sink))
-        pos = draft.pos_ids
+        pos = draft.layer_view(0)[2]
         assert pos.tolist() == sorted(set(range(8)) | set(range(16, 24))
                                       | set(range(32, 39)) | set(range(sink)))
         for li in range(2):
@@ -234,9 +234,9 @@ class TestSeededDraftCache:
         assert empty.world_len == copied.world_len == empty.prefix_len == 39
         for cache in (empty, copied):
             cache.hold_prefix(chunk_rows([1, 2], 8, cache.prefix_len, sink=3))
-        pos = empty.pos_ids
+        pos = empty.layer_view(0)[2]
         assert pos.tolist() == [0, 1, 2] + list(range(8, 24))
-        assert np.array_equal(pos, copied.pos_ids)
+        assert np.array_equal(pos, copied.layer_view(0)[2])
         assert empty.generation_boundary == copied.generation_boundary == 19
         for li in range(2):
             (k, v, _), (ck, cv, _) = empty.layer_view(li), copied.layer_view(li)
@@ -264,7 +264,8 @@ class TestSeededDraftCache:
         ref.append([k[:39] for k, _, _ in views], [v[:39] for _, v, _ in views],
                    np.arange(39))
         ref.keep(policy.held_rows(ref.archive_len))
-        assert draft.pos_ids.tolist() == ref.pos_ids.tolist() == [0, 1, 2] + list(range(34, 39))
+        assert (draft.layer_view(0)[2].tolist() == ref.layer_view(0)[2].tolist()
+                == [0, 1, 2] + list(range(34, 39)))
         assert (draft.world_len, draft.generation_boundary, draft.prefix_len) == (39, 8, 39)
         for li in range(2):
             (k, v, _), (rk, rv, _) = draft.layer_view(li), ref.layer_view(li)

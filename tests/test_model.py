@@ -234,7 +234,7 @@ class TestLastRowPrefill:
         assert np.max(np.abs(got.logits[-1] - want.logits[-1])) < 1e-12
         assert got.last_layer_attn.shape == want.last_layer_attn.shape == (1, n)
         assert np.max(np.abs(got.last_layer_attn - want.last_layer_attn)) < 1e-12
-        assert np.array_equal(last.pos_ids, every.pos_ids)
+        assert np.array_equal(last.layer_view(0)[2], every.layer_view(0)[2])
         for li in range(n_layers):
             for a, b in zip(last.layer_view(li), every.layer_view(li)):
                 assert np.array_equal(a, b)
@@ -322,7 +322,7 @@ class TestOutRows:
         got = decode_step(spec, w, tokens[30:], last, positions=positions, out_rows=1)
         assert got.logits.shape == (1, spec.vocab)
         assert np.max(np.abs(got.logits[0] - want.logits[-1])) < 1e-12
-        assert np.array_equal(last.pos_ids, every.pos_ids)
+        assert np.array_equal(last.layer_view(0)[2], every.layer_view(0)[2])
         for li in range(n_layers):
             for a, b in zip(last.layer_view(li), every.layer_view(li)):
                 assert np.array_equal(a, b)

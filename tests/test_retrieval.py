@@ -123,9 +123,9 @@ class TestMaybeUpdate:
         st = RetrievalState(chunk_size=4, top_k=2, frequency=1)
         s = np.array([0.0] * 4 + [0.5] * 4 + [0.0] * 4 + [0.5] * 4) / 4
         maybe_update(st, s, c)
-        first = c.pos_ids.tolist()
+        first = c.layer_view(0)[2].tolist()
         maybe_update(st, s, c)
-        assert c.pos_ids.tolist() == first == list(range(4, 8)) + list(range(12, 16))
+        assert c.layer_view(0)[2].tolist() == first == list(range(4, 8)) + list(range(12, 16))
 
     def test_missing_scores_is_state_error(self):
         c = _cache_with_prefix(8)

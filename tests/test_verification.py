@@ -1,17 +1,21 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from specdesk import verification
 from specdesk.cache import KVCache
-from specdesk.drafting import ChainDraft, DraftTree, TreeBudget, TreeNode, draft_tree
+from specdesk.drafting import (ChainDraft, DraftTree, TreeBudget, TreeNode,
+                               chain_tree, draft_tree)
 from specdesk.errors import InternalError, ShapeError, StateError
 from specdesk.metrics import natural_divergence
-from specdesk.model import ModelSpec, next_token_dist, prefill
+from specdesk.model import ModelSpec, decode_step, next_token_dist, prefill
 from specdesk.modelgen import random_weights
-from specdesk.tensor import Rng
-from specdesk.verification import (accept_probability, extract_scores,
-                                   hybrid_attention, residual_after_reject,
-                                   verify_chain, verify_tree, walk_chain,
-                                   walk_tree)
+from specdesk.tensor import Rng, draw, sample_categorical
+from specdesk.verification import (LevelRecord, WalkResult, accept_probability,
+                                   extract_scores, hybrid_attention,
+                                   residual_after_reject, verify_chain,
+                                   verify_tree, walk_tree)
 
 
 def small_model(seed=0, vocab=8, n_layers=1):
@@ -31,6 +35,55 @@ def rand_dist(rng, n, zeros=0):
     if zeros:
         x[rng.choice(n, zeros, replace=False)] = 0.0
     return x / x.sum()
+
+
+def walk_chain(tokens, proposals, rows, root_dist, rng, temperature, logits):
+    """The chain walk as it was written before chains became path trees:
+    the oracle ``walk_tree`` on a ``chain_tree`` must match bitwise.
+
+    ``rows[i]`` is the target distribution after drafted token i; the bonus
+    is sampled from the last row when everything is accepted.
+    """
+    accepted, levels = [], []
+    correction = bonus = None
+    q_cur = root_dist
+    for i, tok in enumerate(tokens):
+        p = accept_probability(q_cur, tok, proposals[i])
+        ok = p >= 1.0 if temperature == 0 else rng.uniform() < p
+        rec = LevelRecord(target_dist=q_cur, proposal_dist=proposals[i],
+                          first_candidate=tok, committed=-1, accepted=ok,
+                          draft_logits=logits[i])
+        levels.append(rec)
+        if ok:
+            accepted.append(tok)
+            rec.committed = tok
+            q_cur = rows[i]
+        else:
+            residual = residual_after_reject(q_cur, tok, proposals[i])
+            correction = draw(residual, rng, temperature)
+            rec.committed = correction
+            break
+    if correction is None:
+        bonus = draw(q_cur, rng, temperature)
+        levels.append(LevelRecord(target_dist=q_cur, proposal_dist=None,
+                                  first_candidate=None, committed=bonus,
+                                  accepted=False))
+    return WalkResult(accepted, correction, bonus, levels)
+
+
+def walk_chain_as_tree(tokens, proposals, rows, root_dist, rng, temperature, logits):
+    """The same arguments as ``walk_chain``, walked as the chain's path tree."""
+    tree = chain_tree(ChainDraft(tokens, proposals, logits), root_pos=0)
+    return walk_tree(tree, {0: root_dist, **{i + 1: r for i, r in enumerate(rows)}},
+                     rng, temperature)
+
+
+def same_bits(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
 
 
 class TestAcceptResidual:
@@ -90,8 +143,6 @@ class TestChainLosslessnessAnalytic:
     def test_monte_carlo_chain_first_token(self):
         # Candidate drawn from p, one walk level: the committed token must
         # be distributed as q.
-        from specdesk.tensor import sample_categorical
-
         rng_np = np.random.default_rng(7)
         p = rand_dist(rng_np, 8)
         q = rand_dist(rng_np, 8)
@@ -101,7 +152,7 @@ class TestChainLosslessnessAnalytic:
         trials = 100_000
         for _ in range(trials):
             tok = sample_categorical(p, rng)
-            walk = walk_chain([tok], [p], [next_row], q, rng, temperature=0.5)
+            walk = walk_chain_as_tree([tok], [p], [next_row], q, rng, 0.5, [p])
             first = walk.accepted[0] if walk.accepted else walk.correction
             counts[first] += 1
         tv = 0.5 * np.abs(counts / trials - q).sum()
@@ -135,7 +186,7 @@ class TestChainVerification:
         assert out.accepted_count == 3
         assert out.bonus_token is not None and out.correction_token is None
         # Cache rolled forward to committed tokens only.
-        assert cache.pos_ids.tolist() == list(range(len(prompt) + 4))
+        assert cache.layer_view(0)[2].tolist() == list(range(len(prompt) + 4))
 
     def test_rejection_yields_correction(self):
         spec, w = small_model(seed=5)
@@ -149,7 +200,7 @@ class TestChainVerification:
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         assert out.accepted_count == 0
         assert out.correction_token == int(np.argmax(last_logits))
-        assert cache.pos_ids.tolist() == list(range(4))
+        assert cache.layer_view(0)[2].tolist() == list(range(4))
 
     def test_outcome_invariant(self):
         from specdesk.verification import VerifyOutcome
@@ -166,9 +217,9 @@ def hand_tree(structure, dists, root_pos, vocab):
     nodes = []
     for (token, parent), dist in zip(structure, dists):
         depth = 0 if parent == -1 else nodes[parent].depth + 1
+        logits = None if dist is None else np.log(np.maximum(dist, 1e-12))
         nodes.append(TreeNode(token=token, parent=parent, depth=depth,
-                              path_logprob=0.0, dist=dist,
-                              logits=np.log(np.maximum(dist, 1e-12))))
+                              path_logprob=0.0, dist=dist, logits=logits))
         if parent >= 0:
             nodes[parent].children.append(len(nodes) - 1)
     return DraftTree(nodes=nodes, root_pos=root_pos)
@@ -176,39 +227,23 @@ def hand_tree(structure, dists, root_pos, vocab):
 
 class TestWalkTree:
     def test_single_chain_tree_matches_walk_chain_same_seed(self):
-        # A one-child-per-level tree with full proposal dists is the chain
-        # walk; identical seeds must give identical outcomes.
+        # A path tree whose children were sampled from their parents' dists
+        # is the chain walk; identical seeds must give identical outcomes.
         rng_np = np.random.default_rng(11)
         vocab = 6
-        q0 = rand_dist(rng_np, vocab)
-        q1 = rand_dist(rng_np, vocab)
-        q2 = rand_dist(rng_np, vocab)
-        p0 = rand_dist(rng_np, vocab)
-        p1 = rand_dist(rng_np, vocab)
+        q0, q1, q2, p0, p1 = (rand_dist(rng_np, vocab) for _ in range(5))
         for trial in range(300):
             t0 = int(rng_np.integers(0, vocab))
             t1 = int(rng_np.integers(0, vocab))
-            if p0[t0] == 0 or p1[t1] == 0:
-                continue
-            chain = walk_chain([t0, t1], [p0, p1], [q1, q2], q0,
-                               Rng(trial), temperature=0.8)
-            # Same walk phrased as a tree with explicit proposals is not a
-            # supported configuration (tree children are point masses), so
-            # compare against the point-mass tree on a chain with one-hot
-            # proposals instead.
-            onehot0 = np.eye(vocab)[t0]
-            onehot1 = np.eye(vocab)[t1]
-            chain_pm = walk_chain([t0, t1], [onehot0, onehot1], [q1, q2], q0,
-                                  Rng(1000 + trial), temperature=0.8)
-            tree = hand_tree([(9, -1), (t0, 0), (t1, 1)],
-                             [onehot0, onehot1, np.full(vocab, 1 / vocab)],
+            tree = hand_tree([(9, -1), (t0, 0), (t1, 1)], [p0, p1, None],
                              root_pos=3, vocab=vocab)
-            tree_walk = walk_tree(tree, {0: q0, 1: q1, 2: q2},
-                                  Rng(1000 + trial), temperature=0.8)
-            assert chain_pm.accepted == tree_walk.accepted
-            assert chain_pm.correction == tree_walk.correction
-            assert chain_pm.bonus == tree_walk.bonus
-            _ = chain
+            tree.sampled = True
+            chain = walk_chain([t0, t1], [p0, p1], [q1, q2], q0, Rng(trial), 0.8,
+                               logits=[tree.nodes[0].logits, tree.nodes[1].logits])
+            tree_walk = walk_tree(tree, {0: q0, 1: q1, 2: q2}, Rng(trial), 0.8)
+            assert chain.accepted == tree_walk.accepted
+            assert chain.correction == tree_walk.correction
+            assert chain.bonus == tree_walk.bonus
 
     def test_identical_children_mass_removal(self):
         # Second identical sibling sees the residual with that token removed,
@@ -270,6 +305,78 @@ class TestWalkTree:
         assert tv <= 0.02
 
 
+def random_logits(rng_np, vocab, base=None):
+    """A logits row with some -inf entries (zero probabilities); near
+    ``base`` when given, so that a target row can agree with a draft row."""
+    x = 2.0 * rng_np.standard_normal(vocab)
+    if base is not None:
+        x = base + rng_np.uniform(0.05, 2.0) * x
+    x[rng_np.random(vocab) < 0.25] = -np.inf
+    if np.isinf(x).all():
+        x[rng_np.integers(vocab)] = 0.0
+    return x
+
+
+class TestChainAsPathTree:
+    TEMPERATURES = (0.0, 0.5, 0.9, 1.3)
+
+    def test_walk_matches_the_chain_walk_bitwise(self):
+        # 20 000 random chains: the outcome, every LevelRecord field and the
+        # RNG stream after the walk are those of the chain walk.
+        rng_np = np.random.default_rng(2505)
+        outcomes = {"bonus": 0, "correction": 0, "zero_mass_reject": 0}
+        for trial in range(20_000):
+            temperature = self.TEMPERATURES[trial % 4]
+            vocab = int(rng_np.integers(2, 9))
+            k = int(rng_np.integers(1, 7))
+            logits = [random_logits(rng_np, vocab) for _ in range(k)]
+            proposals = [next_token_dist(x, temperature) for x in logits]
+            tokens = [int(np.argmax(p)) if temperature == 0
+                      else int(rng_np.choice(vocab, p=p)) for p in proposals]
+            root, *rows = [next_token_dist(random_logits(rng_np, vocab, base), temperature)
+                           for base in [*logits, None]]
+            args = (tokens, proposals, rows, root)
+            rng_a, rng_b = Rng(trial), Rng(trial)
+            want = walk_chain(*args, rng_a, temperature, logits)
+            got = walk_chain_as_tree(*args, rng_b, temperature, logits)
+            assert got.accepted == want.accepted
+            assert same_bits(got.correction, want.correction)
+            assert same_bits(got.bonus, want.bonus)
+            assert len(got.levels) == len(want.levels)
+            for g, w in zip(got.levels, want.levels):
+                for f in fields(LevelRecord):
+                    assert same_bits(getattr(g, f.name), getattr(w, f.name)), f.name
+            assert rng_a.uniform() == rng_b.uniform()
+            outcomes["bonus" if want.bonus is not None else "correction"] += 1
+            depth = len(want.accepted)
+            if depth < k and ([root, *rows][depth][tokens[depth]] == 0):
+                outcomes["zero_mass_reject"] += 1
+        assert min(outcomes.values()) > 1000, outcomes
+
+    @pytest.mark.parametrize("kv_chunk", [None, 2])
+    def test_verify_pass_is_a_causal_decode(self, monkeypatch, kv_chunk):
+        # The path tree's mask is the causal mask: the verify logits are
+        # bitwise those of a plain decode of the drafted tokens.
+        spec, w = small_model(seed=37, n_layers=2)
+        prompt = [1, 5, 2, 0, 3, 6]
+        cache, last_logits = prepped(spec, w, prompt)
+        ref_cache, _ = prepped(spec, w, prompt)
+        uniform = np.full(spec.vocab, 1 / spec.vocab)
+        draft = ChainDraft(tokens=[4, 4, 1, 7], dists=[uniform] * 4,
+                           logits=[np.zeros(spec.vocab)] * 4)
+        passes = []
+        real = verification.decode_step
+        monkeypatch.setattr(verification, "decode_step",
+                            lambda *a, **kw: passes.append(real(*a, **kw)) or passes[-1])
+        verify_chain(spec, w, cache, draft, next_token_dist(last_logits, 0.7),
+                     Rng(0), 0.7, kv_chunk=kv_chunk)
+        want = decode_step(spec, w, draft.tokens, ref_cache,
+                           positions=np.arange(len(prompt), len(prompt) + 4),
+                           kv_chunk=kv_chunk)
+        assert len(passes) == 2  # verify, then commit
+        assert passes[0].logits.tobytes() == want.logits.tobytes()
+
+
 class TestVerifyTreeEndToEnd:
     def test_greedy_tree_commits_target_greedy_path(self):
         spec, w = small_model(seed=31, vocab=9)
@@ -285,7 +392,7 @@ class TestVerifyTreeEndToEnd:
         # target's own greedy path, so every drafted depth is accepted.
         assert out.accepted_count == 3
         assert out.bonus_token is not None
-        assert tcache.pos_ids.tolist() == list(range(len(prompt) + 4))
+        assert tcache.layer_view(0)[2].tolist() == list(range(len(prompt) + 4))
 
     def test_a_tail_without_every_node_is_a_state_error(self):
         # The target verifies the nodes in the order the draft decoded them,
@@ -303,7 +410,7 @@ class TestVerifyTreeEndToEnd:
             with pytest.raises(StateError, match="non-root nodes"):
                 verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
                             Rng(0), 0.0)
-            assert cache.pos_ids.tolist() == list(range(len(prompt)))
+            assert cache.layer_view(0)[2].tolist() == list(range(len(prompt)))
         tree.tail = [2, 1, 3]  # any order of every non-root node is a tail
         cache, last_logits = prepped(spec, w, prompt)
         out = verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
