@@ -112,22 +112,24 @@ class KVCache:
             raise CapacityError(f"cannot reserve {capacity} cache rows") from None
         self._len = 0
         self._world = 0  # see world_len
-        self._prefix_pos = np.empty(0, dtype=np.int64)  # sealed prefix, held or not
+        self._prefix_rows = 0  # sealed prefix, positions [0, _prefix_rows), held or not
         self._held_prefix = 0  # leading held rows that belong to the sealed prefix
         self._source: KVCache | None = None  # where hold_prefix reads prefix rows
 
     @classmethod
     def seeded(cls, source: KVCache, n_layers: int, rows: int, capacity: int) -> KVCache:
         """An empty cache over the first ``n_layers`` layers of ``source``,
-        whose rows ``[0, rows)`` are its sealed prefix.
+        whose rows ``[0, rows)``, at positions ``0 .. rows - 1`` as a prefill
+        writes them, are its sealed prefix.
 
         ``hold_prefix`` reads prefix rows back from ``source``, which must
         keep them in place.
         """
+        if not np.array_equal(source._pos[:source._len][:rows], np.arange(rows)):
+            raise OrderingError(f"the source's first {rows} rows are not positions "
+                                f"0 .. {rows - 1}")
         cache = cls(n_layers, source.n_heads, source.d_head, capacity)
-        cache._prefix_pos = source._pos[:rows].copy()
-        if rows:
-            cache._world = int(cache._prefix_pos[-1]) + 1
+        cache._prefix_rows = cache._world = rows
         cache._source = source
         return cache
 
@@ -140,7 +142,7 @@ class KVCache:
 
     @property
     def prefix_len(self) -> int:
-        return int(self._prefix_pos.shape[0])
+        return self._prefix_rows
 
     @property
     def archive_len(self) -> int:
@@ -209,7 +211,7 @@ class KVCache:
             raise OrderingError(f"the rows below position {world_len} do not come first")
         self._len = cut
         self._held_prefix = min(self._held_prefix, cut)
-        self._prefix_pos = self._prefix_pos[:np.searchsorted(self._prefix_pos, world_len)]
+        self._prefix_rows = min(self._prefix_rows, world_len)
         self._world = min(self._world, world_len)
 
     def keep(self, rows) -> None:
@@ -249,5 +251,5 @@ class KVCache:
             # default "raise" it writes into ``out`` without a temporary.
             np.take(theirs, rows, axis=0, out=own[:m], mode="clip")
         self._pos[m:end] = self._pos[gen]
-        self._pos[:m] = self._prefix_pos[rows]
+        self._pos[:m] = rows
         self._held_prefix, self._len = m, end

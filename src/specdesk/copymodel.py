@@ -118,20 +118,14 @@ def _match_layer(spec: ModelSpec, rms_in: float, match_mass: float,
     return lw
 
 
-def build_copy_model(weak_match_mass: float = 400.0,
-                     strong_match_mass: float = STRONG_MATCH_MASS,
-                     n_layers: int = 3) -> tuple[ModelSpec, Weights]:
+def build_copy_model(weak_match_mass: float = 400.0) -> tuple[ModelSpec, Weights]:
     """Construct the model; ``weak_match_mass`` is the dilution knob for the
     draft-visible match head (matched-position weight relative to the
     weight 1 of an unmatched position)."""
-    if n_layers < 3:
-        raise ParameterError("copy model needs the offset, weak and strong layers")
     # Below a mass of 1 the match weight sqrt(log(mass) * ...) has no real value.
-    for name, mass in (("weak_match_mass", weak_match_mass),
-                       ("strong_match_mass", strong_match_mass)):
-        if not (math.isfinite(mass) and mass >= 1):
-            raise ParameterError(f"{name} must be finite and >= 1, got {mass}")
-    spec = ModelSpec(n_layers=n_layers, n_heads=N_HEADS, d_model=D_MODEL,
+    if not (math.isfinite(weak_match_mass) and weak_match_mass >= 1):
+        raise ParameterError(f"weak_match_mass must be finite and >= 1, got {weak_match_mass}")
+    spec = ModelSpec(n_layers=3, n_heads=N_HEADS, d_model=D_MODEL,
                      d_head=D_HEAD, vocab=VOCAB, max_pos=MAX_POS,
                      rope_base=ROPE_BASE)
 
@@ -158,8 +152,8 @@ def build_copy_model(weak_match_mass: float = 400.0,
     rms2 = np.sqrt(3.0 / D_MODEL)
 
     l2 = _match_layer(spec, rms2, weak_match_mass, PRED_WEAK_GAIN)
-    l3 = _match_layer(spec, rms2, strong_match_mass, PRED_STRONG_GAIN)
-    layers = [l1, l2, l3] + [_zero_layer(spec) for _ in range(n_layers - 3)]
+    l3 = _match_layer(spec, rms2, STRONG_MATCH_MASS, PRED_STRONG_GAIN)
+    layers = [l1, l2, l3]
 
     unembed = np.zeros((D_MODEL, VOCAB))
     for v in range(VOCAB):

@@ -19,10 +19,12 @@ Both caches are sized once from the prompt length, ``gen_tokens`` and the
 largest block a step appends, the draft's for the most prompt rows its
 policy holds; an append past the reserved rows raises.
 
-Attention scores for retrieval come from the most recent verification
-(deepest accepted token's last-layer row, root row as fallback), sliced to
-the prefix and renormalized. The first update fires immediately after
-prefill from the prefill's last-token row.
+A retrieval draft is updated from the target's last-layer attention row
+of the most recent commit: the deepest accepted token's row, or the
+previous commit's last row when nothing was accepted. The first update
+fires immediately after prefill from the prefill's last-token row;
+``retrieval.maybe_update`` decides when an update is due and turns the row
+into a selection.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .metrics import ProposalLog, natural_divergence, shannon_entropy
 from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill
 from .retrieval import RetrievalState, maybe_update
 from .tensor import Rng
-from .verification import VerifyOutcome, extract_scores, verify_chain, verify_tree
+from .verification import VerifyOutcome, verify_chain, verify_tree
 
 
 @dataclass
@@ -145,11 +147,13 @@ class Session:
             raise ParameterError(f"prompt tokens must lie in [0, {vocab})")
         if gen_tokens < 1:
             raise ParameterError(f"gen_tokens must be >= 1, got {gen_tokens}")
-        # The last commit decodes position len + gen - 1, a chain's first
-        # verify len + k - 1: refuse before reserving rows for either.
-        reach = len(prompt) + max(gen_tokens, self.k if self.drafting == "chain" else 1)
+        # The last step may start one token short of gen_tokens and commit
+        # its deepest draft plus the bonus: refuse before any work.
+        depth = (self.k if self.drafting == "chain"
+                 else min(self.budget.max_depth, self.budget.max_nodes - 1))
+        reach = len(prompt) + gen_tokens + depth
         if reach > self.target_spec.max_pos:
-            raise CapacityError(f"the run decodes position {reach - 1}, past max_pos "
+            raise CapacityError(f"the run may decode position {reach - 1}, past max_pos "
                                 f"{self.target_spec.max_pos}")
         t_start = time.perf_counter()
         tspec, tw = self.target_spec, self.target_weights
@@ -161,16 +165,15 @@ class Session:
         target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
                                                         capacity, self.policy)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
-        fallback_row = out.last_layer_attn[-1]
+        # The rows retrieval reads: this step's, and the last commit's.
+        row = last_row = out.last_layer_attn[-1]
         prefill_s = time.perf_counter() - t0
 
-        prefix_len = len(prompt) - 1  # chunked document prefix, both caches
         retr = None
         if isinstance(self.policy, RetrievalPolicy):
-            retr = RetrievalState.from_policy(self.policy)
+            retr = RetrievalState(self.policy)
 
         committed = list(prompt)
-        scores = extract_scores(fallback_row, prefix_len)
         steps: list[StepReport] = []
         proposals: list[ProposalLog] = []
         entropy_accept: list[tuple[float, bool]] = []
@@ -183,9 +186,9 @@ class Session:
             t0 = time.perf_counter()
             updated = False
             if retr is not None:
-                updated = maybe_update(retr, scores, draft_cache)
+                updated = maybe_update(retr, row, draft_cache)
                 if updated:
-                    bound = self.policy.prefix_rows(prefix_len)
+                    bound = self.policy.prefix_rows(draft_cache.prefix_len)
                     if draft_cache.generation_boundary > bound:
                         raise InternalError(
                             f"draft prefix cache {draft_cache.generation_boundary} "
@@ -222,30 +225,28 @@ class Session:
                                    kv_chunk=self.hta_chunk)
             verify_ms = (time.perf_counter() - t0) * 1e3
 
-            commits = outc.committed
-            committed.extend(commits)
+            walk = outc.walk
+            committed.extend(walk.committed)
             root_dist = outc.next_root_dist
 
             # Roll the draft cache back to the committed world, keeping the
             # accepted tokens' rows.
             if self.drafting == "tree":
-                keep_path(draft_cache, tree, outc.accepted_tokens)
-            draft_cache.truncate(n_before + outc.accepted_count)
+                keep_path(draft_cache, tree, walk.accepted)
+            draft_cache.truncate(n_before + len(walk.accepted))
             if isinstance(self.policy, StreamingPolicy):
                 draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
 
-            row = (outc.last_accepted_attn_row
-                   if outc.accepted_count >= 1 else fallback_row)
-            scores = extract_scores(row, prefix_len)
-            fallback_row = outc.last_committed_attn_row
+            row = outc.last_accepted_attn_row if walk.accepted else last_row
+            last_row = outc.last_committed_attn_row
 
             # Metrics bookkeeping.
             div = []
-            for lvl in outc.levels:
+            for lvl in walk.levels:
                 entropy_accept.append((shannon_entropy(lvl.target_dist), lvl.accepted))
                 if lvl.proposal_dist is not None:
                     div.append(natural_divergence(lvl.proposal_dist, lvl.target_dist))
-            for i, lvl in enumerate(outc.levels):
+            for i, lvl in enumerate(walk.levels):
                 if lvl.first_candidate is None or lvl.draft_logits is None:
                     continue
                 pos = n_before - len(prompt) + i
@@ -256,7 +257,7 @@ class Session:
                     metric_prob=float(metric[lvl.committed])))
 
             steps.append(StepReport(
-                step=step_idx, drafted=drafted_n, accepted=outc.accepted_count,
+                step=step_idx, drafted=drafted_n, accepted=len(walk.accepted),
                 tree_nodes=tree_nodes, retrieval_update=updated,
                 draft_ms=draft_ms, verify_ms=verify_ms,
                 update_ms=update_ms, divergence=div))

@@ -23,8 +23,6 @@ from .tasks import NeedleTask, cyclic_filler, loop_doc_task, standard_needle
 class ExperimentRun:
     report: RunReport
     result: SessionResult
-    task: NeedleTask | None
-    output_tokens: list[int]
 
 
 def build_models(cfg: RunConfig) -> tuple[ModelSpec, Weights]:
@@ -87,5 +85,4 @@ def run_experiment(cfg: RunConfig) -> ExperimentRun:
     report = build_report(config_dict(cfg), result, expected)
     if cfg.out:
         emit_report(report, result.steps, cfg.out)
-    return ExperimentRun(report=report, result=result, task=task,
-                         output_tokens=result.output_tokens)
+    return ExperimentRun(report=report, result=result)

@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
+HARD_QUANTILE = 0.90  # entropy quantile where the hard bucket starts
+
 
 def natural_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """1 - sum(min(p, q)): the rejection-governing distance in [0, 1]."""
@@ -26,9 +28,8 @@ def shannon_entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def buckets_from_entropies(entropies, accepted,
-                           hard_quantile: float = 0.90) -> dict[str, float | None]:
-    """Acceptance rate split at the sort-based entropy quantile.
+def buckets_from_entropies(entropies, accepted) -> dict[str, float | None]:
+    """Acceptance rate split at the sort-based ``HARD_QUANTILE`` of entropy.
 
     Entropies at or above the threshold are hard, except that zero-entropy
     tokens are always easy: a degenerate distribution carries no
@@ -40,9 +41,7 @@ def buckets_from_entropies(entropies, accepted,
         raise ShapeError("entropies and acceptance flags disagree in length")
     if n < 10:
         raise ParameterError(f"need at least 10 samples, got {n}")
-    if not 0 < hard_quantile < 1:
-        raise ParameterError(f"hard_quantile must be in (0, 1), got {hard_quantile}")
-    threshold = float(np.sort(entropies)[min(math.floor(hard_quantile * n), n - 1)])
+    threshold = float(np.sort(entropies)[min(math.floor(HARD_QUANTILE * n), n - 1)])
     hard_mask = (entropies >= threshold) & (entropies > 0)
     flags = np.asarray(accepted, dtype=bool)
     out: dict[str, float | None] = {}
@@ -102,8 +101,8 @@ def needle_metrics(proposals: list[ProposalLog], output_tokens: list[int],
     )
 
 
-def tau_from_counts(accepted_counts: list[int]) -> float:
+def tau_from_counts(accepted: list[int]) -> float:
     """Mean committed tokens per step: accepted plus the correction/bonus."""
-    if not accepted_counts:
+    if not accepted:
         raise ParameterError("tau requires at least one step")
-    return float(np.mean([a + 1 for a in accepted_counts]))
+    return float(np.mean([a + 1 for a in accepted]))

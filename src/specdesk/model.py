@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,14 +62,6 @@ class ModelSpec:
     @property
     def d_mlp(self) -> int:
         return MLP_FACTOR * self.d_model
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "d_model": self.d_model, "d_head": self.d_head,
-            "vocab": self.vocab, "max_pos": self.max_pos,
-            "rope_base": self.rope_base,
-        }
 
 
 @dataclass
@@ -339,18 +331,8 @@ def derive_draft(spec: ModelSpec, weights: Weights, keep_layers: int) -> tuple[M
         raise ParameterError(
             f"draft_layers must be in [1, {spec.n_layers - 1}], got {keep_layers}"
         )
-    draft_spec = ModelSpec(
-        n_layers=keep_layers, n_heads=spec.n_heads, d_model=spec.d_model,
-        d_head=spec.d_head, vocab=spec.vocab, max_pos=spec.max_pos,
-        rope_base=spec.rope_base,
-    )
-    draft_weights = Weights(
-        embed=weights.embed,
-        layers=weights.layers[:keep_layers],
-        final_gain=weights.final_gain,
-        unembed=weights.unembed,
-    )
-    return draft_spec, draft_weights
+    return (replace(spec, n_layers=keep_layers),
+            replace(weights, layers=weights.layers[:keep_layers]))
 
 
 def next_token_dist(logits_row: np.ndarray, temperature: float) -> np.ndarray:
@@ -392,7 +374,7 @@ def save_weights(path: str, spec: ModelSpec, weights: Weights) -> None:
     for name, arr in items:
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size * 8
-    header = json.dumps({"spec": spec.to_dict(), "tensors": directory},
+    header = json.dumps({"spec": asdict(spec), "tensors": directory},
                         sort_keys=True, separators=(",", ":"))
     try:
         with open(path, "wb") as f:

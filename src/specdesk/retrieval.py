@@ -1,10 +1,12 @@
 """Retrieval controller for the draft cache.
 
-The target model's last-layer attention row over the input prefix is
-averaged per fixed-size chunk; the top-k chunks (ties broken toward the
-lower index) and the first ``sink`` rows are what the draft holds, read
-back from the target's cache. Updates run on the first step after
-prefill and then every ``frequency`` steps.
+A retrieval draft holds what the target's attention points at. The
+target's head-averaged last-layer attention row is sliced to the draft's
+prompt prefix and renormalized (``extract_scores``), then averaged per
+fixed-size chunk; the top-k chunks (ties broken toward the lower index)
+and the first ``sink`` rows are what the draft holds, read back from the
+target's cache. Updates run on the first step after prefill and then every
+``frequency`` steps; the row is read only when an update is due.
 """
 
 from __future__ import annotations
@@ -14,23 +16,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import KVCache, RetrievalPolicy
-from .errors import ParameterError, StateError
+from .errors import ParameterError, ShapeError, StateError
 
 
 @dataclass
 class RetrievalState:
-    chunk_size: int
-    top_k: int
-    frequency: int
-    sink: int = 0
-    steps_since_update: int = 0
-    last_selection: np.ndarray | None = None
-    primed: bool = False  # becomes True once the post-prefill update has run
+    """One retrieval draft's schedule and last selection."""
 
-    @classmethod
-    def from_policy(cls, policy: RetrievalPolicy) -> "RetrievalState":
-        return cls(chunk_size=policy.chunk_size, top_k=policy.top_k,
-                   frequency=policy.frequency, sink=policy.sink)
+    policy: RetrievalPolicy
+    last_selection: np.ndarray | None = None
+    countdown: int = 0  # steps until the next update; 0 means due now
+
+    def __post_init__(self):
+        if not isinstance(self.policy, RetrievalPolicy):
+            raise ParameterError(f"retrieval needs a RetrievalPolicy, got {self.policy!r}")
+
+    @property
+    def chunk_size(self) -> int:
+        return self.policy.chunk_size
+
+
+def extract_scores(attn_row: np.ndarray, prefix_len: int) -> np.ndarray:
+    """Slice an attention row to the prefix positions and renormalize."""
+    if attn_row is None:
+        raise StateError("attention scores were not captured")
+    if prefix_len < 1 or prefix_len > attn_row.shape[-1]:
+        raise ShapeError(f"prefix length {prefix_len} out of range for row "
+                         f"of {attn_row.shape[-1]}")
+    s = np.asarray(attn_row[:prefix_len], dtype=np.float64)
+    total = s.sum()
+    if total <= 0:
+        # No mass on the prefix: fall back to uniform so selection stays defined.
+        return np.full(prefix_len, 1.0 / prefix_len)
+    return s / total
 
 
 def chunk_scores(s: np.ndarray, chunk_size: int) -> np.ndarray:
@@ -87,22 +105,16 @@ def select_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def maybe_update(state: RetrievalState, s: np.ndarray | None, cache: KVCache) -> bool:
-    """Run a cache update when due; otherwise just advance the counter.
-
-    Updates fire on the first step after prefill and whenever
-    ``steps_since_update + 1 == frequency``.
-    """
-    due = (not state.primed) or (state.steps_since_update + 1 == state.frequency)
-    if not due:
-        state.steps_since_update += 1
+def maybe_update(state: RetrievalState, row: np.ndarray | None, cache: KVCache) -> bool:
+    """Reselect the draft's prefix rows from the attention ``row`` when an
+    update is due; otherwise count down. Returns whether it updated."""
+    if state.countdown:
+        state.countdown -= 1
         return False
-    if s is None:
-        raise StateError("retrieval update due but no attention scores available")
-    scores = chunk_scores(s, state.chunk_size)
-    selection = select_top_k(scores, state.top_k)
-    cache.hold_prefix(chunk_rows(selection, state.chunk_size, cache.prefix_len, state.sink))
+    policy = state.policy
+    scores = chunk_scores(extract_scores(row, cache.prefix_len), policy.chunk_size)
+    selection = select_top_k(scores, policy.top_k)
+    cache.hold_prefix(chunk_rows(selection, policy.chunk_size, cache.prefix_len, policy.sink))
     state.last_selection = selection
-    state.steps_since_update = 0
-    state.primed = True
+    state.countdown = policy.frequency - 1
     return True

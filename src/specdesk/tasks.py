@@ -27,14 +27,15 @@ RECALL_ID = 16
 NEEDLE_ALPHABET = list(range(17, 32))
 
 
-def cyclic_filler(length: int, seed: int, vocab: int = FILLER_VOCAB) -> np.ndarray:
-    """Seeded permutation cycle: every token has one global successor."""
-    if length < 1 or vocab < 2:
-        raise ParameterError("filler needs length >= 1 and vocab >= 2")
+def cyclic_filler(length: int, seed: int) -> np.ndarray:
+    """Seeded permutation cycle over the filler region: every token has one
+    global successor."""
+    if length < 1:
+        raise ParameterError("filler needs length >= 1")
     rng = Rng(seed)
-    cycle = rng.permutation(vocab)
-    phase = rng.integers(0, vocab)
-    reps = -(-(length + phase) // vocab)
+    cycle = rng.permutation(FILLER_VOCAB)
+    phase = rng.integers(0, FILLER_VOCAB)
+    reps = -(-(length + phase) // FILLER_VOCAB)
     return np.tile(cycle, reps)[phase:phase + length].astype(np.int64)
 
 
@@ -43,11 +44,10 @@ class NeedleTask:
     tokens: np.ndarray  # full prompt
     span: tuple[int, int]  # planted needle location [start, end)
     expected: list[int]  # correct continuation after the query
-    query: list[int]
 
 
-def gen_needle_task(filler_vocab: int, total_len: int, needle: list[int],
-                    needle_pos: int, query: list[int], seed: int) -> NeedleTask:
+def gen_needle_task(total_len: int, needle: list[int], needle_pos: int,
+                    query: list[int], seed: int) -> NeedleTask:
     """Plant a needle in seeded filler and end the prompt with the query.
 
     The query is the needle's head, so the expected continuation is the
@@ -64,11 +64,11 @@ def gen_needle_task(filler_vocab: int, total_len: int, needle: list[int],
             f"needle [{needle_pos}, {needle_pos + len(needle)}) does not fit "
             f"before the query in a {total_len}-token prompt"
         )
-    tokens = cyclic_filler(total_len, seed, filler_vocab)
+    tokens = cyclic_filler(total_len, seed)
     tokens[needle_pos:needle_pos + len(needle)] = needle
     tokens[total_len - len(query):] = query
     return NeedleTask(tokens=tokens, span=(needle_pos, needle_pos + len(needle)),
-                      expected=needle[len(query):], query=query)
+                      expected=needle[len(query):])
 
 
 def standard_needle(total_len: int, seed: int, body_len: int = 12,
@@ -82,8 +82,7 @@ def standard_needle(total_len: int, seed: int, body_len: int = 12,
     needle = [RECALL_ID] + body
     if needle_pos is None:
         needle_pos = (total_len * 3 // 8) // 32 * 32  # chunk-aligned, mid-document
-    return gen_needle_task(FILLER_VOCAB, total_len, needle, needle_pos,
-                           query=[RECALL_ID], seed=seed)
+    return gen_needle_task(total_len, needle, needle_pos, query=[RECALL_ID], seed=seed)
 
 
 def loop_doc_task(total_len: int, seed: int, loop_len: int = 15,
@@ -103,8 +102,7 @@ def loop_doc_task(total_len: int, seed: int, loop_len: int = 15,
     needle = [RECALL_ID] + body + body + body[:half]
     if needle_pos is None:
         needle_pos = (total_len * 3 // 8) // 32 * 32
-    task = gen_needle_task(FILLER_VOCAB, total_len, needle, needle_pos,
-                           query=[RECALL_ID], seed=seed)
+    task = gen_needle_task(total_len, needle, needle_pos, query=[RECALL_ID], seed=seed)
     # Greedy continuation loops the body forever.
     reps = 8
     task.expected = (body * reps)[:loop_len * 2]

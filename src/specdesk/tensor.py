@@ -27,10 +27,10 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        seed = int(seed)
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
+        self._gen = np.random.Generator(np.random.PCG64(seed))
 
     @property
     def generator(self) -> np.random.Generator:

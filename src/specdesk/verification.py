@@ -1,5 +1,5 @@
 """Target-side verification: lossless accept/reject/correct over a draft
-tree, hybrid chunked+tree attention, and attention-score extraction.
+tree, and hybrid chunked+tree attention.
 
 There is one walk and one verify decode. A drafted chain is verified as its
 path tree (``drafting.chain_tree``), whose mask is the causal mask.
@@ -22,7 +22,7 @@ cache position set equal to the committed tokens after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +44,6 @@ class LevelRecord:
     committed: int
     accepted: bool
     draft_logits: np.ndarray | None = None  # raw draft logits at this level
-
-
-@dataclass
-class VerifyOutcome:
-    accepted_tokens: list[int]
-    accepted_count: int
-    correction_token: int | None
-    bonus_token: int | None
-    last_accepted_attn_row: np.ndarray | None
-    last_committed_attn_row: np.ndarray | None
-    next_root_dist: np.ndarray
-    levels: list[LevelRecord] = field(default_factory=list)
-
-    def __post_init__(self):
-        if (self.correction_token is None) == (self.bonus_token is None):
-            raise InternalError("exactly one of correction/bonus must be present")
-
-    @property
-    def committed(self) -> list[int]:
-        extra = self.correction_token if self.correction_token is not None else self.bonus_token
-        return self.accepted_tokens + [extra]
 
 
 # -- accept / residual machinery ----------------------------------------------
@@ -109,6 +88,14 @@ class WalkResult:
     correction: int | None
     bonus: int | None
     levels: list[LevelRecord]
+
+    def __post_init__(self):
+        if (self.correction is None) == (self.bonus is None):
+            raise InternalError("exactly one of correction/bonus must be present")
+
+    @property
+    def committed(self) -> list[int]:
+        return self.accepted + [self.bonus if self.correction is None else self.correction]
 
 
 def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
@@ -161,6 +148,16 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
     return WalkResult(accepted, correction, bonus, levels)
 
 
+@dataclass
+class VerifyOutcome:
+    """The walk, and what the commit pass over its tokens adds."""
+
+    walk: WalkResult
+    next_root_dist: np.ndarray
+    last_accepted_attn_row: np.ndarray | None  # None when nothing was accepted
+    last_committed_attn_row: np.ndarray
+
+
 # -- verify ---------------------------------------------------------------------
 
 def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
@@ -204,8 +201,7 @@ def _commit(spec: ModelSpec, weights: Weights, cache: KVCache,
             temperature: float, kv_chunk: int | None) -> VerifyOutcome:
     """Roll back speculation, append the committed tokens with score capture."""
     cache.truncate(committed_before)
-    extra = walk.correction if walk.correction is not None else walk.bonus
-    commit_tokens = walk.accepted + [extra]
+    commit_tokens = walk.committed
     out = decode_step(spec, weights, commit_tokens, cache,
                       positions=np.arange(committed_before,
                                           committed_before + len(commit_tokens)),
@@ -213,30 +209,11 @@ def _commit(spec: ModelSpec, weights: Weights, cache: KVCache,
     attn_rows = out.last_layer_attn
     a = len(walk.accepted)
     return VerifyOutcome(
-        accepted_tokens=walk.accepted,
-        accepted_count=a,
-        correction_token=walk.correction,
-        bonus_token=walk.bonus,
+        walk=walk,
+        next_root_dist=next_token_dist(out.logits[-1], temperature),
         last_accepted_attn_row=attn_rows[a - 1].copy() if a >= 1 else None,
         last_committed_attn_row=attn_rows[-1].copy(),
-        next_root_dist=next_token_dist(out.logits[-1], temperature),
-        levels=walk.levels,
     )
-
-
-def extract_scores(attn_row: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Slice an attention row to the prefix positions and renormalize."""
-    if attn_row is None:
-        raise StateError("attention scores were not captured")
-    if prefix_len < 1 or prefix_len > attn_row.shape[-1]:
-        raise ShapeError(f"prefix length {prefix_len} out of range for row "
-                         f"of {attn_row.shape[-1]}")
-    s = np.asarray(attn_row[:prefix_len], dtype=np.float64)
-    total = s.sum()
-    if total <= 0:
-        # No mass on the prefix: fall back to uniform so selection stays defined.
-        return np.full(prefix_len, 1.0 / prefix_len)
-    return s / total
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

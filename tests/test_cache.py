@@ -271,6 +271,14 @@ class TestRetrievalRebuild:
         c.truncate(12)
         assert c.world_len == 12
 
+    def test_the_source_prefix_must_be_positions_from_zero(self):
+        source = make_cache(n_layers=3)
+        append_tokens(source, [0, 1, 2, 4])
+        assert KVCache.seeded(source, 2, 3, capacity=8).world_len == 3
+        for rows in (4, 5):  # a gap at position 3; past the held rows
+            with pytest.raises(OrderingError):
+                KVCache.seeded(source, 2, rows, capacity=8)
+
     def test_rebuild_needs_a_source(self):
         c = make_cache()
         append_tokens(c, list(range(12)))

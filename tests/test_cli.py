@@ -8,9 +8,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from specdesk import harness
+from specdesk import engine, harness
 from specdesk.cli import main
-from specdesk.config import RunConfig
+from specdesk.config import RunConfig, parse_config
+from specdesk.errors import CapacityError
 from specdesk.model import load_weights
 
 
@@ -143,6 +144,23 @@ def test_run_rejects_a_size_that_can_never_run(overrides, message, capsys):
     assert main(["run", "prompt_len=64", "gen_tokens=4", *overrides]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [["gen_tokens=56", "k=4"],
+                                       ["drafting=tree", "gen_tokens=50"]])
+def test_a_run_that_may_pass_max_pos_is_refused_before_prefill(overrides, capsys,
+                                                                monkeypatch):
+    # 200 + 56 + k 4, or 200 + 50 + the default tree's depth 10: the last
+    # step may decode position 259.
+    monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
+    argv = ["run", "model=random", "vocab=16", "task=cycle", "n_layers=2",
+            "draft_layers=1", "d_head=8", "max_pos=256", "prompt_len=200",
+            "policy=full", *overrides]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "position 259, past max_pos 256" in err and "Traceback" not in err
+    with pytest.raises(CapacityError):
+        harness.run_experiment(parse_config(overrides=argv[1:]))
 
 
 def test_run_rejects_a_report_path_that_is_a_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specdesk import engine
+from specdesk import engine, retrieval
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget
 from specdesk.engine import Session, greedy_reference, prefill_caches
@@ -45,6 +45,32 @@ class TestGreedyLosslessness:
                            budget=TreeBudget(10, 4, 0.5))
         result = sess.run(PROMPT, 48)
         assert result.output_tokens == reference
+
+    @pytest.mark.parametrize("policy", [FullPolicy(), StreamingPolicy(sink=2, recent=6)])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_only_retrieval_reads_attention_scores(self, monkeypatch, policy, drafting):
+        def unused(*args):
+            raise AssertionError("scores extracted for a draft without retrieval")
+
+        monkeypatch.setattr(retrieval, "extract_scores", unused)
+        spec, w = target_model(seed=11)
+        sess = session_for(spec, w, policy, drafting=drafting, budget=TreeBudget(10, 4, 0.5))
+        assert sess.run(PROMPT, 48).output_tokens == greedy_reference(spec, w, PROMPT, 48)
+
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_retrieval_reads_scores_only_when_it_updates(self, monkeypatch, drafting):
+        calls = []
+        real = retrieval.extract_scores
+        monkeypatch.setattr(retrieval, "extract_scores",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        spec, w = target_model(seed=11)
+        sess = session_for(spec, w, RetrievalPolicy(chunk_size=4, top_k=2, frequency=3),
+                           drafting=drafting, budget=TreeBudget(10, 4, 0.5))
+        result = sess.run(PROMPT, 48)
+        updates = [s.retrieval_update for s in result.steps]
+        assert updates == [i % 3 == 0 for i in range(len(updates))]
+        assert calls == [len(PROMPT) - 1] * sum(updates)
+        assert result.output_tokens == greedy_reference(spec, w, PROMPT, 48)
 
     def test_full_vs_retrieval_same_output_different_tau(self):
         spec, w = target_model(seed=23, vocab=31)
@@ -323,17 +349,37 @@ class TestRunBoundary:
             sess = session_for(spec, w, FullPolicy(), hta_chunk=hta_chunk)
             assert sess.run(PROMPT, 8).output_tokens == greedy_reference(spec, w, PROMPT, 8)
 
-    @pytest.mark.parametrize("drafting, gen, k", [
-        ("chain", 1024 - 15, 4),  # the last commit decodes position 16 + gen - 1
-        ("tree", 1024 - 15, 4),
-        ("chain", 4, 1024 - 15),  # a chain's first verify decodes 16 + k - 1
-    ])
-    def test_a_run_past_max_pos_fails_before_prefill(self, monkeypatch, drafting, gen, k):
+    # The last step may start at 16 + gen - 1 committed tokens and commit its
+    # deepest draft plus the bonus: k for a chain, 10 for the default tree.
+    @pytest.mark.parametrize("drafting, gen, k, position", [
+        ("chain", 1024 - 15, 4, 1028),
+        ("tree", 1024 - 15, 4, 1034),
+        ("chain", 4, 1024 - 15, 1028),
+    ], ids=["chain-1009-4", "tree-1009-4", "chain-4-1009"])
+    def test_a_run_past_max_pos_fails_before_prefill(self, monkeypatch, drafting, gen, k,
+                                                     position):
         spec, w = target_model()  # max_pos 1024
         monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
         sess = session_for(spec, w, FullPolicy(), drafting=drafting, k=k)
-        with pytest.raises(CapacityError, match="position 1024, past max_pos 1024"):
+        with pytest.raises(CapacityError, match=f"position {position}, past max_pos 1024"):
             sess.run(PROMPT, gen)
+
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_the_max_pos_bound_is_the_worst_case(self, monkeypatch, drafting):
+        # A self-draft at temperature 0 commits 5 tokens a step (k = 4, or a
+        # tree 4 deep), so with gen 46 the last step starts at 16 + 45 and
+        # decodes position 16 + 45 + 4 = 65, the last below max_pos 66.
+        spec, w = target_model(seed=17, max_pos=66)
+        sess = Session(spec, w, spec, w, policy=FullPolicy(), drafting=drafting, k=4,
+                       budget=TreeBudget(6, 4, 0.5))
+        result = sess.run(PROMPT, 46)
+        assert [s.accepted for s in result.steps] == [4] * 10
+        assert result.output_tokens == greedy_reference(spec, w, PROMPT, 46)
+        short = dataclasses.replace(spec, max_pos=65)
+        monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
+        with pytest.raises(CapacityError, match="position 65, past max_pos 65"):
+            Session(short, w, short, w, policy=FullPolicy(), drafting=drafting, k=4,
+                    budget=TreeBudget(6, 4, 0.5)).run(PROMPT, 46)
 
 
 class TestGreedyReference:

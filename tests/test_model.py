@@ -413,6 +413,29 @@ class TestWeightFiles:
         save_weights(str(second), spec, loaded)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_header_line_is_pinned(self, tmp_path):
+        # The header a small random spec's file has always had.
+        spec = ModelSpec(n_layers=1, n_heads=2, d_model=4, d_head=2, vocab=3,
+                         max_pos=64, rope_base=500.0)
+        path = tmp_path / "m.bin"
+        save_weights(str(path), spec, random_weights(spec, 3))
+        head, payload = path.read_bytes().split(b"\n", 1)
+        assert head == (
+            b'{"spec":{"d_head":2,"d_model":4,"max_pos":64,"n_heads":2,"n_layers":1,'
+            b'"rope_base":500.0,"vocab":3},"tensors":['
+            b'{"name":"embed","offset":0,"shape":[3,4]},'
+            b'{"name":"layers.0.wq","offset":96,"shape":[4,4]},'
+            b'{"name":"layers.0.wk","offset":224,"shape":[4,4]},'
+            b'{"name":"layers.0.wv","offset":352,"shape":[4,4]},'
+            b'{"name":"layers.0.wo","offset":480,"shape":[4,4]},'
+            b'{"name":"layers.0.w_in","offset":608,"shape":[4,16]},'
+            b'{"name":"layers.0.w_out","offset":1120,"shape":[16,4]},'
+            b'{"name":"layers.0.attn_gain","offset":1632,"shape":[4]},'
+            b'{"name":"layers.0.mlp_gain","offset":1664,"shape":[4]},'
+            b'{"name":"final_gain","offset":1696,"shape":[4]},'
+            b'{"name":"unembed","offset":1728,"shape":[4,3]}]}')
+        assert len(payload) == 1824
+
     def test_same_seed_byte_identical(self, tmp_path):
         spec, _ = small_model()
         from specdesk.modelgen import gen_model

@@ -3,8 +3,8 @@ import pytest
 
 from specdesk.cache import KVCache, RetrievalPolicy
 from specdesk.errors import ParameterError, StateError
-from specdesk.retrieval import (RetrievalState, chunk_rows, chunk_scores, maybe_update,
-                                select_top_k)
+from specdesk.retrieval import (RetrievalState, chunk_rows, chunk_scores, extract_scores,
+                                maybe_update, select_top_k)
 from specdesk.tensor import Rng
 
 
@@ -104,23 +104,23 @@ def _cache_with_prefix(n):
 class TestMaybeUpdate:
     def test_frequency_one_updates_every_step(self):
         c = _cache_with_prefix(16)
-        st = RetrievalState(chunk_size=4, top_k=2, frequency=1)
+        st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=1))
         s = np.full(16, 1 / 16)
         assert all(maybe_update(st, s, c) for _ in range(5))
 
     def test_frequency_four_updates_on_steps_1_5_9(self):
         c = _cache_with_prefix(16)
-        st = RetrievalState(chunk_size=4, top_k=2, frequency=4)
+        st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=4))
         s = np.full(16, 1 / 16)
         fired = [maybe_update(st, s, c) for _ in range(12)]
         assert fired == [True, False, False, False,
                          True, False, False, False,
                          True, False, False, False]
-        assert 0 <= st.steps_since_update < st.frequency
+        assert 0 <= st.countdown < st.policy.frequency
 
     def test_idempotent_selection(self):
         c = _cache_with_prefix(16)
-        st = RetrievalState(chunk_size=4, top_k=2, frequency=1)
+        st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=1))
         s = np.array([0.0] * 4 + [0.5] * 4 + [0.0] * 4 + [0.5] * 4) / 4
         maybe_update(st, s, c)
         first = c.layer_view(0)[2].tolist()
@@ -129,7 +129,15 @@ class TestMaybeUpdate:
 
     def test_missing_scores_is_state_error(self):
         c = _cache_with_prefix(8)
-        st = RetrievalState(chunk_size=4, top_k=1, frequency=1)
+        st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=1, frequency=1))
+        with pytest.raises(StateError):
+            maybe_update(st, None, c)
+
+    def test_a_step_without_an_update_does_not_read_the_row(self):
+        c = _cache_with_prefix(8)
+        st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=1, frequency=3))
+        assert maybe_update(st, np.full(8, 1 / 8), c)
+        assert not maybe_update(st, None, c) and not maybe_update(st, None, c)
         with pytest.raises(StateError):
             maybe_update(st, None, c)
 
@@ -138,13 +146,42 @@ class TestMaybeUpdate:
         rng = Rng(4)
         for prefix_len in (100, 1000, 5000):
             c = _cache_with_prefix(prefix_len)
-            st = RetrievalState(chunk_size=32, top_k=8, frequency=1)
+            st = RetrievalState(RetrievalPolicy(chunk_size=32, top_k=8, frequency=1))
             s = rng.generator.random(prefix_len)
             s /= s.sum()
             maybe_update(st, s, c)
             assert c.generation_boundary <= 32 * 8
 
-    def test_from_policy(self):
-        st = RetrievalState.from_policy(
-            RetrievalPolicy(chunk_size=32, top_k=32, frequency=4, sink=3))
-        assert (st.chunk_size, st.top_k, st.frequency, st.sink) == (32, 32, 4, 3)
+    def test_state_holds_a_validated_policy(self):
+        policy = RetrievalPolicy(chunk_size=32, top_k=32, frequency=4, sink=3)
+        st = RetrievalState(policy)
+        assert st.policy is policy and st.chunk_size == 32 and st.last_selection is None
+        with pytest.raises(ParameterError):
+            RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=0))
+        for not_a_policy in (None, (4, 2, 1, 0)):
+            with pytest.raises(ParameterError):
+                RetrievalState(not_a_policy)
+
+    @pytest.mark.parametrize("extra", [0, 7])  # the row may run past the prefix
+    @pytest.mark.parametrize("sink", [0, 3])
+    def test_a_raw_row_selects_the_top_chunks_of_its_prefix_scores(self, extra, sink):
+        rng = np.random.default_rng(11 + extra + sink)
+        for n in (1, 5, 16, 37):
+            c = _cache_with_prefix(n)
+            policy = RetrievalPolicy(chunk_size=4, top_k=2, frequency=1, sink=sink)
+            st = RetrievalState(policy)
+            row = rng.random((3, n + extra)).mean(axis=0)  # a head-averaged row
+            row /= row.sum()
+            assert maybe_update(st, row, c)
+            want = select_top_k(chunk_scores(extract_scores(row, n), 4), 2)
+            assert st.last_selection.tolist() == want.tolist()
+            assert c.layer_view(0)[2].tolist() == chunk_rows(want, 4, n, sink).tolist()
+
+    def test_a_row_without_prefix_mass_selects_uniformly(self):
+        c = _cache_with_prefix(16)
+        st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=1))
+        row = np.r_[np.zeros(16), 1.0]  # all mass past the prefix
+        assert maybe_update(st, row, c)
+        # Uniform scores tie every chunk; ties go to the lower index.
+        assert st.last_selection.tolist() == [0, 1]
+        assert c.layer_view(0)[2].tolist() == list(range(8))

@@ -12,24 +12,24 @@ from specdesk.tasks import (FILLER_VOCAB, RECALL_ID, cyclic_filler,
 
 class TestGenerators:
     def test_needle_at_zero(self):
-        task = gen_needle_task(16, 64, [16, 20, 21], 0, [16], seed=0)
+        task = gen_needle_task(64, [16, 20, 21], 0, [16], seed=0)
         assert task.span == (0, 3)
         assert task.tokens[:3].tolist() == [16, 20, 21]
 
     def test_determinism(self):
-        a = gen_needle_task(16, 128, [16, 20, 21, 22], 40, [16], seed=5)
-        b = gen_needle_task(16, 128, [16, 20, 21, 22], 40, [16], seed=5)
+        a = gen_needle_task(128, [16, 20, 21, 22], 40, [16], seed=5)
+        b = gen_needle_task(128, [16, 20, 21, 22], 40, [16], seed=5)
         assert np.array_equal(a.tokens, b.tokens)
-        c = gen_needle_task(16, 128, [16, 20, 21, 22], 40, [16], seed=6)
+        c = gen_needle_task(128, [16, 20, 21, 22], 40, [16], seed=6)
         assert not np.array_equal(a.tokens, c.tokens)
 
     def test_overflow_rejected(self):
         with pytest.raises(ParameterError):
-            gen_needle_task(16, 32, [16, 20, 21], 31, [16], seed=0)
+            gen_needle_task(32, [16, 20, 21], 31, [16], seed=0)
 
     def test_query_is_prefix(self):
         with pytest.raises(ParameterError):
-            gen_needle_task(16, 64, [16, 20], 0, [20], seed=0)
+            gen_needle_task(64, [16, 20], 0, [20], seed=0)
 
     def test_filler_is_cyclic_and_in_range(self):
         f = cyclic_filler(100, seed=3)

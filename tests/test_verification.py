@@ -11,11 +11,11 @@ from specdesk.errors import InternalError, ShapeError, StateError
 from specdesk.metrics import natural_divergence
 from specdesk.model import ModelSpec, decode_step, next_token_dist, prefill
 from specdesk.modelgen import random_weights
+from specdesk.retrieval import extract_scores
 from specdesk.tensor import Rng, draw, sample_categorical
 from specdesk.verification import (LevelRecord, WalkResult, accept_probability,
-                                   extract_scores, hybrid_attention,
-                                   residual_after_reject, verify_chain,
-                                   verify_tree, walk_tree)
+                                   hybrid_attention, residual_after_reject,
+                                   verify_chain, verify_tree, walk_tree)
 
 
 def small_model(seed=0, vocab=8, n_layers=1):
@@ -183,8 +183,8 @@ class TestChainVerification:
             pos += 1
         draft = ChainDraft(tokens=toks, dists=dists, logits=logs)
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
-        assert out.accepted_count == 3
-        assert out.bonus_token is not None and out.correction_token is None
+        assert len(out.walk.accepted) == 3
+        assert out.walk.bonus is not None and out.walk.correction is None
         # Cache rolled forward to committed tokens only.
         assert cache.layer_view(0)[2].tolist() == list(range(len(prompt) + 4))
 
@@ -198,19 +198,16 @@ class TestChainVerification:
                            dists=[np.eye(spec.vocab)[wrong]],
                            logits=[last_logits])
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
-        assert out.accepted_count == 0
-        assert out.correction_token == int(np.argmax(last_logits))
+        assert len(out.walk.accepted) == 0
+        assert out.walk.correction == int(np.argmax(last_logits))
         assert cache.layer_view(0)[2].tolist() == list(range(4))
 
     def test_outcome_invariant(self):
-        from specdesk.verification import VerifyOutcome
-
-        with pytest.raises(InternalError):
-            VerifyOutcome(accepted_tokens=[], accepted_count=0,
-                          correction_token=1, bonus_token=2,
-                          last_accepted_attn_row=None,
-                          last_committed_attn_row=np.ones(1),
-                          next_root_dist=np.ones(1))
+        for correction, bonus in ((1, 2), (None, None)):
+            with pytest.raises(InternalError):
+                WalkResult(accepted=[], correction=correction, bonus=bonus, levels=[])
+        assert WalkResult([3], None, 2, []).committed == [3, 2]
+        assert WalkResult([3], 1, None, []).committed == [3, 1]
 
 
 def hand_tree(structure, dists, root_pos, vocab):
@@ -390,8 +387,8 @@ class TestVerifyTreeEndToEnd:
         out = verify_tree(spec, w, tcache, tree, root, Rng(0), 0.0)
         # Self-draft at temperature 0: the greedy chain of the tree is the
         # target's own greedy path, so every drafted depth is accepted.
-        assert out.accepted_count == 3
-        assert out.bonus_token is not None
+        assert len(out.walk.accepted) == 3
+        assert out.walk.bonus is not None
         assert tcache.layer_view(0)[2].tolist() == list(range(len(prompt) + 4))
 
     def test_a_tail_without_every_node_is_a_state_error(self):
@@ -415,7 +412,7 @@ class TestVerifyTreeEndToEnd:
         cache, last_logits = prepped(spec, w, prompt)
         out = verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
                           Rng(0), 0.0)
-        assert cache.world_len == len(prompt) + len(out.committed)
+        assert cache.world_len == len(prompt) + len(out.walk.committed)
 
     def test_attention_rows_are_distributions(self):
         spec, w = small_model(seed=33)
