@@ -1,4 +1,8 @@
-"""Command-line entry points: gen-model, run, needle, speedup-model, report."""
+"""Command-line entry points: gen-model, run, needle, speedup-model, report.
+
+``gen-model`` writes the target model that ``run`` builds from the same keys;
+keys that do not concern the model are ignored.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,8 @@ import sys
 
 from .config import parse_config
 from .errors import SpecDeskError
-from .harness import run_experiment
-from .model import ModelSpec
-from .modelgen import gen_model
+from .harness import build_models, run_experiment
+from .model import save_weights
 from .reports import reaggregate, report_json
 from .speedup import SpeedupInputs, speedup_model
 
@@ -24,16 +27,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen_model(args) -> int:
-    spec = None
-    if args.kind == "random":
-        spec = ModelSpec(n_layers=args.layers, n_heads=args.heads,
-                         d_model=args.heads * args.d_head, d_head=args.d_head,
-                         vocab=args.vocab, max_pos=args.max_pos,
-                         rope_base=args.rope_base)
-    out_spec = gen_model(args.out, args.kind, args.seed, spec=spec,
-                         weak_match_mass=args.weak_match_mass)
-    print(f"wrote {args.out}: {out_spec.n_layers} layers, vocab {out_spec.vocab}, "
-          f"d_model {out_spec.d_model}")
+    spec, weights = build_models(parse_config(args.config, args.overrides))
+    save_weights(args.out, spec, weights)
+    print(f"wrote {args.out}: {spec.n_layers} layers, vocab {spec.vocab}, "
+          f"d_model {spec.d_model}")
     return 0
 
 
@@ -82,17 +79,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="specdesk")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-model", help="write a deterministic weight file")
+    p = sub.add_parser("gen-model", help="write the target model `run` builds from "
+                                          "the same keys to a weight file")
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", choices=["random", "copy"], default="copy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--d-head", type=int, default=16)
-    p.add_argument("--vocab", type=int, default=32)
-    p.add_argument("--max-pos", type=int, default=4096)
-    p.add_argument("--rope-base", type=float, default=10000.0)
-    p.add_argument("--weak-match-mass", type=float, default=None)
+    _add_run_args(p)
     p.set_defaults(func=_cmd_gen_model)
 
     p = sub.add_parser("run", help="run one experiment")

@@ -193,19 +193,18 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         return tree.size - 1
 
     # Forced greedy chain: argmax path to min(max_depth, remaining budget).
+    # The cursor never has children, so add_child always adds a node.
     cursor = 0
     while (tree.nodes[cursor].depth < budget.max_depth
            and tree.size < budget.max_nodes):
         if tree.nodes[cursor].dist is None:
             refresh()
         prob, tok = top_children(cursor)[0]
-        nxt = add_child(cursor, tok, prob)
-        if nxt is None:
-            break
-        cursor = nxt
+        cursor = add_child(cursor, tok, prob)
 
-    # Threshold expansion: most probable qualifying node first.
-    expanded: set[int] = set()
+    # Threshold expansion: most probable qualifying node first. Each node is
+    # pushed at most once: the greedy chain's by the first loop below, later
+    # ones when add_child creates them.
     heap: list[tuple[float, int]] = []
 
     def push(idx: int) -> None:
@@ -220,9 +219,6 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         push(idx)
     while heap and tree.size < budget.max_nodes:
         _, idx = heapq.heappop(heap)
-        if idx in expanded:
-            continue
-        expanded.add(idx)
         if tree.nodes[idx].dist is None:
             refresh()
         for prob, tok in top_children(idx):

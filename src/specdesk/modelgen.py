@@ -1,12 +1,11 @@
-"""Deterministic weight generation and weight-file emission."""
+"""Deterministic random weight generation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .copymodel import build_copy_model
-from .errors import ParameterError
-from .model import LayerWeights, ModelSpec, Weights, save_weights
+from .errors import CapacityError
+from .model import LayerWeights, ModelSpec, Weights
 from .tensor import Rng
 
 
@@ -15,40 +14,27 @@ def random_weights(spec: ModelSpec, seed: int) -> Weights:
     g = Rng(seed).generator
     d, m, v = spec.d_model, spec.d_mlp, spec.vocab
     s = 1.0 / np.sqrt(d)
-    layers = []
-    for _ in range(spec.n_layers):
-        layers.append(LayerWeights(
-            wq=g.standard_normal((d, d)) * s,
-            wk=g.standard_normal((d, d)) * s,
-            wv=g.standard_normal((d, d)) * s,
-            wo=g.standard_normal((d, d)) * s,
-            w_in=g.standard_normal((d, m)) * s,
-            w_out=g.standard_normal((m, d)) / np.sqrt(m),
-            attn_gain=np.ones(d),
-            mlp_gain=np.ones(d),
-        ))
-    w = Weights(
-        embed=g.standard_normal((v, d)),
-        layers=layers,
-        final_gain=np.ones(d),
-        unembed=g.standard_normal((d, v)) * s,
-    )
+    try:
+        layers = []
+        for _ in range(spec.n_layers):
+            layers.append(LayerWeights(
+                wq=g.standard_normal((d, d)) * s,
+                wk=g.standard_normal((d, d)) * s,
+                wv=g.standard_normal((d, d)) * s,
+                wo=g.standard_normal((d, d)) * s,
+                w_in=g.standard_normal((d, m)) * s,
+                w_out=g.standard_normal((m, d)) / np.sqrt(m),
+                attn_gain=np.ones(d),
+                mlp_gain=np.ones(d),
+            ))
+        w = Weights(
+            embed=g.standard_normal((v, d)),
+            layers=layers,
+            final_gain=np.ones(d),
+            unembed=g.standard_normal((d, v)) * s,
+        )
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise CapacityError(f"cannot allocate a random model with vocab {v} "
+                            f"and d_model {d}") from None
     w.validate(spec)
     return w
-
-
-def gen_model(path: str, kind: str, seed: int,
-              spec: ModelSpec | None = None,
-              weak_match_mass: float | None = None) -> ModelSpec:
-    """Write a weight file; byte-identical for identical arguments."""
-    if kind == "random":
-        if spec is None:
-            raise ParameterError("random model generation requires a ModelSpec")
-        weights = random_weights(spec, seed)
-    elif kind == "copy":
-        kwargs = {} if weak_match_mass is None else {"weak_match_mass": weak_match_mass}
-        spec, weights = build_copy_model(**kwargs)
-    else:
-        raise ParameterError(f"unknown model kind: {kind!r}")
-    save_weights(path, spec, weights)
-    return spec

@@ -46,29 +46,27 @@ class NeedleTask:
     expected: list[int]  # correct continuation after the query
 
 
-def gen_needle_task(total_len: int, needle: list[int], needle_pos: int,
-                    query: list[int], seed: int) -> NeedleTask:
-    """Plant a needle in seeded filler and end the prompt with the query.
+def gen_needle_task(total_len: int, needle: list[int], needle_pos: int | None,
+                    seed: int) -> NeedleTask:
+    """Plant a needle in seeded filler and end the prompt with the recall id.
 
-    The query is the needle's head, so the expected continuation is the
-    rest of the needle.
+    The needle is the recall id and its body, so the expected continuation
+    is the body. ``needle_pos`` None puts the needle chunk-aligned in the
+    middle of the document.
     """
     needle = [int(t) for t in needle]
-    query = [int(t) for t in query]
-    if not needle or not query:
-        raise ParameterError("needle and query must be non-empty")
-    if len(query) >= len(needle) or needle[:len(query)] != query:
-        raise ParameterError("query must be a proper prefix of the needle")
-    if needle_pos < 0 or needle_pos + len(needle) > total_len - len(query):
+    if needle_pos is None:
+        needle_pos = (total_len * 3 // 8) // 32 * 32
+    if needle_pos < 0 or needle_pos + len(needle) > total_len - 1:
         raise ParameterError(
             f"needle [{needle_pos}, {needle_pos + len(needle)}) does not fit "
             f"before the query in a {total_len}-token prompt"
         )
     tokens = cyclic_filler(total_len, seed)
     tokens[needle_pos:needle_pos + len(needle)] = needle
-    tokens[total_len - len(query):] = query
+    tokens[-1] = RECALL_ID
     return NeedleTask(tokens=tokens, span=(needle_pos, needle_pos + len(needle)),
-                      expected=needle[len(query):])
+                      expected=needle[1:])
 
 
 def standard_needle(total_len: int, seed: int, body_len: int = 12,
@@ -80,9 +78,7 @@ def standard_needle(total_len: int, seed: int, body_len: int = 12,
     rng = Rng(seed ^ 0x5EED)
     body = [NEEDLE_ALPHABET[i] for i in rng.permutation(len(NEEDLE_ALPHABET))[:body_len]]
     needle = [RECALL_ID] + body
-    if needle_pos is None:
-        needle_pos = (total_len * 3 // 8) // 32 * 32  # chunk-aligned, mid-document
-    return gen_needle_task(total_len, needle, needle_pos, query=[RECALL_ID], seed=seed)
+    return gen_needle_task(total_len, needle, needle_pos, seed=seed)
 
 
 def loop_doc_task(total_len: int, seed: int, loop_len: int = 15,
@@ -100,10 +96,6 @@ def loop_doc_task(total_len: int, seed: int, loop_len: int = 15,
     body = [NEEDLE_ALPHABET[i] for i in rng.permutation(len(NEEDLE_ALPHABET))[:loop_len]]
     half = loop_len // 2
     needle = [RECALL_ID] + body + body + body[:half]
-    if needle_pos is None:
-        needle_pos = (total_len * 3 // 8) // 32 * 32
-    task = gen_needle_task(total_len, needle, needle_pos, query=[RECALL_ID], seed=seed)
-    # Greedy continuation loops the body forever.
-    reps = 8
-    task.expected = (body * reps)[:loop_len * 2]
+    task = gen_needle_task(total_len, needle, needle_pos, seed=seed)
+    task.expected = body * 2  # greedy continuation loops the body forever
     return task

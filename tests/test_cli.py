@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -18,8 +19,8 @@ from specdesk.model import load_weights
 def test_gen_model_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     for p in (p1, p2):
-        assert main(["gen-model", "--out", str(p), "--kind", "random",
-                     "--seed", "9", "--layers", "2", "--vocab", "11"]) == 0
+        assert main(["gen-model", "--out", str(p), "model=random", "seed=9",
+                     "n_layers=2", "vocab=11"]) == 0
     assert p1.read_bytes() == p2.read_bytes()
     spec, _ = load_weights(str(p1))
     assert spec.vocab == 11
@@ -27,9 +28,41 @@ def test_gen_model_deterministic(tmp_path, capsys):
 
 def test_gen_model_copy(tmp_path):
     p = tmp_path / "copy.bin"
-    assert main(["gen-model", "--out", str(p), "--kind", "copy"]) == 0
+    assert main(["gen-model", "--out", str(p)]) == 0
     spec, _ = load_weights(str(p))
     assert spec.vocab == 32 and spec.n_layers == 3
+
+
+# The files gen-model has always written for the default copy model and for
+# a seed-9 random model of 2 layers, vocab 11, 2 heads, d_head 16 and
+# max_pos 4096.
+@pytest.mark.parametrize("keys, digest", [
+    ([], "480c9d29964397e8f9d56b1548490bd39fec8ab32d52752cc490729f81920301"),
+    (["model=random", "seed=9", "n_layers=2", "vocab=11", "n_heads=2", "d_head=16",
+      "max_pos=4096"],
+     "d6cf1f219bf6e2ee85aba2307318222a64dbeac757aee73960e545fb79ec63de"),
+])
+def test_gen_model_files_are_pinned(tmp_path, keys, digest):
+    path = tmp_path / "m.bin"
+    # Keys that do not concern the model are ignored.
+    assert main(["gen-model", "--out", str(path), *keys, "policy=full", "k=2"]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("model", [
+    ["model=random", "vocab=32", "n_layers=3", "d_head=8", "max_pos=512"],
+    ["model=copy", "weak_match_mass=100"],
+])
+def test_run_on_a_gen_model_file_matches_run_on_its_keys(tmp_path, model):
+    path = tmp_path / "m.bin"
+    rest = ["task=doc", "prompt_len=256", "gen_tokens=24", "loop_len=10",
+            "chunk_size=8", "top_k=4", "draft_layers=2", "seed=3"]
+    assert main(["gen-model", "--out", str(path), *model, *rest]) == 0
+    built = harness.run_experiment(parse_config(overrides=[*model, *rest]))
+    loaded = harness.run_experiment(parse_config(overrides=[f"model={path}", *rest]))
+    assert loaded.result.output_tokens == built.result.output_tokens
+    assert ([s.accepted for s in loaded.result.steps]
+            == [s.accepted for s in built.result.steps])
 
 
 def test_run_small_cycle(tmp_path, capsys):
@@ -117,12 +150,12 @@ def test_a_bad_policy_or_mode_fails_before_the_work_it_would_waste(monkeypatch, 
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("gen-model --kind random --heads 0 --out {tmp}/m.bin", "n_heads must be >= 1"),
+    ("gen-model --out {tmp}/m.bin model=random n_heads=0", "n_heads must be >= 1"),
     ("run --config {tmp}/absent.cfg", "cannot read config file"),
     ("report {tmp}", "cannot read"),  # a directory without summary.json
     ("run model={tmp} draft_layers=1", "cannot read weight file {tmp}"),
     ("gen-model --out {tmp}", "cannot write weight file {tmp}"),
-    ("gen-model --weak-match-mass 0.5 --out {tmp}/m.bin",
+    ("gen-model --out {tmp}/m.bin weak_match_mass=0.5",
      "weak_match_mass must be finite and >= 1, got 0.5"),
 ])
 def test_rejects_missing_file_or_zero_heads(tmp_path, capsys, argv, message):
@@ -144,6 +177,25 @@ def test_run_rejects_a_size_that_can_never_run(overrides, message, capsys):
     assert main(["run", "prompt_len=64", "gen_tokens=4", *overrides]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "gen-model"])
+@pytest.mark.parametrize("size", [["vocab=1000000000000"],
+                                  ["d_head=100000000000", "n_heads=1"]])
+def test_a_random_model_that_cannot_be_allocated_is_refused(tmp_path, capsys,
+                                                            command, size):
+    # Both sizes fail when the first too-large array is requested, before
+    # any memory is filled: petabytes, or past numpy's size limit.
+    keys = ["model=random", "n_layers=2", "draft_layers=1", "prompt_len=64",
+            "gen_tokens=4", *size]
+    out = ([f"out={tmp_path}/run"] if command == "run"
+           else ["--out", f"{tmp_path}/m.bin"])
+    assert main([command, *out, *keys]) == 2
+    err = capsys.readouterr().err
+    assert "cannot allocate a random model" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(CapacityError):
+        harness.build_models(parse_config(overrides=keys))
 
 
 @pytest.mark.parametrize("overrides", [["gen_tokens=56", "k=4"],
@@ -181,8 +233,8 @@ def test_run_rejects_a_report_path_that_is_a_file(tmp_path, capsys):
 ])
 def test_run_rejects_malformed_weight_header(tmp_path, capsys, old, new, message):
     path = tmp_path / "m.bin"
-    assert main(["gen-model", "--out", str(path), "--kind", "random",
-                 "--layers", "2", "--vocab", "11"]) == 0
+    assert main(["gen-model", "--out", str(path), "model=random", "n_layers=2",
+                 "vocab=11"]) == 0
     header, payload = path.read_bytes().split(b"\n", 1)
     header = new if old is None else header.replace(old, new, 1)
     path.write_bytes(header + b"\n" + payload)
@@ -228,10 +280,10 @@ CAPPED = {
     "gen_tokens": (["1", "8"], ["-1", "0", "nan"]),
     "k": (["1", "3", "8"], ["-1", "0", "1.5"]),
     "max_nodes": (["1", "5", "16"], ["-1", "0", ""]),
-    "vocab": (["17", "33"], ["-1", "0", "1", "2", "x"]),
+    "vocab": (["17", "33"], ["-1", "0", "1", "2", "x", "1000000000000"]),
     "n_layers": (["2", "4"], ["-1", "0", "1", "x"]),
     "n_heads": (["1", "3"], ["-1", "0", "inf"]),
-    "d_head": (["2", "8"], ["-1", "0", "1", "3", ""]),
+    "d_head": (["2", "8"], ["-1", "0", "1", "3", "", "100000000000"]),
     "model": (["copy", "random"], ["no/such/weights.bin", ""]),
     "policy": (["full", "streaming", "retrieval"], ["lru", ""]),
     "drafting": (["chain", "tree"], ["beam", ""]),
@@ -240,6 +292,8 @@ CAPPED = {
 SIZED = ("prompt_len", "gen_tokens", "k", "max_nodes")
 # ``out`` writes files; the fuzz points it into a temporary directory.
 FUZZ_KEYS = [f.name for f in fields(RunConfig) if f.name != "out"]
+MODEL_KEYS = ("model", "seed", "n_layers", "n_heads", "d_head", "vocab", "max_pos",
+              "rope_base", "weak_match_mass")
 
 
 def usable(key):
@@ -252,28 +306,41 @@ def hostile(key):
     return HOSTILE_FLOATS if isinstance(getattr(RunConfig(), key), float) else HOSTILE_INTS
 
 
-def run_cli(overrides, out_dir=None):
-    """``specdesk run`` in process: (exit code, stderr)."""
+def cli(*argv):
+    """``specdesk`` in process: (exit code, stderr)."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    out = [f"out={out_dir}"] if out_dir else []
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["run", *overrides, *out])
+        code = main(list(argv))
     return code, stderr.getvalue()
 
 
-def test_every_key_rejects_each_hostile_value_cleanly():
-    # One hostile key at a time on a run that otherwise succeeds.
+def run_cli(overrides, out_dir=None):
+    """``specdesk run`` in process: (exit code, stderr)."""
+    return cli("run", *overrides, *([f"out={out_dir}"] if out_dir else []))
+
+
+def test_every_key_rejects_each_hostile_value_cleanly(tmp_path):
+    # One hostile key at a time on a run that otherwise succeeds, and on
+    # gen-model of either built model for the keys that describe a model.
     base = {"prompt_len": "64", "gen_tokens": "4", "max_nodes": "8"}
     assert run_cli([f"{k}={v}" for k, v in base.items()])[0] == 0
+    path = tmp_path / "m.bin"
+    argvs = [["run", *(f"{k}={v}" for k, v in {**base, key: value}.items())]
+             for key in FUZZ_KEYS for value in hostile(key)]
+    argvs += [["gen-model", "--out", str(path), f"model={model}", f"{key}={value}"]
+              for key in MODEL_KEYS for value in hostile(key)
+              for model in ("copy", "random")]
     bad = []
-    for key in FUZZ_KEYS:
-        for value in hostile(key):
-            try:
-                code, err = run_cli([f"{k}={v}" for k, v in {**base, key: value}.items()])
-            except Exception as exc:  # anything but a SpecDeskError escapes main
-                code, err = None, repr(exc)
-            if code not in (0, 2) or "Traceback" in err:
-                bad.append(f"{key}={value}: {err.strip()[-200:]}")
+    for argv in argvs:
+        try:
+            code, err = cli(*argv)
+        except Exception as exc:  # anything but a SpecDeskError escapes main
+            code, err = None, repr(exc)
+        if code not in (0, 2) or "Traceback" in err:
+            bad.append(f"{' '.join(argv)}: {err.strip()[-200:]}")
+        if code == 2 and path.exists():
+            bad.append(f"{' '.join(argv)}: refused but wrote {path}")
+        path.unlink(missing_ok=True)
     assert bad == []
 
 

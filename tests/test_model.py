@@ -438,11 +438,9 @@ class TestWeightFiles:
 
     def test_same_seed_byte_identical(self, tmp_path):
         spec, _ = small_model()
-        from specdesk.modelgen import gen_model
-
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-        gen_model(p1, "random", 7, spec=spec)
-        gen_model(p2, "random", 7, spec=spec)
+        save_weights(p1, spec, random_weights(spec, 7))
+        save_weights(p2, spec, random_weights(spec, 7))
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_header_validates_shapes(self, tmp_path):

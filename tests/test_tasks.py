@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,24 +14,20 @@ from specdesk.tasks import (FILLER_VOCAB, RECALL_ID, cyclic_filler,
 
 class TestGenerators:
     def test_needle_at_zero(self):
-        task = gen_needle_task(64, [16, 20, 21], 0, [16], seed=0)
+        task = gen_needle_task(64, [16, 20, 21], 0, seed=0)
         assert task.span == (0, 3)
         assert task.tokens[:3].tolist() == [16, 20, 21]
 
     def test_determinism(self):
-        a = gen_needle_task(128, [16, 20, 21, 22], 40, [16], seed=5)
-        b = gen_needle_task(128, [16, 20, 21, 22], 40, [16], seed=5)
+        a = gen_needle_task(128, [16, 20, 21, 22], 40, seed=5)
+        b = gen_needle_task(128, [16, 20, 21, 22], 40, seed=5)
         assert np.array_equal(a.tokens, b.tokens)
-        c = gen_needle_task(128, [16, 20, 21, 22], 40, [16], seed=6)
+        c = gen_needle_task(128, [16, 20, 21, 22], 40, seed=6)
         assert not np.array_equal(a.tokens, c.tokens)
 
     def test_overflow_rejected(self):
         with pytest.raises(ParameterError):
-            gen_needle_task(32, [16, 20, 21], 31, [16], seed=0)
-
-    def test_query_is_prefix(self):
-        with pytest.raises(ParameterError):
-            gen_needle_task(64, [16, 20], 0, [20], seed=0)
+            gen_needle_task(32, [16, 20, 21], 31, seed=0)
 
     def test_filler_is_cyclic_and_in_range(self):
         f = cyclic_filler(100, seed=3)
@@ -52,6 +50,31 @@ class TestGenerators:
         start, end = task.span
         assert end - start == 1 + 10 + 10 + 5
         assert task.tokens[start] == RECALL_ID
+        assert task.expected == task.tokens[start + 1:start + 21].tolist()
+
+    # sha256 of the 8K prompt tokens for seeds 0-3: the benchmark and the
+    # seed-7 pins run on these prompts.
+    PINNED_PROMPTS = {
+        standard_needle: [
+            "7b707a8f1a2975502fb8dae11ae046f26d637d8b0628b937ee24e98ee6e87adc",
+            "f35b5b2574b4066046b2e2014239e0db3156b5174a87e8381575809ce3c7f132",
+            "a42ef93290a36d70c0daa57f2e29cbba46113c4f9abe3f174404c5e9fe9cb151",
+            "d396dfd511bff4174a449c9766401abb0ace59bc4cd8e19d1d266ef7f66ee867",
+        ],
+        loop_doc_task: [
+            "758cc7732bcdd23af7c817bb19ef9ca6347acec56220cb0d972681c6ef5f9929",
+            "3fc6e3f6347ceaec071e2c83ba9a3948e146fd942ae05e0c7454d4f4f96d84fc",
+            "778027362e063d8fd4bd218b7a4ea0c7bb8332bb5128e3bd0ce2238aa708b775",
+            "46b1a9c65ad1ba975d46254f301b3031129ea93f0a17ed3f0aa4ef53b26a45d0",
+        ],
+    }
+
+    @pytest.mark.parametrize("task", [standard_needle, loop_doc_task],
+                             ids=lambda f: f.__name__)
+    def test_8k_prompts_are_pinned(self, task):
+        digests = [hashlib.sha256(task(8192, seed).tokens.tobytes()).hexdigest()
+                   for seed in range(4)]
+        assert digests == self.PINNED_PROMPTS[task]
 
 
 def greedy_continuation(spec, w, prompt, n):
