@@ -15,7 +15,7 @@ picks its rows: the full draft all of them, the streaming draft its sink
 and recent window, and a retrieval update the selected chunks, so a chunk
 dropped by one update can be restored by a later one. The source must keep
 its prefix rows in place; the target cache never reallocates or truncates
-below its prompt.
+below the draft's sealed prefix.
 
 Committed rows are held in increasing position order. Behind them may come
 a speculative tail, a draft tree's decoded nodes after its root, in any
@@ -231,14 +231,15 @@ class KVCache:
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
         read from the source, then the generated rows still held."""
-        src = self._source
+        src, p = self._source, self.prefix_len
         if src is None:
             raise StateError("holding prefix rows needs a source cache (KVCache.seeded)")
+        if p and (src._len < p or src._pos[p - 1] != p - 1):
+            raise StateError(f"the source no longer holds prefix rows 0 .. {p - 1}")
         rows = np.asarray(rows, dtype=np.int64)
         m = rows.shape[0]
-        if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= self.prefix_len):
-            raise ParameterError(
-                f"prefix rows must be strictly ascending in [0, {self.prefix_len})")
+        if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= p):
+            raise ParameterError(f"prefix rows must be strictly ascending in [0, {p})")
         gen = slice(self._held_prefix, self._len)
         end = m + self._len - self._held_prefix
         if end > self._pos.shape[0]:

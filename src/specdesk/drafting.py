@@ -18,7 +18,7 @@ are in position order, so callers roll back by position truncation; a
 tree's rows follow its root in decode order, and ``keep_path`` compacts the
 accepted path's rows before that truncation. That order, ``DraftTree.tail``,
 is also the order in which the target verifies the nodes: both sides build
-their decode block with ``tree_block``.
+their decode block with ``tree_block`` and keep the path with ``keep_path``.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ class DraftTree:
 
 @dataclass
 class ChainDraft:
+    root: int  # the last committed token, which the chain continues
     tokens: list[int]
     dists: list[np.ndarray]  # proposal distribution per drafted token
     logits: list[np.ndarray]  # raw draft logits per drafted position
@@ -119,18 +120,18 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
                                positions=np.array([pos]))
             logits_row = step.logits[-1]
             pos += 1
-    return ChainDraft(tokens=tokens, dists=dists, logits=logits)
+    return ChainDraft(root=int(pending[-1]), tokens=tokens, dists=dists, logits=logits)
 
 
 def chain_tree(draft: ChainDraft, root_pos: int) -> DraftTree:
     """The path tree of a drafted chain whose root sits at ``root_pos``.
 
-    Node ``i + 1`` holds token ``i``; node ``i`` carries the distribution
-    token ``i`` was drawn from and its logits. The last node has neither,
-    because the draft never decodes it. The root's token is not read, and
+    Node 0 holds the root token, node ``i + 1`` token ``i``; node ``i``
+    carries the distribution token ``i`` was drawn from and its logits.
+    The last node has neither, because the draft never decodes it.
     ``path_logprob``, the tree drafter's expansion order, is left at 0.
     """
-    nodes = [TreeNode(token=-1, parent=-1, depth=0, path_logprob=0.0)]
+    nodes = [TreeNode(token=draft.root, parent=-1, depth=0, path_logprob=0.0)]
     for i, tok in enumerate(draft.tokens):
         nodes[i].dist, nodes[i].logits = draft.dists[i], draft.logits[i]
         nodes[i].children.append(i + 1)
@@ -254,8 +255,8 @@ def tree_block(tree: DraftTree, nodes: list[int], cached: list[int] = ()
 
 
 def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
-    """Keep, of the tree rows ``draft_tree`` left in ``cache``, those of the
-    path that spells ``tokens`` from the root, compacted in place."""
+    """Keep, of the rows of ``tree.tail`` last in ``cache``, those of the path
+    that spells ``tokens`` from the root, compacted in place."""
     base = cache.archive_len - len(tree.tail)
     row_of = {node: base + r for r, node in enumerate(tree.tail)}
     rows, node = [], 0

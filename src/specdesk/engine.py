@@ -20,9 +20,9 @@ largest block a step appends, the draft's for the most prompt rows its
 policy holds; an append past the reserved rows raises.
 
 A retrieval draft is updated from the target's last-layer attention row
-of the most recent commit: the deepest accepted token's row, or the
-previous commit's last row when nothing was accepted. The first update
-fires immediately after prefill from the prefill's last-token row;
+of the deepest verified token: the last accepted token, or the root when
+nothing was accepted (``VerifyOutcome.attn_row``). The first update fires
+immediately after prefill from the prefill's last row;
 ``retrieval.maybe_update`` decides when an update is due and turns the row
 into a selection.
 """
@@ -165,8 +165,7 @@ class Session:
         target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
                                                         capacity, self.policy)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
-        # The rows retrieval reads: this step's, and the last commit's.
-        row = last_row = out.last_layer_attn[-1]
+        row = out.last_layer_attn[-1]  # the row retrieval reads
         prefill_s = time.perf_counter() - t0
 
         retr = None
@@ -227,7 +226,7 @@ class Session:
 
             walk = outc.walk
             committed.extend(walk.committed)
-            root_dist = outc.next_root_dist
+            root_dist, row = outc.next_root_dist, outc.attn_row
 
             # Roll the draft cache back to the committed world, keeping the
             # accepted tokens' rows.
@@ -236,9 +235,6 @@ class Session:
             draft_cache.truncate(n_before + len(walk.accepted))
             if isinstance(self.policy, StreamingPolicy):
                 draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
-
-            row = outc.last_accepted_attn_row if walk.accepted else last_row
-            last_row = outc.last_committed_attn_row
 
             # Metrics bookkeeping.
             div = []

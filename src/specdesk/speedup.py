@@ -8,7 +8,8 @@ over the average accepted length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 from .errors import ParameterError
 
@@ -22,6 +23,8 @@ class SpeedupInputs:
     t_verify: float  # verification cost per step, seconds
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ParameterError(f"speedup inputs must be finite, got {astuple(self)}")
         if self.t_draft <= 0 or self.t_target <= 0 or self.t_verify <= 0:
             raise ParameterError("latencies must be > 0")
         if self.tau < 1:
@@ -39,4 +42,6 @@ class SpeedupResult:
 def speedup_model(inp: SpeedupInputs) -> SpeedupResult:
     ratio = (1.0 / inp.tau) * (inp.d * inp.t_draft / inp.t_target
                                + inp.t_verify / inp.t_target)
+    if not 0 < ratio < math.inf:
+        raise ParameterError(f"the cost ratio {ratio} over- or underflows")
     return SpeedupResult(ratio=ratio, speedup=1.0 / ratio)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .tensor import Rng
 
 FILLER_VOCAB = 16
@@ -36,7 +36,10 @@ def cyclic_filler(length: int, seed: int) -> np.ndarray:
     cycle = rng.permutation(FILLER_VOCAB)
     phase = rng.integers(0, FILLER_VOCAB)
     reps = -(-(length + phase) // FILLER_VOCAB)
-    return np.tile(cycle, reps)[phase:phase + length].astype(np.int64)
+    try:
+        return np.tile(cycle, reps)[phase:phase + length].astype(np.int64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise CapacityError(f"cannot allocate a {length}-token prompt") from None
 
 
 @dataclass

@@ -14,10 +14,11 @@ residual before the next sibling is tried. Either way each attempt is one
 exact rejection-sampling round, so the committed token is distributed as
 the target distribution.
 
-After the walk the speculative rows are rolled back and the newly committed
-tokens are decoded once more with score capture; that pass supplies the
-next root distribution and the last-layer attention rows, and it keeps the
-cache position set equal to the committed tokens after every step.
+After the walk the cache keeps the verify pass's rows of the accepted path
+(``drafting.keep_path``) but its deepest node: the last accepted token, or
+the root. One pass with score capture decodes that node, whose row is the
+one retrieval reads, and the correction or bonus, whose row gives the next
+root distribution; the cache then holds exactly the committed tokens.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import KVCache
-from .drafting import ChainDraft, DraftTree, chain_tree, tree_block
+from .drafting import ChainDraft, DraftTree, chain_tree, keep_path, tree_block
 from .errors import InternalError, ShapeError, StateError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, draw
@@ -150,12 +151,11 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
 
 @dataclass
 class VerifyOutcome:
-    """The walk, and what the commit pass over its tokens adds."""
+    """The walk, and what the commit pass adds."""
 
     walk: WalkResult
     next_root_dist: np.ndarray
-    last_accepted_attn_row: np.ndarray | None  # None when nothing was accepted
-    last_committed_attn_row: np.ndarray
+    attn_row: np.ndarray  # the deepest verified token's last-layer row
 
 
 # -- verify ---------------------------------------------------------------------
@@ -165,11 +165,9 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
     """Verify a draft tree in one masked decode, in the order the draft
     decoded its nodes (``tree.tail``), then commit the surviving path."""
-    committed_before = cache.world_len
-    if tree.root_pos != committed_before - 1:
-        raise StateError(
-            f"tree root position {tree.root_pos} does not match cache ({committed_before - 1})"
-        )
+    if tree.root_pos != cache.world_len - 1:
+        raise StateError(f"tree root position {tree.root_pos} does not match "
+                         f"cache ({cache.world_len - 1})")
     if sorted(tree.tail) != list(range(1, tree.size)):
         raise StateError(f"the tree's tail must hold each of its {tree.size - 1} "
                          f"non-root nodes once, got {tree.tail}")
@@ -181,7 +179,7 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         for row, node in enumerate(tree.tail):
             rows[node] = next_token_dist(out.logits[row], temperature)
     walk = walk_tree(tree, rows, rng, temperature)
-    return _commit(spec, weights, cache, committed_before, walk, temperature, kv_chunk)
+    return _commit(spec, weights, cache, tree, walk, temperature, kv_chunk)
 
 
 def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
@@ -196,24 +194,19 @@ def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
 
 # -- commit ---------------------------------------------------------------------
 
-def _commit(spec: ModelSpec, weights: Weights, cache: KVCache,
-            committed_before: int, walk: WalkResult,
-            temperature: float, kv_chunk: int | None) -> VerifyOutcome:
-    """Roll back speculation, append the committed tokens with score capture."""
-    cache.truncate(committed_before)
-    commit_tokens = walk.committed
-    out = decode_step(spec, weights, commit_tokens, cache,
-                      positions=np.arange(committed_before,
-                                          committed_before + len(commit_tokens)),
-                      capture_scores=True, kv_chunk=kv_chunk)
-    attn_rows = out.last_layer_attn
-    a = len(walk.accepted)
-    return VerifyOutcome(
-        walk=walk,
-        next_root_dist=next_token_dist(out.logits[-1], temperature),
-        last_accepted_attn_row=attn_rows[a - 1].copy() if a >= 1 else None,
-        last_committed_attn_row=attn_rows[-1].copy(),
-    )
+def _commit(spec: ModelSpec, weights: Weights, cache: KVCache, tree: DraftTree,
+            walk: WalkResult, temperature: float, kv_chunk: int | None) -> VerifyOutcome:
+    """Keep the accepted path's rows above its deepest node, then decode that
+    node and the correction or bonus with score capture."""
+    deepest = [tree.nodes[0].token, *walk.accepted][-1]
+    keep_path(cache, tree, walk.accepted[:-1])
+    pos = tree.root_pos + len(walk.accepted)
+    cache.truncate(pos)
+    out = decode_step(spec, weights, [deepest, walk.committed[-1]], cache,
+                      positions=np.array([pos, pos + 1]), capture_scores=True,
+                      kv_chunk=kv_chunk)
+    return VerifyOutcome(walk, next_token_dist(out.logits[-1], temperature),
+                         out.last_layer_attn[0])
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

@@ -279,6 +279,21 @@ class TestRetrievalRebuild:
             with pytest.raises(OrderingError):
                 KVCache.seeded(source, 2, rows, capacity=8)
 
+    def test_the_source_must_still_hold_the_prefix(self):
+        # The target may drop its last prompt row, never the draft's prefix.
+        source = make_cache(n_layers=3)
+        append_tokens(source, list(range(12)))
+        c = KVCache.seeded(source, 2, 11, capacity=16)
+        source.truncate(11)
+        c.hold_prefix(np.arange(11))
+        source.truncate(10)
+        with pytest.raises(StateError, match="no longer holds prefix rows"):
+            c.hold_prefix(np.arange(4))
+        append_tokens(source, [12])  # as many rows, but row 10 is position 12
+        with pytest.raises(StateError, match="no longer holds prefix rows"):
+            c.hold_prefix(np.arange(4))
+        assert c.layer_view(0)[2].tolist() == list(range(11))
+
     def test_rebuild_needs_a_source(self):
         c = make_cache()
         append_tokens(c, list(range(12)))

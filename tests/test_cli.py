@@ -92,6 +92,22 @@ def test_speedup_model_cli(capsys):
     assert abs(payload["ratio"] - 0.7) < 1e-12
 
 
+@pytest.mark.parametrize("flag", ["tau", "d", "t-draft", "t-target", "t-verify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_speedup_model_refuses_non_finite_values(flag, value):
+    values = {"tau": "2", "d": "4", "t-draft": "0.1", "t-target": "1.0",
+              "t-verify": "1.0", flag: value}
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(["speedup-model", *(f"--{k}={v}" for k, v in values.items())])
+        except SystemExit as exc:  # argparse refuses a non-integer --d
+            code = exc.code
+    err = stderr.getvalue()
+    message = "invalid int value" if flag == "d" else "speedup inputs must be finite"
+    assert code == 2 and message in err and "Traceback" not in err
+
+
 def test_report_reaggregate(tmp_path, capsys):
     out = tmp_path / "run"
     main(["run", "task=cycle", "model=random", "vocab=16", "n_layers=2",
@@ -276,7 +292,7 @@ HOSTILE_FLOATS = ["-1", "0", "1e-300", "1e300", "inf", "-inf", "nan", "x"]
 # every example stays tiny: prompt_len <= 256, gen_tokens <= 8, k <= 8 and
 # max_nodes <= 16; and of the keys that name a choice.
 CAPPED = {
-    "prompt_len": (["64", "256"], ["-1", "0", "1", "2", "3", "x"]),
+    "prompt_len": (["64", "256"], ["-1", "0", "1", "2", "3", "x", "1000000000000"]),
     "gen_tokens": (["1", "8"], ["-1", "0", "nan"]),
     "k": (["1", "3", "8"], ["-1", "0", "1.5"]),
     "max_nodes": (["1", "5", "16"], ["-1", "0", ""]),

@@ -81,7 +81,7 @@ class TestChainTree:
         assert [n.parent for n in tree.nodes] == [-1, 0, 1, 2, 3]
         assert [n.depth for n in tree.nodes] == [0, 1, 2, 3, 4]
         assert [n.children for n in tree.nodes] == [[1], [2], [3], [4], []]
-        assert [n.token for n in tree.nodes[1:]] == chain.tokens
+        assert [n.token for n in tree.nodes] == [PROMPT[-1], *chain.tokens]
         assert tree.tail == [1, 2, 3, 4]
         for i in range(4):
             assert tree.nodes[i].dist is chain.dists[i]
@@ -90,7 +90,7 @@ class TestChainTree:
         assert tree.nodes[4].dist is None and tree.nodes[4].logits is None
 
     def test_its_block_is_the_causal_block(self):
-        chain = drafting.ChainDraft(tokens=[3, 1, 4], dists=[np.ones(7) / 7] * 3,
+        chain = drafting.ChainDraft(root=5, tokens=[3, 1, 4], dists=[np.ones(7) / 7] * 3,
                                     logits=[np.zeros(7)] * 3)
         tree = chain_tree(chain, root_pos=9)
         tokens, mask, positions = tree_block(tree, tree.tail)

@@ -189,6 +189,49 @@ class TestDraftCacheInvariant:
             assert pending_lens == [1 + a for a in all_in] and 2 in pending_lens
 
 
+class TestSessionInvariants:
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        StreamingPolicy(sink=2, recent=6),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_both_caches_after_every_step(self, monkeypatch, policy, drafting, temperature):
+        # The target holds exactly the committed positions; the draft is
+        # never ahead of them and holds its rows in position order.
+        caches, committed, checked = {}, [len(PROMPT)], []
+
+        def check():
+            target, draft = caches["target"], caches["draft"]
+            assert target.layer_view(0)[2].tolist() == list(range(committed[0]))
+            assert draft.world_len <= committed[0]
+            assert np.all(np.diff(draft.layer_view(0)[2]) > 0)
+            checked.append(committed[0])
+
+        def spy(fn, role):
+            def call(spec, weights, cache, *args, **kwargs):
+                caches[role] = cache
+                if role == "draft" and "target" in caches:
+                    check()  # the previous step's end, after any update
+                out = fn(spec, weights, cache, *args, **kwargs)
+                if role == "target":
+                    committed[0] += len(out.walk.committed)
+                return out
+            return call
+
+        for name in ("draft_chain", "draft_tree"):
+            monkeypatch.setattr(engine, name, spy(getattr(engine, name), "draft"))
+        for name in ("verify_chain", "verify_tree"):
+            monkeypatch.setattr(engine, name, spy(getattr(engine, name), "target"))
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, policy, drafting=drafting, temperature=temperature,
+                             seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        check()
+        assert len(checked) == len(result.steps)
+        assert {s.accepted for s in result.steps} > {0}  # the root is re-decoded too
+
+
 class TestBookkeeping:
     def test_output_trimmed_to_requested_length(self):
         spec, w = target_model(seed=9)

@@ -32,6 +32,14 @@ class TestSpeedupModel:
         with pytest.raises(ParameterError):
             SpeedupInputs(tau=1, d=1, t_draft=0, t_target=1, t_verify=1)
 
+    def test_a_ratio_that_over_or_underflows_is_refused(self):
+        with pytest.raises(ParameterError, match="over- or underflows"):
+            speedup_model(SpeedupInputs(tau=1, d=4, t_draft=1e308, t_target=1e-10,
+                                        t_verify=1))
+        with pytest.raises(ParameterError, match="over- or underflows"):
+            speedup_model(SpeedupInputs(tau=1e300, d=1, t_draft=1e-300, t_target=1e300,
+                                        t_verify=1e-300))
+
     @settings(max_examples=500, deadline=None)
     @given(tau=st.floats(1.0, 50.0), d=st.integers(1, 32),
            td=st.floats(1e-6, 10.0), tt=st.floats(1e-6, 10.0),

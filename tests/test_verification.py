@@ -6,10 +6,10 @@ import pytest
 from specdesk import verification
 from specdesk.cache import KVCache
 from specdesk.drafting import (ChainDraft, DraftTree, TreeBudget, TreeNode,
-                               chain_tree, draft_tree)
+                               chain_tree, draft_chain, draft_tree)
 from specdesk.errors import InternalError, ShapeError, StateError
 from specdesk.metrics import natural_divergence
-from specdesk.model import ModelSpec, decode_step, next_token_dist, prefill
+from specdesk.model import ModelSpec, decode_step, derive_draft, next_token_dist, prefill
 from specdesk.modelgen import random_weights
 from specdesk.retrieval import extract_scores
 from specdesk.tensor import Rng, draw, sample_categorical
@@ -73,7 +73,7 @@ def walk_chain(tokens, proposals, rows, root_dist, rng, temperature, logits):
 
 def walk_chain_as_tree(tokens, proposals, rows, root_dist, rng, temperature, logits):
     """The same arguments as ``walk_chain``, walked as the chain's path tree."""
-    tree = chain_tree(ChainDraft(tokens, proposals, logits), root_pos=0)
+    tree = chain_tree(ChainDraft(0, tokens, proposals, logits), root_pos=0)
     return walk_tree(tree, {0: root_dist, **{i + 1: r for i, r in enumerate(rows)}},
                      rng, temperature)
 
@@ -181,7 +181,7 @@ class TestChainVerification:
             logits = decode_step(spec, w, [tok], c2,
                                  positions=np.array([pos])).logits[-1]
             pos += 1
-        draft = ChainDraft(tokens=toks, dists=dists, logits=logs)
+        draft = ChainDraft(root=prompt[-1], tokens=toks, dists=dists, logits=logs)
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         assert len(out.walk.accepted) == 3
         assert out.walk.bonus is not None and out.walk.correction is None
@@ -194,7 +194,7 @@ class TestChainVerification:
         cache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
         wrong = (int(np.argmax(last_logits)) + 1) % spec.vocab
-        draft = ChainDraft(tokens=[wrong],
+        draft = ChainDraft(root=prompt[-1], tokens=[wrong],
                            dists=[np.eye(spec.vocab)[wrong]],
                            logits=[last_logits])
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
@@ -359,7 +359,7 @@ class TestChainAsPathTree:
         cache, last_logits = prepped(spec, w, prompt)
         ref_cache, _ = prepped(spec, w, prompt)
         uniform = np.full(spec.vocab, 1 / spec.vocab)
-        draft = ChainDraft(tokens=[4, 4, 1, 7], dists=[uniform] * 4,
+        draft = ChainDraft(root=prompt[-1], tokens=[4, 4, 1, 7], dists=[uniform] * 4,
                            logits=[np.zeros(spec.vocab)] * 4)
         passes = []
         real = verification.decode_step
@@ -371,6 +371,7 @@ class TestChainAsPathTree:
                            positions=np.arange(len(prompt), len(prompt) + 4),
                            kv_chunk=kv_chunk)
         assert len(passes) == 2  # verify, then commit
+        assert passes[1].logits.shape[0] == 2  # the deepest verified token, the next
         assert passes[0].logits.tobytes() == want.logits.tobytes()
 
 
@@ -419,12 +420,66 @@ class TestVerifyTreeEndToEnd:
         prompt = [0, 1, 2, 3]
         cache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
-        draft = ChainDraft(tokens=[1], dists=[np.eye(spec.vocab)[1]],
+        draft = ChainDraft(root=prompt[-1], tokens=[1], dists=[np.eye(spec.vocab)[1]],
                            logits=[last_logits])
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
-        row = out.last_committed_attn_row
+        row = out.attn_row
         assert abs(row.sum() - 1.0) < 1e-6
         assert np.all(row >= 0)
+
+
+class TestTargetKeepsVerifiedRows:
+    """After a step the target holds the rows a prefill of the committed
+    tokens would, and ``attn_row`` is the deepest verified token's row."""
+
+    def steps(self, drafting, temperature, kv_chunk):
+        """Verify 16 drafts, by a 1-layer draft and by the target itself;
+        yield the target, the prompt, the outcome and the target cache."""
+        spec, w = small_model(seed=1, n_layers=2)
+        for seed, (dspec, dw) in enumerate([derive_draft(spec, w, 1), (spec, w)] * 8):
+            prompt = np.random.default_rng(seed // 2).integers(0, spec.vocab, 7).tolist()
+            dcache = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head)
+            prefill(dspec, dw, prompt[:-1], dcache)
+            cache, last_logits = prepped(spec, w, prompt)
+            root = next_token_dist(last_logits, temperature)
+            if drafting == "chain":
+                draft = draft_chain(dspec, dw, dcache, [prompt[-1]], 3, temperature,
+                                    Rng(seed))
+                out = verify_chain(spec, w, cache, draft, root, Rng(seed), temperature,
+                                   kv_chunk)
+            else:
+                tree = draft_tree(dspec, dw, dcache, [prompt[-1]], TreeBudget(8, 3, 0.3),
+                                  temperature)
+                out = verify_tree(spec, w, cache, tree, root, Rng(seed), temperature,
+                                  kv_chunk)
+            yield spec, w, prompt, out, cache
+
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("kv_chunk", [None, 5])
+    def test_cache_and_row_match_a_plain_decode(self, drafting, temperature, kv_chunk):
+        outcomes = set()
+        for spec, w, prompt, out, cache in self.steps(drafting, temperature, kv_chunk):
+            walk = out.walk
+            outcomes.add("none" if not walk.accepted
+                         else "bonus" if walk.bonus is not None else "part")
+            ref = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+            prefill(spec, w, prompt + walk.committed, ref)
+            for layer in range(spec.n_layers):
+                k, v, pos = cache.layer_view(layer)
+                k_ref, v_ref, pos_ref = ref.layer_view(layer)
+                assert pos.tolist() == pos_ref.tolist()
+                assert np.max(np.abs(k - k_ref)) < 1e-12
+                assert np.max(np.abs(v - v_ref)) < 1e-12
+            # The deepest verified token is the last accepted one, or the root.
+            *before, deepest = prompt + walk.accepted
+            ref = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+            prefill(spec, w, before, ref)
+            want = decode_step(spec, w, [deepest], ref, positions=[len(before)],
+                               capture_scores=True).last_layer_attn[0]
+            assert np.max(np.abs(out.attn_row[:-1] - want)) < 1e-12
+            assert out.attn_row[-1] == 0.0  # the next token is not visible
+        assert outcomes == {"none", "part", "bonus"}
 
 
 class TestExtractScores:
@@ -449,12 +504,12 @@ class TestExtractScores:
         prompt = list(range(6))
         cache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
-        draft = ChainDraft(tokens=[2], dists=[np.eye(spec.vocab)[2]],
+        draft = ChainDraft(root=prompt[-1], tokens=[2], dists=[np.eye(spec.vocab)[2]],
                            logits=[last_logits])
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         prefix_len = len(prompt)
-        s = extract_scores(out.last_committed_attn_row, prefix_len)
-        row = out.last_committed_attn_row
+        s = extract_scores(out.attn_row, prefix_len)
+        row = out.attn_row
         assert np.allclose(s, row[:prefix_len] / row[:prefix_len].sum())
 
 
