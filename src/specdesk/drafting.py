@@ -16,7 +16,7 @@ each child's proposal is its parent's ``dist`` rather than a point mass.
 The draft cache is only ever extended speculatively here. A chain's rows
 are in position order, so callers roll back by position truncation; a
 tree's rows follow its root in decode order, and ``keep_path`` compacts the
-accepted path's rows before that truncation. That order, ``DraftTree.tail``,
+accepted path's rows, then truncates after them. That order, ``DraftTree.tail``,
 is also the order in which the target verifies the nodes: both sides build
 their decode block with ``tree_block`` and keep the path with ``keep_path``.
 """
@@ -151,7 +151,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     committed rows, its ancestors and itself. The decoded rows stay in the
     cache after the root, one per non-root node at ``root_pos + depth``, in
     the order ``tree.tail`` records; the caller keeps the accepted path's
-    rows (``keep_path``) and truncates the rest.
+    rows and drops the rest (``keep_path``).
     """
     if not pending:
         raise ParameterError("draft_tree needs at least one pending committed token")
@@ -256,7 +256,8 @@ def tree_block(tree: DraftTree, nodes: list[int], cached: list[int] = ()
 
 def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
     """Keep, of the rows of ``tree.tail`` last in ``cache``, those of the path
-    that spells ``tokens`` from the root, compacted in place."""
+    that spells ``tokens`` from the root, compacted in place; the cache then
+    holds exactly the committed rows up to the path's end."""
     base = cache.archive_len - len(tree.tail)
     row_of = {node: base + r for r, node in enumerate(tree.tail)}
     rows, node = [], 0
@@ -267,3 +268,4 @@ def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
         node = match[0]
         rows.append(row_of[node])
     cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
+    cache.truncate(tree.root_pos + 1 + len(tokens))

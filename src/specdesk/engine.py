@@ -20,11 +20,11 @@ largest block a step appends, the draft's for the most prompt rows its
 policy holds; an append past the reserved rows raises.
 
 A retrieval draft is updated from the target's last-layer attention row
-of the deepest verified token: the last accepted token, or the root when
-nothing was accepted (``VerifyOutcome.attn_row``). The first update fires
-immediately after prefill from the prefill's last row;
-``retrieval.maybe_update`` decides when an update is due and turns the row
-into a selection.
+of the step's root, the last committed token: at the first step the
+prefill's last row, after that the row the commit pass captured when it
+decoded that token (``VerifyOutcome.attn_row``). The first update fires
+immediately after prefill; ``retrieval.maybe_update`` decides when an
+update is due and turns the row into a selection.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class Session:
         target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
                                                         capacity, self.policy)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
-        row = out.last_layer_attn[-1]  # the row retrieval reads
+        row = out.last_layer_attn[-1]  # the first root's row, which retrieval reads
         prefill_s = time.perf_counter() - t0
 
         retr = None
@@ -232,7 +232,8 @@ class Session:
             # accepted tokens' rows.
             if self.drafting == "tree":
                 keep_path(draft_cache, tree, walk.accepted)
-            draft_cache.truncate(n_before + len(walk.accepted))
+            else:
+                draft_cache.truncate(n_before + len(walk.accepted))
             if isinstance(self.policy, StreamingPolicy):
                 draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
 

@@ -66,9 +66,11 @@ def build_task(cfg: RunConfig) -> tuple[np.ndarray, NeedleTask | None]:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentRun:
-    # Cheap checks first: the policy, then the session's parameters, then
-    # the prompt, so a bad value fails before the work it would waste.
+    # Cheap checks first: the policy, the prompt, then the session's
+    # parameters, so a bad value fails before the work it would waste, a
+    # bad task before a weight file is read.
     policy = build_policy(cfg)
+    prompt, task = build_task(cfg)
     target_spec, target_weights = build_models(cfg)
     draft_spec, draft_weights = derive_draft(target_spec, target_weights,
                                              cfg.draft_layers)
@@ -79,7 +81,6 @@ def run_experiment(cfg: RunConfig) -> ExperimentRun:
         temperature=cfg.temperature, seed=cfg.seed,
         hta_chunk=cfg.hta_chunk,
     )
-    prompt, task = build_task(cfg)
     result = session.run(prompt, cfg.gen_tokens)
     expected = task.expected if task is not None else None
     report = build_report(config_dict(cfg), result, expected)

@@ -1,7 +1,9 @@
 """Retrieval controller for the draft cache.
 
-A retrieval draft holds what the target's attention points at. The
-target's head-averaged last-layer attention row is sliced to the draft's
+A retrieval draft holds what the target's attention points at. The row
+is always the step's root's, the last committed token's, which the target
+decoded once, with score capture: in prefill or in the last commit pass.
+The target's head-averaged last-layer attention row is sliced to the draft's
 prompt prefix and renormalized (``extract_scores``), then averaged per
 fixed-size chunk; the top-k chunks (ties broken toward the lower index)
 and the first ``sink`` rows are what the draft holds, read back from the

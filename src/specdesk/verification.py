@@ -14,11 +14,11 @@ residual before the next sibling is tried. Either way each attempt is one
 exact rejection-sampling round, so the committed token is distributed as
 the target distribution.
 
-After the walk the cache keeps the verify pass's rows of the accepted path
-(``drafting.keep_path``) but its deepest node: the last accepted token, or
-the root. One pass with score capture decodes that node, whose row is the
-one retrieval reads, and the correction or bonus, whose row gives the next
-root distribution; the cache then holds exactly the committed tokens.
+After the walk the cache keeps exactly the verify pass's rows of the
+accepted path (``drafting.keep_path``). One pass with score capture then
+decodes the token the step adds, the correction or bonus. That token is the
+next step's root: its row gives the next root distribution and is the row
+retrieval reads, so the target decodes each committed token once.
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
 
 @dataclass
 class VerifyOutcome:
-    """The walk, and what the commit pass adds."""
+    """The walk, and what the commit pass of the next root yields."""
 
     walk: WalkResult
     next_root_dist: np.ndarray
-    attn_row: np.ndarray  # the deepest verified token's last-layer row
+    attn_row: np.ndarray  # the next root's last-layer row
 
 
 # -- verify ---------------------------------------------------------------------
@@ -164,7 +164,8 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
     """Verify a draft tree in one masked decode, in the order the draft
-    decoded its nodes (``tree.tail``), then commit the surviving path."""
+    decoded its nodes (``tree.tail``), keep the accepted path's rows, then
+    decode the correction or bonus with score capture."""
     if tree.root_pos != cache.world_len - 1:
         raise StateError(f"tree root position {tree.root_pos} does not match "
                          f"cache ({cache.world_len - 1})")
@@ -179,7 +180,12 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         for row, node in enumerate(tree.tail):
             rows[node] = next_token_dist(out.logits[row], temperature)
     walk = walk_tree(tree, rows, rng, temperature)
-    return _commit(spec, weights, cache, tree, walk, temperature, kv_chunk)
+    keep_path(cache, tree, walk.accepted)
+    out = decode_step(spec, weights, walk.committed[-1:], cache,
+                      positions=np.array([cache.world_len]), capture_scores=True,
+                      kv_chunk=kv_chunk)
+    return VerifyOutcome(walk, next_token_dist(out.logits[-1], temperature),
+                         out.last_layer_attn[-1])
 
 
 def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
@@ -190,23 +196,6 @@ def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
         raise ShapeError("drafted tokens and distributions disagree in length")
     return verify_tree(spec, weights, cache, chain_tree(draft, cache.world_len - 1),
                        root_dist, rng, temperature, kv_chunk)
-
-
-# -- commit ---------------------------------------------------------------------
-
-def _commit(spec: ModelSpec, weights: Weights, cache: KVCache, tree: DraftTree,
-            walk: WalkResult, temperature: float, kv_chunk: int | None) -> VerifyOutcome:
-    """Keep the accepted path's rows above its deepest node, then decode that
-    node and the correction or bonus with score capture."""
-    deepest = [tree.nodes[0].token, *walk.accepted][-1]
-    keep_path(cache, tree, walk.accepted[:-1])
-    pos = tree.root_pos + len(walk.accepted)
-    cache.truncate(pos)
-    out = decode_step(spec, weights, [deepest, walk.committed[-1]], cache,
-                      positions=np.array([pos, pos + 1]), capture_scores=True,
-                      kv_chunk=kv_chunk)
-    return VerifyOutcome(walk, next_token_dist(out.logits[-1], temperature),
-                         out.last_layer_attn[0])
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

@@ -162,7 +162,28 @@ def test_a_bad_policy_or_mode_fails_before_the_work_it_would_waste(monkeypatch, 
     assert calls == []  # no model built
     assert main(["run", *SMALL_RUN, "drafting=bogus"]) == 2
     assert "unknown drafting mode: 'bogus'" in capsys.readouterr().err
-    assert calls == ["build_models"]  # no prompt built
+    assert calls == ["build_task", "build_models"]  # no session run
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["task=bogus"], "unknown task: 'bogus'"),
+    (["needle_body=0"], "needle_body must be in [1, 15], got 0"),
+    (["task=doc", "loop_len=16"], "loop_len must be in [1, 15], got 16"),
+    (["needle_pos=250"], "does not fit before the query"),
+])
+def test_a_bad_prompt_fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys,
+                                                         overrides, message):
+    weights = tmp_path / "m.bin"
+    assert main(["gen-model", "--out", str(weights), *SMALL_RUN]) == 0
+
+    def unread(path):
+        raise AssertionError(f"{path} read before the prompt was checked")
+
+    monkeypatch.setattr(harness, "load_weights", unread)
+    argv = ["run", f"model={weights}", "prompt_len=256", "gen_tokens=4", *overrides]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [

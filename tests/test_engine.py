@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specdesk import engine, retrieval
+from specdesk import engine, retrieval, verification
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget
 from specdesk.engine import Session, greedy_reference, prefill_caches
@@ -229,7 +229,34 @@ class TestSessionInvariants:
                              seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
         check()
         assert len(checked) == len(result.steps)
-        assert {s.accepted for s in result.steps} > {0}  # the root is re-decoded too
+        assert {s.accepted for s in result.steps} > {0}  # steps that accept nothing too
+
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        StreamingPolicy(sink=2, recent=6),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_the_target_decodes_each_committed_token_once(self, monkeypatch, policy,
+                                                          drafting):
+        # A step's target decodes its drafted tokens in the verify pass, then
+        # only the correction or bonus, with score capture: no committed
+        # token's row is decoded twice, the root's included.
+        passes = []
+        real = verification.decode_step
+
+        def spy(spec, weights, tokens, cache, **kwargs):
+            passes.append((len(tokens), kwargs.get("capture_scores", False)))
+            return real(spec, weights, tokens, cache, **kwargs)
+
+        monkeypatch.setattr(verification, "decode_step", spy)
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
+                             seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        steps = result.steps
+        assert sum(n for n, _ in passes) == sum(s.drafted for s in steps) + len(steps)
+        assert [n for n, capture in passes if capture] == [1] * len(steps)
+        assert {s.accepted for s in steps} > {0}
 
 
 class TestBookkeeping:
@@ -370,14 +397,18 @@ class TestCacheSizing:
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
     def test_no_cache_regrows(self, policy, drafting):
         # A self-draft at temperature 0 accepts most drafted tokens, so steps
-        # append the largest block and the last one overshoots gen_tokens; an
-        # append past the reserved rows would raise CapacityError.
+        # append the largest block; an append past the reserved rows would
+        # raise CapacityError. Where the last step ends depends on the run,
+        # so sweep gen_tokens until some run's last step overshoots it.
         spec, w = target_model(seed=17)
-        sess = Session(spec, w, spec, w, policy=policy, drafting=drafting, k=4,
-                       budget=TreeBudget(6, 4, 0.5))
-        result = sess.run(PROMPT, 49)
-        assert result.output_tokens == greedy_reference(spec, w, PROMPT, 49)
-        assert sum(s.accepted + 1 for s in result.steps) > 49
+        overshoots = []
+        for gen in range(46, 50):
+            sess = Session(spec, w, spec, w, policy=policy, drafting=drafting, k=4,
+                           budget=TreeBudget(6, 4, 0.5))
+            result = sess.run(PROMPT, gen)
+            assert result.output_tokens == greedy_reference(spec, w, PROMPT, gen)
+            overshoots.append(sum(s.accepted + 1 for s in result.steps) - gen)
+        assert max(overshoots) > 0
 
 
 class TestRunBoundary:

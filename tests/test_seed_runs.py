@@ -9,7 +9,8 @@ tree size and retrieval-update flag of every step, the chunks each
 retrieval update selected, and the draft cache length after every step.
 
 A refactor must leave every pin as it is. A change that moves the numerics
-or the order of RNG draws on purpose re-pins them::
+or the order of RNG draws on purpose re-pins them; the script prints the
+fields that changed in each run before it writes::
 
     PYTHONPATH=src python tests/test_seed_runs.py
 """
@@ -90,4 +91,9 @@ def test_the_pins_cover_evictions_and_updates(pins):
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({run_id(*r): record(*r) for r in RUNS}) + "\n")
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    new = {run_id(*r): record(*r) for r in RUNS}
+    for name, pin in new.items():
+        changed = [f for f in pin if old.get(name, {}).get(f) != pin[f]]
+        print(f"{name}: {', '.join(changed) or 'unchanged'}")
+    PINS.write_text(json.dumps(new) + "\n")

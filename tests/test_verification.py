@@ -371,7 +371,7 @@ class TestChainAsPathTree:
                            positions=np.arange(len(prompt), len(prompt) + 4),
                            kv_chunk=kv_chunk)
         assert len(passes) == 2  # verify, then commit
-        assert passes[1].logits.shape[0] == 2  # the deepest verified token, the next
+        assert passes[1].logits.shape[0] == 1  # the correction or bonus only
         assert passes[0].logits.tobytes() == want.logits.tobytes()
 
 
@@ -430,7 +430,8 @@ class TestVerifyTreeEndToEnd:
 
 class TestTargetKeepsVerifiedRows:
     """After a step the target holds the rows a prefill of the committed
-    tokens would, and ``attn_row`` is the deepest verified token's row."""
+    tokens would, and ``attn_row`` is the row of the token the step adds,
+    the next root."""
 
     def steps(self, drafting, temperature, kv_chunk):
         """Verify 16 drafts, by a 1-layer draft and by the target itself;
@@ -471,14 +472,16 @@ class TestTargetKeepsVerifiedRows:
                 assert pos.tolist() == pos_ref.tolist()
                 assert np.max(np.abs(k - k_ref)) < 1e-12
                 assert np.max(np.abs(v - v_ref)) < 1e-12
-            # The deepest verified token is the last accepted one, or the root.
-            *before, deepest = prompt + walk.accepted
+            # The row is a plain 1-row decode's of the correction or bonus
+            # over the prompt and the accepted tokens.
+            before = prompt + walk.accepted
             ref = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
             prefill(spec, w, before, ref)
-            want = decode_step(spec, w, [deepest], ref, positions=[len(before)],
+            want = decode_step(spec, w, walk.committed[-1:], ref, positions=[len(before)],
                                capture_scores=True).last_layer_attn[0]
-            assert np.max(np.abs(out.attn_row[:-1] - want)) < 1e-12
-            assert out.attn_row[-1] == 0.0  # the next token is not visible
+            assert out.attn_row.shape == want.shape == (len(before) + 1,)
+            assert np.max(np.abs(out.attn_row - want)) < 1e-12
+            assert out.attn_row[-1] > 0.0  # the token sees itself
         assert outcomes == {"none", "part", "bonus"}
 
 
