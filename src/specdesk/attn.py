@@ -8,9 +8,10 @@ with its own running max; the parts then merge into the exact
 softmax-weighted output (FlashAttention, Dao et al., 2022). A boolean mask
 (True = visible) gives masked positions exactly zero weight.
 
-A score buffer keeps the last row: the parts' scores can go into one
-caller-owned buffer instead of new arrays, and the probabilities then
-cover the last query row only, the row a prefill keeps.
+A score buffer keeps the last row: the queries are scored one head at a
+time into one caller-owned buffer, sized for one head's largest part,
+instead of new ``[H, nq, L]`` arrays, and the probabilities then cover the
+last query row only, the row a prefill keeps.
 
 :func:`attend_monolithic` computes the same result with a single softmax
 over the concatenated parts. No forward pass uses it; it is kept as the
@@ -18,6 +19,8 @@ reference the tests compare :func:`attend` against.
 
 Shapes are head-generic: queries ``[..., nq, dh]`` against parts
 ``[..., L, dh]`` with leading batch/head axes broadcast by numpy matmul.
+The model passes ``[H, nq, dh]`` queries and ``[H, L, dh]`` parts; the
+cached parts are slices of the cache's head-major store.
 """
 
 from __future__ import annotations
@@ -40,15 +43,31 @@ def attend(q: np.ndarray,
     probabilities are normalized over the union of all visible positions, in
     part order.
 
-    ``scores``, a flat buffer with room for the largest part's
-    ``[..., nq, L]`` block, receives each part's scores in turn instead of a
-    new array. It cannot hold every row's weights, so with it the
-    probabilities hold only the last query row, ``[..., 1, sum(L)]``,
-    bitwise equal to that row of the full result.
+    ``scores``, a flat buffer with room for one head's largest part,
+    ``[nq, L]``, receives each head's scores of each part in turn instead of
+    a new array: queries ``[H, nq, dh]`` are then scored one head at a time.
+    It cannot hold every row's weights, so with it the probabilities hold
+    only the last query row, ``[H, 1, sum(L)]``, bitwise equal to that row of
+    the full result.
     """
     if not parts:
         raise ShapeError("attention requires at least one KV part")
     q = q * scale  # once here, not over every [..., nq, L] score block
+    if scores is None:
+        return _attend(q, parts, want_probs)
+    # Through the private body, so a wrapper of attend sees one call.
+    heads = [_attend(q[h], [(k[h], v[h], mask) for k, v, mask in parts], want_probs, scores)
+             for h in range(q.shape[0])]
+    return (np.stack([out for out, _ in heads]),
+            np.stack([probs for _, probs in heads]) if want_probs else None)
+
+
+def _attend(q: np.ndarray,
+            parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+            want_probs: bool,
+            scores: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`attend` for scaled queries: every leading axis at once, or one
+    head's ``[nq, dh]`` queries against its ``[L, dh]`` parts with a buffer."""
     maxes, denoms, accs, weights = [], [], [], []
     for k, v, mask in parts:
         shape = q.shape[:-1] + k.shape[-2:-1]

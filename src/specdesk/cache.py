@@ -2,9 +2,9 @@
 
 A cache is a fixed-size row store: rows ``[0, archive_len)`` are exactly the
 rows the next forward pass attends to, in position order, so every layer
-view is a slice. Rows keep their original absolute positions: keys are
-stored post-rotation and are never re-rotated on eviction. An append past
-the reserved capacity raises ``CapacityError``.
+view is a slice; K and V are head-major, ``[H, capacity, dh]`` per layer.
+Rows keep their absolute positions: keys are stored post-rotation and never
+re-rotated. An append past the reserved capacity raises ``CapacityError``.
 
 A cache built with ``KVCache.seeded`` starts empty over the prompt rows of a
 *source* cache, its sealed prefix: the draft's layers are the target's
@@ -105,8 +105,8 @@ class KVCache:
         self.n_heads = n_heads
         self.d_head = d_head
         try:
-            self._k = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
-            self._v = [np.empty((capacity, n_heads, d_head)) for _ in range(n_layers)]
+            self._k = [np.empty((n_heads, capacity, d_head)) for _ in range(n_layers)]
+            self._v = [np.empty((n_heads, capacity, d_head)) for _ in range(n_layers)]
             self._pos = np.empty(capacity, dtype=np.int64)
         except (MemoryError, ValueError):  # ValueError: past numpy's size limit
             raise CapacityError(f"cannot reserve {capacity} cache rows") from None
@@ -156,10 +156,10 @@ class KVCache:
         return self._world
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Held ``(k, v, pos)`` for one layer, k/v shaped ``[L, H, dh]``,
+        """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``,
         as slices of the store."""
         n = self._len
-        return self._k[layer][:n], self._v[layer][:n], self._pos[:n]
+        return self._k[layer][:, :n], self._v[layer][:, :n], self._pos[:n]
 
     # -- mutation -----------------------------------------------------------
 
@@ -167,10 +167,10 @@ class KVCache:
                tail: int = 0) -> None:
         """Append one block of rows to every layer.
 
-        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``. The last ``tail``
-        held rows are a speculative tail; the block's positions may come in
-        any order, but each must exceed the last held row before the tail,
-        and without a tail every position appended and not rolled back.
+        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``, stored head-major.
+        The last ``tail`` held rows are a speculative tail; the block's
+        positions may come in any order, but each must exceed the last held
+        row before the tail, or without a tail ``world_len - 1``.
         """
         positions = np.asarray(positions, dtype=np.int64)
         q = positions.shape[0]
@@ -192,8 +192,8 @@ class KVCache:
             raise CapacityError(f"appending {q} rows to {self._len} overflows the "
                                 f"{self._pos.shape[0]} reserved")
         for li in range(self.n_layers):
-            self._k[li][self._len:end] = ks[li]
-            self._v[li][self._len:end] = vs[li]
+            self._k[li][:, self._len:end] = ks[li].transpose(1, 0, 2)
+            self._v[li][:, self._len:end] = vs[li].transpose(1, 0, 2)
         self._pos[self._len:end] = positions
         self._len = end
         self._world = max(self._world, int(positions.max()) + 1)
@@ -223,7 +223,8 @@ class KVCache:
             raise ParameterError(f"kept rows must be strictly ascending in [0, {self._len})")
         # ``rows[i] - i`` never decreases; rows where it is 0 are in place.
         still = int(np.searchsorted(rows - np.arange(m), 0, side="right"))
-        for buf in (*self._k, *self._v, self._pos):
+        # One head at a time: the gather's temporary is one head's rows.
+        for buf in (*(head for kv in (*self._k, *self._v) for head in kv), self._pos):
             buf[still:m] = buf[rows[still:]]
         self._held_prefix = int(np.searchsorted(rows, self._held_prefix))
         self._len = m
@@ -247,10 +248,11 @@ class KVCache:
                                 f"{self._pos.shape[0]} reserved")
         n = self.n_layers
         for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
-            own[m:end] = own[gen]
-            # The rows are in range, so "clip" changes nothing; unlike the
-            # default "raise" it writes into ``out`` without a temporary.
-            np.take(theirs, rows, axis=0, out=own[:m], mode="clip")
+            own[:, m:end] = own[:, gen]
+            # The rows are in range, so "clip" changes nothing; unlike "raise"
+            # it writes into a head's contiguous ``out`` without a temporary.
+            for o, t in zip(own, theirs):
+                np.take(t, rows, axis=0, out=o[:m], mode="clip")
         self._pos[m:end] = self._pos[gen]
         self._pos[:m] = rows
         self._held_prefix, self._len = m, end

@@ -107,6 +107,23 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     return target_cache, draft_cache, out
 
 
+def check_session_keys(drafting: str, k: int, temperature: float,
+                       hta_chunk: int | None) -> None:
+    """Refuse a bad drafting mode, chain length, temperature or verify tile.
+
+    These checks need no model, so a caller can run them before it builds
+    or reads one; ``Session`` runs them too.
+    """
+    if drafting not in ("chain", "tree"):
+        raise ParameterError(f"unknown drafting mode: {drafting!r}")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ParameterError(f"temperature must be finite and >= 0, got {temperature}")
+    if drafting == "chain" and k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if hta_chunk is not None and hta_chunk < 0:
+        raise ParameterError(f"hta_chunk must be >= 0, got {hta_chunk}")
+
+
 class Session:
     """One generation run; owns both caches and the RNG."""
 
@@ -115,16 +132,9 @@ class Session:
                  policy: CachePolicy, drafting: str = "chain", k: int = 4,
                  budget: TreeBudget | None = None, temperature: float = 0.0,
                  seed: int = 0, hta_chunk: int | None = None):
-        if drafting not in ("chain", "tree"):
-            raise ParameterError(f"unknown drafting mode: {drafting!r}")
+        check_session_keys(drafting, k, temperature, hta_chunk)
         if not isinstance(policy, CachePolicy):
             raise ParameterError(f"unknown cache policy: {policy!r}")
-        if not (math.isfinite(temperature) and temperature >= 0):
-            raise ParameterError(f"temperature must be finite and >= 0, got {temperature}")
-        if drafting == "chain" and k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        if hta_chunk is not None and hta_chunk < 0:
-            raise ParameterError(f"hta_chunk must be >= 0, got {hta_chunk}")
         if drafting == "tree" and budget is None:
             budget = TreeBudget(max_nodes=50, max_depth=10, expand_threshold=0.7)
         _check_shared_prefix(target_spec, target_weights, draft_spec, draft_weights)

@@ -11,7 +11,7 @@ from .cache import CachePolicy, FullPolicy, RetrievalPolicy, StreamingPolicy
 from .config import RunConfig, config_dict
 from .copymodel import build_copy_model
 from .drafting import TreeBudget
-from .engine import Session, SessionResult
+from .engine import Session, SessionResult, check_session_keys
 from .errors import ParameterError
 from .model import ModelSpec, Weights, derive_draft, load_weights
 from .modelgen import random_weights
@@ -66,20 +66,22 @@ def build_task(cfg: RunConfig) -> tuple[np.ndarray, NeedleTask | None]:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentRun:
-    # Cheap checks first: the policy, the prompt, then the session's
-    # parameters, so a bad value fails before the work it would waste, a
-    # bad task before a weight file is read.
+    # Cheap checks first: the policy, the session's keys, then the prompt,
+    # so a bad value fails before the work it would waste: before a model
+    # is built or a weight file is read.
     policy = build_policy(cfg)
+    budget = TreeBudget(cfg.max_nodes, cfg.max_depth, cfg.expand_threshold)
+    check_session_keys(cfg.drafting, cfg.k, cfg.temperature, cfg.hta_chunk)
+    if cfg.draft_layers < 1:  # its upper bound needs the model: derive_draft
+        raise ParameterError(f"draft_layers must be >= 1, got {cfg.draft_layers}")
     prompt, task = build_task(cfg)
     target_spec, target_weights = build_models(cfg)
     draft_spec, draft_weights = derive_draft(target_spec, target_weights,
                                              cfg.draft_layers)
     session = Session(
         target_spec, target_weights, draft_spec, draft_weights,
-        policy=policy, drafting=cfg.drafting, k=cfg.k,
-        budget=TreeBudget(cfg.max_nodes, cfg.max_depth, cfg.expand_threshold),
-        temperature=cfg.temperature, seed=cfg.seed,
-        hta_chunk=cfg.hta_chunk,
+        policy=policy, drafting=cfg.drafting, k=cfg.k, budget=budget,
+        temperature=cfg.temperature, seed=cfg.seed, hta_chunk=cfg.hta_chunk,
     )
     result = session.run(prompt, cfg.gen_tokens)
     expected = task.expected if task is not None else None

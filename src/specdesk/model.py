@@ -7,7 +7,9 @@ non-contiguous position sets; keys enter the cache post-rotation.
 
 The forward pass is shared verbatim between prefill and decode so that a
 one-token prefill and a one-token decode on an empty cache are bitwise
-identical.
+identical. Attention reads the cache's head-major ``[H, L, dh]`` views in
+place. A prefill scores its 256-row blocks one head at a time into one
+buffer, allocated once and sized for one head's largest block.
 """
 
 from __future__ import annotations
@@ -222,11 +224,9 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
             qkv = (xn @ lw.wqkv).reshape(q_n, 3 * H, dh)
             qk = _rope_rotate(qkv[:, :2 * H], positions, spec.rope_base)
             q, k, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H:]
-        k_cache, v_cache, _ = cache.layer_view(li)  # [L, H, dh]
+        kc, vc, _ = cache.layer_view(li)  # [H, L, dh]
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
-        kc = k_cache.transpose(1, 0, 2)
-        vc = v_cache.transpose(1, 0, 2)
-        P = k_cache.shape[0] - tail  # rows every query sees
+        P = kc.shape[1] - tail  # rows every query sees
         if P:
             for lo, hi in attn.split_chunks(P, kv_chunk or P):
                 parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
@@ -267,11 +267,12 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
     if n > spec.max_pos:
         raise CapacityError(f"input length {n} exceeds max_pos {spec.max_pos}")
     logits = None if last_row_only else np.empty((n, spec.vocab))
-    for lo in range(0, n, PREFILL_BLOCK):
-        hi = min(lo + PREFILL_BLOCK, n)
+    blocks = [(lo, min(lo + PREFILL_BLOCK, n)) for lo in range(0, n, PREFILL_BLOCK)]
+    # One score buffer for every block, layer and head, sized for one head's
+    # largest part: a block's cached prefix [hi - lo, lo] or the block itself.
+    scores = np.empty(max((hi - lo) * max(lo, hi - lo) for lo, hi in blocks))
+    for lo, hi in blocks:
         last_block = hi == n
-        # The block's layers share one score buffer, sized for the larger of
-        # its parts: the cached prefix [H, hi - lo, lo] or the block itself.
         out = _forward(
             spec, weights, tokens[lo:hi], cache,
             positions=np.arange(lo, hi, dtype=np.int64),
@@ -279,7 +280,7 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
             capture_scores=capture_scores and last_block,
             kv_chunk=None,
             out_rows=int(last_block) if last_row_only else None,
-            scores=np.empty(spec.n_heads * (hi - lo) * max(lo, hi - lo)),
+            scores=scores,
         )
         if logits is not None:
             logits[lo:hi] = out.logits

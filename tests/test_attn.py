@@ -31,8 +31,9 @@ def test_attend_matches_monolithic_oracle():
         assert np.all(probs[:, 0, -nq:] == 0.0)
         plain, none = attend(q, parts, scale)
         assert none is None and np.array_equal(plain, out)
-        # A score buffer keeps the last row's weights only.
-        buf = np.empty(heads * nq * max(k.shape[-2] for k, _, _ in parts))
+        # A buffer for one head's largest part keeps the last row's weights
+        # only; the heads are scored one after another.
+        buf = np.empty(nq * max(k.shape[-2] for k, _, _ in parts))
         kept_out, kept = attend(q, parts, scale, want_probs=True, scores=buf)
         assert np.array_equal(kept_out, out) and np.array_equal(kept, probs[:, -1:])
 

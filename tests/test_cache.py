@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ class TestKeep:
         k_before = c.layer_view(1)[0].copy()
         c.keep([0, 2, 3, 5, 7, 9])
         assert c.layer_view(0)[2].tolist() == [0, 2, 3, 5, 7, 9]
-        assert np.array_equal(c.layer_view(1)[0], k_before[[0, 2, 3, 5, 7, 9]])
+        assert np.array_equal(c.layer_view(1)[0], k_before[:, [0, 2, 3, 5, 7, 9]])
         assert c.generation_boundary == 4  # four of the six prefix rows held
         assert c.world_len == 10  # dropped positions stay in the world
 
@@ -259,7 +261,8 @@ class TestRetrievalRebuild:
         for li in range(2):
             k, v, pos = c.layer_view(li)
             sk, sv, _ = source.layer_view(li)
-            assert np.array_equal(k[:8], sk[pos[:8]]) and np.array_equal(v[:8], sv[pos[:8]])
+            assert (np.array_equal(k[:, :8], sk[:, pos[:8]])
+                    and np.array_equal(v[:, :8], sv[:, pos[:8]]))
         assert pos.tolist() == [0, 1, 2, 3, 8, 9, 10, 11, 12, 13]
 
     def test_world_len_survives_dropping_the_last_chunk(self):
@@ -312,7 +315,7 @@ class TestRetrievalRebuild:
         c.hold_prefix([4, 5, 6, 7])
         views = [c.layer_view(li) for li in range(3)]
         for k, v, pos in views:
-            assert k.shape[0] == 4
+            assert k.shape[1] == 4
             assert pos.tolist() == [4, 5, 6, 7]
 
     def test_prefix_past_capacity_raises(self):
@@ -324,6 +327,36 @@ class TestRetrievalRebuild:
             c.hold_prefix(np.arange(5))
         c.hold_prefix(np.arange(4))
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13]
+
+
+class TestGatherTemporaries:
+    # numpy reports its buffers to tracemalloc. A gather that builds a
+    # temporary the size of one layer's gathered rows would double its
+    # working memory at 8K; one head's rows at a time is the most allowed.
+    @staticmethod
+    def peak_bytes(op):
+        tracemalloc.start()
+        try:
+            op()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_hold_prefix_and_a_streaming_keep(self):
+        n, heads, d_head = 2047, 2, 64
+        source = KVCache(3, heads, d_head, capacity=n + 1)
+        append_tokens(source, list(range(n + 1)))
+        c = KVCache.seeded(source, 2, n, capacity=n + 16)
+        layer_rows = n * heads * d_head * 8
+        assert self.peak_bytes(lambda: c.hold_prefix(np.arange(n))) < layer_rows / 8
+        append_tokens(c, [n, n + 1, n + 2])
+        moved = 2000 * heads * d_head * 8  # the window shifts down by 46 rows
+        assert self.peak_bytes(lambda: evict(c, 4, 2000)) < moved
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, n + 3))
+        k, v, pos = c.layer_view(1)
+        sk, sv, _ = source.layer_view(1)
+        assert np.array_equal(k[:, :-3], sk[:, pos[:-3]])
+        assert np.array_equal(v[:, :-3], sv[:, pos[:-3]])
 
 
 def test_layer_view_tracks_every_mutation():
@@ -394,8 +427,8 @@ def test_layer_view_tracks_every_mutation():
         for li in range(2):
             k, v, pos = c.layer_view(li)
             assert pos.tolist() == held
-            assert np.array_equal(k[:, 0, 0], pos + li)
-            assert np.array_equal(v[:, 1, 3], -(pos + li))
+            assert np.array_equal(k[0, :, 0], pos + li)
+            assert np.array_equal(v[1, :, 3], -(pos + li))
 
 
 class TestTruncate:

@@ -162,7 +162,7 @@ def test_a_bad_policy_or_mode_fails_before_the_work_it_would_waste(monkeypatch, 
     assert calls == []  # no model built
     assert main(["run", *SMALL_RUN, "drafting=bogus"]) == 2
     assert "unknown drafting mode: 'bogus'" in capsys.readouterr().err
-    assert calls == ["build_task", "build_models"]  # no session run
+    assert calls == []  # no prompt or model built
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -173,17 +173,37 @@ def test_a_bad_policy_or_mode_fails_before_the_work_it_would_waste(monkeypatch, 
 ])
 def test_a_bad_prompt_fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
+    fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys, overrides, message)
+
+
+def fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys, overrides, message):
     weights = tmp_path / "m.bin"
     assert main(["gen-model", "--out", str(weights), *SMALL_RUN]) == 0
 
     def unread(path):
-        raise AssertionError(f"{path} read before the prompt was checked")
+        raise AssertionError(f"{path} read before the run's keys were checked")
 
     monkeypatch.setattr(harness, "load_weights", unread)
     argv = ["run", f"model={weights}", "prompt_len=256", "gen_tokens=4", *overrides]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["drafting=bogus"], "unknown drafting mode: 'bogus'"),
+    (["k=0"], "k must be >= 1, got 0"),
+    (["temperature=-1"], "temperature must be finite and >= 0, got -1.0"),
+    (["temperature=nan"], "temperature must be finite and >= 0, got nan"),
+    (["hta_chunk=-1"], "hta_chunk must be >= 0, got -1"),
+    (["max_nodes=0"], "tree budget needs max_nodes >= 1 and max_depth >= 1"),
+    (["max_depth=0"], "tree budget needs max_nodes >= 1 and max_depth >= 1"),
+    (["expand_threshold=0"], "expand_threshold must be in (0, 1], got 0.0"),
+    (["draft_layers=0"], "draft_layers must be >= 1, got 0"),
+])
+def test_a_bad_session_key_fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys,
+                                                              overrides, message):
+    fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys, overrides, message)
 
 
 @pytest.mark.parametrize("argv, message", [

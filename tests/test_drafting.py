@@ -273,13 +273,13 @@ class TestDecodeOnce:
         leaf = max(range(tree.size), key=lambda i: (tree.nodes[i].depth, i))
         path = path_to(tree, leaf)[1:]
         rows = {node: len(PROMPT) + r for r, node in enumerate(tree.tail)}
-        want = [cache.layer_view(li)[0][[rows[i] for i in path]].copy()
+        want = [cache.layer_view(li)[0][:, [rows[i] for i in path]].copy()
                 for li in range(spec.n_layers)]
         keep_path(cache, tree, [tree.nodes[i].token for i in path])
         n = len(PROMPT) + len(path)
         assert cache.layer_view(0)[2].tolist() == list(range(n))
         for li in range(spec.n_layers):
-            assert np.array_equal(cache.layer_view(li)[0][len(PROMPT):], want[li])
+            assert np.array_equal(cache.layer_view(li)[0][:, len(PROMPT):], want[li])
         cache.truncate(n)
         assert cache.world_len == n
 

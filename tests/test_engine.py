@@ -313,9 +313,9 @@ class TestSeededDraftCache:
             k, v, _ = draft.layer_view(li)
             tk, tv, tpos = target.layer_view(li)
             assert np.array_equal(tpos[pos], pos)
-            assert np.array_equal(k, tk[pos]) and np.array_equal(v, tv[pos])
-            assert np.array_equal(k, before[li][0][pos])
-            assert np.array_equal(v, before[li][1][pos])
+            assert np.array_equal(k, tk[:, pos]) and np.array_equal(v, tv[:, pos])
+            assert np.array_equal(k, before[li][0][:, pos])
+            assert np.array_equal(v, before[li][1][:, pos])
 
     def test_retrieval_draft_holds_no_prompt_rows(self):
         # Seeded empty, a retrieval draft's first rebuild gathers bitwise the
@@ -337,7 +337,7 @@ class TestSeededDraftCache:
         for li in range(2):
             (k, v, _), (ck, cv, _) = empty.layer_view(li), copied.layer_view(li)
             tk, tv, _ = target.layer_view(li)
-            assert np.array_equal(k, tk[pos]) and np.array_equal(v, tv[pos])
+            assert np.array_equal(k, tk[:, pos]) and np.array_equal(v, tv[:, pos])
             assert np.array_equal(k, ck) and np.array_equal(v, cv)
         # It reserves top_k * chunk_size + sink rows plus the target's
         # 64 - 40 rows of generation room.
@@ -357,7 +357,8 @@ class TestSeededDraftCache:
         target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
         views = [target.layer_view(li) for li in range(2)]
         ref = KVCache(2, spec.n_heads, spec.d_head, capacity=64)
-        ref.append([k[:39] for k, _, _ in views], [v[:39] for _, v, _ in views],
+        ref.append([k[:, :39].transpose(1, 0, 2) for k, _, _ in views],
+                   [v[:, :39].transpose(1, 0, 2) for _, v, _ in views],
                    np.arange(39))
         ref.keep(policy.held_rows(ref.archive_len))
         assert (draft.layer_view(0)[2].tolist() == ref.layer_view(0)[2].tolist()

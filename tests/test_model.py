@@ -1,9 +1,12 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from specdesk import attn, harness
 from specdesk.cache import KVCache
+from specdesk.config import parse_config
 from specdesk.errors import CapacityError, ParameterError, ShapeError, StateError
 from specdesk.model import (PREFILL_BLOCK, RMS_EPS, LayerWeights, ModelSpec,
                             _causal_mask, _rope_rotate, _silu, decode_step,
@@ -238,6 +241,80 @@ class TestLastRowPrefill:
         for li in range(n_layers):
             for a, b in zip(last.layer_view(li), every.layer_view(li)):
                 assert np.array_equal(a, b)
+
+
+class TestPrefillNumerics:
+    # sha256 of a 2K doc prompt's prefill as the engine runs it (last row
+    # only, with score capture): every layer's K and V as [L, H, dh] bytes,
+    # the last row's logits and its captured attention row. Taken when the
+    # store was row-major and the prefill scored every head at once.
+    PINNED = {
+        "copy": ("cecc9c08a795057be5f7801179eec126edd0afcb640b8d485831c14be487669b",
+                 "564c2e00a8fdf0670c6e9d3c2f13f67985fa7def0f02640c42bbdae320957a84",
+                 "0439f942fce3218d1498331a07a11a6765c70ec71a014fee48239c8f0a1a2ac9"),
+        "random": ("ca7c6c5b9881d3d2ea4f84bdd96edc7a17b9918f29fba3e62a738eaea3707737",
+                   "e23a46b952fde9638324314e68d73db6f6a99d50bea6f945871de55a0bed469a",
+                   "05a05d9eb1af1a5794b510ccb719157d4bb1bc05a7670918c90c8a841146782e"),
+    }
+
+    @pytest.mark.parametrize("model", ["copy", "random"])
+    def test_2k_doc_prefill_is_pinned(self, model):
+        cfg = parse_config(overrides=["task=doc", "weak_match_mass=100", "loop_len=15",
+                                      "seed=7", "prompt_len=2048", f"model={model}"])
+        spec, w = harness.build_models(cfg)
+        prompt, _ = harness.build_task(cfg)
+        cache = fresh_cache(spec, len(prompt))
+        out = prefill(spec, w, prompt, cache, capture_scores=True, last_row_only=True)
+        kv = hashlib.sha256()
+        for li in range(spec.n_layers):
+            k, v, _ = cache.layer_view(li)
+            kv.update(k.transpose(1, 0, 2).tobytes())
+            kv.update(v.transpose(1, 0, 2).tobytes())
+        got = (kv.hexdigest(), hashlib.sha256(out.logits[-1].tobytes()).hexdigest(),
+               hashlib.sha256(out.last_layer_attn[-1].tobytes()).hexdigest())
+        assert got == self.PINNED[model]
+
+    @staticmethod
+    def spy_prefill(monkeypatch, n):
+        """Prefill ``n`` tokens the engine's way, recording each entry into
+        ``attn.attend``: its query shape, key widths and score buffer."""
+        spec, w = small_model(seed=2, n_layers=3, max_pos=1024)
+        calls, real = [], attn.attend
+
+        def attend(q, parts, scale, want_probs=False, scores=None):
+            calls.append((q.shape, [k.shape[-2] for k, _, _ in parts], scores))
+            return real(q, parts, scale, want_probs, scores)
+
+        monkeypatch.setattr(attn, "attend", attend)
+        tokens = np.random.default_rng(n).integers(0, spec.vocab, n)
+        prefill(spec, w, tokens, fresh_cache(spec, n), True, last_row_only=True)
+        blocks = [(lo, min(lo + PREFILL_BLOCK, n)) for lo in range(0, n, PREFILL_BLOCK)]
+        return spec, blocks, calls
+
+    @pytest.mark.parametrize("n", [40, PREFILL_BLOCK + 40, 3 * PREFILL_BLOCK + 40])
+    def test_one_score_buffer_of_one_heads_largest_block(self, monkeypatch, n):
+        spec, blocks, calls = self.spy_prefill(monkeypatch, n)
+        buffers = [scores for _, _, scores in calls]
+        assert all(b is buffers[0] for b in buffers)
+        # A head scores [hi - lo] rows against its prefix [lo] or its block.
+        largest = max((hi - lo) * max(lo, hi - lo) for lo, hi in blocks)
+        assert buffers[0].shape == (largest,)
+        if n > 2 * PREFILL_BLOCK:
+            assert largest == PREFILL_BLOCK * 2 * PREFILL_BLOCK  # not the last block
+
+    @pytest.mark.parametrize("n", [40, 3 * PREFILL_BLOCK + 40])
+    def test_attend_is_entered_once_per_layer_and_block(self, monkeypatch, n):
+        # A tracer that wraps attn.attend then counts each score element once.
+        spec, blocks, calls = self.spy_prefill(monkeypatch, n)
+        assert len(calls) == spec.n_layers * len(blocks)
+        want = []
+        for lo, hi in blocks:
+            for li in range(spec.n_layers):
+                # The last layer runs for the prompt's last row only.
+                rows = int(hi == n) if li == spec.n_layers - 1 else hi - lo
+                want.append(((spec.n_heads, rows, spec.d_head),
+                             [lo, hi - lo] if lo else [hi - lo]))
+        assert [(q, widths) for q, widths, _ in calls] == want
 
 
 class TestDecodeStep:
