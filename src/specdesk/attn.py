@@ -1,9 +1,9 @@
 """The attention kernel: online softmax over a list of KV parts.
 
 Every forward pass (prefill, draft, verify and commit) calls :func:`attend`.
-The keys and values come as contiguous ``(k, v, mask)`` parts: the cached
-prefix, read in place as one part or in ``kv_chunk`` tiles, and the new
-block, the only part that carries a mask. Each part is scored on its own
+The keys and values come as contiguous ``(k, v, mask)`` parts: each block
+of cached rows, read in place as one part or in ``kv_chunk`` tiles, and the
+new block, which carries a mask. Each part is scored on its own
 with its own running max; the parts then merge into the exact
 softmax-weighted output (FlashAttention, Dao et al., 2022). A boolean mask
 (True = visible) gives masked positions exactly zero weight.
@@ -20,7 +20,7 @@ reference the tests compare :func:`attend` against.
 Shapes are head-generic: queries ``[..., nq, dh]`` against parts
 ``[..., L, dh]`` with leading batch/head axes broadcast by numpy matmul.
 The model passes ``[H, nq, dh]`` queries and ``[H, L, dh]`` parts; the
-cached parts are slices of the cache's head-major store.
+cached parts are slices of head-major stores (``KVCache.layer_parts``).
 """
 
 from __future__ import annotations

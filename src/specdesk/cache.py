@@ -1,20 +1,22 @@
 """Per-layer key/value storage with Full, Streaming and Retrieval eviction.
 
 A cache is a fixed-size row store: rows ``[0, archive_len)`` are exactly the
-rows the next forward pass attends to, in position order, so every layer
-view is a slice; K and V are head-major, ``[H, capacity, dh]`` per layer.
+rows the next forward pass attends to, in position order, as one or two
+contiguous blocks; K and V are head-major, ``[H, capacity, dh]`` per layer.
 Rows keep their absolute positions: keys are stored post-rotation and never
 re-rotated. An append past the reserved capacity raises ``CapacityError``.
 
 A cache built with ``KVCache.seeded`` starts empty over the prompt rows of a
 *source* cache, its sealed prefix: the draft's layers are the target's
 first layers, so the target's rows are the draft's. ``hold_prefix`` is the
-one way prefix rows get in: it reads the given prefix rows from the source
-and places them in front of the cache's own generated rows. Each policy
-picks its rows: the full draft all of them, the streaming draft its sink
-and recent window, and a retrieval update the selected chunks, so a chunk
-dropped by one update can be restored by a later one. The source must keep
-its prefix rows in place; the target cache never reallocates or truncates
+one way prefix rows get in, in front of the cache's own generated rows.
+Each policy picks its rows: the full draft all of them, the streaming draft
+its sink and recent window, and a retrieval update the selected chunks, so
+a chunk dropped by one update can be restored by a later one. A selection
+is gathered from the source, but a whole prefix is read there in place
+(*borrowed*): ``layer_parts`` gives the borrowed rows, then the own rows,
+and ``layer_view`` copies them into one array. The source must keep its
+prefix rows in place; the target cache never reallocates or truncates
 below the draft's sealed prefix.
 
 Committed rows are held in increasing position order. Behind them may come
@@ -114,6 +116,7 @@ class KVCache:
         self._world = 0  # see world_len
         self._prefix_rows = 0  # sealed prefix, positions [0, _prefix_rows), held or not
         self._held_prefix = 0  # leading held rows that belong to the sealed prefix
+        self._borrowed = 0  # leading held rows read in place from the source
         self._source: KVCache | None = None  # where hold_prefix reads prefix rows
 
     @classmethod
@@ -155,11 +158,19 @@ class KVCache:
         whether or not its row is still held."""
         return self._world
 
+    def layer_parts(self, layer: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Held ``(k, v)`` of one layer as contiguous ``[H, L, dh]`` slices in
+        row order: the borrowed rows, if any, then the own rows."""
+        n, b, src = self._len, self._borrowed, self._source
+        lent = [(src._k[layer][:, :b], src._v[layer][:, :b])] if b else []
+        return lent + [(self._k[layer][:, b:n], self._v[layer][:, b:n])]
+
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``,
-        as slices of the store."""
-        n = self._len
-        return self._k[layer][:, :n], self._v[layer][:, :n], self._pos[:n]
+        """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``:
+        slices of the store, or a copy while the cache borrows rows."""
+        parts = self.layer_parts(layer)
+        k, v = (np.concatenate(x, axis=1) if len(x) > 1 else x[0] for x in zip(*parts))
+        return k, v, self._pos[:self._len]
 
     # -- mutation -----------------------------------------------------------
 
@@ -211,6 +222,7 @@ class KVCache:
             raise OrderingError(f"the rows below position {world_len} do not come first")
         self._len = cut
         self._held_prefix = min(self._held_prefix, cut)
+        self._borrowed = min(self._borrowed, cut)
         self._prefix_rows = min(self._prefix_rows, world_len)
         self._world = min(self._world, world_len)
 
@@ -223,6 +235,11 @@ class KVCache:
             raise ParameterError(f"kept rows must be strictly ascending in [0, {self._len})")
         # ``rows[i] - i`` never decreases; rows where it is 0 are in place.
         still = int(np.searchsorted(rows - np.arange(m), 0, side="right"))
+        if still < self._borrowed:  # a borrowed row moves: copy them all in first
+            for li in range(self.n_layers):
+                (k, v), _ = self.layer_parts(li)
+                self._k[li][:, :k.shape[1]], self._v[li][:, :k.shape[1]] = k, v
+            self._borrowed = 0
         # One head at a time: the gather's temporary is one head's rows.
         for buf in (*(head for kv in (*self._k, *self._v) for head in kv), self._pos):
             buf[still:m] = buf[rows[still:]]
@@ -231,7 +248,8 @@ class KVCache:
 
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
-        read from the source, then the generated rows still held."""
+        read from the source, then the generated rows still held. The whole
+        prefix, ``0 .. prefix_len - 1``, is borrowed, not copied."""
         src, p = self._source, self.prefix_len
         if src is None:
             raise StateError("holding prefix rows needs a source cache (KVCache.seeded)")
@@ -246,13 +264,15 @@ class KVCache:
         if end > self._pos.shape[0]:
             raise CapacityError(f"holding {m} prefix rows needs {end} rows, "
                                 f"{self._pos.shape[0]} reserved")
+        self._borrowed = m if m == p else 0  # the whole prefix is read in place
         n = self.n_layers
         for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
             own[:, m:end] = own[:, gen]
-            # The rows are in range, so "clip" changes nothing; unlike "raise"
-            # it writes into a head's contiguous ``out`` without a temporary.
-            for o, t in zip(own, theirs):
-                np.take(t, rows, axis=0, out=o[:m], mode="clip")
+            if not self._borrowed:
+                # The rows are in range, so "clip" changes nothing; unlike
+                # "raise" it writes into a head's ``out`` without a temporary.
+                for o, t in zip(own, theirs):
+                    np.take(t, rows, axis=0, out=o[:m], mode="clip")
         self._pos[m:end] = self._pos[gen]
         self._pos[:m] = rows
         self._held_prefix, self._len = m, end

@@ -7,7 +7,8 @@ draft's prompt K/V for all but the last prompt token. The draft never
 prefills: it reads the prompt rows its policy holds from the target cache,
 all of them for a full draft, the sink and recent window for a streaming
 draft, and the selected chunks at each update for a retrieval draft (none
-before its first). Every step, including the first, then
+before its first). A draft that holds every prompt row reads them in place
+in the target's store, never copied. Every step, including the first, then
 drafts from a post-update cache. The drafters leave their rows in the draft
 cache; after verification it keeps the rows of the accepted tokens (a
 tree's accepted path compacted in place) and drops the rest. So the pending
@@ -94,8 +95,9 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     target cache reserves ``capacity`` rows. The draft, whose layers are the
     target's first ``dspec.n_layers``, is seeded over those layers' rows for
     all but the last prompt token, which is the first pending commit, and
-    holds the rows ``policy.held_rows`` picks. It reserves room for the most
-    prompt rows the policy holds and for the target's generation room.
+    holds the rows ``policy.held_rows`` picks: all of them are read in place
+    from the target cache, any fewer are copied. It reserves room for the
+    most prompt rows the policy holds and for the target's generation room.
     """
     n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)

@@ -7,7 +7,7 @@ non-contiguous position sets; keys enter the cache post-rotation.
 
 The forward pass is shared verbatim between prefill and decode so that a
 one-token prefill and a one-token decode on an empty cache are bitwise
-identical. Attention reads the cache's head-major ``[H, L, dh]`` views in
+identical. Attention reads the cache's head-major ``[H, L, dh]`` blocks in
 place. A prefill scores its 256-row blocks one head at a time into one
 buffer, allocated once and sized for one head's largest block.
 """
@@ -189,8 +189,9 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     """One forward pass over a block; its K/V are appended to ``cache``.
 
     A ``new_mask`` of shape ``[q, T + q]`` reads the cache's last ``T`` held
-    rows, a speculative tail, as their own masked part; the rows before them
-    are visible to every query, and the block's own columns come last.
+    rows, a speculative tail of own (not borrowed) rows, as their own masked
+    part; the rows before them are visible to every query, and the block's
+    own columns come last.
     With ``out_rows`` the last layer projects K/V for every row but runs
     attention, the MLP and the unembed only for the trailing ``out_rows``
     rows (none for 0), so logits and captured rows cover just those.
@@ -224,12 +225,18 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
             qkv = (xn @ lw.wqkv).reshape(q_n, 3 * H, dh)
             qk = _rope_rotate(qkv[:, :2 * H], positions, spec.rope_base)
             q, k, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H:]
-        kc, vc, _ = cache.layer_view(li)  # [H, L, dh]
+        new_ks.append(k)
+        new_vs.append(v)
+        if last and out_rows == 0:  # a prefill block before the last: K/V only
+            break
+        *blocks, (kc, vc) = cache.layer_parts(li)  # [H, L, dh] each
+        P = kc.shape[1] - tail  # own rows every query sees
+        if P < 0:
+            raise ShapeError(f"a tail of {tail} rows reaches into borrowed rows")
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
-        P = kc.shape[1] - tail  # rows every query sees
-        if P:
-            for lo, hi in attn.split_chunks(P, kv_chunk or P):
-                parts.append((kc[:, lo:hi], vc[:, lo:hi], None))
+        for kb, vb in (*blocks, (kc[:, :P], vc[:, :P])):
+            for lo, hi in attn.split_chunks(kb.shape[1], kv_chunk or kb.shape[1] or 1):
+                parts.append((kb[:, lo:hi], vb[:, lo:hi], None))
         if tail:
             parts.append((kc[:, P:], vc[:, P:], new_mask[:, :tail]))
         parts.append((k.transpose(1, 0, 2), v.transpose(1, 0, 2), new_mask[:, tail:]))
@@ -240,8 +247,6 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
             captured = probs.mean(axis=0)  # head-averaged [q or 1, L+q]
         x += out.transpose(1, 0, 2).reshape(x.shape[0], D) @ lw.wo
         x += _silu(rms_norm(x, lw.mlp_gain) @ lw.w_in) @ lw.w_out
-        new_ks.append(k)
-        new_vs.append(v)
     logits = rms_norm(x, w.final_gain) @ w.unembed
     check_finite(logits, "logits")
     cache.append(new_ks, new_vs, positions, tail=tail)

@@ -6,7 +6,7 @@ import pytest
 from specdesk.cache import KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.errors import (CapacityError, OrderingError, ParameterError, ShapeError,
                              StateError)
-from specdesk.model import ModelSpec, decode_step
+from specdesk.model import ModelSpec, decode_step, derive_draft
 from specdesk.modelgen import random_weights
 from specdesk.retrieval import chunk_rows
 
@@ -125,6 +125,25 @@ class TestSpeculativeTail:
         out = decode_step(spec, w, [3], c, tree_mask=np.ones((1, 3), bool),
                           positions=[2])
         assert out.logits.shape == (1, 5) and c.archive_len == 3
+
+    def test_mask_reaching_into_borrowed_rows_raises(self):
+        # A tail is the draft's own decoded rows; a mask that reaches past
+        # them into the rows a whole prefix borrows is refused.
+        spec = ModelSpec(n_layers=2, n_heads=2, d_model=8, d_head=4, vocab=5,
+                         max_pos=64)
+        w = random_weights(spec, 0)
+        source = KVCache(2, 2, 4)
+        decode_step(spec, w, [1, 2, 3], source, positions=[0, 1, 2])
+        c = KVCache.seeded(source, 1, 2, capacity=8)
+        c.hold_prefix(np.arange(2))
+        draft, draft_w = derive_draft(spec, w, 1)
+        decode_step(draft, draft_w, [3], c, positions=[2])
+        with pytest.raises(ShapeError, match="borrowed"):
+            decode_step(draft, draft_w, [4], c, tree_mask=np.ones((1, 3), bool),
+                        positions=[3])
+        out = decode_step(draft, draft_w, [4], c, tree_mask=np.ones((1, 2), bool),
+                          positions=[3])
+        assert out.logits.shape == (1, 5) and c.archive_len == 4
 
     def test_truncate_checks_the_rows_it_drops(self):
         c = make_cache()
@@ -342,21 +361,46 @@ class TestGatherTemporaries:
         finally:
             tracemalloc.stop()
 
+    N, HEADS, D_HEAD = 2047, 2, 64
+    LAYER_ROWS = N * HEADS * D_HEAD * 8  # bytes of one layer's prefix keys
+    MOVED = 2000 * HEADS * D_HEAD * 8  # a streaming window of 2000 rows
+
+    def seeded(self):
+        source = KVCache(3, self.HEADS, self.D_HEAD, capacity=self.N + 1)
+        append_tokens(source, list(range(self.N + 1)))
+        return source, KVCache.seeded(source, 2, self.N, capacity=self.N + 16)
+
+    def assert_source_rows(self, c, source):
+        for li in range(2):
+            k, v, pos = c.layer_view(li)
+            sk, sv, _ = source.layer_view(li)
+            assert np.array_equal(k[:, :-3], sk[:, pos[:-3]])
+            assert np.array_equal(v[:, :-3], sv[:, pos[:-3]])
+
     def test_hold_prefix_and_a_streaming_keep(self):
-        n, heads, d_head = 2047, 2, 64
-        source = KVCache(3, heads, d_head, capacity=n + 1)
-        append_tokens(source, list(range(n + 1)))
-        c = KVCache.seeded(source, 2, n, capacity=n + 16)
-        layer_rows = n * heads * d_head * 8
-        assert self.peak_bytes(lambda: c.hold_prefix(np.arange(n))) < layer_rows / 8
-        append_tokens(c, [n, n + 1, n + 2])
-        moved = 2000 * heads * d_head * 8  # the window shifts down by 46 rows
-        assert self.peak_bytes(lambda: evict(c, 4, 2000)) < moved
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, n + 3))
-        k, v, pos = c.layer_view(1)
+        # Every prefix row but the first: a gather, where the whole prefix
+        # would be borrowed and copy nothing.
+        source, c = self.seeded()
+        assert self.peak_bytes(lambda: c.hold_prefix(np.arange(1, self.N))) < self.LAYER_ROWS / 8
+        assert len(c.layer_parts(0)) == 1
+        append_tokens(c, [self.N, self.N + 1, self.N + 2])
+        # The window shifts down by 45 rows.
+        assert self.peak_bytes(lambda: evict(c, 4, 2000)) < self.MOVED
+        assert c.layer_view(0)[2].tolist() == [1, 2, 3, 4] + list(range(50, self.N + 3))
+        self.assert_source_rows(c, source)
+
+    def test_a_whole_prefix_is_borrowed_until_a_keep_moves_it(self):
+        source, c = self.seeded()
+        assert self.peak_bytes(lambda: c.hold_prefix(np.arange(self.N))) < self.LAYER_ROWS / 8
+        (bk, bv), _ = c.layer_parts(1)
         sk, sv, _ = source.layer_view(1)
-        assert np.array_equal(k[:, :-3], sk[:, pos[:-3]])
-        assert np.array_equal(v[:, :-3], sv[:, pos[:-3]])
+        assert np.shares_memory(bk, sk) and np.shares_memory(bv, sv)
+        append_tokens(c, [self.N, self.N + 1, self.N + 2])
+        # The borrowed rows are copied in, then the window shifts down by 46.
+        assert self.peak_bytes(lambda: evict(c, 4, 2000)) < self.MOVED
+        assert len(c.layer_parts(0)) == 1
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, self.N + 3))
+        self.assert_source_rows(c, source)
 
 
 def test_layer_view_tracks_every_mutation():
@@ -416,7 +460,8 @@ def test_layer_view_tracks_every_mutation():
             if len(held) > sink + recent:
                 held[:] = held[:sink] + held[-recent:]
         else:
-            chunks = np.flatnonzero(rng.random(10) < 0.4)
+            # Every chunk now and then: the whole prefix, borrowed in place.
+            chunks = np.flatnonzero(rng.random(10) < rng.choice([0.4, 1.0], p=[0.75, 0.25]))
             sink = int(rng.integers(0, 3))
             c.hold_prefix(chunk_rows(chunks, 4, c.prefix_len, sink))
             held[:] = ([p for p in range(40) if p // 4 in chunks or p < sink]
@@ -443,6 +488,7 @@ class TestTruncate:
         c = seeded_cache(12)
         c.truncate(6)
         assert (c.prefix_len, c.world_len) == (6, 6)
+        assert c.layer_view(0)[0].shape[1] == 6  # of the 12 rows it borrowed
         with pytest.raises(ParameterError):
             c.hold_prefix(np.arange(8))
         c.hold_prefix(chunk_rows([0, 1], 4, c.prefix_len))

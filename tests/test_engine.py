@@ -207,6 +207,16 @@ class TestSessionInvariants:
             assert target.layer_view(0)[2].tolist() == list(range(committed[0]))
             assert draft.world_len <= committed[0]
             assert np.all(np.diff(draft.layer_view(0)[2]) > 0)
+            # The draft's prompt rows are the target's, bitwise; a full
+            # draft reads them in place.
+            held = draft.generation_boundary
+            for li in range(draft.n_layers):
+                k, v, pos = draft.layer_view(li)
+                tk, tv, _ = target.layer_view(li)
+                assert np.array_equal(k[:, :held], tk[:, pos[:held]])
+                assert np.array_equal(v[:, :held], tv[:, pos[:held]])
+            if isinstance(policy, FullPolicy):
+                assert np.shares_memory(draft.layer_parts(0)[0][0], target.layer_view(0)[0])
             checked.append(committed[0])
 
         def spy(fn, role):
@@ -257,6 +267,36 @@ class TestSessionInvariants:
         assert sum(n for n, _ in passes) == sum(s.drafted for s in steps) + len(steps)
         assert [n for n, capture in passes if capture] == [1] * len(steps)
         assert {s.accepted for s in steps} > {0}
+
+
+class TestBorrowedPrefix:
+    # A draft that holds its whole prompt prefix reads it from the target in
+    # place: ``layer_parts`` gives the borrowed block, then the own rows.
+    @pytest.mark.parametrize("policy, parts", [
+        # A window wider than the prompt: its first eviction copies the rows in.
+        pytest.param(StreamingPolicy(sink=2, recent=20),
+                     lambda seen: seen[0] == 2 and seen[-1] == 1, id="streaming"),
+        # A budget that covers every prompt chunk: every update borrows.
+        pytest.param(RetrievalPolicy(chunk_size=4, top_k=4, frequency=2),
+                     lambda seen: set(seen) == {2}, id="retrieval"),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_output_matches_target_greedy(self, monkeypatch, policy, parts, drafting):
+        seen = []
+
+        def spy(fn):
+            def draft(spec, weights, cache, *args, **kwargs):
+                seen.append(len(cache.layer_parts(0)))
+                return fn(spec, weights, cache, *args, **kwargs)
+            return draft
+
+        for name in ("draft_chain", "draft_tree"):
+            monkeypatch.setattr(engine, name, spy(getattr(engine, name)))
+        spec, w = target_model(seed=11)
+        sess = session_for(spec, w, policy, drafting=drafting,
+                           budget=TreeBudget(10, 4, 0.5))
+        assert sess.run(PROMPT, 48).output_tokens == greedy_reference(spec, w, PROMPT, 48)
+        assert seen == sorted(seen, reverse=True) and parts(seen)
 
 
 class TestBookkeeping:

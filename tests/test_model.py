@@ -305,13 +305,14 @@ class TestPrefillNumerics:
     @pytest.mark.parametrize("n", [40, 3 * PREFILL_BLOCK + 40])
     def test_attend_is_entered_once_per_layer_and_block(self, monkeypatch, n):
         # A tracer that wraps attn.attend then counts each score element once.
+        # The last layer attends for the prompt's last row only, so in every
+        # block before the last it only stores K/V and never enters attend.
         spec, blocks, calls = self.spy_prefill(monkeypatch, n)
-        assert len(calls) == spec.n_layers * len(blocks)
+        assert len(calls) == (spec.n_layers - 1) * len(blocks) + 1
         want = []
         for lo, hi in blocks:
-            for li in range(spec.n_layers):
-                # The last layer runs for the prompt's last row only.
-                rows = int(hi == n) if li == spec.n_layers - 1 else hi - lo
+            for li in range(spec.n_layers - (hi < n)):
+                rows = 1 if li == spec.n_layers - 1 else hi - lo
                 want.append(((spec.n_heads, rows, spec.d_head),
                              [lo, hi - lo] if lo else [hi - lo]))
         assert [(q, widths) for q, widths, _ in calls] == want
