@@ -63,7 +63,8 @@ class StreamingPolicy:
             raise ParameterError("streaming policy needs sink >= 0 and recent >= 1")
 
     def held_rows(self, n: int) -> np.ndarray:
-        return np.r_[:min(self.sink, n), max(self.sink, n - self.recent):n]
+        sink = min(self.sink, n)
+        return np.r_[:sink, max(sink, n - self.recent):n]
 
     def prefix_rows(self, n: int) -> int:
         return min(self.sink + self.recent, n)

@@ -8,17 +8,17 @@ probable unexpanded node whose path probability clears
 node budget is exhausted or nothing qualifies. Children are deterministic
 top-probability picks, so their proposal is a point mass.
 
-A chain is verified as the path tree it is: ``chain_tree`` gives node
-``i + 1`` the chain's token ``i`` and node ``i`` the distribution it was
-drawn from. Its ``DraftTree.sampled`` is set, which tells verification that
-each child's proposal is its parent's ``dist`` rather than a point mass.
+A chain is drawn as its path tree: node ``i + 1`` holds token ``i``, node
+``i`` the distribution it was drawn from, and ``DraftTree.sampled`` tells
+verification that a child's proposal is its parent's ``dist``.
 
-The draft cache is only ever extended speculatively here. A chain's rows
-are in position order, so callers roll back by position truncation; a
-tree's rows follow its root in decode order, and ``keep_path`` compacts the
-accepted path's rows, then truncates after them. That order, ``DraftTree.tail``,
-is also the order in which the target verifies the nodes: both sides build
-their decode block with ``tree_block`` and keep the path with ``keep_path``.
+One rule holds for both: a drafter decodes nodes only to expand one, so the
+leaves added after its last expansion stay undecoded (``undecoded``), and
+``DraftTree.tail`` lists the nodes it decoded, in draft-cache row order. The
+target verifies ``tail + undecoded(tree)`` in one ``tree_block``; both
+caches keep the accepted path's rows with ``keep_path``. So the next step's
+pending block is the correction or bonus, after a path that ended at an
+undecoded leaf also that leaf.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class TreeNode:
 class DraftTree:
     """Speculated token tree; the root is the last committed token.
 
-    ``tail[r]`` is the node whose K/V the ``r``-th cached row after the
-    root holds, and the ``r``-th row of the target's verify block.
-    ``sampled`` says that each child was drawn from its parent's ``dist``
-    (a chain's path tree), not picked as a top child.
+    ``tail[r]`` is the node whose K/V the draft decoded into the ``r``-th
+    cached row after the root: nodes ``1 .. len(tail)``, the rest are
+    undecoded leaves. ``sampled`` says that each child was drawn from its
+    parent's ``dist`` (a chain's path tree), not picked as a top child.
     """
 
     nodes: list[TreeNode]
@@ -85,18 +85,31 @@ class DraftTree:
         return self.nodes[idx].children
 
 
+def undecoded(tree: DraftTree) -> list[int]:
+    """The nodes the draft has not decoded, in decode order: by depth, then
+    by index."""
+    return sorted(range(len(tree.tail) + 1, tree.size),
+                  key=lambda i: (tree.nodes[i].depth, i))
+
+
 @dataclass
 class ChainDraft:
-    root: int  # the last committed token, which the chain continues
-    tokens: list[int]
-    dists: list[np.ndarray]  # proposal distribution per drafted token
-    logits: list[np.ndarray]  # raw draft logits per drafted position
+    """A drafted chain's path tree. It goes with ``draft_chain`` and
+    ``verify_chain`` once a sampled ``draft_tree`` replaces them."""
+
+    tree: DraftTree
+
+    @property
+    def tokens(self) -> list[int]:
+        return [node.token for node in self.tree.nodes[1:]]
 
 
 def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
                 pending: list[int], k: int, temperature: float, rng: Rng) -> ChainDraft:
-    """Sample a k-token chain; the first distribution comes from decoding
-    the pending committed tokens, so exactly k forward passes run in total."""
+    """Sample a k-token chain as its path tree; the first distribution comes
+    from decoding the pending committed tokens, so exactly k forward passes
+    run in total and the leaf is never decoded. ``path_logprob``, the tree
+    drafter's expansion order, is left at 0."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not pending:
@@ -104,40 +117,21 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
     start = cache.world_len
     out = decode_step(spec, weights, pending, cache,
                       positions=np.arange(start, start + len(pending)), out_rows=1)
+    root_pos = start + len(pending) - 1
+    tree = DraftTree(nodes=[TreeNode(int(pending[-1]), parent=-1, depth=0,
+                                     path_logprob=0.0)], root_pos=root_pos, sampled=True)
     logits_row = out.logits[-1]
-    pos = start + len(pending)
-    tokens: list[int] = []
-    dists: list[np.ndarray] = []
-    logits: list[np.ndarray] = []
     for i in range(k):
-        p = next_token_dist(logits_row, temperature)
-        tok = draw(p, rng, temperature)
-        tokens.append(tok)
-        dists.append(p)
-        logits.append(logits_row)
-        if i + 1 < k:
-            step = decode_step(spec, weights, [tok], cache,
-                               positions=np.array([pos]))
-            logits_row = step.logits[-1]
-            pos += 1
-    return ChainDraft(root=int(pending[-1]), tokens=tokens, dists=dists, logits=logits)
-
-
-def chain_tree(draft: ChainDraft, root_pos: int) -> DraftTree:
-    """The path tree of a drafted chain whose root sits at ``root_pos``.
-
-    Node 0 holds the root token, node ``i + 1`` token ``i``; node ``i``
-    carries the distribution token ``i`` was drawn from and its logits.
-    The last node has neither, because the draft never decodes it.
-    ``path_logprob``, the tree drafter's expansion order, is left at 0.
-    """
-    nodes = [TreeNode(token=draft.root, parent=-1, depth=0, path_logprob=0.0)]
-    for i, tok in enumerate(draft.tokens):
-        nodes[i].dist, nodes[i].logits = draft.dists[i], draft.logits[i]
-        nodes[i].children.append(i + 1)
-        nodes.append(TreeNode(token=tok, parent=i, depth=i + 1, path_logprob=0.0))
-    return DraftTree(nodes=nodes, root_pos=root_pos, tail=list(range(1, len(nodes))),
-                     sampled=True)
+        node = tree.nodes[i]
+        if i:
+            logits_row = decode_step(spec, weights, [node.token], cache,
+                                     positions=np.array([root_pos + i])).logits[-1]
+            tree.tail.append(i)
+        node.logits, node.dist = logits_row, next_token_dist(logits_row, temperature)
+        node.children.append(i + 1)
+        tree.nodes.append(TreeNode(token=draw(node.dist, rng, temperature), parent=i,
+                                   depth=i + 1, path_logprob=0.0))
+    return ChainDraft(tree)
 
 
 def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
@@ -148,10 +142,10 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     root. Each other node is decoded once: whenever a node without a
     distribution must be expanded, every such node is decoded in one step,
     under a mask over the tree rows already cached, so each sees the
-    committed rows, its ancestors and itself. The decoded rows stay in the
-    cache after the root, one per non-root node at ``root_pos + depth``, in
-    the order ``tree.tail`` records; the caller keeps the accepted path's
-    rows and drops the rest (``keep_path``).
+    committed rows, its ancestors and itself; the nodes added after the last
+    such step stay undecoded. The rows stay in the cache after the root, one
+    per decoded node at ``root_pos + depth``, in the order ``tree.tail``
+    records; the caller keeps the accepted path's rows (``keep_path``).
     """
     if not pending:
         raise ParameterError("draft_tree needs at least one pending committed token")
@@ -166,9 +160,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
 
     def refresh() -> None:
         """Decode every node added since the last refresh, in one pass."""
-        cached = tree.tail  # nodes only get appended: the rest are the newest
-        new = sorted(range(len(cached) + 1, tree.size),
-                     key=lambda i: (tree.nodes[i].depth, i))
+        cached, new = tree.tail, undecoded(tree)
         tokens, mask, positions = tree_block(tree, new, cached)
         step = decode_step(spec, weights, tokens, cache, tree_mask=mask,
                            positions=positions)
@@ -229,8 +221,6 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
             if child is not None:
                 push(child)
 
-    if any(n.dist is None for n in tree.nodes):
-        refresh()
     assert tree.size <= budget.max_nodes
     assert max(n.depth for n in tree.nodes) <= budget.max_depth
     return tree
@@ -254,18 +244,22 @@ def tree_block(tree: DraftTree, nodes: list[int], cached: list[int] = ()
     return tokens, mask, positions
 
 
-def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
-    """Keep, of the rows of ``tree.tail`` last in ``cache``, those of the path
-    that spells ``tokens`` from the root, compacted in place; the cache then
-    holds exactly the committed rows up to the path's end."""
-    base = cache.archive_len - len(tree.tail)
-    row_of = {node: base + r for r, node in enumerate(tree.tail)}
+def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int],
+              order: list[int]) -> None:
+    """Keep, of the rows of the nodes ``order`` last in ``cache``, those of
+    the path that spells ``tokens`` from the root, compacted in place; the
+    cache then holds exactly the committed rows up to the path's last node
+    with a row, which is its end unless that is an undecoded leaf."""
+    base = cache.archive_len - len(order)
+    row_of = {node: base + r for r, node in enumerate(order)}
     rows, node = [], 0
     for tok in tokens:
         match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
         if not match:
             raise InternalError(f"token {tok} is not a child of tree node {node}")
         node = match[0]
+        if node not in row_of:  # an undecoded leaf
+            break
         rows.append(row_of[node])
     cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
-    cache.truncate(tree.root_pos + 1 + len(tokens))
+    cache.truncate(tree.root_pos + 1 + len(rows))

@@ -9,12 +9,12 @@ all of them for a full draft, the sink and recent window for a streaming
 draft, and the selected chunks at each update for a retrieval draft (none
 before its first). A draft that holds every prompt row reads them in place
 in the target's store, never copied. Every step, including the first, then
-drafts from a post-update cache. The drafters leave their rows in the draft
-cache; after verification it keeps the rows of the accepted tokens (a
-tree's accepted path compacted in place) and drops the rest. So the pending
-block of the next step's drafting is the correction or bonus token, after
-a fully accepted chain also the last drafted token, which a chain never
-decodes; its last row yields the first proposal distribution.
+drafts from a post-update cache. Both drafters draw a tree and leave the
+rows of the nodes they decoded (``DraftTree.tail``) in the draft cache,
+which after verification keeps the accepted path's rows (``keep_path``).
+So the pending block of the next step's drafting is the correction or
+bonus, after a path that ended at a leaf the drafter left undecoded also
+that leaf; its last row yields the first proposal distribution.
 
 Both caches are sized once from the prompt length, ``gen_tokens`` and the
 largest block a step appends, the draft's for the most prompt rows its
@@ -218,11 +218,11 @@ class Session:
             if self.drafting == "chain":
                 chain = draft_chain(dspec, dw, draft_cache, pending, self.k,
                                     self.temperature, self.rng)
-                drafted_n, tree_nodes = len(chain.tokens), 0
+                tree, tree_nodes = chain.tree, 0
             else:
                 tree = draft_tree(dspec, dw, draft_cache, pending, self.budget,
                                   self.temperature)
-                drafted_n, tree_nodes = tree.size - 1, tree.size
+                tree_nodes = tree.size
             draft_ms = (time.perf_counter() - t0) * 1e3
 
             t0 = time.perf_counter()
@@ -241,11 +241,8 @@ class Session:
             root_dist, row = outc.next_root_dist, outc.attn_row
 
             # Roll the draft cache back to the committed world, keeping the
-            # accepted tokens' rows.
-            if self.drafting == "tree":
-                keep_path(draft_cache, tree, walk.accepted)
-            else:
-                draft_cache.truncate(n_before + len(walk.accepted))
+            # accepted path's rows.
+            keep_path(draft_cache, tree, walk.accepted, tree.tail)
             if isinstance(self.policy, StreamingPolicy):
                 draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
 
@@ -266,7 +263,7 @@ class Session:
                     metric_prob=float(metric[lvl.committed])))
 
             steps.append(StepReport(
-                step=step_idx, drafted=drafted_n, accepted=len(walk.accepted),
+                step=step_idx, drafted=tree.size - 1, accepted=len(walk.accepted),
                 tree_nodes=tree_nodes, retrieval_update=updated,
                 draft_ms=draft_ms, verify_ms=verify_ms,
                 update_ms=update_ms, divergence=div))

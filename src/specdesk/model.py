@@ -333,6 +333,9 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
 
 def derive_draft(spec: ModelSpec, weights: Weights, keep_layers: int) -> tuple[ModelSpec, Weights]:
     """Layer-truncated draft sharing embedding, unembedding and final norm."""
+    if spec.n_layers < 2:
+        raise ParameterError(f"a draft needs a target with at least 2 layers, "
+                             f"got {spec.n_layers}")
     if not 1 <= keep_layers < spec.n_layers:
         raise ParameterError(
             f"draft_layers must be in [1, {spec.n_layers - 1}], got {keep_layers}"

@@ -23,8 +23,13 @@ class SpeedupInputs:
     t_verify: float  # verification cost per step, seconds
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
-            raise ParameterError(f"speedup inputs must be finite, got {astuple(self)}")
+        try:
+            finite = all(map(math.isfinite, astuple(self)))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ParameterError(f"speedup inputs must be finite and within the float "
+                                 f"range, got {astuple(self)}")
         if self.t_draft <= 0 or self.t_target <= 0 or self.t_verify <= 0:
             raise ParameterError("latencies must be > 0")
         if self.tau < 1:

@@ -72,15 +72,22 @@ def gen_needle_task(total_len: int, needle: list[int], needle_pos: int | None,
                       expected=needle[1:])
 
 
+def _distinct_body(length: int, seed: int, salt: int, key: str) -> list[int]:
+    """``length`` distinct needle-alphabet tokens drawn from ``seed ^ salt``;
+    ``seed`` is checked as given, ``key`` names ``length`` in errors."""
+    if not 1 <= length <= len(NEEDLE_ALPHABET):
+        raise ParameterError(f"{key} must be in [1, {len(NEEDLE_ALPHABET)}], "
+                             f"got {length}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    order = Rng(seed ^ salt).permutation(len(NEEDLE_ALPHABET))
+    return [NEEDLE_ALPHABET[i] for i in order[:length]]
+
+
 def standard_needle(total_len: int, seed: int, body_len: int = 12,
                     needle_pos: int | None = None) -> NeedleTask:
     """Default needle: id token plus a distinct-token body, chunk-aligned."""
-    if not 1 <= body_len <= len(NEEDLE_ALPHABET):
-        raise ParameterError(f"needle_body must be in [1, {len(NEEDLE_ALPHABET)}], "
-                             f"got {body_len}")
-    rng = Rng(seed ^ 0x5EED)
-    body = [NEEDLE_ALPHABET[i] for i in rng.permutation(len(NEEDLE_ALPHABET))[:body_len]]
-    needle = [RECALL_ID] + body
+    needle = [RECALL_ID] + _distinct_body(body_len, seed, 0x5EED, "needle_body")
     return gen_needle_task(total_len, needle, needle_pos, seed=seed)
 
 
@@ -92,11 +99,7 @@ def loop_doc_task(total_len: int, seed: int, loop_len: int = 15,
     body, so greedy continuation after the query enters B and keeps looping
     it with period ``loop_len``.
     """
-    if not 1 <= loop_len <= len(NEEDLE_ALPHABET):
-        raise ParameterError(f"loop_len must be in [1, {len(NEEDLE_ALPHABET)}], "
-                             f"got {loop_len}")
-    rng = Rng(seed ^ 0x100F)
-    body = [NEEDLE_ALPHABET[i] for i in rng.permutation(len(NEEDLE_ALPHABET))[:loop_len]]
+    body = _distinct_body(loop_len, seed, 0x100F, "loop_len")
     half = loop_len // 2
     needle = [RECALL_ID] + body + body + body[:half]
     task = gen_needle_task(total_len, needle, needle_pos, seed=seed)

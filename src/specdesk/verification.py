@@ -1,8 +1,9 @@
 """Target-side verification: lossless accept/reject/correct over a draft
 tree, and hybrid chunked+tree attention.
 
-There is one walk and one verify decode. A drafted chain is verified as its
-path tree (``drafting.chain_tree``), whose mask is the causal mask.
+There is one walk and one verify decode, of every non-root node: those the
+draft decoded in its row order (``DraftTree.tail``), then its undecoded
+leaves. A drafted chain is its path tree, whose mask is the causal mask.
 
 Acceptance follows the standard ratio rule ``u < min(1, q(x)/p(x))``
 against the proposal distribution each candidate was actually drawn from.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import KVCache
-from .drafting import ChainDraft, DraftTree, chain_tree, keep_path, tree_block
+from .drafting import ChainDraft, DraftTree, keep_path, tree_block, undecoded
 from .errors import InternalError, ShapeError, StateError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, draw
@@ -103,50 +104,39 @@ def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
               temperature: float) -> WalkResult:
     """Pure walk from the root: try children in draft-probability order,
     taking each rejected child's proposal out of the residual (its token's
-    mass, or its parent's ``dist`` in a sampled tree); sample the correction
-    from the final residual, or the bonus at an accepted leaf."""
+    mass, or its parent's ``dist`` in a sampled tree). The level that accepts
+    none commits a draw from its residual: the correction, or at a leaf,
+    whose residual is untouched, the bonus."""
     accepted: list[int] = []
     levels: list[LevelRecord] = []
-    correction = None
-    bonus = None
     node = 0
     while True:
         q_cur = rows[node]
         parent_dist = tree.nodes[node].dist
         children = sorted(tree.children_of(node),
                           key=lambda c: (-float(parent_dist[tree.nodes[c].token]), c))
-        if not children:
-            bonus = draw(q_cur, rng, temperature)
-            levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
-                                      first_candidate=None, committed=bonus,
-                                      accepted=False,
-                                      draft_logits=tree.nodes[node].logits))
-            break
         proposal = parent_dist if tree.sampled else None
-        residual = q_cur
-        chosen = None
+        residual, chosen = q_cur, None
         for c in children:
             tok = tree.nodes[c].token
             if _attempt(residual, tok, proposal, rng, temperature):
                 chosen = c
                 break
             residual = residual_after_reject(residual, tok, proposal)
-        first = tree.nodes[children[0]].token
+        committed = (draw(residual, rng, temperature) if chosen is None
+                     else tree.nodes[chosen].token)
+        levels.append(LevelRecord(
+            target_dist=q_cur, proposal_dist=parent_dist,
+            first_candidate=tree.nodes[children[0]].token if children else None,
+            committed=committed, accepted=chosen is not None,
+            draft_logits=tree.nodes[node].logits))
         if chosen is None:
-            correction = draw(residual, rng, temperature)
-            levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
-                                      first_candidate=first, committed=correction,
-                                      accepted=False,
-                                      draft_logits=tree.nodes[node].logits))
             break
-        accepted.append(tree.nodes[chosen].token)
-        levels.append(LevelRecord(target_dist=q_cur, proposal_dist=parent_dist,
-                                  first_candidate=first,
-                                  committed=tree.nodes[chosen].token,
-                                  accepted=True,
-                                  draft_logits=tree.nodes[node].logits))
+        accepted.append(committed)
         node = chosen
-    return WalkResult(accepted, correction, bonus, levels)
+    if children:
+        return WalkResult(accepted, committed, None, levels)
+    return WalkResult(accepted, None, committed, levels)
 
 
 @dataclass
@@ -163,24 +153,25 @@ class VerifyOutcome:
 def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
-    """Verify a draft tree in one masked decode, in the order the draft
-    decoded its nodes (``tree.tail``), keep the accepted path's rows, then
-    decode the correction or bonus with score capture."""
+    """Verify a draft tree in one masked decode, ``tree.tail`` first, then
+    the undecoded leaves; keep the accepted path's rows, then decode the
+    correction or bonus with score capture."""
     if tree.root_pos != cache.world_len - 1:
         raise StateError(f"tree root position {tree.root_pos} does not match "
                          f"cache ({cache.world_len - 1})")
-    if sorted(tree.tail) != list(range(1, tree.size)):
-        raise StateError(f"the tree's tail must hold each of its {tree.size - 1} "
+    if sorted(tree.tail) != list(range(1, len(tree.tail) + 1)):
+        raise StateError(f"the tree's tail must hold its first {len(tree.tail)} "
                          f"non-root nodes once, got {tree.tail}")
+    order = tree.tail + undecoded(tree)
     rows: dict[int, np.ndarray] = {0: root_dist}
-    if tree.tail:
-        tokens, mask, positions = tree_block(tree, tree.tail)
+    if order:
+        tokens, mask, positions = tree_block(tree, order)
         out = decode_step(spec, weights, tokens, cache, tree_mask=mask,
                           positions=positions, kv_chunk=kv_chunk)
-        for row, node in enumerate(tree.tail):
+        for row, node in enumerate(order):
             rows[node] = next_token_dist(out.logits[row], temperature)
     walk = walk_tree(tree, rows, rng, temperature)
-    keep_path(cache, tree, walk.accepted)
+    keep_path(cache, tree, walk.accepted, order)
     out = decode_step(spec, weights, walk.committed[-1:], cache,
                       positions=np.array([cache.world_len]), capture_scores=True,
                       kv_chunk=kv_chunk)
@@ -191,11 +182,10 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
 def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
                  draft: ChainDraft, root_dist: np.ndarray, rng: Rng,
                  temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
-    """Verify a drafted chain as its path tree, then commit."""
-    if len(draft.tokens) != len(draft.dists):
-        raise ShapeError("drafted tokens and distributions disagree in length")
-    return verify_tree(spec, weights, cache, chain_tree(draft, cache.world_len - 1),
-                       root_dist, rng, temperature, kv_chunk)
+    """Verify a drafted chain as its path tree, then commit. It goes with
+    ``ChainDraft`` and ``draft_chain`` once a sampled ``draft_tree`` replaces them."""
+    return verify_tree(spec, weights, cache, draft.tree, root_dist, rng, temperature,
+                       kv_chunk)
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

@@ -108,6 +108,12 @@ def test_speedup_model_refuses_non_finite_values(flag, value):
     assert code == 2 and message in err and "Traceback" not in err
 
 
+def test_speedup_model_refuses_an_int_past_the_float_range():
+    code, err = cli("speedup-model", "--tau", "2", "--d", "9" * 400, "--t-draft", "0.1",
+                    "--t-target", "1.0", "--t-verify", "1.0")
+    assert code == 2 and "within the float range" in err and "Traceback" not in err
+
+
 def test_report_reaggregate(tmp_path, capsys):
     out = tmp_path / "run"
     main(["run", "task=cycle", "model=random", "vocab=16", "n_layers=2",
@@ -327,7 +333,8 @@ def test_report_rejects_malformed_files(tmp_path, capsys, summary, steps, messag
 
 # -- fuzz: hostile key=value overrides through ``specdesk run`` -----------------
 
-HOSTILE_INTS = ["-1", "0", "1000000", "9223372036854775808", "x", "1.5", ""]
+HOSTILE_INTS = ["-1", "0", "1000000", "9223372036854775808", "99999999999999999999999",
+                "x", "1.5", ""]
 HOSTILE_FLOATS = ["-1", "0", "1e-300", "1e300", "inf", "-inf", "nan", "x"]
 # (usable, hostile) values of the keys that size a run or a random model, so
 # every example stays tiny: prompt_len <= 256, gen_tokens <= 8, k <= 8 and
@@ -384,6 +391,10 @@ def test_every_key_rejects_each_hostile_value_cleanly(tmp_path):
     path = tmp_path / "m.bin"
     argvs = [["run", *(f"{k}={v}" for k, v in {**base, key: value}.items())]
              for key in FUZZ_KEYS for value in hostile(key)]
+    # The retrieval default never reads the streaming keys: run them streaming too.
+    argvs += [["run", *(f"{k}={v}" for k, v in
+                        {**base, "policy": "streaming", key: value}.items())]
+              for key in ("streaming_sink", "recent") for value in hostile(key)]
     argvs += [["gen-model", "--out", str(path), f"model={model}", f"{key}={value}"]
               for key in MODEL_KEYS for value in hostile(key)
               for model in ("copy", "random")]

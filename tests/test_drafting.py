@@ -5,8 +5,8 @@ import pytest
 
 from specdesk import drafting
 from specdesk.cache import KVCache
-from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, chain_tree,
-                               draft_chain, draft_tree, keep_path, tree_block)
+from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
+                               draft_tree, keep_path, tree_block, undecoded)
 from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
@@ -59,8 +59,8 @@ class TestDraftChain:
         cache = prepped_cache(spec, w, PROMPT)
         chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=5, temperature=0.7,
                             rng=Rng(3))
-        for p in chain.dists:
-            assert abs(p.sum() - 1.0) < 1e-9
+        for node in chain.tree.nodes[:-1]:
+            assert abs(node.dist.sum() - 1.0) < 1e-9
 
     def test_k_validation(self):
         spec, w = small_model()
@@ -76,27 +76,30 @@ class TestChainTree:
         cache = prepped_cache(spec, w, PROMPT)
         chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=4, temperature=0.7,
                             rng=Rng(1))
-        tree = chain_tree(chain, root_pos=len(PROMPT) - 1)
+        tree = chain.tree
         assert tree.sampled and tree.root_pos == len(PROMPT) - 1
         assert [n.parent for n in tree.nodes] == [-1, 0, 1, 2, 3]
         assert [n.depth for n in tree.nodes] == [0, 1, 2, 3, 4]
         assert [n.children for n in tree.nodes] == [[1], [2], [3], [4], []]
         assert [n.token for n in tree.nodes] == [PROMPT[-1], *chain.tokens]
-        assert tree.tail == [1, 2, 3, 4]
-        for i in range(4):
-            assert tree.nodes[i].dist is chain.dists[i]
-            assert tree.nodes[i].logits is chain.logits[i]
-        # The draft never decodes the last drafted token.
+        # Node i holds the dist token i was drawn from; the draft decoded
+        # nodes 1 .. 3, in row order, and never the leaf.
+        assert tree.tail == [1, 2, 3] and undecoded(tree) == [4]
+        for node in tree.nodes[:4]:
+            assert np.array_equal(node.dist, next_token_dist(node.logits, 0.7))
         assert tree.nodes[4].dist is None and tree.nodes[4].logits is None
+        assert cache.layer_view(0)[2].tolist() == list(range(len(PROMPT) + 3))
 
     def test_its_block_is_the_causal_block(self):
-        chain = drafting.ChainDraft(root=5, tokens=[3, 1, 4], dists=[np.ones(7) / 7] * 3,
-                                    logits=[np.zeros(7)] * 3)
-        tree = chain_tree(chain, root_pos=9)
-        tokens, mask, positions = tree_block(tree, tree.tail)
-        assert tokens == [3, 1, 4]
+        spec, w = small_model(seed=4)
+        cache = prepped_cache(spec, w, PROMPT)
+        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=3, temperature=0.7,
+                            rng=Rng(1))
+        tree = chain.tree
+        tokens, mask, positions = tree_block(tree, tree.tail + undecoded(tree))
+        assert tokens == chain.tokens
         assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
-        assert positions.tolist() == [10, 11, 12]
+        assert positions.tolist() == [4, 5, 6]
 
 
 class TestDraftTree:
@@ -132,8 +135,15 @@ class TestDraftTree:
         cache = prepped_cache(spec, w, PROMPT)
         tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(8, 3, 0.5),
                           temperature=0.8)
-        assert tree.size > 2
-        assert sorted(tree.tail) == list(range(1, tree.size))
+        assert tree.size > 2 and undecoded(tree)
+        # The draft decoded the first nodes; the rest are leaves, in decode order.
+        assert sorted(tree.tail) == list(range(1, len(tree.tail) + 1))
+        rest = undecoded(tree)
+        assert sorted(rest) == list(range(len(tree.tail) + 1, tree.size))
+        assert [tree.nodes[i].depth for i in rest] == sorted(tree.nodes[i].depth
+                                                              for i in rest)
+        assert all(not tree.nodes[i].children and tree.nodes[i].dist is None
+                   for i in rest)
         pos = cache.layer_view(0)[2].tolist()
         assert pos[:len(PROMPT)] == list(range(len(PROMPT)))
         assert pos[len(PROMPT):] == [tree.root_pos + tree.nodes[i].depth
@@ -240,7 +250,7 @@ class TestDecodeOnce:
         tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2),
                           temperature)
         assert any(len(n.children) > 1 for n in tree.nodes)  # it branches
-        for node in range(1, tree.size):
+        for node in tree.tail:
             c2 = prepped_cache(spec, w, PROMPT)
             path = path_to(tree, node)
             out = decode_step(spec, w, [tree.nodes[i].token for i in path], c2,
@@ -262,26 +272,29 @@ class TestDecodeOnce:
 
         monkeypatch.setattr(drafting, "decode_step", counted)
         tree = draft_tree(spec, w, cache, pending, TreeBudget(16, 4, 0.2), 0.9)
-        assert tree.size > 8
-        assert sum(decoded) == len(pending) + tree.size - 1
-        assert cache.archive_len == len(PROMPT) - 1 + len(pending) + tree.size - 1
+        assert tree.size > 8 and undecoded(tree)  # it leaves leaves undecoded
+        assert sum(decoded) == len(pending) + len(tree.tail)
+        assert cache.archive_len == len(PROMPT) - 1 + len(pending) + len(tree.tail)
 
     def test_keep_path_holds_the_accepted_rows(self):
+        # A path to the deepest decoded node keeps a row per node; a path to
+        # an undecoded leaf keeps its ancestors' and ends one short.
         spec, w = small_model(seed=23, n_layers=2)
-        cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2), 0.9)
-        leaf = max(range(tree.size), key=lambda i: (tree.nodes[i].depth, i))
-        path = path_to(tree, leaf)[1:]
-        rows = {node: len(PROMPT) + r for r, node in enumerate(tree.tail)}
-        want = [cache.layer_view(li)[0][:, [rows[i] for i in path]].copy()
-                for li in range(spec.n_layers)]
-        keep_path(cache, tree, [tree.nodes[i].token for i in path])
-        n = len(PROMPT) + len(path)
-        assert cache.layer_view(0)[2].tolist() == list(range(n))
-        for li in range(spec.n_layers):
-            assert np.array_equal(cache.layer_view(li)[0][:, len(PROMPT):], want[li])
-        cache.truncate(n)
-        assert cache.world_len == n
+        for decoded in (True, False):
+            cache = prepped_cache(spec, w, PROMPT)
+            tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2), 0.9)
+            ends = tree.tail if decoded else undecoded(tree)
+            path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
+            held = path if decoded else path[:-1]
+            rows = {node: len(PROMPT) + r for r, node in enumerate(tree.tail)}
+            want = [cache.layer_view(li)[0][:, [rows[i] for i in held]].copy()
+                    for li in range(spec.n_layers)]
+            keep_path(cache, tree, [tree.nodes[i].token for i in path], tree.tail)
+            n = len(PROMPT) + len(held)
+            assert cache.layer_view(0)[2].tolist() == list(range(n))
+            assert cache.world_len == n
+            for li in range(spec.n_layers):
+                assert np.array_equal(cache.layer_view(li)[0][:, len(PROMPT):], want[li])
 
 
 def hand_tree(structure, root_pos=3, vocab=6):
@@ -343,9 +356,9 @@ class TestFlattenTree:
                     assert mask[r, c] == reach[i, j]
 
     def test_flattened_paths_match_sequential_decode(self):
-        # The block the target verifies, the tree's nodes in the order the
-        # draft decoded them (``tree.tail``), gives every root-to-leaf path
-        # the logits of decoding that path alone.
+        # The block the target verifies, the nodes the draft decoded in its
+        # order (``tree.tail``), then its undecoded leaves, gives every
+        # root-to-leaf path the logits of decoding that path alone.
         spec, w = small_model(seed=19)
         cache = prepped_cache(spec, w, PROMPT)
         tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(10, 3, 0.2),
@@ -353,10 +366,11 @@ class TestFlattenTree:
         assert tree.size > 5
         # Drop the draft's tree rows; the root's row stays.
         cache.truncate(tree.root_pos + 1)
-        tokens, mask, positions = tree_block(tree, tree.tail)
+        order = tree.tail + undecoded(tree)
+        tokens, mask, positions = tree_block(tree, order)
         batch = decode_step(spec, w, tokens, cache, tree_mask=mask,
                             positions=positions)
-        row_of = {node: r for r, node in enumerate(tree.tail)}
+        row_of = {node: r for r, node in enumerate(order)}
         leaves = [i for i in range(tree.size) if not tree.nodes[i].children]
         for leaf in leaves:
             path = path_to(tree, leaf)

@@ -140,23 +140,66 @@ class TestWorkingCacheBound:
         assert max(result.draft_cache_len_by_step) <= 4 + 16 + 8
 
 
+def ends_without_a_row(tree, accepted):
+    """Whether the path that spells ``accepted`` ends at a node the draft
+    did not decode."""
+    node = 0
+    for tok in accepted:
+        node = next(c for c in tree.children_of(node) if tree.nodes[c].token == tok)
+    return node != 0 and node not in tree.tail
+
+
+def record_steps(monkeypatch):
+    """Spy on the engine's drafters and verifiers; return the per-step
+    pending blocks, draft trees and walks they see."""
+    seen = {"pending": [], "trees": [], "walks": []}
+
+    def drafted(fn):
+        def draft(spec, weights, cache, pending, *args):
+            seen["pending"].append(list(pending))
+            out = fn(spec, weights, cache, pending, *args)
+            seen["trees"].append(getattr(out, "tree", out))  # a chain's path tree
+            return out
+        return draft
+
+    def verified(fn):
+        def verify(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen["walks"].append(out.walk)
+            return out
+        return verify
+
+    for name in ("draft_chain", "draft_tree"):
+        monkeypatch.setattr(engine, name, drafted(getattr(engine, name)))
+    for name in ("verify_chain", "verify_tree"):
+        monkeypatch.setattr(engine, name, verified(getattr(engine, name)))
+    return seen
+
+
 class TestDraftCacheInvariant:
-    """After every tree step the draft holds the committed tokens but the
-    last, so the next step's pending block is the one token the step added."""
+    """One rule for chains and trees: a drafter never decodes a leaf it does
+    not expand, and after every step the draft holds the committed tokens
+    but the next pending block, which is the token the step added, after a
+    path that ended at an undecoded leaf also that leaf."""
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     @pytest.mark.parametrize("hta_chunk", [None, 5])
-    def test_full_tree_draft_holds_all_but_the_last_commit(self, temperature, hta_chunk):
+    def test_full_tree_draft_holds_all_but_the_pending_block(self, monkeypatch,
+                                                             temperature, hta_chunk):
+        seen = record_steps(monkeypatch)
         spec, w = target_model(seed=13, n_layers=3)
         result = session_for(spec, w, FullPolicy(), drafting="tree",
                              temperature=temperature, seed=3, hta_chunk=hta_chunk,
                              budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
         assert sum(s.accepted for s in result.steps) > 0
         assert min(s.tree_nodes for s in result.steps) >= 5  # the depth-4 chain at least
-        generated = 0
-        for s, held in zip(result.steps, result.draft_cache_len_by_step):
+        generated, short = 0, []
+        for s, held, tree, walk in zip(result.steps, result.draft_cache_len_by_step,
+                                       seen["trees"], seen["walks"]):
             generated += s.accepted + 1
-            assert held == len(PROMPT) - 1 + generated
+            short.append(ends_without_a_row(tree, walk.accepted))
+            assert held == len(PROMPT) - 1 + generated - short[-1]
+        assert True in short
 
     @pytest.mark.parametrize("policy", [
         FullPolicy(),
@@ -165,28 +208,26 @@ class TestDraftCacheInvariant:
     ])
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
     def test_pending_block_size(self, monkeypatch, policy, drafting):
-        # A tree leaves every node's row, so one token is pending: the draft
-        # is neither ahead of the committed tokens nor more than one behind.
-        # A chain never decodes its last drafted token, so after a step that
-        # accepts all k it is two behind; it is never ahead.
-        pending_lens = []
-
-        def recorded(fn):
-            def draft(spec, weights, cache, pending, *args):
-                pending_lens.append(len(pending))
-                return fn(spec, weights, cache, pending, *args)
-            return draft
-
-        for name in ("draft_chain", "draft_tree"):
-            monkeypatch.setattr(engine, name, recorded(getattr(engine, name)))
+        # The draft decoded its tree's first nodes and no other: the rest
+        # are leaves. So the next step's pending block is the token the step
+        # added, after a path that ended at such a leaf also the leaf; the
+        # draft is never ahead of the committed tokens.
+        seen = record_steps(monkeypatch)
         spec, w = target_model(seed=13, n_layers=3)
         result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
                              seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
-        if drafting == "tree":
-            assert pending_lens == [1] * len(result.steps)
-        else:
-            all_in = [False] + [s.accepted == s.drafted for s in result.steps[:-1]]
-            assert pending_lens == [1 + a for a in all_in] and 2 in pending_lens
+        trees, walks = seen["trees"], seen["walks"]
+        assert len(trees) == len(walks) == len(result.steps)
+        for tree in trees:
+            assert sorted(tree.tail) == list(range(1, len(tree.tail) + 1))
+            assert all(not tree.nodes[i].children for i in range(len(tree.tail) + 1,
+                                                                 tree.size))
+        short = [False] + [ends_without_a_row(t, wk.accepted)
+                           for t, wk in zip(trees, walks)][:-1]
+        assert [len(p) for p in seen["pending"]] == [1 + s for s in short]
+        assert True in short
+        for pending, walk, s in zip(seen["pending"][1:], walks, short[1:]):
+            assert pending == walk.committed[len(walk.committed) - 1 - s:]
 
 
 class TestSessionInvariants:

@@ -421,6 +421,12 @@ class TestDeriveDraft:
         with pytest.raises(ParameterError):
             derive_draft(spec, w, 0)
 
+    def test_a_one_layer_target_has_no_draft(self):
+        spec, w = small_model(n_layers=1)
+        with pytest.raises(ParameterError, match="a draft needs a target with at least "
+                                                 "2 layers, got 1"):
+            derive_draft(spec, w, 2)
+
     def test_shares_embeddings(self):
         spec, w = small_model(n_layers=2)
         dspec, dw = derive_draft(spec, w, 1)

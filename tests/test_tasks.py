@@ -76,6 +76,12 @@ class TestGenerators:
                    for seed in range(4)]
         assert digests == self.PINNED_PROMPTS[task]
 
+    @pytest.mark.parametrize("task", [standard_needle, loop_doc_task])
+    def test_a_negative_seed_is_named_as_given(self, task):
+        # Not the sub-seed the body is drawn from.
+        with pytest.raises(ParameterError, match=r"seed must be >= 0, got -1$"):
+            task(512, seed=-1)
+
 
 def greedy_continuation(spec, w, prompt, n):
     cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head, len(prompt) + n)

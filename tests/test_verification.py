@@ -6,7 +6,7 @@ import pytest
 from specdesk import verification
 from specdesk.cache import KVCache
 from specdesk.drafting import (ChainDraft, DraftTree, TreeBudget, TreeNode,
-                               chain_tree, draft_chain, draft_tree)
+                               draft_chain, draft_tree)
 from specdesk.errors import InternalError, ShapeError, StateError
 from specdesk.metrics import natural_divergence
 from specdesk.model import ModelSpec, decode_step, derive_draft, next_token_dist, prefill
@@ -39,7 +39,7 @@ def rand_dist(rng, n, zeros=0):
 
 def walk_chain(tokens, proposals, rows, root_dist, rng, temperature, logits):
     """The chain walk as it was written before chains became path trees:
-    the oracle ``walk_tree`` on a ``chain_tree`` must match bitwise.
+    the oracle ``walk_tree`` on the chain's path tree must match bitwise.
 
     ``rows[i]`` is the target distribution after drafted token i; the bonus
     is sampled from the last row when everything is accepted.
@@ -71,9 +71,21 @@ def walk_chain(tokens, proposals, rows, root_dist, rng, temperature, logits):
     return WalkResult(accepted, correction, bonus, levels)
 
 
+def chain_draft(root, tokens, dists, logits, root_pos):
+    """A chain whose token ``i`` was drawn from ``dists[i]``, as ``draft_chain``
+    draws it: a sampled path tree whose last node, a leaf, is undecoded."""
+    nodes = [TreeNode(token=root, parent=-1, depth=0, path_logprob=0.0)]
+    for i, tok in enumerate(tokens):
+        nodes[i].dist, nodes[i].logits = dists[i], logits[i]
+        nodes[i].children.append(i + 1)
+        nodes.append(TreeNode(token=tok, parent=i, depth=i + 1, path_logprob=0.0))
+    return ChainDraft(DraftTree(nodes=nodes, root_pos=root_pos,
+                                tail=list(range(1, len(tokens))), sampled=True))
+
+
 def walk_chain_as_tree(tokens, proposals, rows, root_dist, rng, temperature, logits):
     """The same arguments as ``walk_chain``, walked as the chain's path tree."""
-    tree = chain_tree(ChainDraft(0, tokens, proposals, logits), root_pos=0)
+    tree = chain_draft(0, tokens, proposals, logits, root_pos=0).tree
     return walk_tree(tree, {0: root_dist, **{i + 1: r for i, r in enumerate(rows)}},
                      rng, temperature)
 
@@ -181,7 +193,7 @@ class TestChainVerification:
             logits = decode_step(spec, w, [tok], c2,
                                  positions=np.array([pos])).logits[-1]
             pos += 1
-        draft = ChainDraft(root=prompt[-1], tokens=toks, dists=dists, logits=logs)
+        draft = chain_draft(prompt[-1], toks, dists, logs, root_pos=len(prompt) - 1)
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         assert len(out.walk.accepted) == 3
         assert out.walk.bonus is not None and out.walk.correction is None
@@ -194,9 +206,8 @@ class TestChainVerification:
         cache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
         wrong = (int(np.argmax(last_logits)) + 1) % spec.vocab
-        draft = ChainDraft(root=prompt[-1], tokens=[wrong],
-                           dists=[np.eye(spec.vocab)[wrong]],
-                           logits=[last_logits])
+        draft = chain_draft(prompt[-1], [wrong], [np.eye(spec.vocab)[wrong]],
+                            [last_logits], root_pos=len(prompt) - 1)
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         assert len(out.walk.accepted) == 0
         assert out.walk.correction == int(np.argmax(last_logits))
@@ -359,8 +370,8 @@ class TestChainAsPathTree:
         cache, last_logits = prepped(spec, w, prompt)
         ref_cache, _ = prepped(spec, w, prompt)
         uniform = np.full(spec.vocab, 1 / spec.vocab)
-        draft = ChainDraft(root=prompt[-1], tokens=[4, 4, 1, 7], dists=[uniform] * 4,
-                           logits=[np.zeros(spec.vocab)] * 4)
+        draft = chain_draft(prompt[-1], [4, 4, 1, 7], [uniform] * 4,
+                            [np.zeros(spec.vocab)] * 4, root_pos=len(prompt) - 1)
         passes = []
         real = verification.decode_step
         monkeypatch.setattr(verification, "decode_step",
@@ -392,36 +403,38 @@ class TestVerifyTreeEndToEnd:
         assert out.walk.bonus is not None
         assert tcache.layer_view(0)[2].tolist() == list(range(len(prompt) + 4))
 
-    def test_a_tail_without_every_node_is_a_state_error(self):
-        # The target verifies the nodes in the order the draft decoded them,
-        # so a tree whose tail misses a node, or repeats one, cannot be
-        # verified.
+    def test_a_tail_not_of_the_first_nodes_is_a_state_error(self):
+        # The draft decodes the nodes in the order it added them, so its
+        # tail holds its first non-root nodes, each once; a tree whose tail
+        # skips a node or repeats one cannot be verified.
         spec, w = small_model(seed=31, vocab=9)
         prompt = [1, 5, 2, 8]
         vocab = spec.vocab
         tree = hand_tree([(8, -1), (3, 0), (4, 0), (6, 1)],
                          [np.full(vocab, 1 / vocab)] * 4,
                          root_pos=len(prompt) - 1, vocab=vocab)
-        for tail in ([], [1, 2], [1, 2, 2], [1, 2, 3, 3]):
+        for tail in ([2], [1, 3], [1, 2, 2], [1, 2, 3, 3]):
             tree.tail = tail
             cache, last_logits = prepped(spec, w, prompt)
             with pytest.raises(StateError, match="non-root nodes"):
                 verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
                             Rng(0), 0.0)
             assert cache.layer_view(0)[2].tolist() == list(range(len(prompt)))
-        tree.tail = [2, 1, 3]  # any order of every non-root node is a tail
-        cache, last_logits = prepped(spec, w, prompt)
-        out = verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
-                          Rng(0), 0.0)
-        assert cache.world_len == len(prompt) + len(out.walk.committed)
+        # Any order of the first nodes is a tail, none of them too.
+        for tail in ([], [1], [2, 1], [2, 1, 3]):
+            tree.tail = tail
+            cache, last_logits = prepped(spec, w, prompt)
+            out = verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
+                              Rng(0), 0.0)
+            assert cache.world_len == len(prompt) + len(out.walk.committed)
 
     def test_attention_rows_are_distributions(self):
         spec, w = small_model(seed=33)
         prompt = [0, 1, 2, 3]
         cache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
-        draft = ChainDraft(root=prompt[-1], tokens=[1], dists=[np.eye(spec.vocab)[1]],
-                           logits=[last_logits])
+        draft = chain_draft(prompt[-1], [1], [np.eye(spec.vocab)[1]], [last_logits],
+                            root_pos=len(prompt) - 1)
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         row = out.attn_row
         assert abs(row.sum() - 1.0) < 1e-6
@@ -507,8 +520,8 @@ class TestExtractScores:
         prompt = list(range(6))
         cache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
-        draft = ChainDraft(root=prompt[-1], tokens=[2], dists=[np.eye(spec.vocab)[2]],
-                           logits=[last_logits])
+        draft = chain_draft(prompt[-1], [2], [np.eye(spec.vocab)[2]], [last_logits],
+                            root_pos=len(prompt) - 1)
         out = verify_chain(spec, w, cache, draft, root, Rng(0), 0.0)
         prefix_len = len(prompt)
         s = extract_scores(out.attn_row, prefix_len)
