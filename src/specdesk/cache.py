@@ -2,9 +2,12 @@
 
 A cache is a fixed-size row store: rows ``[0, archive_len)`` are exactly the
 rows the next forward pass attends to, in position order, as one or two
-contiguous blocks; K and V are head-major, ``[H, capacity, dh]`` per layer.
-Rows keep their absolute positions: keys are stored post-rotation and never
-re-rotated. An append past the reserved capacity raises ``CapacityError``.
+contiguous blocks. Per layer, K is stored ``[H, capacity, dh]`` and V
+dh-major, ``[H, dh, capacity]``, so a one-row pass reads each head's values
+as ``dh`` contiguous rows (a dot-form gemv, as ``q @ K^T`` reads the keys);
+``layer_parts`` gives both as ``[H, L, dh]`` views. Rows keep their absolute
+positions: keys are stored post-rotation and never re-rotated. An append
+past the reserved capacity raises ``CapacityError``.
 
 A cache built with ``KVCache.seeded`` starts empty over the prompt rows of a
 *source* cache, its sealed prefix: the draft's layers are the target's
@@ -15,9 +18,11 @@ its sink and recent window, and a retrieval update the selected chunks, so
 a chunk dropped by one update can be restored by a later one. A selection
 is gathered from the source, but a whole prefix is read there in place
 (*borrowed*): ``layer_parts`` gives the borrowed rows, then the own rows,
-and ``layer_view`` copies them into one array. The source must keep its
-prefix rows in place; the target cache never reallocates or truncates
-below the draft's sealed prefix.
+and ``layer_view`` copies them into one array. Own rows start at store row
+0, so a cache that borrows its whole prefix needs store rows only for the
+rows it generates. The source must keep its prefix rows in place; the
+target cache never reallocates or truncates below the draft's sealed
+prefix.
 
 Committed rows are held in increasing position order. Behind them may come
 a speculative tail, a draft tree's decoded nodes after its root, in any
@@ -96,8 +101,8 @@ CachePolicy = FullPolicy | StreamingPolicy | RetrievalPolicy
 class KVCache:
     """Fixed-size per-layer K/V store shared by one generation session.
 
-    ``capacity`` rows are reserved up front; a caller passes the most rows a
-    session can hold.
+    ``capacity`` store rows are reserved up front; a caller passes the most
+    rows a session can own: every row it holds but the borrowed ones.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int,
@@ -109,10 +114,13 @@ class KVCache:
         self.d_head = d_head
         try:
             self._k = [np.empty((n_heads, capacity, d_head)) for _ in range(n_layers)]
-            self._v = [np.empty((n_heads, capacity, d_head)) for _ in range(n_layers)]
-            self._pos = np.empty(capacity, dtype=np.int64)
+            # dh-major in memory; every method indexes the [H, capacity, dh] view.
+            self._v = [np.empty((n_heads, d_head, capacity)).swapaxes(1, 2)
+                       for _ in range(n_layers)]
+            self._pos = np.empty(capacity, dtype=np.int64)  # by held row
         except (MemoryError, ValueError):  # ValueError: past numpy's size limit
             raise CapacityError(f"cannot reserve {capacity} cache rows") from None
+        self._cap = capacity
         self._len = 0
         self._world = 0  # see world_len
         self._prefix_rows = 0  # sealed prefix, positions [0, _prefix_rows), held or not
@@ -127,12 +135,15 @@ class KVCache:
         writes them, are its sealed prefix.
 
         ``hold_prefix`` reads prefix rows back from ``source``, which must
-        keep them in place.
+        keep them in place. ``capacity`` counts the rows the cache owns: the
+        prefix rows it copies, none if it only borrows, and its generated
+        rows.
         """
         if not np.array_equal(source._pos[:source._len][:rows], np.arange(rows)):
             raise OrderingError(f"the source's first {rows} rows are not positions "
                                 f"0 .. {rows - 1}")
         cache = cls(n_layers, source.n_heads, source.d_head, capacity)
+        cache._pos = np.empty(rows + capacity, dtype=np.int64)  # borrowed + own
         cache._prefix_rows = cache._world = rows
         cache._source = source
         return cache
@@ -160,11 +171,12 @@ class KVCache:
         return self._world
 
     def layer_parts(self, layer: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Held ``(k, v)`` of one layer as contiguous ``[H, L, dh]`` slices in
-        row order: the borrowed rows, if any, then the own rows."""
-        n, b, src = self._len, self._borrowed, self._source
+        """Held ``(k, v)`` of one layer as ``[H, L, dh]`` views of the stores in
+        row order: the borrowed rows, if any, then the own rows. Each head's
+        keys are contiguous ``[L, dh]`` and its values ``[dh, L]``."""
+        own, b, src = self._len - self._borrowed, self._borrowed, self._source
         lent = [(src._k[layer][:, :b], src._v[layer][:, :b])] if b else []
-        return lent + [(self._k[layer][:, b:n], self._v[layer][:, b:n])]
+        return lent + [(self._k[layer][:, :own], self._v[layer][:, :own])]
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``:
@@ -179,7 +191,7 @@ class KVCache:
                tail: int = 0) -> None:
         """Append one block of rows to every layer.
 
-        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``, stored head-major.
+        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``.
         The last ``tail`` held rows are a speculative tail; the block's
         positions may come in any order, but each must exceed the last held
         row before the tail, or without a tail ``world_len - 1``.
@@ -199,15 +211,15 @@ class KVCache:
         if positions.min() <= bound:
             raise OrderingError(
                 f"position {int(positions.min())} does not follow position {bound}")
-        end = self._len + q
-        if end > self._pos.shape[0]:
-            raise CapacityError(f"appending {q} rows to {self._len} overflows the "
-                                f"{self._pos.shape[0]} reserved")
+        own = self._len - self._borrowed
+        if own + q > self._cap:
+            raise CapacityError(f"appending {q} rows to {own} own rows overflows the "
+                                f"{self._cap} reserved")
         for li in range(self.n_layers):
-            self._k[li][:, self._len:end] = ks[li].transpose(1, 0, 2)
-            self._v[li][:, self._len:end] = vs[li].transpose(1, 0, 2)
-        self._pos[self._len:end] = positions
-        self._len = end
+            self._k[li][:, own:own + q] = ks[li].transpose(1, 0, 2)
+            self._v[li][:, own:own + q] = vs[li].transpose(1, 0, 2)
+        self._pos[self._len:self._len + q] = positions
+        self._len += q
         self._world = max(self._world, int(positions.max()) + 1)
 
     def truncate(self, world_len: int) -> None:
@@ -236,14 +248,18 @@ class KVCache:
             raise ParameterError(f"kept rows must be strictly ascending in [0, {self._len})")
         # ``rows[i] - i`` never decreases; rows where it is 0 are in place.
         still = int(np.searchsorted(rows - np.arange(m), 0, side="right"))
-        if still < self._borrowed:  # a borrowed row moves: copy them all in first
-            for li in range(self.n_layers):
-                (k, v), _ = self.layer_parts(li)
-                self._k[li][:, :k.shape[1]], self._v[li][:, :k.shape[1]] = k, v
-            self._borrowed = 0
-        # One head at a time: the gather's temporary is one head's rows.
-        for buf in (*(head for kv in (*self._k, *self._v) for head in kv), self._pos):
-            buf[still:m] = buf[rows[still:]]
+        b = self._borrowed
+        if still < b:  # a borrowed row moves: copy the kept ones in first
+            lent = int(np.searchsorted(rows, b))
+            self.hold_prefix(rows[:lent])
+            rows, still, b = np.r_[:lent, rows[lent:] - b + lent], lent, 0
+        # Kept rows only move down, so runs copy in ascending order; one head
+        # at a time, so a copy's temporary is at most one head's run.
+        runs = _runs(rows[still:] - b, still - b)
+        for head in (head for kv in (*self._k, *self._v) for head in kv):
+            for at, lo, size in runs:
+                head[at:at + size] = head[lo:lo + size]
+        self._pos[still:m] = self._pos[rows[still:]]
         self._held_prefix = int(np.searchsorted(rows, self._held_prefix))
         self._len = m
 
@@ -260,20 +276,29 @@ class KVCache:
         m = rows.shape[0]
         if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= p):
             raise ParameterError(f"prefix rows must be strictly ascending in [0, {p})")
-        gen = slice(self._held_prefix, self._len)
-        end = m + self._len - self._held_prefix
-        if end > self._pos.shape[0]:
-            raise CapacityError(f"holding {m} prefix rows needs {end} rows, "
-                                f"{self._pos.shape[0]} reserved")
-        self._borrowed = m if m == p else 0  # the whole prefix is read in place
-        n = self.n_layers
+        held, b = self._held_prefix, self._borrowed
+        gen = self._len - held  # generated rows, at store rows held - b ..
+        stay = m if m == p else 0  # the whole prefix is read in place
+        if m - stay + gen > self._cap:
+            raise CapacityError(f"holding {m} prefix rows and {gen} generated rows needs "
+                                f"{m - stay + gen} own rows, {self._cap} reserved")
+        n, runs = self.n_layers, _runs(rows)
         for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
-            own[:, m:end] = own[:, gen]
-            if not self._borrowed:
-                # The rows are in range, so "clip" changes nothing; unlike
-                # "raise" it writes into a head's ``out`` without a temporary.
-                for o, t in zip(own, theirs):
-                    np.take(t, rows, axis=0, out=o[:m], mode="clip")
-        self._pos[m:end] = self._pos[gen]
+            own[:, m - stay:m - stay + gen] = own[:, held - b:held - b + gen]
+            if not stay:  # a slice copy per run, without a temporary
+                for at, lo, size in runs:
+                    own[:, at:at + size] = theirs[:, lo:lo + size]
+        self._pos[m:m + gen] = self._pos[held:self._len]
         self._pos[:m] = rows
-        self._held_prefix, self._len = m, end
+        self._held_prefix, self._borrowed, self._len = m, stay, m + gen
+
+
+def _runs(rows: np.ndarray, at: int = 0) -> list[tuple[int, int, int]]:
+    """``(to, first, size)`` for each run of consecutive values in ascending
+    ``rows``, copied to ``at, at + 1, ...``: a retrieval selection of whole
+    chunks is a few runs, a streaming window one."""
+    if not rows.shape[0]:
+        return []
+    starts = np.r_[0, np.flatnonzero(np.diff(rows) != 1) + 1]
+    sizes = np.diff(np.r_[starts, rows.shape[0]])
+    return list(zip((starts + at).tolist(), rows[starts].tolist(), sizes.tolist()))

@@ -261,5 +261,10 @@ def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int],
         if node not in row_of:  # an undecoded leaf
             break
         rows.append(row_of[node])
-    cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
-    cache.truncate(tree.root_pos + 1 + len(rows))
+    n = len(rows)
+    # As on every chain step, the path's rows may already be in place, with
+    # every other row past it: then the truncation alone drops the rest.
+    if rows != list(range(base, base + n)) or any(tree.nodes[i].depth <= n
+                                                   for i in order[n:]):
+        cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
+    cache.truncate(tree.root_pos + 1 + n)

@@ -17,8 +17,10 @@ bonus, after a path that ended at a leaf the drafter left undecoded also
 that leaf; its last row yields the first proposal distribution.
 
 Both caches are sized once from the prompt length, ``gen_tokens`` and the
-largest block a step appends, the draft's for the most prompt rows its
-policy holds; an append past the reserved rows raises.
+largest block a step appends; an append past the reserved rows raises. The
+draft's store holds only the rows it owns: its generated rows and, unless
+it borrows the whole prompt as a full draft does, the most prompt rows its
+policy copies in.
 
 A retrieval draft is updated from the target's last-layer attention row
 of the step's root, the last committed token: at the first step the
@@ -96,15 +98,19 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     target's first ``dspec.n_layers``, is seeded over those layers' rows for
     all but the last prompt token, which is the first pending commit, and
     holds the rows ``policy.held_rows`` picks: all of them are read in place
-    from the target cache, any fewer are copied. It reserves room for the
-    most prompt rows the policy holds and for the target's generation room.
+    from the target cache, any fewer are copied. It reserves store rows for
+    the target's generation room and, unless it is a full draft, for the
+    most prompt rows the policy holds.
     """
     n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
                   last_row_only=True)
+    # A full draft borrows every prompt row and never drops one, so it owns
+    # only the rows it generates; any other may copy its prompt rows in.
+    copied = 0 if isinstance(policy, FullPolicy) else policy.prefix_rows(n - 1)
     draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
-                                 policy.prefix_rows(n - 1) + capacity - n)
+                                 copied + capacity - n)
     draft_cache.hold_prefix(policy.held_rows(n - 1))
     return target_cache, draft_cache, out
 

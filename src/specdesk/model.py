@@ -7,9 +7,10 @@ non-contiguous position sets; keys enter the cache post-rotation.
 
 The forward pass is shared verbatim between prefill and decode so that a
 one-token prefill and a one-token decode on an empty cache are bitwise
-identical. Attention reads the cache's head-major ``[H, L, dh]`` blocks in
-place. A prefill scores its 256-row blocks one head at a time into one
-buffer, allocated once and sized for one head's largest block.
+identical. Attention reads the cache's ``[H, L, dh]`` views in place: keys
+head-major, values dh-major underneath (``KVCache.layer_parts``). A prefill
+scores its 256-row blocks one head at a time into one buffer, allocated
+once and sized for one head's largest block.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specdesk import engine, retrieval, verification
+from specdesk import attn, engine, retrieval, verification
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget
 from specdesk.engine import Session, greedy_reference, prefill_caches
@@ -340,6 +340,69 @@ class TestBorrowedPrefix:
         assert seen == sorted(seen, reverse=True) and parts(seen)
 
 
+class TestChainRollback:
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
+    ])
+    def test_a_chain_session_never_compacts(self, monkeypatch, policy):
+        # A chain's accepted rows always lead its tail, so both caches roll
+        # back by truncation alone: ``KVCache.keep`` is never entered.
+        kept = []
+        real = KVCache.keep
+
+        def keep(self, rows):
+            kept.append(len(rows))
+            real(self, rows)
+
+        monkeypatch.setattr(KVCache, "keep", keep)
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, policy).run(PROMPT, 40)
+        assert result.output_tokens == greedy_reference(spec, w, PROMPT, 40)
+        assert {s.accepted for s in result.steps} > {0, 4}  # rejections too
+        assert kept == []
+
+
+class TestOneRowPasses:
+    # A one-row pass over a full draft's borrowed and own rows, as a chain
+    # step, a tree node after a decoded tail, or a commit with score capture.
+    @pytest.mark.parametrize("shape", ["chain", "tree-tail", "commit"])
+    def test_matches_one_softmax_over_the_layer_view(self, monkeypatch, shape):
+        spec, w = target_model(seed=5, n_layers=3)
+        dspec, dw = derive_draft(spec, w, 2)
+        prompt = list(np.random.default_rng(5).integers(0, 19, 300))
+        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=340)
+        n = len(prompt) - 1
+        decode_step(dspec, dw, [1, 2, 3, 4], draft, positions=np.arange(n, n + 4))
+        # The tree node at n + 3 sees its parent at n + 2, not its sibling.
+        tail, mask = (2, np.array([[True, False, True]])) if shape == "tree-tail" else (0, None)
+        views = [draft.layer_view(li) for li in range(dspec.n_layers)]
+        calls, real = [], attn.attend
+
+        def attend(q, parts, scale, want_probs=False, scores=None):
+            out = real(q, parts, scale, want_probs, scores)
+            calls.append((q, parts, scale, want_probs, out))
+            return out
+
+        monkeypatch.setattr(attn, "attend", attend)
+        decode_step(dspec, dw, [5], draft, tree_mask=mask, positions=[n + 3 if tail else n + 4],
+                    capture_scores=shape == "commit")
+        assert len(calls) == dspec.n_layers
+        for (k, v, _), (q, parts, scale, want, (out, probs)) in zip(views, calls):
+            assert len(parts) == 3 + bool(tail)  # borrowed, own, [tail,] new block
+            # Every cached head's values are dh contiguous rows in the store.
+            assert all(pv.strides[-2] == pv.itemsize for _, pv, _ in parts[:-1])
+            seen = np.ones((1, k.shape[1]), dtype=bool)
+            if tail:
+                seen[:, -tail:] = mask[:, :tail]
+            want_out, want_probs = attn.attend_monolithic(
+                q, [(k, v, seen), parts[-1]], scale, want)
+            assert np.max(np.abs(out - want_out)) < 1e-12
+            if want:
+                assert np.max(np.abs(probs - want_probs)) < 1e-12
+        assert calls[-1][3] == (shape == "commit")
+
+
 class TestBookkeeping:
     def test_output_trimmed_to_requested_length(self):
         spec, w = target_model(seed=9)
@@ -454,6 +517,25 @@ class TestSeededDraftCache:
         draft.append(block, block, np.arange(39, 63))
         with pytest.raises(CapacityError):
             draft.append([a[:1] for a in block], [a[:1] for a in block], [63])
+
+    def test_a_full_draft_owns_only_its_generated_rows(self):
+        # It borrows all 39 prompt rows in place, so its store holds only the
+        # target's 64 - 40 rows of generation room, its own rows from store
+        # row 0, and V dh-major.
+        spec, w = target_model(seed=3, n_layers=3)
+        dspec, _ = derive_draft(spec, w, 2)
+        prompt = list(np.random.default_rng(3).integers(0, 19, 40))
+        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
+        block = [np.ones((24, 2, 8))] * 2
+        draft.append(block, block, np.arange(39, 63))
+        with pytest.raises(CapacityError):
+            draft.append([a[:1] for a in block], [a[:1] for a in block], [63])
+        for li in range(2):
+            _, (k, v) = draft.layer_parts(li)
+            assert k.shape == v.shape == (2, 24, 8)
+            assert k.base.shape == (2, 24, 8) and v.base.shape == (2, 8, 24)
+            for a in (k, v):
+                assert a.__array_interface__["data"] == a.base.__array_interface__["data"]
 
     def test_rejects_a_draft_that_is_not_the_target_prefix(self):
         spec, w = target_model(seed=1, n_layers=3)
