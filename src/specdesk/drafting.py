@@ -1,24 +1,23 @@
-"""Candidate generation with the draft model: chains and budgeted trees.
+"""Candidate generation with the draft model: budgeted trees, of which a
+chain is the sampled one of width one.
 
-Chain drafting samples sequentially and records every proposal
-distribution. Tree drafting expands a token tree under a node/depth/
-threshold budget: the greedy chain is always included, then the most
-probable unexpanded node whose path probability clears
-``expand_threshold ** depth`` is expanded with its top children until the
-node budget is exhausted or nothing qualifies. Children are deterministic
-top-probability picks, so their proposal is a point mass.
+Tree drafting expands a token tree under a node/depth/threshold budget: the
+forced chain is always included, then the most probable unexpanded node
+whose path probability clears ``expand_threshold ** depth`` is expanded with
+its top children until the node budget is exhausted or nothing qualifies.
+Children are deterministic top-probability picks, so their proposal is a
+point mass. Given an ``rng``, the tree is the forced chain alone, each child
+drawn from its parent's ``dist``, and ``DraftTree.sampled`` tells
+verification that this ``dist`` is the child's proposal; ``draft_chain`` is
+this tree with depth k.
 
-A chain is drawn as its path tree: node ``i + 1`` holds token ``i``, node
-``i`` the distribution it was drawn from, and ``DraftTree.sampled`` tells
-verification that a child's proposal is its parent's ``dist``.
-
-One rule holds for both: a drafter decodes nodes only to expand one, so the
-leaves added after its last expansion stay undecoded (``undecoded``), and
-``DraftTree.tail`` lists the nodes it decoded, in draft-cache row order. The
-target verifies ``tail + undecoded(tree)`` in one ``tree_block``; both
-caches keep the accepted path's rows with ``keep_path``. So the next step's
-pending block is the correction or bonus, after a path that ended at an
-undecoded leaf also that leaf.
+A drafter decodes nodes only to expand one, in index order, so nodes
+``1 .. DraftTree.decoded`` hold the draft-cache rows after the root and the
+leaves added after its last expansion stay undecoded (``undecoded``). The
+target verifies nodes ``1 .. size - 1`` in one ``tree_block``; both caches
+keep the accepted path's rows with ``keep_path``. So the next step's pending
+block is the correction or bonus, after a path that ended at an undecoded
+leaf also that leaf.
 """
 
 from __future__ import annotations
@@ -66,15 +65,15 @@ class TreeNode:
 class DraftTree:
     """Speculated token tree; the root is the last committed token.
 
-    ``tail[r]`` is the node whose K/V the draft decoded into the ``r``-th
-    cached row after the root: nodes ``1 .. len(tail)``, the rest are
+    Node ``i`` of nodes ``1 .. decoded`` is the one whose K/V the draft
+    decoded into the ``i``-th cached row after the root; the rest are
     undecoded leaves. ``sampled`` says that each child was drawn from its
-    parent's ``dist`` (a chain's path tree), not picked as a top child.
+    parent's ``dist`` (a chain), not picked as a top child.
     """
 
     nodes: list[TreeNode]
     root_pos: int
-    tail: list[int] = field(default_factory=list)
+    decoded: int = 0
     sampled: bool = False
 
     @property
@@ -85,17 +84,15 @@ class DraftTree:
         return self.nodes[idx].children
 
 
-def undecoded(tree: DraftTree) -> list[int]:
-    """The nodes the draft has not decoded, in decode order: by depth, then
-    by index."""
-    return sorted(range(len(tree.tail) + 1, tree.size),
-                  key=lambda i: (tree.nodes[i].depth, i))
+def undecoded(tree: DraftTree) -> range:
+    """The nodes the draft has not decoded."""
+    return range(tree.decoded + 1, tree.size)
 
 
 @dataclass
 class ChainDraft:
-    """A drafted chain's path tree. It goes with ``draft_chain`` and
-    ``verify_chain`` once a sampled ``draft_tree`` replaces them."""
+    """A drafted chain's path tree and its tokens, as the engine's chain mode
+    passes it from ``draft_chain`` to ``verify_chain``."""
 
     tree: DraftTree
 
@@ -106,37 +103,18 @@ class ChainDraft:
 
 def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
                 pending: list[int], k: int, temperature: float, rng: Rng) -> ChainDraft:
-    """Sample a k-token chain as its path tree; the first distribution comes
-    from decoding the pending committed tokens, so exactly k forward passes
-    run in total and the leaf is never decoded. ``path_logprob``, the tree
-    drafter's expansion order, is left at 0."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not pending:
-        raise ParameterError("draft_chain needs at least one pending committed token")
-    start = cache.world_len
-    out = decode_step(spec, weights, pending, cache,
-                      positions=np.arange(start, start + len(pending)), out_rows=1)
-    root_pos = start + len(pending) - 1
-    tree = DraftTree(nodes=[TreeNode(int(pending[-1]), parent=-1, depth=0,
-                                     path_logprob=0.0)], root_pos=root_pos, sampled=True)
-    logits_row = out.logits[-1]
-    for i in range(k):
-        node = tree.nodes[i]
-        if i:
-            logits_row = decode_step(spec, weights, [node.token], cache,
-                                     positions=np.array([root_pos + i])).logits[-1]
-            tree.tail.append(i)
-        node.logits, node.dist = logits_row, next_token_dist(logits_row, temperature)
-        node.children.append(i + 1)
-        tree.nodes.append(TreeNode(token=draw(node.dist, rng, temperature), parent=i,
-                                   depth=i + 1, path_logprob=0.0))
-    return ChainDraft(tree)
+    """Sample a k-token chain: ``draft_tree``'s sampled tree of depth k. It
+    runs exactly k forward passes, one row each after the pending block, and
+    never decodes the leaf."""
+    return ChainDraft(draft_tree(spec, weights, cache, pending,
+                                 TreeBudget(k + 1, k, 1.0), temperature, rng))
 
 
 def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
-               pending: list[int], budget: TreeBudget, temperature: float) -> DraftTree:
-    """Expand a draft tree rooted at the last committed token.
+               pending: list[int], budget: TreeBudget, temperature: float,
+               rng: Rng | None = None) -> DraftTree:
+    """Expand a draft tree rooted at the last committed token; with ``rng``,
+    sample its chain instead (see the module docstring).
 
     The pending committed tokens are decoded first; the last one is the
     root. Each other node is decoded once: whenever a node without a
@@ -144,8 +122,8 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     under a mask over the tree rows already cached, so each sees the
     committed rows, its ancestors and itself; the nodes added after the last
     such step stay undecoded. The rows stay in the cache after the root, one
-    per decoded node at ``root_pos + depth``, in the order ``tree.tail``
-    records; the caller keeps the accepted path's rows (``keep_path``).
+    per decoded node at ``root_pos + depth``, in index order; the caller
+    keeps the accepted path's rows (``keep_path``).
     """
     if not pending:
         raise ParameterError("draft_tree needs at least one pending committed token")
@@ -156,19 +134,23 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     root = TreeNode(token=int(pending[-1]), parent=-1, depth=0, path_logprob=0.0,
                     logits=out.logits[-1],
                     dist=next_token_dist(out.logits[-1], temperature))
-    tree = DraftTree(nodes=[root], root_pos=root_pos)
+    tree = DraftTree(nodes=[root], root_pos=root_pos, sampled=rng is not None)
 
     def refresh() -> None:
-        """Decode every node added since the last refresh, in one pass."""
-        cached, new = tree.tail, undecoded(tree)
-        tokens, mask, positions = tree_block(tree, new, cached)
+        """Decode every node added since the last refresh, in one pass. A
+        block that sees every cached node, as on a path, reads them with the
+        committed rows, not as a separate tail part."""
+        new, n_cached = undecoded(tree), tree.decoded
+        tokens, mask, positions = tree_block(tree, new, range(1, n_cached + 1))
+        if mask[:, :n_cached].all():
+            mask = mask[:, n_cached:]
         step = decode_step(spec, weights, tokens, cache, tree_mask=mask,
                            positions=positions)
         for row, i in enumerate(new):
             node = tree.nodes[i]
             node.logits = step.logits[row]
             node.dist = next_token_dist(step.logits[row], temperature)
-        cached.extend(new)
+        tree.decoded = tree.size - 1
 
     def top_children(idx: int) -> list[tuple[float, int]]:
         dist = tree.nodes[idx].dist
@@ -185,18 +167,25 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
         parent.children.append(tree.size - 1)
         return tree.size - 1
 
-    # Forced greedy chain: argmax path to min(max_depth, remaining budget).
+    # Forced chain, greedy or sampled, to min(max_depth, remaining budget).
     # The cursor never has children, so add_child always adds a node.
     cursor = 0
     while (tree.nodes[cursor].depth < budget.max_depth
            and tree.size < budget.max_nodes):
         if tree.nodes[cursor].dist is None:
             refresh()
-        prob, tok = top_children(cursor)[0]
+        if rng is None:
+            prob, tok = top_children(cursor)[0]
+        else:
+            dist = tree.nodes[cursor].dist
+            tok = draw(dist, rng, temperature)
+            prob = float(dist[tok])
         cursor = add_child(cursor, tok, prob)
+    if tree.sampled:  # width one: a sampled child has no top-child siblings
+        return tree
 
     # Threshold expansion: most probable qualifying node first. Each node is
-    # pushed at most once: the greedy chain's by the first loop below, later
+    # pushed at most once: the forced chain's by the first loop below, later
     # ones when add_child creates them.
     heap: list[tuple[float, int]] = []
 
@@ -226,7 +215,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     return tree
 
 
-def tree_block(tree: DraftTree, nodes: list[int], cached: list[int] = ()
+def tree_block(tree: DraftTree, nodes: list[int] | range, cached: list[int] | range = ()
                ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The decode block of ``nodes``: their tokens, their ancestor-or-self
     mask (columns for the ``cached`` nodes, then for ``nodes``) and their
@@ -244,27 +233,26 @@ def tree_block(tree: DraftTree, nodes: list[int], cached: list[int] = ()
     return tokens, mask, positions
 
 
-def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int],
-              order: list[int]) -> None:
-    """Keep, of the rows of the nodes ``order`` last in ``cache``, those of
-    the path that spells ``tokens`` from the root, compacted in place; the
-    cache then holds exactly the committed rows up to the path's last node
-    with a row, which is its end unless that is an undecoded leaf."""
-    base = cache.archive_len - len(order)
-    row_of = {node: base + r for r, node in enumerate(order)}
-    rows, node = [], 0
+def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int], n_rows: int) -> None:
+    """Keep, of the last ``n_rows`` rows of ``cache``, which hold nodes
+    ``1 .. n_rows`` in index order, those of the path that spells ``tokens``
+    from the root, compacted in place; the cache then holds exactly the
+    committed rows up to the path's last node with a row, which is its end
+    unless that is an undecoded leaf."""
+    base = cache.archive_len - n_rows
+    path, node = [], 0
     for tok in tokens:
         match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
         if not match:
             raise InternalError(f"token {tok} is not a child of tree node {node}")
         node = match[0]
-        if node not in row_of:  # an undecoded leaf
+        if node > n_rows:  # an undecoded leaf
             break
-        rows.append(row_of[node])
-    n = len(rows)
-    # As on every chain step, the path's rows may already be in place, with
-    # every other row past it: then the truncation alone drops the rest.
-    if rows != list(range(base, base + n)) or any(tree.nodes[i].depth <= n
-                                                   for i in order[n:]):
-        cache.keep(np.r_[:base, np.array(rows, dtype=np.int64)])
+        path.append(node)
+    n = len(path)
+    # As on every chain step, the path may be nodes 1 .. n, with every other
+    # row past it: then the truncation alone drops the rest.
+    if path != list(range(1, n + 1)) or any(tree.nodes[i].depth <= n
+                                            for i in range(n + 1, n_rows + 1)):
+        cache.keep(np.r_[:base, base - 1 + np.array(path, dtype=np.int64)])
     cache.truncate(tree.root_pos + 1 + n)

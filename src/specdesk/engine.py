@@ -9,9 +9,10 @@ all of them for a full draft, the sink and recent window for a streaming
 draft, and the selected chunks at each update for a retrieval draft (none
 before its first). A draft that holds every prompt row reads them in place
 in the target's store, never copied. Every step, including the first, then
-drafts from a post-update cache. Both drafters draw a tree and leave the
-rows of the nodes they decoded (``DraftTree.tail``) in the draft cache,
-which after verification keeps the accepted path's rows (``keep_path``).
+drafts from a post-update cache. Both drafters draw a tree, a chain a
+sampled one of width one, and leave the rows of the nodes they decoded,
+``1 .. DraftTree.decoded`` in index order, in the draft cache, which after
+verification keeps the accepted path's rows (``keep_path``).
 So the pending block of the next step's drafting is the correction or
 bonus, after a path that ended at a leaf the drafter left undecoded also
 that leaf; its last row yields the first proposal distribution.
@@ -42,7 +43,7 @@ from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy, StreamingP
 from .drafting import TreeBudget, draft_chain, draft_tree, keep_path
 from .errors import CapacityError, InternalError, ParameterError
 from .metrics import ProposalLog, natural_divergence, shannon_entropy
-from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill
+from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill, token_ids
 from .retrieval import RetrievalState, maybe_update
 from .tensor import Rng
 from .verification import VerifyOutcome, verify_chain, verify_tree
@@ -143,7 +144,9 @@ class Session:
         check_session_keys(drafting, k, temperature, hta_chunk)
         if not isinstance(policy, CachePolicy):
             raise ParameterError(f"unknown cache policy: {policy!r}")
-        if drafting == "tree" and budget is None:
+        if drafting == "chain":  # a chain is the sampled tree of depth k
+            budget = TreeBudget(max_nodes=k + 1, max_depth=k, expand_threshold=1.0)
+        elif budget is None:
             budget = TreeBudget(max_nodes=50, max_depth=10, expand_threshold=0.7)
         _check_shared_prefix(target_spec, target_weights, draft_spec, draft_weights)
         self.target_spec, self.target_weights = target_spec, target_weights
@@ -157,27 +160,22 @@ class Session:
         self.hta_chunk = hta_chunk
 
     def run(self, prompt, gen_tokens: int) -> SessionResult:
-        prompt = [int(t) for t in prompt]
+        prompt = token_ids(prompt, self.target_spec.vocab, "prompt tokens").tolist()
         if len(prompt) < 2:
             raise ParameterError("prompt must have at least 2 tokens")
-        vocab = self.target_spec.vocab
-        if not all(0 <= t < vocab for t in prompt):
-            raise ParameterError(f"prompt tokens must lie in [0, {vocab})")
         if gen_tokens < 1:
             raise ParameterError(f"gen_tokens must be >= 1, got {gen_tokens}")
         # The last step may start one token short of gen_tokens and commit
         # its deepest draft plus the bonus: refuse before any work.
-        depth = (self.k if self.drafting == "chain"
-                 else min(self.budget.max_depth, self.budget.max_nodes - 1))
-        reach = len(prompt) + gen_tokens + depth
+        reach = (len(prompt) + gen_tokens
+                 + min(self.budget.max_depth, self.budget.max_nodes - 1))
         if reach > self.target_spec.max_pos:
             raise CapacityError(f"the run may decode position {reach - 1}, past max_pos "
                                 f"{self.target_spec.max_pos}")
         t_start = time.perf_counter()
         tspec, tw = self.target_spec, self.target_weights
         dspec, dw = self.draft_spec, self.draft_weights
-        block = self.k if self.drafting == "chain" else self.budget.max_nodes
-        capacity = len(prompt) + gen_tokens + block + 1
+        capacity = len(prompt) + gen_tokens + self.budget.max_nodes + 1
 
         t0 = time.perf_counter()
         target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
@@ -248,7 +246,7 @@ class Session:
 
             # Roll the draft cache back to the committed world, keeping the
             # accepted path's rows.
-            keep_path(draft_cache, tree, walk.accepted, tree.tail)
+            keep_path(draft_cache, tree, walk.accepted, tree.decoded)
             if isinstance(self.policy, StreamingPolicy):
                 draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
 

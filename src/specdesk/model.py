@@ -254,6 +254,18 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     return ForwardOutput(logits=logits, last_layer_attn=captured)
 
 
+def token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
+    """``tokens`` as int64; anything but integers (a bool is not one) in
+    ``[0, vocab)`` raises ``ParameterError``."""
+    ids = np.asarray(tokens)
+    if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"
+                     or not {bool, np.bool_}.isdisjoint(map(type, tokens))):
+        raise ParameterError(f"{what} must be a sequence of integers")
+    if ids.size and not 0 <= ids.min() <= ids.max() < vocab:
+        raise ParameterError(f"{what} must lie in [0, {vocab})")
+    return ids.astype(np.int64)
+
+
 def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
             capture_scores: bool = False, last_row_only: bool = False) -> ForwardOutput:
     """Populate an empty cache with the whole input and return its logits.
@@ -264,7 +276,7 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
     ``last_row_only`` the final one only: the last layer then runs
     attention, the MLP and the unembed for that row alone.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = token_ids(tokens, spec.vocab)
     if cache.archive_len != 0:
         raise StateError("prefill requires an empty cache")
     n = tokens.shape[0]

@@ -1,8 +1,8 @@
 """Target-side verification: lossless accept/reject/correct over a draft
 tree, and hybrid chunked+tree attention.
 
-There is one walk and one verify decode, of every non-root node: those the
-draft decoded in its row order (``DraftTree.tail``), then its undecoded
+There is one walk and one verify decode, of every non-root node in index
+order: those the draft decoded (``DraftTree.decoded``), then its undecoded
 leaves. A drafted chain is its path tree, whose mask is the causal mask.
 
 Acceptance follows the standard ratio rule ``u < min(1, q(x)/p(x))``
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import KVCache
-from .drafting import ChainDraft, DraftTree, keep_path, tree_block, undecoded
+from .drafting import ChainDraft, DraftTree, keep_path, tree_block
 from .errors import InternalError, ShapeError, StateError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, draw
@@ -100,13 +100,13 @@ class WalkResult:
         return self.accepted + [self.bonus if self.correction is None else self.correction]
 
 
-def walk_tree(tree: DraftTree, rows: dict[int, np.ndarray], rng: Rng,
-              temperature: float) -> WalkResult:
-    """Pure walk from the root: try children in draft-probability order,
-    taking each rejected child's proposal out of the residual (its token's
-    mass, or its parent's ``dist`` in a sampled tree). The level that accepts
-    none commits a draw from its residual: the correction, or at a leaf,
-    whose residual is untouched, the bonus."""
+def walk_tree(tree: DraftTree, rows, rng: Rng, temperature: float) -> WalkResult:
+    """Pure walk from the root over ``rows[node]``, the target's distribution
+    after each node: try children in draft-probability order, taking each
+    rejected child's proposal out of the residual (its token's mass, or its
+    parent's ``dist`` in a sampled tree). The level that accepts none
+    commits a draw from its residual: the correction, or at a leaf, whose
+    residual is untouched, the bonus."""
     accepted: list[int] = []
     levels: list[LevelRecord] = []
     node = 0
@@ -153,25 +153,20 @@ class VerifyOutcome:
 def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
-    """Verify a draft tree in one masked decode, ``tree.tail`` first, then
-    the undecoded leaves; keep the accepted path's rows, then decode the
-    correction or bonus with score capture."""
+    """Verify a draft tree in one masked decode of nodes ``1 .. size - 1``;
+    keep the accepted path's rows, then decode the correction or bonus with
+    score capture."""
     if tree.root_pos != cache.world_len - 1:
         raise StateError(f"tree root position {tree.root_pos} does not match "
                          f"cache ({cache.world_len - 1})")
-    if sorted(tree.tail) != list(range(1, len(tree.tail) + 1)):
-        raise StateError(f"the tree's tail must hold its first {len(tree.tail)} "
-                         f"non-root nodes once, got {tree.tail}")
-    order = tree.tail + undecoded(tree)
-    rows: dict[int, np.ndarray] = {0: root_dist}
-    if order:
-        tokens, mask, positions = tree_block(tree, order)
+    rows = [root_dist]
+    if tree.size > 1:
+        tokens, mask, positions = tree_block(tree, range(1, tree.size))
         out = decode_step(spec, weights, tokens, cache, tree_mask=mask,
                           positions=positions, kv_chunk=kv_chunk)
-        for row, node in enumerate(order):
-            rows[node] = next_token_dist(out.logits[row], temperature)
+        rows += [next_token_dist(logits, temperature) for logits in out.logits]
     walk = walk_tree(tree, rows, rng, temperature)
-    keep_path(cache, tree, walk.accepted, order)
+    keep_path(cache, tree, walk.accepted, tree.size - 1)
     out = decode_step(spec, weights, walk.committed[-1:], cache,
                       positions=np.array([cache.world_len]), capture_scores=True,
                       kv_chunk=kv_chunk)

@@ -10,7 +10,7 @@ from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
 from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
-from specdesk.tensor import Rng
+from specdesk.tensor import Rng, draw
 
 
 def small_model(seed=0, vocab=7, n_layers=1):
@@ -84,11 +84,21 @@ class TestChainTree:
         assert [n.token for n in tree.nodes] == [PROMPT[-1], *chain.tokens]
         # Node i holds the dist token i was drawn from; the draft decoded
         # nodes 1 .. 3, in row order, and never the leaf.
-        assert tree.tail == [1, 2, 3] and undecoded(tree) == [4]
+        assert tree.decoded == 3 and list(undecoded(tree)) == [4]
         for node in tree.nodes[:4]:
             assert np.array_equal(node.dist, next_token_dist(node.logits, 0.7))
         assert tree.nodes[4].dist is None and tree.nodes[4].logits is None
         assert cache.layer_view(0)[2].tolist() == list(range(len(PROMPT) + 3))
+
+    def test_a_sampled_tree_is_its_chain_whatever_the_budget(self):
+        # A top-child sibling of a sampled child would be verified against
+        # the parent's dist as its proposal, so a sampled tree never branches.
+        spec, w = small_model(seed=8)
+        cache = prepped_cache(spec, w, PROMPT)
+        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(12, 3, 0.1),
+                          temperature=0.9, rng=Rng(2))
+        assert tree.sampled and [n.parent for n in tree.nodes] == [-1, 0, 1, 2]
+        assert tree.decoded == 2
 
     def test_its_block_is_the_causal_block(self):
         spec, w = small_model(seed=4)
@@ -96,10 +106,36 @@ class TestChainTree:
         chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=3, temperature=0.7,
                             rng=Rng(1))
         tree = chain.tree
-        tokens, mask, positions = tree_block(tree, tree.tail + undecoded(tree))
+        tokens, mask, positions = tree_block(tree, range(1, tree.size))
         assert tokens == chain.tokens
         assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
         assert positions.tolist() == [4, 5, 6]
+
+
+class TestChainBits:
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("pending", [[PROMPT[-1]], [6, PROMPT[-1]]])
+    def test_nodes_are_one_row_causal_decodes(self, temperature, pending):
+        # A chain is draft_tree's sampled tree, with the bits of decoding each
+        # drawn token alone on a plain causal cache, and the same RNG draws.
+        spec, w = small_model(seed=4, n_layers=2)
+        k, rng, cache = 5, Rng(9), prepped_cache(spec, w, PROMPT)
+        chain = draft_chain(spec, w, cache, pending, k, temperature, rng)
+        ref_rng, ref = Rng(9), prepped_cache(spec, w, PROMPT)
+        pos = ref.world_len + np.arange(len(pending))
+        logits = decode_step(spec, w, pending, ref, positions=pos, out_rows=1).logits[-1]
+        tokens = []
+        for i in range(k):
+            assert np.array_equal(chain.tree.nodes[i].logits, logits)
+            tokens.append(draw(next_token_dist(logits, temperature), ref_rng, temperature))
+            if i < k - 1:
+                logits = decode_step(spec, w, tokens[-1:], ref,
+                                     positions=np.array([ref.world_len])).logits[-1]
+        assert chain.tokens == tokens
+        assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+        for li in range(spec.n_layers):
+            for got, want in zip(cache.layer_view(li), ref.layer_view(li)):
+                assert np.array_equal(got, want)
 
 
 class TestDraftTree:
@@ -131,23 +167,23 @@ class TestDraftTree:
         assert max(n.depth for n in tree.nodes) <= 3
 
     def test_leaves_committed_rows_then_one_row_per_node(self):
-        spec, w = small_model(seed=8)
+        spec, w = small_model(seed=14)
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(8, 3, 0.5),
+        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(12, 4, 0.3),
                           temperature=0.8)
         assert tree.size > 2 and undecoded(tree)
-        # The draft decoded the first nodes; the rest are leaves, in decode order.
-        assert sorted(tree.tail) == list(range(1, len(tree.tail) + 1))
-        rest = undecoded(tree)
-        assert sorted(rest) == list(range(len(tree.tail) + 1, tree.size))
-        assert [tree.nodes[i].depth for i in rest] == sorted(tree.nodes[i].depth
-                                                              for i in rest)
+        # The draft decoded the first nodes, one row each in index order;
+        # the rest are leaves. Here the last decode block is not in depth
+        # order: its positions read 4, 3, 3 after the root's.
+        decoded = range(1, tree.decoded + 1)
+        assert list(undecoded(tree)) == list(range(tree.decoded + 1, tree.size))
+        assert all(tree.nodes[i].dist is not None for i in decoded)
         assert all(not tree.nodes[i].children and tree.nodes[i].dist is None
-                   for i in rest)
+                   for i in undecoded(tree))
         pos = cache.layer_view(0)[2].tolist()
         assert pos[:len(PROMPT)] == list(range(len(PROMPT)))
-        assert pos[len(PROMPT):] == [tree.root_pos + tree.nodes[i].depth
-                                     for i in tree.tail]
+        assert pos[len(PROMPT):] == [tree.root_pos + tree.nodes[i].depth for i in decoded]
+        assert [tree.nodes[i].depth for i in decoded][-3:] == [4, 3, 3]
 
     def test_path_logprob_monotone(self):
         spec, w = small_model(seed=11)
@@ -250,7 +286,7 @@ class TestDecodeOnce:
         tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2),
                           temperature)
         assert any(len(n.children) > 1 for n in tree.nodes)  # it branches
-        for node in tree.tail:
+        for node in range(1, tree.decoded + 1):
             c2 = prepped_cache(spec, w, PROMPT)
             path = path_to(tree, node)
             out = decode_step(spec, w, [tree.nodes[i].token for i in path], c2,
@@ -273,8 +309,8 @@ class TestDecodeOnce:
         monkeypatch.setattr(drafting, "decode_step", counted)
         tree = draft_tree(spec, w, cache, pending, TreeBudget(16, 4, 0.2), 0.9)
         assert tree.size > 8 and undecoded(tree)  # it leaves leaves undecoded
-        assert sum(decoded) == len(pending) + len(tree.tail)
-        assert cache.archive_len == len(PROMPT) - 1 + len(pending) + len(tree.tail)
+        assert sum(decoded) == len(pending) + tree.decoded
+        assert cache.archive_len == len(PROMPT) - 1 + len(pending) + tree.decoded
 
     def test_keep_path_holds_the_accepted_rows(self):
         # A path to the deepest decoded node keeps a row per node; a path to
@@ -283,13 +319,12 @@ class TestDecodeOnce:
         for decoded in (True, False):
             cache = prepped_cache(spec, w, PROMPT)
             tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2), 0.9)
-            ends = tree.tail if decoded else undecoded(tree)
+            ends = range(1, tree.decoded + 1) if decoded else undecoded(tree)
             path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
             held = path if decoded else path[:-1]
-            rows = {node: len(PROMPT) + r for r, node in enumerate(tree.tail)}
-            want = [cache.layer_view(li)[0][:, [rows[i] for i in held]].copy()
-                    for li in range(spec.n_layers)]
-            keep_path(cache, tree, [tree.nodes[i].token for i in path], tree.tail)
+            rows = [len(PROMPT) + i - 1 for i in held]  # node i's row
+            want = [cache.layer_view(li)[0][:, rows].copy() for li in range(spec.n_layers)]
+            keep_path(cache, tree, [tree.nodes[i].token for i in path], tree.decoded)
             n = len(PROMPT) + len(held)
             assert cache.layer_view(0)[2].tolist() == list(range(n))
             assert cache.world_len == n
@@ -356,9 +391,8 @@ class TestFlattenTree:
                     assert mask[r, c] == reach[i, j]
 
     def test_flattened_paths_match_sequential_decode(self):
-        # The block the target verifies, the nodes the draft decoded in its
-        # order (``tree.tail``), then its undecoded leaves, gives every
-        # root-to-leaf path the logits of decoding that path alone.
+        # The block the target verifies, every non-root node in index order,
+        # gives every root-to-leaf path the logits of decoding that path alone.
         spec, w = small_model(seed=19)
         cache = prepped_cache(spec, w, PROMPT)
         tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(10, 3, 0.2),
@@ -366,11 +400,9 @@ class TestFlattenTree:
         assert tree.size > 5
         # Drop the draft's tree rows; the root's row stays.
         cache.truncate(tree.root_pos + 1)
-        order = tree.tail + undecoded(tree)
-        tokens, mask, positions = tree_block(tree, order)
+        tokens, mask, positions = tree_block(tree, range(1, tree.size))
         batch = decode_step(spec, w, tokens, cache, tree_mask=mask,
                             positions=positions)
-        row_of = {node: r for r, node in enumerate(order)}
         leaves = [i for i in range(tree.size) if not tree.nodes[i].children]
         for leaf in leaves:
             path = path_to(tree, leaf)
@@ -382,7 +414,7 @@ class TestFlattenTree:
                                   positions=np.array([len(PROMPT) - 1 + step]))
                 seq_logits.append(out.logits[0])
             for node, want in zip(path[1:], seq_logits[1:]):
-                got = batch.logits[row_of[node]]
+                got = batch.logits[node - 1]
                 assert np.max(np.abs(got - want)) < 1e-9
 
 

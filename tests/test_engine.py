@@ -5,7 +5,7 @@ import pytest
 
 from specdesk import attn, engine, retrieval, verification
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
-from specdesk.drafting import TreeBudget
+from specdesk.drafting import TreeBudget, undecoded
 from specdesk.engine import Session, greedy_reference, prefill_caches
 from specdesk.errors import CapacityError, ParameterError
 from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
@@ -146,7 +146,7 @@ def ends_without_a_row(tree, accepted):
     node = 0
     for tok in accepted:
         node = next(c for c in tree.children_of(node) if tree.nodes[c].token == tok)
-    return node != 0 and node not in tree.tail
+    return node > tree.decoded
 
 
 def record_steps(monkeypatch):
@@ -219,9 +219,7 @@ class TestDraftCacheInvariant:
         trees, walks = seen["trees"], seen["walks"]
         assert len(trees) == len(walks) == len(result.steps)
         for tree in trees:
-            assert sorted(tree.tail) == list(range(1, len(tree.tail) + 1))
-            assert all(not tree.nodes[i].children for i in range(len(tree.tail) + 1,
-                                                                 tree.size))
+            assert all(not tree.nodes[i].children for i in undecoded(tree))
         short = [False] + [ends_without_a_row(t, wk.accepted)
                            for t, wk in zip(trees, walks)][:-1]
         assert [len(p) for p in seen["pending"]] == [1 + s for s in short]
@@ -586,6 +584,21 @@ class TestRunBoundary:
         for hta_chunk in (None, 0):  # both read the verify prefix as one part
             sess = session_for(spec, w, FullPolicy(), hta_chunk=hta_chunk)
             assert sess.run(PROMPT, 8).output_tokens == greedy_reference(spec, w, PROMPT, 8)
+
+    @pytest.mark.parametrize("bad", [3.7, True, "x", None, float("nan"), -1, 19],
+                             ids=["float", "bool", "str", "none", "nan", "neg", "vocab"])
+    def test_a_prompt_token_that_is_not_an_id_fails_before_prefill(self, monkeypatch,
+                                                                   bad):
+        spec, w = target_model()  # vocab 19
+        monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
+        with pytest.raises(ParameterError, match="prompt tokens must"):
+            session_for(spec, w, FullPolicy()).run([*PROMPT[:5], bad, *PROMPT[5:]], 4)
+
+    def test_the_reference_refuses_a_token_outside_the_vocab(self):
+        # The embedding would read token -1 as token 18, the last row.
+        spec, w = target_model()
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 19\)"):
+            greedy_reference(spec, w, [*PROMPT, -1], 4)
 
     # The last step may start at 16 + gen - 1 committed tokens and commit its
     # deepest draft plus the bonus: k for a chain, 10 for the default tree.

@@ -198,6 +198,12 @@ class TestPrefillDecodeEquivalence:
         with pytest.raises(StateError):
             prefill(spec, w, [2], cache)
 
+    @pytest.mark.parametrize("bad", [-1, 17, 2.0, True])
+    def test_prefill_refuses_what_is_not_a_token_id(self, bad):
+        spec, w = small_model()  # vocab 17; embed[-1] would read token 16
+        with pytest.raises(ParameterError, match="token ids must"):
+            prefill(spec, w, [1, bad, 2], fresh_cache(spec))
+
     def test_prefill_capacity(self):
         spec, w = small_model(max_pos=8)
         with pytest.raises(CapacityError):

@@ -80,7 +80,7 @@ def chain_draft(root, tokens, dists, logits, root_pos):
         nodes[i].children.append(i + 1)
         nodes.append(TreeNode(token=tok, parent=i, depth=i + 1, path_logprob=0.0))
     return ChainDraft(DraftTree(nodes=nodes, root_pos=root_pos,
-                                tail=list(range(1, len(tokens))), sampled=True))
+                                decoded=len(tokens) - 1, sampled=True))
 
 
 def walk_chain_as_tree(tokens, proposals, rows, root_dist, rng, temperature, logits):
@@ -403,26 +403,17 @@ class TestVerifyTreeEndToEnd:
         assert out.walk.bonus is not None
         assert tcache.layer_view(0)[2].tolist() == list(range(len(prompt) + 4))
 
-    def test_a_tail_not_of_the_first_nodes_is_a_state_error(self):
-        # The draft decodes the nodes in the order it added them, so its
-        # tail holds its first non-root nodes, each once; a tree whose tail
-        # skips a node or repeats one cannot be verified.
+    def test_any_decoded_count_verifies(self):
+        # The target verifies every non-root node, whichever of them the
+        # draft decoded: none, the first, or all.
         spec, w = small_model(seed=31, vocab=9)
         prompt = [1, 5, 2, 8]
         vocab = spec.vocab
         tree = hand_tree([(8, -1), (3, 0), (4, 0), (6, 1)],
                          [np.full(vocab, 1 / vocab)] * 4,
                          root_pos=len(prompt) - 1, vocab=vocab)
-        for tail in ([2], [1, 3], [1, 2, 2], [1, 2, 3, 3]):
-            tree.tail = tail
-            cache, last_logits = prepped(spec, w, prompt)
-            with pytest.raises(StateError, match="non-root nodes"):
-                verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
-                            Rng(0), 0.0)
-            assert cache.layer_view(0)[2].tolist() == list(range(len(prompt)))
-        # Any order of the first nodes is a tail, none of them too.
-        for tail in ([], [1], [2, 1], [2, 1, 3]):
-            tree.tail = tail
+        for decoded in range(tree.size):
+            tree.decoded = decoded
             cache, last_logits = prepped(spec, w, prompt)
             out = verify_tree(spec, w, cache, tree, next_token_dist(last_logits, 0.0),
                               Rng(0), 0.0)
