@@ -1,36 +1,31 @@
-"""Per-layer key/value storage with Full, Streaming and Retrieval eviction.
+"""Per-layer key/value storage with Full, Streaming and Retrieval draft policies.
 
 A cache is a fixed-size row store: rows ``[0, archive_len)`` are exactly the
-rows the next forward pass attends to, in position order, as one or two
-contiguous blocks. Per layer, K is stored ``[H, capacity, dh]`` and V
-dh-major, ``[H, dh, capacity]``, so a one-row pass reads each head's values
-as ``dh`` contiguous rows (a dot-form gemv, as ``q @ K^T`` reads the keys);
-``layer_parts`` gives both as ``[H, L, dh]`` views. Rows keep their absolute
-positions: keys are stored post-rotation and never re-rotated. An append
-past the reserved capacity raises ``CapacityError``.
-
-A cache built with ``KVCache.seeded`` starts empty over the prompt rows of a
-*source* cache, its sealed prefix: the draft's layers are the target's
-first layers, so the target's rows are the draft's. ``hold_prefix`` is the
-one way prefix rows get in, in front of the cache's own generated rows.
-Each policy picks its rows: the full draft all of them, the streaming draft
-its sink and recent window, and a retrieval update the selected chunks, so
-a chunk dropped by one update can be restored by a later one. A selection
-is gathered from the source, but a whole prefix is read there in place
-(*borrowed*): ``layer_parts`` gives the borrowed rows, then the own rows,
-and ``layer_view`` copies them into one array. Own rows start at store row
-0, so a cache that borrows its whole prefix needs store rows only for the
-rows it generates. The source must keep its prefix rows in place; the
-target cache never reallocates or truncates below the draft's sealed
-prefix.
+rows the next forward pass attends to. Per layer, K is stored
+``[H, capacity, dh]`` and V dh-major, ``[H, dh, capacity]``, so a one-row
+pass reads each head's values as ``dh`` contiguous rows (a dot-form gemv, as
+``q @ K^T`` reads the keys); ``layer_parts`` gives both as ``[H, L, dh]``
+views. Rows keep their absolute positions: keys are stored post-rotation and
+never re-rotated. An append past the reserved capacity raises
+``CapacityError``.
 
 Committed rows are held in increasing position order. Behind them may come
 a speculative tail, a draft tree's decoded nodes after its root, in any
 order (siblings share a position); every tail position exceeds the root's.
 Rollback is by position truncation; ``keep`` compacts any subset of the held
-rows in place: a tree's accepted path, or after every step a streaming
-draft's sink and recent window, the rows its policy's ``held_rows`` names.
-The cache itself knows no policy.
+rows in place, a tree's accepted path. The target's cache holds every
+committed position at index = position, and neither ever moves a committed
+row: that invariant is what lets a draft read those rows in place.
+
+A cache built with ``KVCache.seeded`` is a draft's, whose layers are the
+target's first, so the target's rows at committed positions are its rows.
+It owns only the prompt rows a retrieval update gathers (``hold_prefix``)
+and the root and nodes it decodes in a step; ``read_source`` drops those
+and reads the committed rows before the next root in place, as the runs of
+the target's store its policy names (``in_place``). ``layer_parts`` gives
+the gathered rows, the runs and the own rows in position order. A draft
+never rolls back: its ``keep`` and ``truncate`` raise. The cache itself
+knows no policy.
 """
 
 from __future__ import annotations
@@ -46,16 +41,16 @@ _INIT_CAP = 64
 
 @dataclass(frozen=True)
 class FullPolicy:
-    """Each policy names the rows a draft holds out of ``n`` (``held_rows``):
-    of its prompt prefix once seeded and, for a streaming draft, of all its
-    rows after every step. ``prefix_rows`` is the most prompt rows it ever
-    holds."""
+    """Each policy names the runs ``(lo, hi)`` of the committed rows
+    ``[0, end)`` that a draft reads in place, given its sealed prompt prefix
+    of ``prefix`` rows (``in_place``), and the most of ``n`` prompt rows it
+    gathers into its own store (``prefix_rows``)."""
 
-    def held_rows(self, n: int) -> np.ndarray:
-        return np.arange(n)
+    def in_place(self, prefix: int, end: int) -> list[tuple[int, int]]:
+        return [(0, end)]
 
     def prefix_rows(self, n: int) -> int:
-        return n
+        return 0
 
 
 @dataclass(frozen=True)
@@ -67,12 +62,13 @@ class StreamingPolicy:
         if self.sink < 0 or self.recent < 1:
             raise ParameterError("streaming policy needs sink >= 0 and recent >= 1")
 
-    def held_rows(self, n: int) -> np.ndarray:
-        sink = min(self.sink, n)
-        return np.r_[:sink, max(sink, n - self.recent):n]
+    def in_place(self, prefix: int, end: int) -> list[tuple[int, int]]:
+        if end <= self.sink + self.recent:
+            return [(0, end)]
+        return [(0, self.sink), (end - self.recent, end)]
 
     def prefix_rows(self, n: int) -> int:
-        return min(self.sink + self.recent, n)
+        return 0
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,8 @@ class RetrievalPolicy:
         if self.sink < 0:
             raise ParameterError("retrieval sink must be >= 0")
 
-    def held_rows(self, n: int) -> np.ndarray:
-        return np.arange(0)  # the first update, before any draft forward, fills it
+    def in_place(self, prefix: int, end: int) -> list[tuple[int, int]]:
+        return [(prefix, end)]  # the generated rows; an update gathers the prompt's
 
     def prefix_rows(self, n: int) -> int:
         return min(self.top_k * self.chunk_size + self.sink, n)
@@ -102,7 +98,7 @@ class KVCache:
     """Fixed-size per-layer K/V store shared by one generation session.
 
     ``capacity`` store rows are reserved up front; a caller passes the most
-    rows a session can own: every row it holds but the borrowed ones.
+    rows a session can own: every row it holds but those read in place.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int,
@@ -124,9 +120,10 @@ class KVCache:
         self._len = 0
         self._world = 0  # see world_len
         self._prefix_rows = 0  # sealed prefix, positions [0, _prefix_rows), held or not
-        self._held_prefix = 0  # leading held rows that belong to the sealed prefix
-        self._borrowed = 0  # leading held rows read in place from the source
-        self._source: KVCache | None = None  # where hold_prefix reads prefix rows
+        self._gathered = 0  # leading held rows, copied from the source to store rows 0 ..
+        self._in_place: list[tuple[int, int]] = []  # source rows read in place, held next
+        self._lent = 0  # rows in _in_place
+        self._source: KVCache | None = None  # where a seeded cache reads its rows
 
     @classmethod
     def seeded(cls, source: KVCache, n_layers: int, rows: int, capacity: int) -> KVCache:
@@ -134,16 +131,16 @@ class KVCache:
         whose rows ``[0, rows)``, at positions ``0 .. rows - 1`` as a prefill
         writes them, are its sealed prefix.
 
-        ``hold_prefix`` reads prefix rows back from ``source``, which must
-        keep them in place. ``capacity`` counts the rows the cache owns: the
-        prefix rows it copies, none if it only borrows, and its generated
-        rows.
+        ``hold_prefix`` gathers prefix rows from ``source`` and
+        ``read_source`` reads its committed rows in place. ``capacity``
+        counts the rows the cache owns: the prefix rows it gathers and one
+        step's decoded rows.
         """
         if not np.array_equal(source._pos[:source._len][:rows], np.arange(rows)):
             raise OrderingError(f"the source's first {rows} rows are not positions "
                                 f"0 .. {rows - 1}")
         cache = cls(n_layers, source.n_heads, source.d_head, capacity)
-        cache._pos = np.empty(rows + capacity, dtype=np.int64)  # borrowed + own
+        cache._pos = np.empty(capacity + source._cap, dtype=np.int64)  # own + in place
         cache._prefix_rows = cache._world = rows
         cache._source = source
         return cache
@@ -152,8 +149,9 @@ class KVCache:
 
     @property
     def generation_boundary(self) -> int:
-        """Count of held rows that belong to the sealed input prefix."""
-        return self._held_prefix
+        """Count of held rows that belong to the sealed input prefix; they
+        lead the held rows."""
+        return int(np.searchsorted(self._pos[:self._len], self._prefix_rows))
 
     @property
     def prefix_len(self) -> int:
@@ -172,15 +170,19 @@ class KVCache:
 
     def layer_parts(self, layer: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Held ``(k, v)`` of one layer as ``[H, L, dh]`` views of the stores in
-        row order: the borrowed rows, if any, then the own rows. Each head's
-        keys are contiguous ``[L, dh]`` and its values ``[dh, L]``."""
-        own, b, src = self._len - self._borrowed, self._borrowed, self._source
-        lent = [(src._k[layer][:, :b], src._v[layer][:, :b])] if b else []
-        return lent + [(self._k[layer][:, :own], self._v[layer][:, :own])]
+        position order: the gathered rows, if any, the source's runs read in
+        place, then the own rows, always the last part. Each head's keys are
+        contiguous ``[L, dh]`` and its values ``[dh, L]``."""
+        k, v, g, src = self._k[layer], self._v[layer], self._gathered, self._source
+        own = self._len - self._lent
+        parts = [(k[:, :g], v[:, :g])] if g else []
+        parts += [(src._k[layer][:, lo:hi], src._v[layer][:, lo:hi])
+                  for lo, hi in self._in_place]
+        return parts + [(k[:, g:own], v[:, g:own])]
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``:
-        slices of the store, or a copy while the cache borrows rows."""
+        slices of the store, or a copy when the rows lie in several parts."""
         parts = self.layer_parts(layer)
         k, v = (np.concatenate(x, axis=1) if len(x) > 1 else x[0] for x in zip(*parts))
         return k, v, self._pos[:self._len]
@@ -211,7 +213,7 @@ class KVCache:
         if positions.min() <= bound:
             raise OrderingError(
                 f"position {int(positions.min())} does not follow position {bound}")
-        own = self._len - self._borrowed
+        own = self._len - self._lent
         if own + q > self._cap:
             raise CapacityError(f"appending {q} rows to {own} own rows overflows the "
                                 f"{self._cap} reserved")
@@ -229,74 +231,88 @@ class KVCache:
         at or before a speculative tail; a cut through an unordered tail
         raises ``OrderingError``.
         """
+        if self._source is not None:
+            raise StateError("a draft cache is not rolled back: read_source drops its rows")
         pos = self._pos[:self._len]
         cut = int(np.searchsorted(pos, world_len, side="left"))
         if (pos[:cut] >= world_len).any() or (pos[cut:] < world_len).any():
             raise OrderingError(f"the rows below position {world_len} do not come first")
         self._len = cut
-        self._held_prefix = min(self._held_prefix, cut)
-        self._borrowed = min(self._borrowed, cut)
-        self._prefix_rows = min(self._prefix_rows, world_len)
         self._world = min(self._world, world_len)
 
     def keep(self, rows) -> None:
         """Hold only the held rows ``rows`` (strictly ascending indices),
         compacted in place; positions dropped here stay in ``world_len``."""
+        if self._source is not None:
+            raise StateError("a draft cache does not compact: read_source drops its rows")
         rows = np.asarray(rows, dtype=np.int64)
         m = rows.shape[0]
         if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= self._len):
             raise ParameterError(f"kept rows must be strictly ascending in [0, {self._len})")
         # ``rows[i] - i`` never decreases; rows where it is 0 are in place.
         still = int(np.searchsorted(rows - np.arange(m), 0, side="right"))
-        b = self._borrowed
-        if still < b:  # a borrowed row moves: copy the kept ones in first
-            lent = int(np.searchsorted(rows, b))
-            self.hold_prefix(rows[:lent])
-            rows, still, b = np.r_[:lent, rows[lent:] - b + lent], lent, 0
         # Kept rows only move down, so runs copy in ascending order; one head
         # at a time, so a copy's temporary is at most one head's run.
-        runs = _runs(rows[still:] - b, still - b)
+        runs = _runs(rows[still:], still)
         for head in (head for kv in (*self._k, *self._v) for head in kv):
             for at, lo, size in runs:
                 head[at:at + size] = head[lo:lo + size]
         self._pos[still:m] = self._pos[rows[still:]]
-        self._held_prefix = int(np.searchsorted(rows, self._held_prefix))
         self._len = m
 
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
-        read from the source, then the generated rows still held. The whole
-        prefix, ``0 .. prefix_len - 1``, is borrowed, not copied."""
-        src, p = self._source, self.prefix_len
-        if src is None:
-            raise StateError("holding prefix rows needs a source cache (KVCache.seeded)")
-        if p and (src._len < p or src._pos[p - 1] != p - 1):
-            raise StateError(f"the source no longer holds prefix rows 0 .. {p - 1}")
+        gathered from the source, in front of the rows read in place. It
+        runs between steps, while the cache holds no decoded rows."""
+        p = self.prefix_len
+        self._check_source(p)
         rows = np.asarray(rows, dtype=np.int64)
         m = rows.shape[0]
         if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= p):
             raise ParameterError(f"prefix rows must be strictly ascending in [0, {p})")
-        held, b = self._held_prefix, self._borrowed
-        gen = self._len - held  # generated rows, at store rows held - b ..
-        stay = m if m == p else 0  # the whole prefix is read in place
-        if m - stay + gen > self._cap:
-            raise CapacityError(f"holding {m} prefix rows and {gen} generated rows needs "
-                                f"{m - stay + gen} own rows, {self._cap} reserved")
+        src, g, lent = self._source, self._gathered, self._lent
+        if self._len > g + lent:
+            raise StateError("prefix rows are gathered between steps, with no decoded rows")
+        if m and lent and rows[-1] >= self._pos[g]:
+            raise OrderingError("gathered rows must precede the rows read in place")
+        if m > self._cap:
+            raise CapacityError(f"holding {m} prefix rows overflows the {self._cap} reserved")
         n, runs = self.n_layers, _runs(rows)
         for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
-            own[:, m - stay:m - stay + gen] = own[:, held - b:held - b + gen]
-            if not stay:  # a slice copy per run, without a temporary
-                for at, lo, size in runs:
-                    own[:, at:at + size] = theirs[:, lo:lo + size]
-        self._pos[m:m + gen] = self._pos[held:self._len]
+            for at, lo, size in runs:  # a slice copy per run, without a temporary
+                own[:, at:at + size] = theirs[:, lo:lo + size]
+        self._pos[m:m + lent] = self._pos[g:g + lent]
         self._pos[:m] = rows
-        self._held_prefix, self._borrowed, self._len = m, stay, m + gen
+        self._gathered, self._len = m, m + lent
+
+    def read_source(self, end: int, runs) -> None:
+        """Drop every decoded row and read the source rows ``runs``,
+        ascending ``(lo, hi)`` pairs in ``[0, end)``, in place behind the
+        gathered rows: the committed rows a draft sees before its root at
+        position ``end``, which the next append decodes."""
+        self._check_source(end)
+        runs, g = [(lo, hi) for lo, hi in runs if lo < hi], self._gathered
+        if np.any(np.diff([self._pos[g - 1] + 1 if g else 0, *np.ravel(runs), end]) < 0):
+            raise OrderingError(f"runs must be ascending, after the gathered rows and "
+                                f"below position {end}")
+        pos = np.concatenate([np.arange(lo, hi) for lo, hi in [(0, 0), *runs]])
+        self._pos[g:g + pos.size] = pos
+        self._in_place, self._lent, self._len, self._world = runs, pos.size, g + pos.size, end
+
+    def _check_source(self, end: int) -> None:
+        """The source must still hold positions ``0 .. end - 1`` at index =
+        position; its committed rows ascend, so its row ``end - 1`` tells."""
+        src = self._source
+        if src is None:
+            raise StateError("reading source rows needs a source cache (KVCache.seeded)")
+        if end and (src._len < end or src._pos[end - 1] != end - 1):
+            raise StateError(f"the source no longer holds positions 0 .. {end - 1} in place")
 
 
 def _runs(rows: np.ndarray, at: int = 0) -> list[tuple[int, int, int]]:
     """``(to, first, size)`` for each run of consecutive values in ascending
     ``rows``, copied to ``at, at + 1, ...``: a retrieval selection of whole
-    chunks is a few runs, a streaming window one."""
+    chunks is a few runs."""
     if not rows.shape[0]:
         return []
     starts = np.r_[0, np.flatnonzero(np.diff(rows) != 1) + 1]

@@ -11,13 +11,12 @@ drawn from its parent's ``dist``, and ``DraftTree.sampled`` tells
 verification that this ``dist`` is the child's proposal; ``draft_chain`` is
 this tree with depth k.
 
-A drafter decodes nodes only to expand one, in index order, so nodes
-``1 .. DraftTree.decoded`` hold the draft-cache rows after the root and the
-leaves added after its last expansion stay undecoded (``undecoded``). The
-target verifies nodes ``1 .. size - 1`` in one ``tree_block``; both caches
-keep the accepted path's rows with ``keep_path``. So the next step's pending
-block is the correction or bonus, after a path that ended at an undecoded
-leaf also that leaf.
+A drafter decodes the root, then nodes only to expand one, in index order,
+so nodes ``1 .. DraftTree.decoded`` hold the draft-cache rows after the
+root and the leaves added after its last expansion stay undecoded
+(``undecoded``). The target verifies nodes ``1 .. size - 1`` in one
+``tree_block``. The draft keeps none of these rows: the next step reads
+the committed ones from the target.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import KVCache
-from .errors import InternalError, ParameterError
+from .errors import ParameterError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, draw
 
@@ -122,8 +121,7 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     under a mask over the tree rows already cached, so each sees the
     committed rows, its ancestors and itself; the nodes added after the last
     such step stay undecoded. The rows stay in the cache after the root, one
-    per decoded node at ``root_pos + depth``, in index order; the caller
-    keeps the accepted path's rows (``keep_path``).
+    per decoded node at ``root_pos + depth``, in index order.
     """
     if not pending:
         raise ParameterError("draft_tree needs at least one pending committed token")
@@ -231,28 +229,3 @@ def tree_block(tree: DraftTree, nodes: list[int] | range, cached: list[int] | ra
     tokens = [tree.nodes[i].token for i in nodes]
     positions = np.array([tree.root_pos + tree.nodes[i].depth for i in nodes])
     return tokens, mask, positions
-
-
-def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int], n_rows: int) -> None:
-    """Keep, of the last ``n_rows`` rows of ``cache``, which hold nodes
-    ``1 .. n_rows`` in index order, those of the path that spells ``tokens``
-    from the root, compacted in place; the cache then holds exactly the
-    committed rows up to the path's last node with a row, which is its end
-    unless that is an undecoded leaf."""
-    base = cache.archive_len - n_rows
-    path, node = [], 0
-    for tok in tokens:
-        match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
-        if not match:
-            raise InternalError(f"token {tok} is not a child of tree node {node}")
-        node = match[0]
-        if node > n_rows:  # an undecoded leaf
-            break
-        path.append(node)
-    n = len(path)
-    # As on every chain step, the path may be nodes 1 .. n, with every other
-    # row past it: then the truncation alone drops the rest.
-    if path != list(range(1, n + 1)) or any(tree.nodes[i].depth <= n
-                                            for i in range(n + 1, n_rows + 1)):
-        cache.keep(np.r_[:base, base - 1 + np.array(path, dtype=np.int64)])
-    cache.truncate(tree.root_pos + 1 + n)

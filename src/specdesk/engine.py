@@ -2,33 +2,28 @@
 
 The target always runs a full cache; only the draft cache is subject to a
 policy. The draft's layers are the target's first layers (``derive_draft``,
-or the target itself), so the target's prefill has already computed the
-draft's prompt K/V for all but the last prompt token. The draft never
-prefills: it reads the prompt rows its policy holds from the target cache,
-all of them for a full draft, the sink and recent window for a streaming
-draft, and the selected chunks at each update for a retrieval draft (none
-before its first). A draft that holds every prompt row reads them in place
-in the target's store, never copied. Every step, including the first, then
-drafts from a post-update cache. Both drafters draw a tree, a chain a
-sampled one of width one, and leave the rows of the nodes they decoded,
-``1 .. DraftTree.decoded`` in index order, in the draft cache, which after
-verification keeps the accepted path's rows (``keep_path``).
-So the pending block of the next step's drafting is the correction or
-bonus, after a path that ended at a leaf the drafter left undecoded also
-that leaf; its last row yields the first proposal distribution.
+or the target itself), so its K/V at every committed position are rows the
+target has already computed, and it never prefills. At each step the target
+holds the committed positions ``0 .. R`` at index = position, ``R`` being
+the root, the last committed token. The draft reads the rows of ``[0, R)``
+its policy names in place: all of them for a full draft, the sink and
+recent window for a streaming draft, the generated rows for a retrieval
+draft, which also holds the prompt chunks its last update gathered. It
+decodes the root, then its tree's nodes (a chain is a sampled tree of
+width one); after verification it drops them and reads the rows for the
+new root (``KVCache.read_source``).
 
-Both caches are sized once from the prompt length, ``gen_tokens`` and the
-largest block a step appends; an append past the reserved rows raises. The
-draft's store holds only the rows it owns: its generated rows and, unless
-it borrows the whole prompt as a full draft does, the most prompt rows its
-policy copies in.
+The target cache is sized once from the prompt length, ``gen_tokens`` and
+the largest block a step appends; the draft's store holds the most prompt
+rows its policy gathers and one step's root and nodes. An append past the
+reserved rows raises.
 
 A retrieval draft is updated from the target's last-layer attention row
-of the step's root, the last committed token: at the first step the
-prefill's last row, after that the row the commit pass captured when it
-decoded that token (``VerifyOutcome.attn_row``). The first update fires
-immediately after prefill; ``retrieval.maybe_update`` decides when an
-update is due and turns the row into a selection.
+of the step's root: at the first step the prefill's last row, after that
+the row the commit pass captured when it decoded that token
+(``VerifyOutcome.attn_row``). The first update fires immediately after
+prefill; ``retrieval.maybe_update`` decides when an update is due and
+turns the row into a selection.
 """
 
 from __future__ import annotations
@@ -39,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
-from .drafting import TreeBudget, draft_chain, draft_tree, keep_path
+from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy
+from .drafting import TreeBudget, draft_chain, draft_tree
 from .errors import CapacityError, InternalError, ParameterError
 from .metrics import ProposalLog, natural_divergence, shannon_entropy
 from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill, token_ids
@@ -89,30 +84,25 @@ def _check_shared_prefix(tspec: ModelSpec, tw: Weights,
 
 
 def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
-                   capacity: int, policy: CachePolicy = FullPolicy()
-                   ) -> tuple[KVCache, KVCache, ForwardOutput]:
+                   capacity: int, policy: CachePolicy = FullPolicy(), *,
+                   max_nodes: int) -> tuple[KVCache, KVCache, ForwardOutput]:
     """Prefill the target on ``prompt`` and seed the draft cache from it.
 
     Returns ``(target_cache, draft_cache, target prefill output)``; the
     output holds the last prompt row's logits and attention only. The
     target cache reserves ``capacity`` rows. The draft, whose layers are the
     target's first ``dspec.n_layers``, is seeded over those layers' rows for
-    all but the last prompt token, which is the first pending commit, and
-    holds the rows ``policy.held_rows`` picks: all of them are read in place
-    from the target cache, any fewer are copied. It reserves store rows for
-    the target's generation room and, unless it is a full draft, for the
-    most prompt rows the policy holds.
+    all but the last prompt token, the first root, and reads the rows
+    ``policy`` names in place. It reserves store rows for the most prompt
+    rows the policy gathers and for a tree of ``max_nodes`` nodes.
     """
     n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
                   last_row_only=True)
-    # A full draft borrows every prompt row and never drops one, so it owns
-    # only the rows it generates; any other may copy its prompt rows in.
-    copied = 0 if isinstance(policy, FullPolicy) else policy.prefix_rows(n - 1)
     draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
-                                 copied + capacity - n)
-    draft_cache.hold_prefix(policy.held_rows(n - 1))
+                                 policy.prefix_rows(n - 1) + max_nodes)
+    draft_cache.read_source(n - 1, policy.in_place(n - 1, n - 1))
     return target_cache, draft_cache, out
 
 
@@ -163,6 +153,8 @@ class Session:
         prompt = token_ids(prompt, self.target_spec.vocab, "prompt tokens").tolist()
         if len(prompt) < 2:
             raise ParameterError("prompt must have at least 2 tokens")
+        if isinstance(gen_tokens, bool) or not isinstance(gen_tokens, (int, np.integer)):
+            raise ParameterError(f"gen_tokens must be an integer, got {gen_tokens!r}")
         if gen_tokens < 1:
             raise ParameterError(f"gen_tokens must be >= 1, got {gen_tokens}")
         # The last step may start one token short of gen_tokens and commit
@@ -178,8 +170,9 @@ class Session:
         capacity = len(prompt) + gen_tokens + self.budget.max_nodes + 1
 
         t0 = time.perf_counter()
-        target_cache, draft_cache, out = prefill_caches(tspec, tw, dspec, prompt,
-                                                        capacity, self.policy)
+        target_cache, draft_cache, out = prefill_caches(
+            tspec, tw, dspec, prompt, capacity, self.policy,
+            max_nodes=self.budget.max_nodes)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
         row = out.last_layer_attn[-1]  # the first root's row, which retrieval reads
         prefill_s = time.perf_counter() - t0
@@ -212,19 +205,14 @@ class Session:
             update_ms = (time.perf_counter() - t0) * 1e3
             max_prefix_live = max(max_prefix_live, draft_cache.generation_boundary)
 
-            # Sync the draft cache with tokens committed by earlier steps.
-            pending = committed[draft_cache.world_len:]
-            if not pending:
-                raise InternalError("draft cache is ahead of committed tokens")
-
             t0 = time.perf_counter()
             n_before = len(committed)
-            if self.drafting == "chain":
-                chain = draft_chain(dspec, dw, draft_cache, pending, self.k,
+            if self.drafting == "chain":  # the pending block is the root alone
+                chain = draft_chain(dspec, dw, draft_cache, committed[-1:], self.k,
                                     self.temperature, self.rng)
                 tree, tree_nodes = chain.tree, 0
             else:
-                tree = draft_tree(dspec, dw, draft_cache, pending, self.budget,
+                tree = draft_tree(dspec, dw, draft_cache, committed[-1:], self.budget,
                                   self.temperature)
                 tree_nodes = tree.size
             draft_ms = (time.perf_counter() - t0) * 1e3
@@ -244,11 +232,9 @@ class Session:
             committed.extend(walk.committed)
             root_dist, row = outc.next_root_dist, outc.attn_row
 
-            # Roll the draft cache back to the committed world, keeping the
-            # accepted path's rows.
-            keep_path(draft_cache, tree, walk.accepted, tree.decoded)
-            if isinstance(self.policy, StreamingPolicy):
-                draft_cache.keep(self.policy.held_rows(draft_cache.archive_len))
+            # The draft drops its tree and reads the rows before the new root.
+            root = len(committed) - 1
+            draft_cache.read_source(root, self.policy.in_place(draft_cache.prefix_len, root))
 
             # Metrics bookkeeping.
             div = []

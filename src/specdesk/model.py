@@ -190,7 +190,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     """One forward pass over a block; its K/V are appended to ``cache``.
 
     A ``new_mask`` of shape ``[q, T + q]`` reads the cache's last ``T`` held
-    rows, a speculative tail of own (not borrowed) rows, as their own masked
+    rows, a speculative tail of the cache's own rows, as their own masked
     part; the rows before them are visible to every query, and the block's
     own columns come last.
     With ``out_rows`` the last layer projects K/V for every row but runs
@@ -233,7 +233,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         *blocks, (kc, vc) = cache.layer_parts(li)  # [H, L, dh] each
         P = kc.shape[1] - tail  # own rows every query sees
         if P < 0:
-            raise ShapeError(f"a tail of {tail} rows reaches into borrowed rows")
+            raise ShapeError(f"a tail of {tail} rows reaches past the cache's own rows")
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
         for kb, vb in (*blocks, (kc[:, :P], vc[:, :P])):
             for lo, hi in attn.split_chunks(kb.shape[1], kv_chunk or kb.shape[1] or 1):

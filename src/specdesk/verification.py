@@ -2,8 +2,8 @@
 tree, and hybrid chunked+tree attention.
 
 There is one walk and one verify decode, of every non-root node in index
-order: those the draft decoded (``DraftTree.decoded``), then its undecoded
-leaves. A drafted chain is its path tree, whose mask is the causal mask.
+order, whichever of them the draft decoded. A drafted chain is its path
+tree, whose mask is the causal mask.
 
 Acceptance follows the standard ratio rule ``u < min(1, q(x)/p(x))``
 against the proposal distribution each candidate was actually drawn from.
@@ -16,10 +16,11 @@ exact rejection-sampling round, so the committed token is distributed as
 the target distribution.
 
 After the walk the cache keeps exactly the verify pass's rows of the
-accepted path (``drafting.keep_path``). One pass with score capture then
-decodes the token the step adds, the correction or bonus. That token is the
-next step's root: its row gives the next root distribution and is the row
-retrieval reads, so the target decodes each committed token once.
+accepted path (``keep_path``); no committed row moves, so the draft can
+read them in place. One pass with score capture then decodes the token the
+step adds, the correction or bonus. That token is the next step's root: its
+row gives the next root distribution and is the row retrieval reads, so
+the target decodes each committed token once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import KVCache
-from .drafting import ChainDraft, DraftTree, keep_path, tree_block
+from .drafting import ChainDraft, DraftTree, tree_block
 from .errors import InternalError, ShapeError, StateError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, draw
@@ -166,7 +167,7 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                           positions=positions, kv_chunk=kv_chunk)
         rows += [next_token_dist(logits, temperature) for logits in out.logits]
     walk = walk_tree(tree, rows, rng, temperature)
-    keep_path(cache, tree, walk.accepted, tree.size - 1)
+    keep_path(cache, tree, walk.accepted)
     out = decode_step(spec, weights, walk.committed[-1:], cache,
                       positions=np.array([cache.world_len]), capture_scores=True,
                       kv_chunk=kv_chunk)
@@ -181,6 +182,28 @@ def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
     ``ChainDraft`` and ``draft_chain`` once a sampled ``draft_tree`` replaces them."""
     return verify_tree(spec, weights, cache, draft.tree, root_dist, rng, temperature,
                        kv_chunk)
+
+
+def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
+    """Keep, of the last ``tree.size - 1`` rows of ``cache``, which hold
+    nodes ``1 .. size - 1`` in index order, those of the path that spells
+    ``tokens`` from the root, compacted in place behind the committed rows,
+    which never move: the cache then holds the committed rows."""
+    base = cache.archive_len - tree.size + 1
+    path, node = [], 0
+    for tok in tokens:
+        match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
+        if not match:
+            raise InternalError(f"token {tok} is not a child of tree node {node}")
+        node = match[0]
+        path.append(node)
+    n = len(path)
+    # As on every chain step, the path may be nodes 1 .. n, with every other
+    # row past it: then the truncation alone drops the rest.
+    if path != list(range(1, n + 1)) or any(tree.nodes[i].depth <= n
+                                            for i in range(n + 1, tree.size)):
+        cache.keep(np.r_[:base, base - 1 + np.array(path, dtype=np.int64)])
+    cache.truncate(tree.root_pos + 1 + n)
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

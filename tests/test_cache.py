@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdesk.cache import KVCache, RetrievalPolicy, StreamingPolicy
+from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.errors import (CapacityError, OrderingError, ParameterError, ShapeError,
                              StateError)
 from specdesk.model import ModelSpec, decode_step, derive_draft
@@ -16,12 +16,22 @@ def make_cache(n_layers=2, n_heads=2, d_head=4):
 
 
 def seeded_cache(n, n_layers=2):
-    # A draft cache holding all n prompt rows of a deeper source cache.
+    # A draft cache holding all n prompt rows of a deeper source cache, gathered.
     source = make_cache(n_layers=n_layers + 1)
     append_tokens(source, list(range(n)))
     cache = KVCache.seeded(source, n_layers, n, capacity=64)
     cache.hold_prefix(np.arange(n))
     return cache
+
+
+def reading_cache(n, runs, prefix=None, n_layers=2):
+    # A draft cache over a source of n committed rows that reads ``runs`` in
+    # place before a root at position n.
+    source = make_cache(n_layers=n_layers + 1)
+    append_tokens(source, list(range(n)))
+    cache = KVCache.seeded(source, n_layers, n if prefix is None else prefix, capacity=64)
+    cache.read_source(n, runs)
+    return source, cache
 
 
 def append_tokens(cache, positions, tail=0):
@@ -128,17 +138,17 @@ class TestSpeculativeTail:
 
     def test_mask_reaching_into_borrowed_rows_raises(self):
         # A tail is the draft's own decoded rows; a mask that reaches past
-        # them into the rows a whole prefix borrows is refused.
+        # them into the source rows it reads in place is refused.
         spec = ModelSpec(n_layers=2, n_heads=2, d_model=8, d_head=4, vocab=5,
                          max_pos=64)
         w = random_weights(spec, 0)
         source = KVCache(2, 2, 4)
         decode_step(spec, w, [1, 2, 3], source, positions=[0, 1, 2])
         c = KVCache.seeded(source, 1, 2, capacity=8)
-        c.hold_prefix(np.arange(2))
+        c.read_source(2, [(0, 2)])
         draft, draft_w = derive_draft(spec, w, 1)
         decode_step(draft, draft_w, [3], c, positions=[2])
-        with pytest.raises(ShapeError, match="borrowed"):
+        with pytest.raises(ShapeError, match="own rows"):
             decode_step(draft, draft_w, [4], c, tree_mask=np.ones((1, 3), bool),
                         positions=[3])
         out = decode_step(draft, draft_w, [4], c, tree_mask=np.ones((1, 2), bool),
@@ -167,23 +177,24 @@ class TestSpeculativeTail:
 
 class TestKeep:
     def test_compacts_in_place(self):
-        c = seeded_cache(6)
+        c = make_cache()
+        append_tokens(c, list(range(6)))
         append_tokens(c, [6, 7, 8, 9])
         k_before = c.layer_view(1)[0].copy()
+        v_before = c.layer_view(1)[1].copy()
         c.keep([0, 2, 3, 5, 7, 9])
         assert c.layer_view(0)[2].tolist() == [0, 2, 3, 5, 7, 9]
         assert np.array_equal(c.layer_view(1)[0], k_before[:, [0, 2, 3, 5, 7, 9]])
-        assert c.generation_boundary == 4  # four of the six prefix rows held
+        assert np.array_equal(c.layer_view(1)[1], v_before[:, [0, 2, 3, 5, 7, 9]])
         assert c.world_len == 10  # dropped positions stay in the world
 
     def test_keep_everything_or_nothing(self):
-        c = seeded_cache(6)
-        append_tokens(c, [6, 7])
+        c = make_cache()
+        append_tokens(c, list(range(8)))
         c.keep(np.arange(8))
         assert c.layer_view(0)[2].tolist() == list(range(8))
-        assert c.generation_boundary == 6
         c.keep([])
-        assert (c.archive_len, c.generation_boundary, c.world_len) == (0, 0, 8)
+        assert (c.archive_len, c.world_len) == (0, 8)
 
     def test_rows_must_be_strictly_ascending_held_rows(self):
         c = make_cache()
@@ -194,45 +205,44 @@ class TestKeep:
         assert c.layer_view(0)[2].tolist() == list(range(5))
 
 
-def evict(cache, sink, recent):
-    # What the engine does after every step of a streaming draft.
-    cache.keep(StreamingPolicy(sink, recent).held_rows(cache.archive_len))
+def window(n, sink, recent):
+    # What a streaming draft reads in place before a root at position n.
+    return reading_cache(n, StreamingPolicy(sink, recent).in_place(n, n))
 
 
 class TestStreaming:
     def test_sink_and_recent(self):
-        c = make_cache()
-        append_tokens(c, list(range(10)))
-        evict(c, sink=2, recent=3)
+        source, c = window(10, sink=2, recent=3)
         assert c.layer_view(0)[2].tolist() == [0, 1, 7, 8, 9]
         assert c.world_len == 10
-        # Oracle: all n rows, or the first sink and the last recent.
+        assert len(c.layer_parts(0)) == 3  # two slices of the source, no own rows
+        # Oracle: all n rows, or the first sink and the last recent, as
+        # slices of the source, and never a copy.
         for n in range(1, 12):
             for sink in range(4):
                 for recent in range(1, 6):
                     policy = StreamingPolicy(sink, recent)
-                    rows = policy.held_rows(n).tolist()
+                    rows = [p for lo, hi in policy.in_place(3, n) for p in range(lo, hi)]
                     want = ([*range(sink), *range(n - recent, n)]
                             if n > sink + recent else list(range(n)))
-                    assert rows == want and policy.prefix_rows(n) == len(rows)
+                    assert rows == want and policy.prefix_rows(n) == 0
 
     def test_noop_when_small(self):
-        c = make_cache()
-        append_tokens(c, list(range(4)))
-        evict(c, sink=2, recent=3)
-        assert c.archive_len == 4
+        _, c = window(4, sink=2, recent=3)
+        assert c.layer_view(0)[2].tolist() == list(range(4))
+        assert len(c.layer_parts(0)) == 2  # one slice of the source, no own rows
 
     def test_zero_sink(self):
-        c = make_cache()
-        append_tokens(c, list(range(5)))
-        evict(c, sink=0, recent=1)
+        _, c = window(5, sink=0, recent=1)
         assert c.layer_view(0)[2].tolist() == [4]
 
     def test_original_positions_preserved(self):
-        c = make_cache()
-        append_tokens(c, list(range(20)))
-        evict(c, sink=1, recent=4)
+        source, c = window(20, sink=1, recent=4)
         assert c.layer_view(0)[2].tolist() == [0, 16, 17, 18, 19]
+        for li in range(2):
+            k, v, pos = c.layer_view(li)
+            sk, sv, _ = source.layer_view(li)
+            assert np.array_equal(k, sk[:, pos]) and np.array_equal(v, sv[:, pos])
 
 
 class TestRetrievalRebuild:
@@ -256,11 +266,17 @@ class TestRetrievalRebuild:
         assert c.layer_view(0)[2].tolist() == list(range(10))
 
     def test_suffix_always_survives(self):
-        c = seeded_cache(12)
-        append_tokens(c, [12, 13, 14])  # generated
+        # The generated rows, read in place, stay behind a new selection.
+        _, c = reading_cache(15, [(12, 15)], prefix=12)
         c.hold_prefix([4, 5, 6, 7])
         assert c.layer_view(0)[2].tolist() == [4, 5, 6, 7, 12, 13, 14]
         assert c.generation_boundary == 4
+        with pytest.raises(OrderingError):  # gathered rows 6 and 7 after them
+            c.read_source(15, [(6, 15)])
+        append_tokens(c, [15])  # a decoded root: gather between steps
+        with pytest.raises(StateError, match="between steps"):
+            c.hold_prefix([0, 1, 2, 3])
+        assert c.layer_view(0)[2].tolist() == [4, 5, 6, 7, 12, 13, 14, 15]
 
     def test_rebuild_can_restore_dropped_chunks(self):
         c = seeded_cache(12)
@@ -271,17 +287,16 @@ class TestRetrievalRebuild:
 
     def test_restored_rows_are_the_source_rows(self):
         source = make_cache(n_layers=3)
-        append_tokens(source, list(range(12)))
+        append_tokens(source, list(range(14)))
         c = KVCache.seeded(source, 2, 12, capacity=64)
         assert c.archive_len == 0 and c.world_len == 12
-        append_tokens(c, [12, 13])
+        c.read_source(14, [(12, 14)])
         c.hold_prefix([4, 5, 6, 7])
         c.hold_prefix([0, 1, 2, 3, 8, 9, 10, 11])
         for li in range(2):
             k, v, pos = c.layer_view(li)
             sk, sv, _ = source.layer_view(li)
-            assert (np.array_equal(k[:, :8], sk[:, pos[:8]])
-                    and np.array_equal(v[:, :8], sv[:, pos[:8]]))
+            assert np.array_equal(k, sk[:, pos]) and np.array_equal(v, sv[:, pos])
         assert pos.tolist() == [0, 1, 2, 3, 8, 9, 10, 11, 12, 13]
 
     def test_world_len_survives_dropping_the_last_chunk(self):
@@ -290,7 +305,8 @@ class TestRetrievalRebuild:
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
         assert c.world_len == 12
         append_tokens(c, [12])
-        c.truncate(12)
+        c.read_source(12, [])  # drops the decoded row
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
         assert c.world_len == 12
 
     def test_the_source_prefix_must_be_positions_from_zero(self):
@@ -302,18 +318,24 @@ class TestRetrievalRebuild:
                 KVCache.seeded(source, 2, rows, capacity=8)
 
     def test_the_source_must_still_hold_the_prefix(self):
-        # The target may drop its last prompt row, never the draft's prefix.
+        # The target may drop its last prompt row, never the draft's prefix,
+        # nor a committed row the draft reads in place.
         source = make_cache(n_layers=3)
         append_tokens(source, list(range(12)))
         c = KVCache.seeded(source, 2, 11, capacity=16)
         source.truncate(11)
         c.hold_prefix(np.arange(11))
+        c.read_source(11, [])
+        with pytest.raises(StateError, match="no longer holds positions 0 .. 11"):
+            c.read_source(12, [])
         source.truncate(10)
-        with pytest.raises(StateError, match="no longer holds prefix rows"):
+        with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
             c.hold_prefix(np.arange(4))
         append_tokens(source, [12])  # as many rows, but row 10 is position 12
-        with pytest.raises(StateError, match="no longer holds prefix rows"):
+        with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
             c.hold_prefix(np.arange(4))
+        with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
+            c.read_source(11, [])
         assert c.layer_view(0)[2].tolist() == list(range(11))
 
     def test_rebuild_needs_a_source(self):
@@ -321,6 +343,8 @@ class TestRetrievalRebuild:
         append_tokens(c, list(range(12)))
         with pytest.raises(StateError):
             c.hold_prefix([0])
+        with pytest.raises(StateError):
+            c.read_source(12, [(0, 12)])
 
     def test_idempotent(self):
         c = seeded_cache(16)
@@ -338,13 +362,16 @@ class TestRetrievalRebuild:
             assert pos.tolist() == [4, 5, 6, 7]
 
     def test_prefix_past_capacity_raises(self):
+        # Gathered and decoded rows share the reserved store rows.
         source = make_cache()
         append_tokens(source, list(range(12)))
         c = KVCache.seeded(source, 2, 12, capacity=6)
+        with pytest.raises(CapacityError):
+            c.hold_prefix(np.arange(7))
+        c.hold_prefix(np.arange(4))
         append_tokens(c, [12, 13])
         with pytest.raises(CapacityError):
-            c.hold_prefix(np.arange(5))
-        c.hold_prefix(np.arange(4))
+            append_tokens(c, [14])
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13]
 
 
@@ -363,7 +390,6 @@ class TestGatherTemporaries:
 
     N, HEADS, D_HEAD = 2047, 2, 64
     LAYER_ROWS = N * HEADS * D_HEAD * 8  # bytes of one layer's prefix keys
-    MOVED = 2000 * HEADS * D_HEAD * 8  # a streaming window of 2000 rows
 
     def seeded(self):
         source = KVCache(3, self.HEADS, self.D_HEAD, capacity=self.N + 1)
@@ -374,39 +400,32 @@ class TestGatherTemporaries:
         for li in range(2):
             k, v, pos = c.layer_view(li)
             sk, sv, _ = source.layer_view(li)
-            assert np.array_equal(k[:, :-3], sk[:, pos[:-3]])
-            assert np.array_equal(v[:, :-3], sv[:, pos[:-3]])
+            assert np.array_equal(k, sk[:, pos]) and np.array_equal(v, sv[:, pos])
 
-    def test_hold_prefix_and_a_streaming_keep(self):
-        # Every prefix row but the first: a gather, where the whole prefix
-        # would be borrowed and copy nothing.
+    def test_hold_prefix_gathers_one_head_at_a_time(self):
+        # Every prefix row but the first: a gather into the store.
         source, c = self.seeded()
         assert self.peak_bytes(lambda: c.hold_prefix(np.arange(1, self.N))) < self.LAYER_ROWS / 8
-        assert len(c.layer_parts(0)) == 1
-        append_tokens(c, [self.N, self.N + 1, self.N + 2])
-        # The window shifts down by 45 rows.
-        assert self.peak_bytes(lambda: evict(c, 4, 2000)) < self.MOVED
-        assert c.layer_view(0)[2].tolist() == [1, 2, 3, 4] + list(range(50, self.N + 3))
+        assert len(c.layer_parts(0)) == 2  # the gathered rows, then no own rows
         self.assert_source_rows(c, source)
 
-    def test_a_whole_prefix_is_borrowed_until_a_keep_moves_it(self):
+    def test_a_whole_prefix_is_read_in_place(self):
         source, c = self.seeded()
-        assert self.peak_bytes(lambda: c.hold_prefix(np.arange(self.N))) < self.LAYER_ROWS / 8
-        (bk, bv), _ = c.layer_parts(1)
+        runs = [(0, 4), (50, self.N + 1)]  # a streaming draft's sink and window
+        assert self.peak_bytes(lambda: c.read_source(self.N + 1, runs)) < self.LAYER_ROWS / 8
         sk, sv, _ = source.layer_view(1)
-        assert np.shares_memory(bk, sk) and np.shares_memory(bv, sv)
-        append_tokens(c, [self.N, self.N + 1, self.N + 2])
-        # The borrowed rows are copied in, then the window shifts down by 46.
-        assert self.peak_bytes(lambda: evict(c, 4, 2000)) < self.MOVED
-        assert len(c.layer_parts(0)) == 1
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, self.N + 3))
+        for (k, v), (lo, hi) in zip(c.layer_parts(1), runs):
+            assert np.shares_memory(k, sk) and np.shares_memory(v, sv)
+            assert np.array_equal(k, sk[:, lo:hi]) and np.array_equal(v, sv[:, lo:hi])
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, self.N + 1))
         self.assert_source_rows(c, source)
 
 
 def test_layer_view_tracks_every_mutation():
     # Each row holds its own position, so a view is right exactly when its
-    # rows read back the held positions. ``held`` and ``appended`` model the
-    # held rows and every appended position not rolled back.
+    # rows read back the held positions. ``held`` models the held rows: first
+    # of a target's cache, which keeps and truncates, then of a draft's,
+    # which gathers prompt rows, reads source runs in place and decodes.
     rng = np.random.default_rng(5)
 
     def rows_for(pos, n_layers):
@@ -414,66 +433,88 @@ def test_layer_view_tracks_every_mutation():
                 for li in range(n_layers)]
         return rows, [-r for r in rows]
 
-    source = KVCache(3, 2, 4, capacity=40)
-    source.append(*rows_for(np.arange(40), 3), np.arange(40))
-    c = KVCache.seeded(source, 2, 40, capacity=400)
-    c.hold_prefix(np.arange(40))
-    held, appended = list(range(40)), list(range(40))
-
-    def append(n):
-        pos = np.arange(c.world_len, c.world_len + n)
-        c.append(*rows_for(pos, 2), pos)
-        held.extend(pos.tolist())
-        appended.extend(pos.tolist())
-
-    def append_tail(n):
-        # A speculative block after a tail of up to 4 rows: positions in any
-        # order, each past the last row before the tail, a generated root.
-        tail = int(rng.integers(0, max(0, min(4, len(held) - c.generation_boundary - 1)) + 1))
+    def append(c, held, n, tail_room):
+        # A block of n rows after a tail of up to 4 of the last tail_room
+        # rows: positions in any order, each past the last row before it.
+        tail = int(rng.integers(0, min(4, max(0, tail_room)) + 1))
         root = held[-tail - 1] if tail else c.world_len - 1
         pos = rng.permutation(np.arange(root + 1, root + 1 + n))
         c.append(*rows_for(pos, 2), pos, tail=tail)
         held.extend(pos.tolist())
-        appended.extend(pos.tolist())
 
-    for _ in range(400):
-        op = rng.integers(6)
-        if op == 0:
-            append(int(rng.integers(1, 6)))
-        elif op == 4:
-            append_tail(int(rng.integers(1, 4)))
-        elif op == 5:
-            rows = np.flatnonzero(rng.random(len(held)) < 0.7)
-            c.keep(rows)
-            held[:] = [held[r] for r in rows]
-        elif op == 1:
-            # Cut at or before any unordered tail, as a rollback does.
-            lo = min([c.world_len] + [p for i, p in enumerate(held)
-                                      if p <= max(held[:i], default=-1)])
-            w = int(rng.integers(max(40, min(lo, c.world_len - 6)), lo + 1))
-            c.truncate(w)
-            held[:] = [p for p in held if p < w]
-            appended[:] = [p for p in appended if p < w]
-        elif op == 2:
-            sink, recent = int(rng.integers(0, 4)), int(rng.integers(1, 30))
-            evict(c, sink, recent)
-            if len(held) > sink + recent:
-                held[:] = held[:sink] + held[-recent:]
-        else:
-            # Every chunk now and then: the whole prefix, borrowed in place.
-            chunks = np.flatnonzero(rng.random(10) < rng.choice([0.4, 1.0], p=[0.75, 0.25]))
-            sink = int(rng.integers(0, 3))
-            c.hold_prefix(chunk_rows(chunks, 4, c.prefix_len, sink))
-            held[:] = ([p for p in range(40) if p // 4 in chunks or p < sink]
-                       + [p for p in held if p >= 40])
-        assert c.layer_view(0)[2].tolist() == held
-        assert c.world_len == max(appended) + 1
-        assert c.generation_boundary == sum(p < 40 for p in held)
+    def check(c, held, world):
+        assert c.world_len == world
         for li in range(2):
             k, v, pos = c.layer_view(li)
             assert pos.tolist() == held
             assert np.array_equal(k[0, :, 0], pos + li)
             assert np.array_equal(v[1, :, 3], -(pos + li))
+
+    t = KVCache(2, 2, 4, capacity=400)
+    held: list[int] = []
+    world = 0
+    for _ in range(300):
+        op = rng.integers(3)
+        if op == 0 or not held:
+            append(t, held, int(rng.integers(1, 6)), len(held) - 1)
+            world = max(world, max(held) + 1)
+        elif op == 1:
+            rows = np.flatnonzero(rng.random(len(held)) < 0.7)
+            t.keep(rows)
+            held[:] = [held[r] for r in rows]
+        else:
+            # Cut at or before any unordered tail, as a rollback does.
+            lo = min([world] + [p for i, p in enumerate(held)
+                                if p <= max(held[:i], default=-1)])
+            w = int(rng.integers(max(0, min(lo, world - 6)), lo + 1))
+            t.truncate(w)
+            held[:] = [p for p in held if p < w]
+            world = min(world, w)
+        check(t, held, world)
+
+    source = KVCache(3, 2, 4, capacity=80)
+    source.append(*rows_for(np.arange(80), 3), np.arange(80))
+    c = KVCache.seeded(source, 2, 40, capacity=56)
+    gathered: list[int] = []
+    read: list[int] = []
+    held, world = [], 40
+    for _ in range(400):
+        op = rng.integers(3)
+        own = len(held) - len(gathered) - len(read)
+        if op == 0:
+            end = int(rng.integers(40, 81))
+            policy = [FullPolicy(), RetrievalPolicy(4, 2, 1),
+                      StreamingPolicy(int(rng.integers(0, 4)),
+                                      int(rng.integers(1, 30)))][rng.integers(3)]
+            runs = policy.in_place(40, end)
+            rows = [p for lo, hi in runs for p in range(lo, hi)]
+            if gathered and rows and rows[0] <= gathered[-1]:
+                with pytest.raises(OrderingError):
+                    c.read_source(end, runs)
+            else:
+                c.read_source(end, runs)
+                read, held, world = rows, gathered + rows, end
+        elif op == 1:
+            chunks = np.flatnonzero(rng.random(10) < rng.choice([0.0, 0.4]))
+            rows = chunk_rows(chunks, 4, 40, int(rng.integers(0, 3))).tolist()
+            if own:
+                with pytest.raises(StateError):
+                    c.hold_prefix(rows)
+            elif rows and read and rows[-1] >= read[0]:
+                with pytest.raises(OrderingError):
+                    c.hold_prefix(rows)
+            else:
+                c.hold_prefix(rows)
+                gathered, held = rows, rows + read
+        else:
+            n = int(rng.integers(1, 6))
+            if len(gathered) + own + n <= 56:
+                append(c, held, n, own)
+                world = max(world, max(held) + 1)
+            else:
+                with pytest.raises(CapacityError):
+                    append(c, [*held], n, own)
+        check(c, held, world)
 
 
 class TestTruncate:
@@ -484,15 +525,17 @@ class TestTruncate:
         c.truncate(6)
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5]
 
-    def test_rollback_into_the_prefix_is_not_restored(self):
-        c = seeded_cache(12)
-        c.truncate(6)
-        assert (c.prefix_len, c.world_len) == (6, 6)
-        assert c.layer_view(0)[0].shape[1] == 6  # of the 12 rows it borrowed
-        with pytest.raises(ParameterError):
-            c.hold_prefix(np.arange(8))
-        c.hold_prefix(chunk_rows([0, 1], 4, c.prefix_len))
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5]
+    def test_a_draft_cache_never_rolls_back(self):
+        # A draft drops its decoded rows by reading the source again; it
+        # neither truncates nor compacts, so no row it reads in place moves.
+        _, c = reading_cache(12, [(0, 12)])
+        append_tokens(c, [12, 13])
+        for roll_back in (lambda: c.truncate(12), lambda: c.keep(np.arange(12))):
+            with pytest.raises(StateError, match="read_source"):
+                roll_back()
+        assert c.layer_view(0)[2].tolist() == list(range(14))
+        c.read_source(12, [(0, 12)])
+        assert c.layer_view(0)[2].tolist() == list(range(12))
 
     def test_truncate_then_reappend(self):
         c = make_cache()

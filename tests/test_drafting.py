@@ -6,11 +6,12 @@ import pytest
 from specdesk import drafting
 from specdesk.cache import KVCache
 from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
-                               draft_tree, keep_path, tree_block, undecoded)
+                               draft_tree, tree_block, undecoded)
 from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
 from specdesk.tensor import Rng, draw
+from specdesk.verification import keep_path
 
 
 def small_model(seed=0, vocab=7, n_layers=1):
@@ -313,19 +314,22 @@ class TestDecodeOnce:
         assert cache.archive_len == len(PROMPT) - 1 + len(pending) + tree.decoded
 
     def test_keep_path_holds_the_accepted_rows(self):
-        # A path to the deepest decoded node keeps a row per node; a path to
-        # an undecoded leaf keeps its ancestors' and ends one short.
+        # The target decodes every node after the root; a path to any of
+        # them, one the draft decoded or a leaf it did not, keeps a row per
+        # node.
         spec, w = small_model(seed=23, n_layers=2)
-        for decoded in (True, False):
-            cache = prepped_cache(spec, w, PROMPT)
-            tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2), 0.9)
-            ends = range(1, tree.decoded + 1) if decoded else undecoded(tree)
+        tree = draft_tree(spec, w, prepped_cache(spec, w, PROMPT), [PROMPT[-1]],
+                          TreeBudget(14, 4, 0.2), 0.9)
+        for ends in (range(1, tree.decoded + 1), undecoded(tree)):
+            cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+            prefill(spec, w, PROMPT, cache)
+            tokens, mask, positions = tree_block(tree, range(1, tree.size))
+            decode_step(spec, w, tokens, cache, tree_mask=mask, positions=positions)
             path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
-            held = path if decoded else path[:-1]
-            rows = [len(PROMPT) + i - 1 for i in held]  # node i's row
+            rows = [len(PROMPT) + i - 1 for i in path]  # node i's row
             want = [cache.layer_view(li)[0][:, rows].copy() for li in range(spec.n_layers)]
-            keep_path(cache, tree, [tree.nodes[i].token for i in path], tree.decoded)
-            n = len(PROMPT) + len(held)
+            keep_path(cache, tree, [tree.nodes[i].token for i in path])
+            n = len(PROMPT) + len(path)
             assert cache.layer_view(0)[2].tolist() == list(range(n))
             assert cache.world_len == n
             for li in range(spec.n_layers):

@@ -178,9 +178,9 @@ def record_steps(monkeypatch):
 
 class TestDraftCacheInvariant:
     """One rule for chains and trees: a drafter never decodes a leaf it does
-    not expand, and after every step the draft holds the committed tokens
-    but the next pending block, which is the token the step added, after a
-    path that ended at an undecoded leaf also that leaf."""
+    not expand, and after every step the draft drops its tree and reads the
+    committed rows before the new root from the target, so the next pending
+    block is that root alone."""
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     @pytest.mark.parametrize("hta_chunk", [None, 5])
@@ -198,8 +198,8 @@ class TestDraftCacheInvariant:
                                        seen["trees"], seen["walks"]):
             generated += s.accepted + 1
             short.append(ends_without_a_row(tree, walk.accepted))
-            assert held == len(PROMPT) - 1 + generated - short[-1]
-        assert True in short
+            assert held == len(PROMPT) - 1 + generated
+        assert True in short  # a path that ended at a leaf the draft never decoded
 
     @pytest.mark.parametrize("policy", [
         FullPolicy(),
@@ -209,9 +209,8 @@ class TestDraftCacheInvariant:
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
     def test_pending_block_size(self, monkeypatch, policy, drafting):
         # The draft decoded its tree's first nodes and no other: the rest
-        # are leaves. So the next step's pending block is the token the step
-        # added, after a path that ended at such a leaf also the leaf; the
-        # draft is never ahead of the committed tokens.
+        # are leaves. Whether or not the path ended at such a leaf, the next
+        # step's pending block is the token the step added.
         seen = record_steps(monkeypatch)
         spec, w = target_model(seed=13, n_layers=3)
         result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
@@ -220,12 +219,93 @@ class TestDraftCacheInvariant:
         assert len(trees) == len(walks) == len(result.steps)
         for tree in trees:
             assert all(not tree.nodes[i].children for i in undecoded(tree))
-        short = [False] + [ends_without_a_row(t, wk.accepted)
-                           for t, wk in zip(trees, walks)][:-1]
-        assert [len(p) for p in seen["pending"]] == [1 + s for s in short]
-        assert True in short
-        for pending, walk, s in zip(seen["pending"][1:], walks, short[1:]):
-            assert pending == walk.committed[len(walk.committed) - 1 - s:]
+        assert True in [ends_without_a_row(t, wk.accepted) for t, wk in zip(trees, walks)]
+        assert seen["pending"][0] == PROMPT[-1:]
+        for pending, walk in zip(seen["pending"][1:], walks):
+            assert pending == walk.committed[-1:]
+
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        StreamingPolicy(sink=2, recent=6),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2, sink=1),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    def test_the_draft_owns_only_its_gathered_rows(self, monkeypatch, policy, drafting):
+        # Before every step's drafting and after the run, the draft holds
+        # the chunks a retrieval update gathered, then the rows of [0, R) its
+        # policy names, read in place in the target's store, R being the
+        # root; it owns no other row and never compacts.
+        caches, selections, kept, checked = {}, [], [], []
+
+        def check():
+            target, draft = caches["target"], caches["draft"]
+            root = target.archive_len - 1
+            gathered = []
+            if selections:
+                gathered = chunk_rows(selections[-1], policy.chunk_size,
+                                      draft.prefix_len, policy.sink).tolist()
+            if isinstance(policy, FullPolicy):
+                runs = [(0, root)]
+            elif isinstance(policy, StreamingPolicy):  # two runs once the window slides
+                runs = [(0, policy.sink), (max(policy.sink, root - policy.recent), root)]
+            else:  # the generated rows
+                runs = [(len(PROMPT) - 1, root)]
+            runs = [(lo, hi) for lo, hi in runs if lo < hi]
+            read = [p for lo, hi in runs for p in range(lo, hi)]
+            assert draft.layer_view(0)[2].tolist() == gathered + read
+            assert draft.world_len == root
+            for li in range(draft.n_layers):
+                parts = draft.layer_parts(li)
+                (tk, tv), = target.layer_parts(li)
+                own_k, own_v = parts.pop()
+                assert own_k.shape[1] == own_v.shape[1] == 0
+                if gathered:
+                    gk, gv = parts.pop(0)
+                    assert gk.shape[1] == len(gathered)
+                    assert not np.shares_memory(gk, tk) and not np.shares_memory(gv, tv)
+                    assert np.array_equal(gk, tk[:, gathered])
+                    assert np.array_equal(gv, tv[:, gathered])
+                assert len(parts) == len(runs)
+                for (k, v), (lo, hi) in zip(parts, runs):
+                    assert np.shares_memory(k, tk) and np.shares_memory(v, tv)
+                    assert np.array_equal(k, tk[:, lo:hi]) and np.array_equal(v, tv[:, lo:hi])
+            checked.append(root)
+
+        def prefilled(*args, **kwargs):
+            out = real_prefill(*args, **kwargs)
+            caches["target"], caches["draft"], _ = out
+            return out
+
+        def drafted(fn):
+            def draft(*args, **kwargs):
+                check()
+                return fn(*args, **kwargs)
+            return draft
+
+        def update(state, row, cache):
+            updated = real_update(state, row, cache)
+            if updated:
+                selections.append(state.last_selection)
+            return updated
+
+        real_prefill, real_update, real_keep = (engine.prefill_caches, engine.maybe_update,
+                                                KVCache.keep)
+        monkeypatch.setattr(engine, "prefill_caches", prefilled)
+        monkeypatch.setattr(engine, "maybe_update", update)
+        monkeypatch.setattr(KVCache, "keep",
+                            lambda cache, rows: kept.append(cache) or real_keep(cache, rows))
+        for name in ("draft_chain", "draft_tree"):
+            monkeypatch.setattr(engine, name, drafted(getattr(engine, name)))
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
+                             seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        check()
+        assert len(checked) == len(result.steps) + 1
+        assert checked[-1] == len(PROMPT) + sum(s.accepted + 1 for s in result.steps) - 1
+        assert caches["draft"] not in kept  # only the target compacts, and a chain never
+        assert (drafting == "chain") == (kept == [])
+        if isinstance(policy, StreamingPolicy):
+            assert checked[-1] > 2 + 6  # the window slid
 
 
 class TestSessionInvariants:
@@ -309,15 +389,17 @@ class TestSessionInvariants:
 
 
 class TestBorrowedPrefix:
-    # A draft that holds its whole prompt prefix reads it from the target in
-    # place: ``layer_parts`` gives the borrowed block, then the own rows.
+    # A draft reads its committed rows from the target in place:
+    # ``layer_parts`` gives any gathered chunks, the target's runs, then the
+    # own rows.
     @pytest.mark.parametrize("policy, parts", [
-        # A window wider than the prompt: its first eviction copies the rows in.
+        # One run of the target until the window slides, then two.
         pytest.param(StreamingPolicy(sink=2, recent=20),
-                     lambda seen: seen[0] == 2 and seen[-1] == 1, id="streaming"),
-        # A budget that covers every prompt chunk: every update borrows.
+                     lambda seen: seen[0] == 2 and seen[-1] == 3, id="streaming"),
+        # A budget that covers every prompt chunk: the gathered chunks, then
+        # from the second step one run of generated rows.
         pytest.param(RetrievalPolicy(chunk_size=4, top_k=4, frequency=2),
-                     lambda seen: set(seen) == {2}, id="retrieval"),
+                     lambda seen: seen[0] == 2 and set(seen[1:]) == {3}, id="retrieval"),
     ])
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
     def test_output_matches_target_greedy(self, monkeypatch, policy, parts, drafting):
@@ -335,17 +417,19 @@ class TestBorrowedPrefix:
         sess = session_for(spec, w, policy, drafting=drafting,
                            budget=TreeBudget(10, 4, 0.5))
         assert sess.run(PROMPT, 48).output_tokens == greedy_reference(spec, w, PROMPT, 48)
-        assert seen == sorted(seen, reverse=True) and parts(seen)
+        assert seen == sorted(seen) and parts(seen)
 
 
 class TestChainRollback:
     @pytest.mark.parametrize("policy", [
         FullPolicy(),
         RetrievalPolicy(chunk_size=4, top_k=2, frequency=2),
+        StreamingPolicy(sink=2, recent=12),
     ])
     def test_a_chain_session_never_compacts(self, monkeypatch, policy):
-        # A chain's accepted rows always lead its tail, so both caches roll
-        # back by truncation alone: ``KVCache.keep`` is never entered.
+        # A chain's accepted rows always lead its tail, so the target rolls
+        # back by truncation alone, and the draft reads the target again:
+        # ``KVCache.keep`` is never entered.
         kept = []
         real = KVCache.keep
 
@@ -369,7 +453,7 @@ class TestOneRowPasses:
         spec, w = target_model(seed=5, n_layers=3)
         dspec, dw = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(5).integers(0, 19, 300))
-        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=340)
+        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=340, max_nodes=5)
         n = len(prompt) - 1
         decode_step(dspec, dw, [1, 2, 3, 4], draft, positions=np.arange(n, n + 4))
         # The tree node at n + 3 sees its parent at n + 2, not its sibling.
@@ -387,7 +471,7 @@ class TestOneRowPasses:
                     capture_scores=shape == "commit")
         assert len(calls) == dspec.n_layers
         for (k, v, _), (q, parts, scale, want, (out, probs)) in zip(views, calls):
-            assert len(parts) == 3 + bool(tail)  # borrowed, own, [tail,] new block
+            assert len(parts) == 3 + bool(tail)  # in place, own, [tail,] new block
             # Every cached head's values are dh contiguous rows in the store.
             assert all(pv.strides[-2] == pv.itemsize for _, pv, _ in parts[:-1])
             seen = np.ones((1, k.shape[1]), dtype=bool)
@@ -427,7 +511,7 @@ class TestSeededDraftCache:
         prompt = list(np.random.default_rng(n_layers).integers(0, 19, 600))
         drafts = [derive_draft(spec, w, keep) for keep in range(1, n_layers)]
         for dspec, dw in drafts + [(spec, w)]:
-            _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700)
+            _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700, max_nodes=8)
             ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity=600)
             prefill(dspec, dw, prompt[:-1], ref)
             assert np.array_equal(seeded.layer_view(0)[2], ref.layer_view(0)[2])
@@ -440,12 +524,13 @@ class TestSeededDraftCache:
     @pytest.mark.parametrize("sink", [0, 3])
     def test_rebuild_restores_the_target_rows(self, sink):
         # Evicted prompt rows come back from the target cache, bitwise equal
-        # to the rows the draft held before the eviction.
+        # to the rows a full draft reads in place.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
-        target, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
-        before = [[a.copy() for a in draft.layer_view(li)[:2]] for li in range(2)]
+        policy = RetrievalPolicy(chunk_size=8, top_k=3, frequency=2, sink=sink)
+        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy, max_nodes=8)
+        _, full, _ = prefill_caches(spec, w, dspec, prompt, 64, max_nodes=8)
         draft.hold_prefix(chunk_rows([1], 8, draft.prefix_len, sink))
         draft.hold_prefix(chunk_rows([0, 2, 4], 8, draft.prefix_len, sink))
         pos = draft.layer_view(0)[2]
@@ -454,76 +539,66 @@ class TestSeededDraftCache:
         for li in range(2):
             k, v, _ = draft.layer_view(li)
             tk, tv, tpos = target.layer_view(li)
+            fk, fv, _ = full.layer_view(li)
             assert np.array_equal(tpos[pos], pos)
             assert np.array_equal(k, tk[:, pos]) and np.array_equal(v, tv[:, pos])
-            assert np.array_equal(k, before[li][0][:, pos])
-            assert np.array_equal(v, before[li][1][:, pos])
+            assert np.array_equal(k, fk[:, pos]) and np.array_equal(v, fv[:, pos])
 
     def test_retrieval_draft_holds_no_prompt_rows(self):
         # Seeded empty, a retrieval draft's first rebuild gathers bitwise the
-        # rows a draft seeded with a copy of the prompt rows would hold.
+        # target's rows.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         policy = RetrievalPolicy(chunk_size=8, top_k=2, frequency=2, sink=3)
-        target, empty, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
-        _, copied, _ = prefill_caches(spec, w, dspec, prompt, 64)
+        target, empty, _ = prefill_caches(spec, w, dspec, prompt, 64, policy, max_nodes=8)
         assert empty.archive_len == empty.generation_boundary == 0
-        assert empty.world_len == copied.world_len == empty.prefix_len == 39
-        for cache in (empty, copied):
-            cache.hold_prefix(chunk_rows([1, 2], 8, cache.prefix_len, sink=3))
+        assert empty.world_len == empty.prefix_len == 39
+        empty.hold_prefix(chunk_rows([1, 2], 8, empty.prefix_len, sink=3))
         pos = empty.layer_view(0)[2]
         assert pos.tolist() == [0, 1, 2] + list(range(8, 24))
-        assert np.array_equal(pos, copied.layer_view(0)[2])
-        assert empty.generation_boundary == copied.generation_boundary == 19
+        assert empty.generation_boundary == 19
         for li in range(2):
-            (k, v, _), (ck, cv, _) = empty.layer_view(li), copied.layer_view(li)
+            k, v, _ = empty.layer_view(li)
             tk, tv, _ = target.layer_view(li)
             assert np.array_equal(k, tk[:, pos]) and np.array_equal(v, tv[:, pos])
-            assert np.array_equal(k, ck) and np.array_equal(v, cv)
-        # It reserves top_k * chunk_size + sink rows plus the target's
-        # 64 - 40 rows of generation room.
-        block = [np.zeros((24, 2, 8))] * 2
-        empty.append(block, block, np.arange(39, 63))
+        # It reserves top_k * chunk_size + sink rows plus a tree of 8 nodes.
+        block = [np.zeros((8, 2, 8))] * 2
+        empty.append(block, block, np.arange(39, 47))
         with pytest.raises(CapacityError):
-            empty.append([a[:1] for a in block], [a[:1] for a in block], [63])
+            empty.append([a[:1] for a in block], [a[:1] for a in block], [47])
 
     def test_streaming_draft_holds_only_its_window(self):
-        # A streaming draft reads only its sink and recent rows from the
-        # target: bitwise the rows that a copy of every prompt row followed
-        # by the engine's eviction after a step holds.
+        # A streaming draft reads only its sink and recent rows, in place in
+        # the target's store.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         policy = StreamingPolicy(sink=3, recent=5)
-        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
-        views = [target.layer_view(li) for li in range(2)]
-        ref = KVCache(2, spec.n_heads, spec.d_head, capacity=64)
-        ref.append([k[:, :39].transpose(1, 0, 2) for k, _, _ in views],
-                   [v[:, :39].transpose(1, 0, 2) for _, v, _ in views],
-                   np.arange(39))
-        ref.keep(policy.held_rows(ref.archive_len))
-        assert (draft.layer_view(0)[2].tolist() == ref.layer_view(0)[2].tolist()
-                == [0, 1, 2] + list(range(34, 39)))
+        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy, max_nodes=8)
+        assert draft.layer_view(0)[2].tolist() == [0, 1, 2] + list(range(34, 39))
         assert (draft.world_len, draft.generation_boundary, draft.prefix_len) == (39, 8, 39)
         for li in range(2):
-            (k, v, _), (rk, rv, _) = draft.layer_view(li), ref.layer_view(li)
-            assert np.array_equal(k, rk) and np.array_equal(v, rv)
-        # It reserves sink + recent rows plus the target's 64 - 40 rows of
-        # generation room.
-        block = [np.zeros((24, 2, 8))] * 2
-        draft.append(block, block, np.arange(39, 63))
+            (sk, sv), (rk, rv), (ok, _) = draft.layer_parts(li)
+            tk, tv, _ = target.layer_view(li)
+            assert np.shares_memory(sk, tk) and np.shares_memory(rv, tv)
+            assert np.array_equal(sk, tk[:, :3]) and np.array_equal(sv, tv[:, :3])
+            assert np.array_equal(rk, tk[:, 34:39]) and np.array_equal(rv, tv[:, 34:39])
+            assert ok.shape[1] == 0
+        # It reserves a tree of 8 nodes and no prompt row.
+        block = [np.zeros((8, 2, 8))] * 2
+        draft.append(block, block, np.arange(39, 47))
         with pytest.raises(CapacityError):
-            draft.append([a[:1] for a in block], [a[:1] for a in block], [63])
+            draft.append([a[:1] for a in block], [a[:1] for a in block], [47])
 
     def test_a_full_draft_owns_only_its_generated_rows(self):
-        # It borrows all 39 prompt rows in place, so its store holds only the
-        # target's 64 - 40 rows of generation room, its own rows from store
-        # row 0, and V dh-major.
+        # It reads all 39 prompt rows in place, so its store holds only one
+        # step's tree of 24 nodes, its own rows from store row 0, and V
+        # dh-major.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
-        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
+        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64, max_nodes=24)
         block = [np.ones((24, 2, 8))] * 2
         draft.append(block, block, np.arange(39, 63))
         with pytest.raises(CapacityError):
@@ -593,6 +668,14 @@ class TestRunBoundary:
         monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
         with pytest.raises(ParameterError, match="prompt tokens must"):
             session_for(spec, w, FullPolicy()).run([*PROMPT[:5], bad, *PROMPT[5:]], 4)
+
+    @pytest.mark.parametrize("bad", [3.7, "4", None, True],
+                             ids=["float", "str", "none", "bool"])
+    def test_a_gen_tokens_that_is_not_an_int_fails_before_prefill(self, monkeypatch, bad):
+        spec, w = target_model()
+        monkeypatch.setattr(engine, "prefill_caches", None)  # not reached
+        with pytest.raises(ParameterError, match="gen_tokens must be an integer"):
+            session_for(spec, w, FullPolicy()).run(PROMPT, bad)
 
     def test_the_reference_refuses_a_token_outside_the_vocab(self):
         # The embedding would read token -1 as token 18, the last row.
