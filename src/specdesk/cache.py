@@ -12,10 +12,10 @@ never re-rotated. An append past the reserved capacity raises
 Committed rows are held in increasing position order. Behind them may come
 a speculative tail, a draft tree's decoded nodes after its root, in any
 order (siblings share a position); every tail position exceeds the root's.
-Rollback is by position truncation; ``keep`` compacts any subset of the held
-rows in place, a tree's accepted path. The target's cache holds every
-committed position at index = position, and neither ever moves a committed
-row: that invariant is what lets a draft read those rows in place.
+The target's cache holds committed rows only, every committed position at
+index = position, appended once and never moved: that invariant is what
+lets a draft read those rows in place. ``truncate`` rolls a cache back by
+position; no session does.
 
 A cache built with ``KVCache.seeded`` is a draft's, whose layers are the
 target's first, so the target's rows at committed positions are its rows.
@@ -24,8 +24,8 @@ and the root and nodes it decodes in a step; ``read_source`` drops those
 and reads the committed rows before the next root in place, as the runs of
 the target's store its policy names (``in_place``). ``layer_parts`` gives
 the gathered rows, the runs and the own rows in position order. A draft
-never rolls back: its ``keep`` and ``truncate`` raise. The cache itself
-knows no policy.
+never rolls back: its ``truncate`` raises. The cache itself knows no
+policy.
 """
 
 from __future__ import annotations
@@ -240,26 +240,6 @@ class KVCache:
         self._len = cut
         self._world = min(self._world, world_len)
 
-    def keep(self, rows) -> None:
-        """Hold only the held rows ``rows`` (strictly ascending indices),
-        compacted in place; positions dropped here stay in ``world_len``."""
-        if self._source is not None:
-            raise StateError("a draft cache does not compact: read_source drops its rows")
-        rows = np.asarray(rows, dtype=np.int64)
-        m = rows.shape[0]
-        if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= self._len):
-            raise ParameterError(f"kept rows must be strictly ascending in [0, {self._len})")
-        # ``rows[i] - i`` never decreases; rows where it is 0 are in place.
-        still = int(np.searchsorted(rows - np.arange(m), 0, side="right"))
-        # Kept rows only move down, so runs copy in ascending order; one head
-        # at a time, so a copy's temporary is at most one head's run.
-        runs = _runs(rows[still:], still)
-        for head in (head for kv in (*self._k, *self._v) for head in kv):
-            for at, lo, size in runs:
-                head[at:at + size] = head[lo:lo + size]
-        self._pos[still:m] = self._pos[rows[still:]]
-        self._len = m
-
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
         gathered from the source, in front of the rows read in place. It
@@ -309,12 +289,12 @@ class KVCache:
             raise StateError(f"the source no longer holds positions 0 .. {end - 1} in place")
 
 
-def _runs(rows: np.ndarray, at: int = 0) -> list[tuple[int, int, int]]:
+def _runs(rows: np.ndarray) -> list[tuple[int, int, int]]:
     """``(to, first, size)`` for each run of consecutive values in ascending
-    ``rows``, copied to ``at, at + 1, ...``: a retrieval selection of whole
-    chunks is a few runs."""
+    ``rows``, copied to ``0, 1, ...``: a retrieval selection of whole chunks
+    is a few runs."""
     if not rows.shape[0]:
         return []
     starts = np.r_[0, np.flatnonzero(np.diff(rows) != 1) + 1]
     sizes = np.diff(np.r_[starts, rows.shape[0]])
-    return list(zip((starts + at).tolist(), rows[starts].tolist(), sizes.tolist()))
+    return list(zip(starts.tolist(), rows[starts].tolist(), sizes.tolist()))

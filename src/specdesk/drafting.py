@@ -101,38 +101,34 @@ class ChainDraft:
 
 
 def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
-                pending: list[int], k: int, temperature: float, rng: Rng) -> ChainDraft:
+                root: int, k: int, temperature: float, rng: Rng) -> ChainDraft:
     """Sample a k-token chain: ``draft_tree``'s sampled tree of depth k. It
-    runs exactly k forward passes, one row each after the pending block, and
-    never decodes the leaf."""
-    return ChainDraft(draft_tree(spec, weights, cache, pending,
+    runs exactly k one-row forward passes, the root's first, and never
+    decodes the leaf."""
+    return ChainDraft(draft_tree(spec, weights, cache, root,
                                  TreeBudget(k + 1, k, 1.0), temperature, rng))
 
 
 def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
-               pending: list[int], budget: TreeBudget, temperature: float,
+               root: int, budget: TreeBudget, temperature: float,
                rng: Rng | None = None) -> DraftTree:
-    """Expand a draft tree rooted at the last committed token; with ``rng``,
-    sample its chain instead (see the module docstring).
+    """Expand a draft tree rooted at ``root``, the last committed token, at
+    the cache's next position; with ``rng``, sample its chain instead (see
+    the module docstring).
 
-    The pending committed tokens are decoded first; the last one is the
-    root. Each other node is decoded once: whenever a node without a
-    distribution must be expanded, every such node is decoded in one step,
-    under a mask over the tree rows already cached, so each sees the
-    committed rows, its ancestors and itself; the nodes added after the last
-    such step stay undecoded. The rows stay in the cache after the root, one
+    The root is decoded first, in a one-row pass. Each other node is
+    decoded once: whenever a node without a distribution must be expanded,
+    every such node is decoded in one step, under a mask over the tree rows
+    already cached, so each sees the committed rows, its ancestors and
+    itself; the nodes added after the last such step stay undecoded. The rows stay in the cache after the root, one
     per decoded node at ``root_pos + depth``, in index order.
     """
-    if not pending:
-        raise ParameterError("draft_tree needs at least one pending committed token")
-    start = cache.world_len
-    out = decode_step(spec, weights, pending, cache,
-                      positions=np.arange(start, start + len(pending)), out_rows=1)
-    root_pos = start + len(pending) - 1
-    root = TreeNode(token=int(pending[-1]), parent=-1, depth=0, path_logprob=0.0,
-                    logits=out.logits[-1],
-                    dist=next_token_dist(out.logits[-1], temperature))
-    tree = DraftTree(nodes=[root], root_pos=root_pos, sampled=rng is not None)
+    root_pos = cache.world_len
+    out = decode_step(spec, weights, [root], cache, positions=np.array([root_pos]))
+    logits = out.logits[-1]
+    tree = DraftTree(nodes=[TreeNode(token=int(root), parent=-1, depth=0, path_logprob=0.0,
+                                     logits=logits, dist=next_token_dist(logits, temperature))],
+                     root_pos=root_pos, sampled=rng is not None)
 
     def refresh() -> None:
         """Decode every node added since the last refresh, in one pass. A

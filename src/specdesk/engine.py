@@ -13,10 +13,11 @@ decodes the root, then its tree's nodes (a chain is a sampled tree of
 width one); after verification it drops them and reads the rows for the
 new root (``KVCache.read_source``).
 
-The target cache is sized once from the prompt length, ``gen_tokens`` and
-the largest block a step appends; the draft's store holds the most prompt
-rows its policy gathers and one step's root and nodes. An append past the
-reserved rows raises.
+The target cache holds committed rows only, so it is sized once to the
+furthest position a run may commit: the last step may start one token
+short of ``gen_tokens`` and commit its deepest draft plus the bonus. The
+draft's store holds the most prompt rows its policy gathers and one step's
+root and nodes. An append past the reserved rows raises.
 
 A retrieval draft is updated from the target's last-layer attention row
 of the step's root: at the first step the prefill's last row, after that
@@ -158,7 +159,8 @@ class Session:
         if gen_tokens < 1:
             raise ParameterError(f"gen_tokens must be >= 1, got {gen_tokens}")
         # The last step may start one token short of gen_tokens and commit
-        # its deepest draft plus the bonus: refuse before any work.
+        # its deepest draft plus the bonus: refuse before any work, and
+        # reserve that many target rows.
         reach = (len(prompt) + gen_tokens
                  + min(self.budget.max_depth, self.budget.max_nodes - 1))
         if reach > self.target_spec.max_pos:
@@ -167,11 +169,10 @@ class Session:
         t_start = time.perf_counter()
         tspec, tw = self.target_spec, self.target_weights
         dspec, dw = self.draft_spec, self.draft_weights
-        capacity = len(prompt) + gen_tokens + self.budget.max_nodes + 1
 
         t0 = time.perf_counter()
         target_cache, draft_cache, out = prefill_caches(
-            tspec, tw, dspec, prompt, capacity, self.policy,
+            tspec, tw, dspec, prompt, reach, self.policy,
             max_nodes=self.budget.max_nodes)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
         row = out.last_layer_attn[-1]  # the first root's row, which retrieval reads
@@ -207,12 +208,12 @@ class Session:
 
             t0 = time.perf_counter()
             n_before = len(committed)
-            if self.drafting == "chain":  # the pending block is the root alone
-                chain = draft_chain(dspec, dw, draft_cache, committed[-1:], self.k,
+            if self.drafting == "chain":
+                chain = draft_chain(dspec, dw, draft_cache, committed[-1], self.k,
                                     self.temperature, self.rng)
                 tree, tree_nodes = chain.tree, 0
             else:
-                tree = draft_tree(dspec, dw, draft_cache, committed[-1:], self.budget,
+                tree = draft_tree(dspec, dw, draft_cache, committed[-1], self.budget,
                                   self.temperature)
                 tree_nodes = tree.size
             draft_ms = (time.perf_counter() - t0) * 1e3

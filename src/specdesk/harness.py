@@ -51,7 +51,9 @@ def build_policy(cfg: RunConfig) -> CachePolicy:
 
 
 def build_task(cfg: RunConfig) -> tuple[np.ndarray, NeedleTask | None]:
-    pos = None if cfg.needle_pos < 0 else cfg.needle_pos
+    if cfg.needle_pos < -1:
+        raise ParameterError(f"needle_pos must be >= 0, or -1 for auto, got {cfg.needle_pos}")
+    pos = None if cfg.needle_pos == -1 else cfg.needle_pos
     if cfg.task == "needle":
         task = standard_needle(cfg.prompt_len, cfg.seed, body_len=cfg.needle_body,
                                needle_pos=pos)

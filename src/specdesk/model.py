@@ -128,6 +128,8 @@ class Weights:
 class ForwardOutput:
     logits: np.ndarray  # [q, vocab], or the last rows only
     last_layer_attn: np.ndarray | None = None  # [q_or_1, cache_len + q], head-averaged
+    ks: list[np.ndarray] | None = None  # a block not appended: its K per layer, [q, H, dh]
+    vs: list[np.ndarray] | None = None  # and its V
 
 
 # -- numerics ----------------------------------------------------------------
@@ -186,8 +188,9 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
              positions: np.ndarray, new_mask: np.ndarray | None,
              capture_scores: bool, kv_chunk: int | None,
              out_rows: int | None = None,
-             scores: np.ndarray | None = None) -> ForwardOutput:
-    """One forward pass over a block; its K/V are appended to ``cache``.
+             scores: np.ndarray | None = None, append: bool = True) -> ForwardOutput:
+    """One forward pass over a block; its K/V are appended to ``cache``, or
+    without ``append`` returned in the output.
 
     A ``new_mask`` of shape ``[q, T + q]`` reads the cache's last ``T`` held
     rows, a speculative tail of the cache's own rows, as their own masked
@@ -250,6 +253,8 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         x += _silu(rms_norm(x, lw.mlp_gain) @ lw.w_in) @ lw.w_out
     logits = rms_norm(x, w.final_gain) @ w.unembed
     check_finite(logits, "logits")
+    if not append:  # the caller appends the rows it keeps
+        return ForwardOutput(logits, captured, new_ks, new_vs)
     cache.append(new_ks, new_vs, positions, tail=tail)
     return ForwardOutput(logits=logits, last_layer_attn=captured)
 
@@ -311,17 +316,16 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
 def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
                 tree_mask: np.ndarray | None = None, positions=None,
                 capture_scores: bool = False, kv_chunk: int | None = None,
-                out_rows: int | None = None) -> ForwardOutput:
+                append: bool = True) -> ForwardOutput:
     """Decode a block of new tokens against the cached context.
 
     Queries attend to every cache entry plus the new tokens allowed by
     ``tree_mask`` (row i, column j visible iff node j is an ancestor-or-self
     of node i); without a mask the block is causal. A ``[q, T + q]`` mask
     also covers the cache's last ``T`` rows, the tree nodes decoded before:
-    its first ``T`` columns say which of them each query sees. The cache is
-    extended by the new tokens' K/V. With ``out_rows`` the logits (and
-    captured scores) cover only the last ``out_rows`` rows, and the last
-    layer runs its attention and MLP for those rows alone.
+    its first ``T`` columns say which of them each query sees. The new
+    tokens' K/V extend the cache, or without ``append`` the output carries
+    them.
     """
     new_tokens = np.asarray(new_tokens, dtype=np.int64)
     q_n = new_tokens.shape[0]
@@ -338,10 +342,8 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
                 or not q_n <= tree_mask.shape[1] <= q_n + cache.archive_len):
             raise ShapeError(f"tree mask shape {tree_mask.shape}, expected ({q_n}, {q_n} + T) "
                              f"for a tail of T <= {cache.archive_len} held rows")
-    if out_rows is not None and not 1 <= out_rows <= q_n:
-        raise ShapeError(f"out_rows must be in [1, {q_n}], got {out_rows}")
     return _forward(spec, weights, new_tokens, cache, positions, tree_mask,
-                    capture_scores, kv_chunk, out_rows)
+                    capture_scores, kv_chunk, append=append)
 
 
 def derive_draft(spec: ModelSpec, weights: Weights, keep_layers: int) -> tuple[ModelSpec, Weights]:

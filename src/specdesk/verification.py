@@ -15,12 +15,14 @@ residual before the next sibling is tried. Either way each attempt is one
 exact rejection-sampling round, so the committed token is distributed as
 the target distribution.
 
-After the walk the cache keeps exactly the verify pass's rows of the
-accepted path (``keep_path``); no committed row moves, so the draft can
-read them in place. One pass with score capture then decodes the token the
-step adds, the correction or bonus. That token is the next step's root: its
-row gives the next root distribution and is the row retrieval reads, so
-the target decodes each committed token once.
+The verify pass appends nothing to the target's cache, which holds
+committed rows only: after the walk it appends the verify pass's rows of
+the accepted path (``accepted_path``) behind them, so no committed row
+moves and the draft can read them in place. One pass with score capture
+then decodes and appends the token the step adds, the correction or bonus.
+That token is the next step's root: its row gives the next root
+distribution and is the row retrieval reads, so the target decodes each
+committed token once.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
     """Verify a draft tree in one masked decode of nodes ``1 .. size - 1``;
-    keep the accepted path's rows, then decode the correction or bonus with
-    score capture."""
+    append the accepted path's rows, then decode the correction or bonus
+    with score capture."""
     if tree.root_pos != cache.world_len - 1:
         raise StateError(f"tree root position {tree.root_pos} does not match "
                          f"cache ({cache.world_len - 1})")
@@ -164,10 +166,12 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     if tree.size > 1:
         tokens, mask, positions = tree_block(tree, range(1, tree.size))
         out = decode_step(spec, weights, tokens, cache, tree_mask=mask,
-                          positions=positions, kv_chunk=kv_chunk)
+                          positions=positions, kv_chunk=kv_chunk, append=False)
         rows += [next_token_dist(logits, temperature) for logits in out.logits]
     walk = walk_tree(tree, rows, rng, temperature)
-    keep_path(cache, tree, walk.accepted)
+    if walk.accepted:  # node i is row i - 1 of the verify block
+        path = np.array(accepted_path(tree, walk.accepted)) - 1
+        cache.append([k[path] for k in out.ks], [v[path] for v in out.vs], positions[path])
     out = decode_step(spec, weights, walk.committed[-1:], cache,
                       positions=np.array([cache.world_len]), capture_scores=True,
                       kv_chunk=kv_chunk)
@@ -184,12 +188,8 @@ def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
                        kv_chunk)
 
 
-def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
-    """Keep, of the last ``tree.size - 1`` rows of ``cache``, which hold
-    nodes ``1 .. size - 1`` in index order, those of the path that spells
-    ``tokens`` from the root, compacted in place behind the committed rows,
-    which never move: the cache then holds the committed rows."""
-    base = cache.archive_len - tree.size + 1
+def accepted_path(tree: DraftTree, tokens: list[int]) -> list[int]:
+    """The nodes of the path that spells ``tokens`` from the root."""
     path, node = [], 0
     for tok in tokens:
         match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
@@ -197,13 +197,7 @@ def keep_path(cache: KVCache, tree: DraftTree, tokens: list[int]) -> None:
             raise InternalError(f"token {tok} is not a child of tree node {node}")
         node = match[0]
         path.append(node)
-    n = len(path)
-    # As on every chain step, the path may be nodes 1 .. n, with every other
-    # row past it: then the truncation alone drops the rest.
-    if path != list(range(1, n + 1)) or any(tree.nodes[i].depth <= n
-                                            for i in range(n + 1, tree.size)):
-        cache.keep(np.r_[:base, base - 1 + np.array(path, dtype=np.int64)])
-    cache.truncate(tree.root_pos + 1 + n)
+    return path
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

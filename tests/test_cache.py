@@ -175,36 +175,6 @@ class TestSpeculativeTail:
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 7, 8]
 
 
-class TestKeep:
-    def test_compacts_in_place(self):
-        c = make_cache()
-        append_tokens(c, list(range(6)))
-        append_tokens(c, [6, 7, 8, 9])
-        k_before = c.layer_view(1)[0].copy()
-        v_before = c.layer_view(1)[1].copy()
-        c.keep([0, 2, 3, 5, 7, 9])
-        assert c.layer_view(0)[2].tolist() == [0, 2, 3, 5, 7, 9]
-        assert np.array_equal(c.layer_view(1)[0], k_before[:, [0, 2, 3, 5, 7, 9]])
-        assert np.array_equal(c.layer_view(1)[1], v_before[:, [0, 2, 3, 5, 7, 9]])
-        assert c.world_len == 10  # dropped positions stay in the world
-
-    def test_keep_everything_or_nothing(self):
-        c = make_cache()
-        append_tokens(c, list(range(8)))
-        c.keep(np.arange(8))
-        assert c.layer_view(0)[2].tolist() == list(range(8))
-        c.keep([])
-        assert (c.archive_len, c.world_len) == (0, 8)
-
-    def test_rows_must_be_strictly_ascending_held_rows(self):
-        c = make_cache()
-        append_tokens(c, list(range(5)))
-        for rows in ([5], [-1, 0], [3, 2], [1, 1]):
-            with pytest.raises(ParameterError):
-                c.keep(rows)
-        assert c.layer_view(0)[2].tolist() == list(range(5))
-
-
 def window(n, sink, recent):
     # What a streaming draft reads in place before a root at position n.
     return reading_cache(n, StreamingPolicy(sink, recent).in_place(n, n))
@@ -424,8 +394,8 @@ class TestGatherTemporaries:
 def test_layer_view_tracks_every_mutation():
     # Each row holds its own position, so a view is right exactly when its
     # rows read back the held positions. ``held`` models the held rows: first
-    # of a target's cache, which keeps and truncates, then of a draft's,
-    # which gathers prompt rows, reads source runs in place and decodes.
+    # of a cache that appends and truncates, then of a draft's, which
+    # gathers prompt rows, reads source runs in place and decodes.
     rng = np.random.default_rng(5)
 
     def rows_for(pos, n_layers):
@@ -454,14 +424,9 @@ def test_layer_view_tracks_every_mutation():
     held: list[int] = []
     world = 0
     for _ in range(300):
-        op = rng.integers(3)
-        if op == 0 or not held:
+        if rng.integers(2) or not held:
             append(t, held, int(rng.integers(1, 6)), len(held) - 1)
             world = max(world, max(held) + 1)
-        elif op == 1:
-            rows = np.flatnonzero(rng.random(len(held)) < 0.7)
-            t.keep(rows)
-            held[:] = [held[r] for r in rows]
         else:
             # Cut at or before any unordered tail, as a rollback does.
             lo = min([world] + [p for i, p in enumerate(held)
@@ -527,12 +492,11 @@ class TestTruncate:
 
     def test_a_draft_cache_never_rolls_back(self):
         # A draft drops its decoded rows by reading the source again; it
-        # neither truncates nor compacts, so no row it reads in place moves.
+        # never truncates, so no row it reads in place moves.
         _, c = reading_cache(12, [(0, 12)])
         append_tokens(c, [12, 13])
-        for roll_back in (lambda: c.truncate(12), lambda: c.keep(np.arange(12))):
-            with pytest.raises(StateError, match="read_source"):
-                roll_back()
+        with pytest.raises(StateError, match="read_source"):
+            c.truncate(12)
         assert c.layer_view(0)[2].tolist() == list(range(14))
         c.read_source(12, [(0, 12)])
         assert c.layer_view(0)[2].tolist() == list(range(12))

@@ -176,6 +176,7 @@ def test_a_bad_policy_or_mode_fails_before_the_work_it_would_waste(monkeypatch, 
     (["needle_body=0"], "needle_body must be in [1, 15], got 0"),
     (["task=doc", "loop_len=16"], "loop_len must be in [1, 15], got 16"),
     (["needle_pos=250"], "does not fit before the query"),
+    (["needle_pos=-7"], "needle_pos must be >= 0, or -1 for auto, got -7"),
 ])
 def test_a_bad_prompt_fails_before_a_weight_file_is_read(tmp_path, monkeypatch, capsys,
                                                          overrides, message):

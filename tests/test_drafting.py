@@ -3,7 +3,7 @@ import heapq
 import numpy as np
 import pytest
 
-from specdesk import drafting
+from specdesk import drafting, verification
 from specdesk.cache import KVCache
 from specdesk.drafting import (DraftTree, TreeBudget, TreeNode, draft_chain,
                                draft_tree, tree_block, undecoded)
@@ -11,7 +11,7 @@ from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
 from specdesk.tensor import Rng, draw
-from specdesk.verification import keep_path
+from specdesk.verification import WalkResult, accepted_path, verify_tree
 
 
 def small_model(seed=0, vocab=7, n_layers=1):
@@ -33,7 +33,7 @@ class TestDraftChain:
     def test_greedy_equals_greedy_rollout(self):
         spec, w = small_model(seed=2)
         cache = prepped_cache(spec, w, PROMPT)
-        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=4, temperature=0.0,
+        chain = draft_chain(spec, w, cache, PROMPT[-1], k=4, temperature=0.0,
                             rng=Rng(0))
         # Oracle: plain greedy rollout with a fresh cache.
         c2 = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
@@ -49,16 +49,16 @@ class TestDraftChain:
         spec, w = small_model()
         cache = prepped_cache(spec, w, PROMPT)
         before = cache.archive_len
-        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=1, temperature=0.0,
+        chain = draft_chain(spec, w, cache, PROMPT[-1], k=1, temperature=0.0,
                             rng=Rng(0))
         assert len(chain.tokens) == 1
-        # One forward pass: only the pending token was appended.
+        # One forward pass: only the root was appended.
         assert cache.archive_len == before + 1
 
     def test_recorded_dists_normalized(self):
         spec, w = small_model(seed=4)
         cache = prepped_cache(spec, w, PROMPT)
-        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=5, temperature=0.7,
+        chain = draft_chain(spec, w, cache, PROMPT[-1], k=5, temperature=0.7,
                             rng=Rng(3))
         for node in chain.tree.nodes[:-1]:
             assert abs(node.dist.sum() - 1.0) < 1e-9
@@ -67,7 +67,7 @@ class TestDraftChain:
         spec, w = small_model()
         cache = prepped_cache(spec, w, PROMPT)
         with pytest.raises(ParameterError):
-            draft_chain(spec, w, cache, [PROMPT[-1]], k=0, temperature=0.0,
+            draft_chain(spec, w, cache, PROMPT[-1], k=0, temperature=0.0,
                         rng=Rng(0))
 
 
@@ -75,7 +75,7 @@ class TestChainTree:
     def test_a_chain_is_a_sampled_path_tree(self):
         spec, w = small_model(seed=4)
         cache = prepped_cache(spec, w, PROMPT)
-        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=4, temperature=0.7,
+        chain = draft_chain(spec, w, cache, PROMPT[-1], k=4, temperature=0.7,
                             rng=Rng(1))
         tree = chain.tree
         assert tree.sampled and tree.root_pos == len(PROMPT) - 1
@@ -96,7 +96,7 @@ class TestChainTree:
         # the parent's dist as its proposal, so a sampled tree never branches.
         spec, w = small_model(seed=8)
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(12, 3, 0.1),
+        tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(12, 3, 0.1),
                           temperature=0.9, rng=Rng(2))
         assert tree.sampled and [n.parent for n in tree.nodes] == [-1, 0, 1, 2]
         assert tree.decoded == 2
@@ -104,7 +104,7 @@ class TestChainTree:
     def test_its_block_is_the_causal_block(self):
         spec, w = small_model(seed=4)
         cache = prepped_cache(spec, w, PROMPT)
-        chain = draft_chain(spec, w, cache, [PROMPT[-1]], k=3, temperature=0.7,
+        chain = draft_chain(spec, w, cache, PROMPT[-1], k=3, temperature=0.7,
                             rng=Rng(1))
         tree = chain.tree
         tokens, mask, positions = tree_block(tree, range(1, tree.size))
@@ -115,16 +115,16 @@ class TestChainTree:
 
 class TestChainBits:
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
-    @pytest.mark.parametrize("pending", [[PROMPT[-1]], [6, PROMPT[-1]]])
-    def test_nodes_are_one_row_causal_decodes(self, temperature, pending):
-        # A chain is draft_tree's sampled tree, with the bits of decoding each
-        # drawn token alone on a plain causal cache, and the same RNG draws.
+    def test_nodes_are_one_row_causal_decodes(self, temperature):
+        # A chain is draft_tree's sampled tree, with the bits of decoding the
+        # root and each drawn token alone on a plain causal cache, and the
+        # same RNG draws.
         spec, w = small_model(seed=4, n_layers=2)
         k, rng, cache = 5, Rng(9), prepped_cache(spec, w, PROMPT)
-        chain = draft_chain(spec, w, cache, pending, k, temperature, rng)
+        chain = draft_chain(spec, w, cache, PROMPT[-1], k, temperature, rng)
         ref_rng, ref = Rng(9), prepped_cache(spec, w, PROMPT)
-        pos = ref.world_len + np.arange(len(pending))
-        logits = decode_step(spec, w, pending, ref, positions=pos, out_rows=1).logits[-1]
+        logits = decode_step(spec, w, PROMPT[-1:], ref,
+                             positions=np.array([ref.world_len])).logits[-1]
         tokens = []
         for i in range(k):
             assert np.array_equal(chain.tree.nodes[i].logits, logits)
@@ -146,7 +146,7 @@ class TestDraftTree:
         spec, w = small_model(seed=6)
         cache = prepped_cache(spec, w, PROMPT)
         budget = TreeBudget(max_nodes=10, max_depth=4, expand_threshold=0.7)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], budget, temperature=0.0)
+        tree = draft_tree(spec, w, cache, PROMPT[-1], budget, temperature=0.0)
         assert tree.size == 1 + min(budget.max_depth, budget.max_nodes - 1)
         depths = sorted(n.depth for n in tree.nodes)
         assert depths == list(range(tree.size))  # one node per depth: a chain
@@ -154,7 +154,7 @@ class TestDraftTree:
     def test_max_nodes_one_is_root_only(self):
         spec, w = small_model()
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]],
+        tree = draft_tree(spec, w, cache, PROMPT[-1],
                           TreeBudget(1, 5, 0.7), temperature=0.0)
         assert tree.size == 1
         assert tree.nodes[0].parent == -1
@@ -163,14 +163,14 @@ class TestDraftTree:
         spec, w = small_model(seed=8)
         cache = prepped_cache(spec, w, PROMPT)
         budget = TreeBudget(max_nodes=12, max_depth=3, expand_threshold=0.1)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], budget, temperature=0.9)
+        tree = draft_tree(spec, w, cache, PROMPT[-1], budget, temperature=0.9)
         assert tree.size <= 12
         assert max(n.depth for n in tree.nodes) <= 3
 
     def test_leaves_committed_rows_then_one_row_per_node(self):
         spec, w = small_model(seed=14)
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(12, 4, 0.3),
+        tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(12, 4, 0.3),
                           temperature=0.8)
         assert tree.size > 2 and undecoded(tree)
         # The draft decoded the first nodes, one row each in index order;
@@ -189,7 +189,7 @@ class TestDraftTree:
     def test_path_logprob_monotone(self):
         spec, w = small_model(seed=11)
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(16, 4, 0.3),
+        tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(16, 4, 0.3),
                           temperature=1.0)
         for i, node in enumerate(tree.nodes):
             if node.parent >= 0:
@@ -255,7 +255,7 @@ class TestDraftTree:
         expected = sorted((tuple(n["path"]) for n in nodes))
 
         cache = prepped_cache(spec, w, prompt)
-        tree = draft_tree(spec, w, cache, [prompt[-1]], budget, temperature)
+        tree = draft_tree(spec, w, cache, prompt[-1], budget, temperature)
 
         def path_of(i):
             path = []
@@ -284,7 +284,7 @@ class TestDecodeOnce:
     def test_node_logits_match_decoding_the_path_alone(self, seed, temperature):
         spec, w = small_model(seed=seed, n_layers=2)
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(14, 4, 0.2),
+        tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(14, 4, 0.2),
                           temperature)
         assert any(len(n.children) > 1 for n in tree.nodes)  # it branches
         for node in range(1, tree.decoded + 1):
@@ -296,8 +296,7 @@ class TestDecodeOnce:
             got = tree.nodes[node].logits
             assert np.max(np.abs(got - out.logits[-1])) < 1e-9
 
-    @pytest.mark.parametrize("pending", [[PROMPT[-1]], [2, 6, PROMPT[-1]]])
-    def test_decodes_each_row_once(self, monkeypatch, pending):
+    def test_decodes_each_row_once(self, monkeypatch):
         spec, w = small_model(seed=23)
         cache = prepped_cache(spec, w, PROMPT)
         decoded = []
@@ -308,32 +307,40 @@ class TestDecodeOnce:
             return orig(spec, weights, new_tokens, *args, **kwargs)
 
         monkeypatch.setattr(drafting, "decode_step", counted)
-        tree = draft_tree(spec, w, cache, pending, TreeBudget(16, 4, 0.2), 0.9)
+        tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(16, 4, 0.2), 0.9)
         assert tree.size > 8 and undecoded(tree)  # it leaves leaves undecoded
-        assert sum(decoded) == len(pending) + tree.decoded
-        assert cache.archive_len == len(PROMPT) - 1 + len(pending) + tree.decoded
+        assert decoded[0] == 1 and sum(decoded) == 1 + tree.decoded  # the root alone first
+        assert cache.archive_len == len(PROMPT) + tree.decoded
 
-    def test_keep_path_holds_the_accepted_rows(self):
-        # The target decodes every node after the root; a path to any of
-        # them, one the draft decoded or a leaf it did not, keeps a row per
-        # node.
+    def test_the_path_append_holds_the_verify_rows(self, monkeypatch):
+        # The target's verify pass decodes every node after the root and
+        # appends none; for a walk that accepts a path to any of them, one
+        # the draft decoded or a leaf it did not, verify_tree appends that
+        # path's rows of the verify pass, then the correction's row.
         spec, w = small_model(seed=23, n_layers=2)
-        tree = draft_tree(spec, w, prepped_cache(spec, w, PROMPT), [PROMPT[-1]],
+        tree = draft_tree(spec, w, prepped_cache(spec, w, PROMPT), PROMPT[-1],
                           TreeBudget(14, 4, 0.2), 0.9)
+        tokens, mask, positions = tree_block(tree, range(1, tree.size))
+        ref = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
+        prefill(spec, w, PROMPT, ref)
+        decode_step(spec, w, tokens, ref, tree_mask=mask, positions=positions)
+        uniform = np.full(spec.vocab, 1.0 / spec.vocab)
         for ends in (range(1, tree.decoded + 1), undecoded(tree)):
+            path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
+            accepted = [tree.nodes[i].token for i in path]
+            assert accepted_path(tree, accepted) == path
+            monkeypatch.setattr(verification, "walk_tree",
+                                lambda *args: WalkResult(accepted, 0, None, []))
             cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
             prefill(spec, w, PROMPT, cache)
-            tokens, mask, positions = tree_block(tree, range(1, tree.size))
-            decode_step(spec, w, tokens, cache, tree_mask=mask, positions=positions)
-            path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
-            rows = [len(PROMPT) + i - 1 for i in path]  # node i's row
-            want = [cache.layer_view(li)[0][:, rows].copy() for li in range(spec.n_layers)]
-            keep_path(cache, tree, [tree.nodes[i].token for i in path])
+            verify_tree(spec, w, cache, tree, uniform, Rng(0), 0.9)
             n = len(PROMPT) + len(path)
-            assert cache.layer_view(0)[2].tolist() == list(range(n))
-            assert cache.world_len == n
+            assert cache.layer_view(0)[2].tolist() == list(range(n + 1))
+            rows = [len(PROMPT) + i - 1 for i in path]  # node i's row in ref
             for li in range(spec.n_layers):
-                assert np.array_equal(cache.layer_view(li)[0][:, len(PROMPT):], want[li])
+                for got, want in zip(cache.layer_view(li)[:2], ref.layer_view(li)[:2]):
+                    assert np.array_equal(got[:, :len(PROMPT)], want[:, :len(PROMPT)])
+                    assert np.array_equal(got[:, len(PROMPT):n], want[:, rows])
 
 
 def hand_tree(structure, root_pos=3, vocab=6):
@@ -399,7 +406,7 @@ class TestFlattenTree:
         # gives every root-to-leaf path the logits of decoding that path alone.
         spec, w = small_model(seed=19)
         cache = prepped_cache(spec, w, PROMPT)
-        tree = draft_tree(spec, w, cache, [PROMPT[-1]], TreeBudget(10, 3, 0.2),
+        tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(10, 3, 0.2),
                           temperature=1.0)
         assert tree.size > 5
         # Drop the draft's tree rows; the root's row stays.

@@ -140,24 +140,30 @@ class TestWorkingCacheBound:
         assert max(result.draft_cache_len_by_step) <= 4 + 16 + 8
 
 
+def path_nodes(tree, accepted):
+    """The nodes of the path that spells ``accepted`` from the root."""
+    path = [0]
+    for tok in accepted:
+        path.append(next(c for c in tree.children_of(path[-1])
+                         if tree.nodes[c].token == tok))
+    return path[1:]
+
+
 def ends_without_a_row(tree, accepted):
     """Whether the path that spells ``accepted`` ends at a node the draft
     did not decode."""
-    node = 0
-    for tok in accepted:
-        node = next(c for c in tree.children_of(node) if tree.nodes[c].token == tok)
-    return node > tree.decoded
+    return max(path_nodes(tree, accepted), default=0) > tree.decoded
 
 
 def record_steps(monkeypatch):
     """Spy on the engine's drafters and verifiers; return the per-step
-    pending blocks, draft trees and walks they see."""
-    seen = {"pending": [], "trees": [], "walks": []}
+    roots, draft trees and walks they see."""
+    seen = {"roots": [], "trees": [], "walks": []}
 
     def drafted(fn):
-        def draft(spec, weights, cache, pending, *args):
-            seen["pending"].append(list(pending))
-            out = fn(spec, weights, cache, pending, *args)
+        def draft(spec, weights, cache, root, *args):
+            seen["roots"].append(root)
+            out = fn(spec, weights, cache, root, *args)
             seen["trees"].append(getattr(out, "tree", out))  # a chain's path tree
             return out
         return draft
@@ -180,7 +186,7 @@ class TestDraftCacheInvariant:
     """One rule for chains and trees: a drafter never decodes a leaf it does
     not expand, and after every step the draft drops its tree and reads the
     committed rows before the new root from the target, so the next pending
-    block is that root alone."""
+    block is that root alone. The target holds the committed rows only."""
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     @pytest.mark.parametrize("hta_chunk", [None, 5])
@@ -210,7 +216,7 @@ class TestDraftCacheInvariant:
     def test_pending_block_size(self, monkeypatch, policy, drafting):
         # The draft decoded its tree's first nodes and no other: the rest
         # are leaves. Whether or not the path ended at such a leaf, the next
-        # step's pending block is the token the step added.
+        # step's root, its pending block, is the token the step added.
         seen = record_steps(monkeypatch)
         spec, w = target_model(seed=13, n_layers=3)
         result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
@@ -220,9 +226,9 @@ class TestDraftCacheInvariant:
         for tree in trees:
             assert all(not tree.nodes[i].children for i in undecoded(tree))
         assert True in [ends_without_a_row(t, wk.accepted) for t, wk in zip(trees, walks)]
-        assert seen["pending"][0] == PROMPT[-1:]
-        for pending, walk in zip(seen["pending"][1:], walks):
-            assert pending == walk.committed[-1:]
+        assert seen["roots"][0] == PROMPT[-1]
+        for root, walk in zip(seen["roots"][1:], walks):
+            assert root == walk.committed[-1]
 
     @pytest.mark.parametrize("policy", [
         FullPolicy(),
@@ -234,12 +240,15 @@ class TestDraftCacheInvariant:
         # Before every step's drafting and after the run, the draft holds
         # the chunks a retrieval update gathered, then the rows of [0, R) its
         # policy names, read in place in the target's store, R being the
-        # root; it owns no other row and never compacts.
-        caches, selections, kept, checked = {}, [], [], []
+        # root; it owns no other row. The target holds positions 0 .. R at
+        # index = position and nothing else.
+        caches, selections, checked = {}, [], []
 
         def check():
             target, draft = caches["target"], caches["draft"]
             root = target.archive_len - 1
+            assert target.layer_view(0)[2].tolist() == list(range(root + 1))
+            assert target.world_len == root + 1
             gathered = []
             if selections:
                 gathered = chunk_rows(selections[-1], policy.chunk_size,
@@ -288,12 +297,9 @@ class TestDraftCacheInvariant:
                 selections.append(state.last_selection)
             return updated
 
-        real_prefill, real_update, real_keep = (engine.prefill_caches, engine.maybe_update,
-                                                KVCache.keep)
+        real_prefill, real_update = engine.prefill_caches, engine.maybe_update
         monkeypatch.setattr(engine, "prefill_caches", prefilled)
         monkeypatch.setattr(engine, "maybe_update", update)
-        monkeypatch.setattr(KVCache, "keep",
-                            lambda cache, rows: kept.append(cache) or real_keep(cache, rows))
         for name in ("draft_chain", "draft_tree"):
             monkeypatch.setattr(engine, name, drafted(getattr(engine, name)))
         spec, w = target_model(seed=13, n_layers=3)
@@ -302,8 +308,6 @@ class TestDraftCacheInvariant:
         check()
         assert len(checked) == len(result.steps) + 1
         assert checked[-1] == len(PROMPT) + sum(s.accepted + 1 for s in result.steps) - 1
-        assert caches["draft"] not in kept  # only the target compacts, and a chain never
-        assert (drafting == "chain") == (kept == [])
         if isinstance(policy, StreamingPolicy):
             assert checked[-1] > 2 + 6  # the window slid
 
@@ -427,22 +431,89 @@ class TestChainRollback:
         StreamingPolicy(sink=2, recent=12),
     ])
     def test_a_chain_session_never_compacts(self, monkeypatch, policy):
-        # A chain's accepted rows always lead its tail, so the target rolls
-        # back by truncation alone, and the draft reads the target again:
-        # ``KVCache.keep`` is never entered.
-        kept = []
-        real = KVCache.keep
+        # After every step, rejections included, the target holds the
+        # committed positions at index = position and nothing else: no row
+        # was dropped or moved, and the draft reads the target again.
+        committed, checked = [len(PROMPT)], []
 
-        def keep(self, rows):
-            kept.append(len(rows))
-            real(self, rows)
+        def verified(spec, weights, cache, *args, **kwargs):
+            out = real(spec, weights, cache, *args, **kwargs)
+            committed[0] += len(out.walk.committed)
+            assert cache.layer_view(0)[2].tolist() == list(range(committed[0]))
+            assert cache.archive_len == cache.world_len == committed[0]
+            checked.append(committed[0])
+            return out
 
-        monkeypatch.setattr(KVCache, "keep", keep)
+        real = engine.verify_chain
+        monkeypatch.setattr(engine, "verify_chain", verified)
         spec, w = target_model(seed=13, n_layers=3)
         result = session_for(spec, w, policy).run(PROMPT, 40)
         assert result.output_tokens == greedy_reference(spec, w, PROMPT, 40)
         assert {s.accepted for s in result.steps} > {0, 4}  # rejections too
-        assert kept == []
+        assert len(checked) == len(result.steps)
+
+
+class TestTargetAppends:
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_a_step_appends_its_path_then_its_commit_row(self, monkeypatch, drafting,
+                                                         temperature):
+        # The verify pass appends nothing to the target; after the walk the
+        # target appends the verify pass's rows of the accepted path, then
+        # the commit pass appends the correction's or bonus's row.
+        caches, steps = {}, []
+        real_prefill, real_append = engine.prefill_caches, KVCache.append
+        real_decode = verification.decode_step
+
+        def prefilled(*args, **kwargs):
+            out = real_prefill(*args, **kwargs)
+            caches["target"] = out[0]
+            return out
+
+        def append(cache, ks, vs, positions, tail=0):
+            if cache is caches.get("target"):
+                steps[-1][2].append(("append", np.asarray(positions).tolist(), ks, vs))
+            real_append(cache, ks, vs, positions, tail)
+
+        def decode(spec, weights, tokens, cache, **kwargs):
+            out = real_decode(spec, weights, tokens, cache, **kwargs)
+            steps[-1][2].append(("commit" if kwargs.get("capture_scores") else "verify", out))
+            return out
+
+        def verified(fn):
+            def verify(spec, weights, cache, draft, *args, **kwargs):
+                steps.append([getattr(draft, "tree", draft), None, []])
+                out = fn(spec, weights, cache, draft, *args, **kwargs)
+                steps[-1][1] = out.walk
+                return out
+            return verify
+
+        monkeypatch.setattr(engine, "prefill_caches", prefilled)
+        monkeypatch.setattr(KVCache, "append", append)
+        monkeypatch.setattr(verification, "decode_step", decode)
+        for name in ("verify_chain", "verify_tree"):
+            monkeypatch.setattr(engine, name, verified(getattr(engine, name)))
+        spec, w = target_model(seed=13, n_layers=3)
+        session_for(spec, w, FullPolicy(), drafting=drafting, temperature=temperature,
+                    seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        for tree, walk, events in steps:
+            (kind, verify), *events = events
+            assert kind == "verify"  # and no append before it
+            path = path_nodes(tree, walk.accepted)
+            root, n = tree.root_pos, len(path)
+            if path:
+                (kind, positions, ks, vs), *events = events
+                assert kind == "append" and positions == list(range(root + 1, root + n + 1))
+                rows = [i - 1 for i in path]  # node i is row i - 1 of the verify block
+                for li in range(spec.n_layers):
+                    assert np.array_equal(ks[li], verify.ks[li][rows])
+                    assert np.array_equal(vs[li], verify.vs[li][rows])
+            (kind, positions, ks, vs), (last, commit) = events
+            assert kind == "append" and positions == [root + n + 1] and last == "commit"
+            assert commit.ks is None  # the commit pass appended its row itself
+        assert {len(walk.accepted) for _, walk, _ in steps} > {0}
+        if drafting == "tree":
+            assert True in [ends_without_a_row(t, wk.accepted) for t, wk, _ in steps]
 
 
 class TestOneRowPasses:

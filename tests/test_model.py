@@ -395,33 +395,6 @@ class TestDecodeStep:
         assert np.max(np.abs(mono.last_layer_attn - hyb.last_layer_attn)) < 1e-9
 
 
-class TestOutRows:
-    @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("q_n", [1, 5])
-    def test_last_row_matches_the_all_row_pass(self, n_layers, q_n):
-        spec, w = small_model(seed=q_n + n_layers, n_layers=n_layers)
-        tokens = list(np.random.default_rng(q_n).integers(0, spec.vocab, 30 + q_n))
-        every, last = fresh_cache(spec), fresh_cache(spec)
-        for cache in (every, last):
-            prefill(spec, w, tokens[:30], cache)
-        positions = np.arange(30, 30 + q_n)
-        want = decode_step(spec, w, tokens[30:], every, positions=positions)
-        got = decode_step(spec, w, tokens[30:], last, positions=positions, out_rows=1)
-        assert got.logits.shape == (1, spec.vocab)
-        assert np.max(np.abs(got.logits[0] - want.logits[-1])) < 1e-12
-        assert np.array_equal(last.layer_view(0)[2], every.layer_view(0)[2])
-        for li in range(n_layers):
-            for a, b in zip(last.layer_view(li), every.layer_view(li)):
-                assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("out_rows", [0, 3])
-    def test_out_of_range_is_a_shape_error(self, out_rows):
-        spec, w = small_model()
-        with pytest.raises(ShapeError, match="out_rows"):
-            decode_step(spec, w, [1, 2], fresh_cache(spec), positions=np.array([0, 1]),
-                        out_rows=out_rows)
-
-
 class TestDeriveDraft:
     def test_rejects_full_depth(self):
         spec, w = small_model(n_layers=2)

@@ -14,7 +14,7 @@ from specdesk.modelgen import random_weights
 from specdesk.retrieval import extract_scores
 from specdesk.tensor import Rng, draw, sample_categorical
 from specdesk.verification import (LevelRecord, WalkResult, accept_probability,
-                                   hybrid_attention, residual_after_reject,
+                                   accepted_path, hybrid_attention, residual_after_reject,
                                    verify_chain, verify_tree, walk_tree)
 
 
@@ -234,6 +234,13 @@ def hand_tree(structure, dists, root_pos, vocab):
 
 
 class TestWalkTree:
+    def test_the_accepted_path_is_found_by_token(self):
+        tree = hand_tree([(1, -1), (2, 0), (4, 0), (3, 1)], [None] * 4, 3, 6)
+        assert accepted_path(tree, [2, 3]) == [1, 3]
+        assert accepted_path(tree, [4]) == [2]
+        with pytest.raises(InternalError, match="token 5 is not a child of tree node 1"):
+            accepted_path(tree, [2, 5])
+
     def test_single_chain_tree_matches_walk_chain_same_seed(self):
         # A path tree whose children were sampled from their parents' dists
         # is the chain walk; identical seeds must give identical outcomes.
@@ -392,7 +399,7 @@ class TestVerifyTreeEndToEnd:
         prompt = [1, 5, 2, 8]
         dcache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
         prefill(spec, w, prompt[:-1], dcache)
-        tree = draft_tree(spec, w, dcache, [prompt[-1]],
+        tree = draft_tree(spec, w, dcache, prompt[-1],
                           TreeBudget(8, 3, 0.5), temperature=0.0)
         tcache, last_logits = prepped(spec, w, prompt)
         root = next_token_dist(last_logits, 0.0)
@@ -448,12 +455,12 @@ class TestTargetKeepsVerifiedRows:
             cache, last_logits = prepped(spec, w, prompt)
             root = next_token_dist(last_logits, temperature)
             if drafting == "chain":
-                draft = draft_chain(dspec, dw, dcache, [prompt[-1]], 3, temperature,
+                draft = draft_chain(dspec, dw, dcache, prompt[-1], 3, temperature,
                                     Rng(seed))
                 out = verify_chain(spec, w, cache, draft, root, Rng(seed), temperature,
                                    kv_chunk)
             else:
-                tree = draft_tree(dspec, dw, dcache, [prompt[-1]], TreeBudget(8, 3, 0.3),
+                tree = draft_tree(dspec, dw, dcache, prompt[-1], TreeBudget(8, 3, 0.3),
                                   temperature)
                 out = verify_tree(spec, w, cache, tree, root, Rng(seed), temperature,
                                   kv_chunk)

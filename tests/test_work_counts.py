@@ -1,12 +1,14 @@
-"""Exact work counts: forward passes, rows decoded and rows copied, by role.
+"""Exact work counts: forward passes, rows decoded, attention score elements
+and rows copied, by role.
 
 Timings swing by tens of percent between runs on a shared machine; counts at
 temperature 0 are exact. Each run is a seed-7 pin's shape (the doc task at a
 2K prompt and 64 generated tokens, see ``test_seed_runs.py``) with every
 forward pass of the draft (``drafting.decode_step``) and of the target's
-verify and commit passes (``verification.decode_step``) counted, and every
-row a cache copies: prompt rows gathered by ``KVCache.hold_prefix`` and
-rows moved by ``KVCache.keep``. A change that makes a count rise fails
+verify and commit passes (``verification.decode_step``) counted, every
+attention score element those passes compute (``attn.attend``: query rows,
+heads included, times the summed key widths of the parts), and every prompt
+row ``KVCache.hold_prefix`` gathers. A change that makes a count rise fails
 here; one that makes it fall re-pins it, with the reason in CHANGES.md.
 """
 
@@ -18,18 +20,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from specdesk import drafting, harness, verification
+from specdesk import attn, drafting, harness, verification
 from specdesk.cache import KVCache
 from specdesk.config import parse_config
 
-COUNTS = [("draft", "forwards"), ("draft", "rows"), ("target", "forwards"),
-          ("target", "rows"), ("cache", "gathered"), ("cache", "moved")]
+COUNTS = [("draft", "forwards"), ("draft", "rows"), ("draft", "scores"),
+          ("target", "forwards"), ("target", "rows"), ("target", "scores"),
+          ("cache", "gathered")]
 # (drafting, policy): the COUNTS in order
 PINS = {
-    ("chain", "retrieval"): (52, 52, 26, 65, 4092, 0),
-    ("tree", "full"): (80, 80, 16, 88, 0, 0),
-    ("chain", "full"): (60, 60, 30, 75, 0, 0),
-    ("chain", "streaming"): (104, 104, 52, 130, 0, 0),
+    ("chain", "retrieval"): (52, 52, 219544, 26, 65, 812058, 4092),
+    ("tree", "full"): (80, 80, 665360, 16, 88, 1100712, 0),
+    ("chain", "full"): (60, 60, 498808, 30, 75, 936438, 0),
+    ("chain", "streaming"): (104, 104, 427024, 52, 130, 1615482, 0),
 }
 
 
@@ -40,32 +43,37 @@ def counted_run(drafting_mode: str, policy: str) -> Counter:
         f"drafting={drafting_mode}", "temperature=0",
         "streaming_sink=32", "recent=992"])
     counts: Counter = Counter()
+    role: list[str] = []  # the role whose pass is running, if any
 
-    def counting(role, orig):
+    def counting(name, orig):
         def decode_step(spec, weights, new_tokens, *args, **kwargs):
-            counts[role, "forwards"] += 1
-            counts[role, "rows"] += len(new_tokens)
-            return orig(spec, weights, new_tokens, *args, **kwargs)
+            counts[name, "forwards"] += 1
+            counts[name, "rows"] += len(new_tokens)
+            role.append(name)
+            try:
+                return orig(spec, weights, new_tokens, *args, **kwargs)
+            finally:
+                role.pop()
         return decode_step
 
-    hold_prefix, keep = KVCache.hold_prefix, KVCache.keep
+    attend, hold_prefix = attn.attend, KVCache.hold_prefix
+
+    def scoring(q, parts, *args, **kwargs):
+        if role:  # a prefill's attention belongs to no role
+            keys = sum(k.shape[-2] for k, _, _ in parts)
+            counts[role[-1], "scores"] += int(np.prod(q.shape[:-1])) * keys
+        return attend(q, parts, *args, **kwargs)
 
     def gathering(cache, rows):
         counts["cache", "gathered"] += len(rows)
         hold_prefix(cache, rows)
 
-    def moving(cache, rows):
-        # A kept row moves unless it is already at its new index.
-        counts["cache", "moved"] += int(np.count_nonzero(np.asarray(rows)
-                                                         != np.arange(len(rows))))
-        keep(cache, rows)
-
     with mock.patch.object(drafting, "decode_step",
                            counting("draft", drafting.decode_step)), \
             mock.patch.object(verification, "decode_step",
                               counting("target", verification.decode_step)), \
-            mock.patch.object(KVCache, "hold_prefix", gathering), \
-            mock.patch.object(KVCache, "keep", moving):
+            mock.patch.object(attn, "attend", scoring), \
+            mock.patch.object(KVCache, "hold_prefix", gathering):
         harness.run_experiment(cfg)
     return counts
 
