@@ -14,9 +14,9 @@ this tree with depth k.
 A drafter decodes the root, then nodes only to expand one, in index order,
 so nodes ``1 .. DraftTree.decoded`` hold the draft-cache rows after the
 root and the leaves added after its last expansion stay undecoded
-(``undecoded``). The target verifies nodes ``1 .. size - 1`` in one
-``tree_block``. The draft keeps none of these rows: the next step reads
-the committed ones from the target.
+(``undecoded``). Once its walk accepts a root child, the target verifies
+nodes ``1 .. size - 1`` in one ``tree_block``. The draft keeps none of
+these rows: the next step reads the committed ones from the target.
 """
 
 from __future__ import annotations

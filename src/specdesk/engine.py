@@ -13,11 +13,13 @@ decodes the root, then its tree's nodes (a chain is a sampled tree of
 width one); after verification it drops them and reads the rows for the
 new root (``KVCache.read_source``).
 
-The target cache holds committed rows only, so it is sized once to the
-furthest position a run may commit: the last step may start one token
-short of ``gen_tokens`` and commit its deepest draft plus the bonus. The
-draft's store holds the most prompt rows its policy gathers and one step's
-root and nodes. An append past the reserved rows raises.
+The target decodes a step's nodes only when its walk accepts a root child,
+then the correction or bonus (``verification.verify_tree``). Its cache
+holds committed rows only, so it is sized once to the furthest position a
+run may commit: the last step may start one token short of ``gen_tokens``
+and commit its deepest draft plus the bonus. The draft's store holds the
+most prompt rows its policy gathers and one step's root and nodes. An
+append past the reserved rows raises.
 
 A retrieval draft is updated from the target's last-layer attention row
 of the step's root: at the first step the prefill's last row, after that
@@ -271,19 +273,16 @@ class Session:
 
 def greedy_reference(spec: ModelSpec, weights: Weights, prompt,
                      gen_tokens: int) -> list[int]:
-    """Target-only greedy decoding, the losslessness oracle."""
+    """Target-only greedy decoding of ``gen_tokens >= 1`` tokens, the
+    losslessness oracle. The last token is not decoded: no one reads its
+    logits."""
     from .model import decode_step
 
     cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head,
-                    capacity=len(prompt) + gen_tokens)
+                    capacity=len(prompt) + gen_tokens - 1)
     out = prefill(spec, weights, prompt, cache, last_row_only=True)
-    tokens = []
-    logits = out.logits[-1]
-    pos = len(prompt)
-    for _ in range(gen_tokens):
-        tok = int(np.argmax(logits))
-        tokens.append(tok)
-        step = decode_step(spec, weights, [tok], cache, positions=np.array([pos]))
-        logits = step.logits[-1]
-        pos += 1
+    tokens = [int(np.argmax(out.logits[-1]))]
+    for pos in range(len(prompt), len(prompt) + gen_tokens - 1):
+        step = decode_step(spec, weights, tokens[-1:], cache, positions=np.array([pos]))
+        tokens.append(int(np.argmax(step.logits[-1])))
     return tokens

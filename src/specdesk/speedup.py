@@ -1,9 +1,10 @@
 """Analytic speedup calculator for speculative decoding.
 
 The per-token cost ratio of speculative decoding over plain autoregressive
-decoding is ``(1/tau) * (d*T_d/T_t + T_v/T_t)``: per committed token the
-scheme pays for ``d`` draft tokens plus one verification pass, amortized
-over the average accepted length.
+decoding is ``(1/tau) * (d*T_d/T_t + T_v/T_t)``: per step the scheme pays
+for ``d`` draft tokens plus verification, amortized over the average
+accepted length. ``T_v`` is the mean verification cost per step: a step
+that accepts no draft token runs no verify pass, only its one-row commit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class SpeedupInputs:
     d: int  # draft tokens per step
     t_draft: float  # draft per-token latency, seconds
     t_target: float  # target per-token latency, seconds
-    t_verify: float  # verification cost per step, seconds
+    t_verify: float  # mean verification cost per step, seconds
 
     def __post_init__(self):
         try:

@@ -1,9 +1,12 @@
 """Target-side verification: lossless accept/reject/correct over a draft
 tree, and hybrid chunked+tree attention.
 
-There is one walk and one verify decode, of every non-root node in index
-order, whichever of them the draft decoded. A drafted chain is its path
-tree, whose mask is the causal mask.
+There is one walk, and at most one verify decode, of every non-root node
+in index order, whichever of them the draft decoded. The walk's root level
+reads only the root distribution, which the previous step's commit pass or
+the prefill gave, so the decode runs only once the root level accepts a
+child: a step that accepts nothing decodes only its commit row. A drafted
+chain is its path tree, whose mask is the causal mask.
 
 Acceptance follows the standard ratio rule ``u < min(1, q(x)/p(x))``
 against the proposal distribution each candidate was actually drawn from.
@@ -27,6 +30,7 @@ committed token once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,21 +160,26 @@ class VerifyOutcome:
 def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
                 tree: DraftTree, root_dist: np.ndarray, rng: Rng,
                 temperature: float, kv_chunk: int | None = None) -> VerifyOutcome:
-    """Verify a draft tree in one masked decode of nodes ``1 .. size - 1``;
-    append the accepted path's rows, then decode the correction or bonus
-    with score capture."""
+    """Verify a draft tree: once the walk accepts a root child, one masked
+    decode of nodes ``1 .. size - 1`` gives the rows it reads; append the
+    accepted path's rows, then decode the correction or bonus with score
+    capture."""
     if tree.root_pos != cache.world_len - 1:
         raise StateError(f"tree root position {tree.root_pos} does not match "
                          f"cache ({cache.world_len - 1})")
-    rows = [root_dist]
-    if tree.size > 1:
-        tokens, mask, positions = tree_block(tree, range(1, tree.size))
-        out = decode_step(spec, weights, tokens, cache, tree_mask=mask,
-                          positions=positions, kv_chunk=kv_chunk, append=False)
-        rows += [next_token_dist(logits, temperature) for logits in out.logits]
-    walk = walk_tree(tree, rows, rng, temperature)
+    tokens, mask, positions = tree_block(tree, range(1, tree.size))
+    verify = functools.cache(lambda: decode_step(
+        spec, weights, tokens, cache, tree_mask=mask, positions=positions,
+        kv_chunk=kv_chunk, append=False))
+
+    class Rows(dict):  # the first read of a non-root node runs the verify pass
+        def __missing__(self, node):
+            row = self[node] = next_token_dist(verify().logits[node - 1], temperature)
+            return row
+
+    walk = walk_tree(tree, Rows({0: root_dist}), rng, temperature)
     if walk.accepted:  # node i is row i - 1 of the verify block
-        path = np.array(accepted_path(tree, walk.accepted)) - 1
+        path, out = np.array(accepted_path(tree, walk.accepted)) - 1, verify()
         cache.append([k[path] for k in out.ks], [v[path] for v in out.vs], positions[path])
     out = decode_step(spec, weights, walk.committed[-1:], cache,
                       positions=np.array([cache.world_len]), capture_scores=True,

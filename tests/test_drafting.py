@@ -316,7 +316,9 @@ class TestDecodeOnce:
         # The target's verify pass decodes every node after the root and
         # appends none; for a walk that accepts a path to any of them, one
         # the draft decoded or a leaf it did not, verify_tree appends that
-        # path's rows of the verify pass, then the correction's row.
+        # path's rows of the verify pass, then the correction's row. The
+        # fixed walk reads ``rows[node]`` along its path, as walk_tree does,
+        # which is what runs the verify pass.
         spec, w = small_model(seed=23, n_layers=2)
         tree = draft_tree(spec, w, prepped_cache(spec, w, PROMPT), PROMPT[-1],
                           TreeBudget(14, 4, 0.2), 0.9)
@@ -329,8 +331,13 @@ class TestDecodeOnce:
             path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
             accepted = [tree.nodes[i].token for i in path]
             assert accepted_path(tree, accepted) == path
-            monkeypatch.setattr(verification, "walk_tree",
-                                lambda *args: WalkResult(accepted, 0, None, []))
+
+            def fixed_walk(tree, rows, *args):
+                for node in [0, *path]:
+                    rows[node]
+                return WalkResult(accepted, 0, None, [])
+
+            monkeypatch.setattr(verification, "walk_tree", fixed_walk)
             cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
             prefill(spec, w, PROMPT, cache)
             verify_tree(spec, w, cache, tree, uniform, Rng(0), 0.9)

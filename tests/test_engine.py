@@ -372,9 +372,10 @@ class TestSessionInvariants:
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
     def test_the_target_decodes_each_committed_token_once(self, monkeypatch, policy,
                                                           drafting):
-        # A step's target decodes its drafted tokens in the verify pass, then
-        # only the correction or bonus, with score capture: no committed
-        # token's row is decoded twice, the root's included.
+        # A step that accepts a root child decodes its drafted tokens in the
+        # verify pass; every step then decodes only the correction or bonus,
+        # with score capture: no committed token's row is decoded twice, the
+        # root's included, and a step that accepts nothing decodes one row.
         passes = []
         real = verification.decode_step
 
@@ -387,7 +388,8 @@ class TestSessionInvariants:
         result = session_for(spec, w, policy, drafting=drafting, temperature=0.8,
                              seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
         steps = result.steps
-        assert sum(n for n, _ in passes) == sum(s.drafted for s in steps) + len(steps)
+        verified = sum(s.drafted for s in steps if s.accepted >= 1)
+        assert sum(n for n, _ in passes) == verified + len(steps)
         assert [n for n, capture in passes if capture] == [1] * len(steps)
         assert {s.accepted for s in steps} > {0}
 
@@ -460,7 +462,8 @@ class TestTargetAppends:
                                                          temperature):
         # The verify pass appends nothing to the target; after the walk the
         # target appends the verify pass's rows of the accepted path, then
-        # the commit pass appends the correction's or bonus's row.
+        # the commit pass appends the correction's or bonus's row. A step
+        # that accepts nothing runs no verify pass and appends only that row.
         caches, steps = {}, []
         real_prefill, real_append = engine.prefill_caches, KVCache.append
         real_decode = verification.decode_step
@@ -497,11 +500,11 @@ class TestTargetAppends:
         session_for(spec, w, FullPolicy(), drafting=drafting, temperature=temperature,
                     seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
         for tree, walk, events in steps:
-            (kind, verify), *events = events
-            assert kind == "verify"  # and no append before it
             path = path_nodes(tree, walk.accepted)
             root, n = tree.root_pos, len(path)
             if path:
+                (kind, verify), *events = events
+                assert kind == "verify"  # and no append before it
                 (kind, positions, ks, vs), *events = events
                 assert kind == "append" and positions == list(range(root + 1, root + n + 1))
                 rows = [i - 1 for i in path]  # node i is row i - 1 of the verify block

@@ -6,7 +6,7 @@ import pytest
 from specdesk import verification
 from specdesk.cache import KVCache
 from specdesk.drafting import (ChainDraft, DraftTree, TreeBudget, TreeNode,
-                               draft_chain, draft_tree)
+                               draft_chain, draft_tree, tree_block)
 from specdesk.errors import InternalError, ShapeError, StateError
 from specdesk.metrics import natural_divergence
 from specdesk.model import ModelSpec, decode_step, derive_draft, next_token_dist, prefill
@@ -437,6 +437,65 @@ class TestVerifyTreeEndToEnd:
         row = out.attn_row
         assert abs(row.sum() - 1.0) < 1e-6
         assert np.all(row >= 0)
+
+
+class TestRootLevelReject:
+    """A walk that accepts no root child reads only ``root_dist``, so the
+    step's one target pass is the commit pass of the correction."""
+
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_only_the_commit_pass_runs(self, monkeypatch, drafting, temperature):
+        spec, w = small_model(seed=3, n_layers=2)
+        dspec, dw = derive_draft(spec, w, 1)
+        prompt = [1, 5, 2, 0, 3, 6, 4]
+        dcache = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head)
+        prefill(dspec, dw, prompt[:-1], dcache)
+        if drafting == "chain":
+            draft = draft_chain(dspec, dw, dcache, prompt[-1], 3, temperature, Rng(1))
+            tree, verify = draft.tree, verify_chain
+        else:
+            tree = draft = draft_tree(dspec, dw, dcache, prompt[-1], TreeBudget(8, 3, 0.3),
+                                      temperature)
+            verify = verify_tree
+        # The target's own root distribution, without its root children.
+        cache, logits = prepped(spec, w, prompt)
+        logits[[tree.nodes[c].token for c in tree.children_of(0)]] = -np.inf
+        root_dist = next_token_dist(logits, temperature)
+        # The reference: the walk over every verify row, computed eagerly,
+        # then the commit pass of its correction.
+        ref, _ = prepped(spec, w, prompt)
+        tokens, mask, positions = tree_block(tree, range(1, tree.size))
+        block = decode_step(spec, w, tokens, ref, tree_mask=mask, positions=positions,
+                            append=False)
+        rows = [root_dist, *(next_token_dist(x, temperature) for x in block.logits)]
+        rng_ref, rng = Rng(5), Rng(5)
+        want = walk_tree(tree, rows, rng_ref, temperature)
+        # A point-mass draft distribution (temperature 0) has one top child.
+        siblings = 1 if drafting == "chain" or temperature == 0 else 2
+        assert want.accepted == [] and len(tree.children_of(0)) == siblings
+        commit = decode_step(spec, w, [want.correction], ref,
+                             positions=np.array([len(prompt)]), capture_scores=True)
+
+        passes, real = [], verification.decode_step
+
+        def spy(spec, weights, tokens, cache, **kwargs):
+            passes.append((len(tokens), kwargs.get("capture_scores", False)))
+            return real(spec, weights, tokens, cache, **kwargs)
+
+        monkeypatch.setattr(verification, "decode_step", spy)
+        out = verify(spec, w, cache, draft, root_dist, rng, temperature)
+        assert passes == [(1, True)]
+        got = out.walk
+        assert got.accepted == want.accepted
+        assert same_bits(got.correction, want.correction) and got.bonus is None
+        assert len(got.levels) == len(want.levels) == 1
+        for f in fields(LevelRecord):
+            assert same_bits(getattr(got.levels[0], f.name), getattr(want.levels[0], f.name))
+        assert same_bits(out.next_root_dist, next_token_dist(commit.logits[-1], temperature))
+        assert same_bits(out.attn_row, commit.last_layer_attn[-1])
+        assert rng.uniform() == rng_ref.uniform()
+        assert cache.layer_view(0)[2].tolist() == list(range(len(prompt) + 1))
 
 
 class TestTargetKeepsVerifiedRows:

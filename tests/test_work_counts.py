@@ -2,14 +2,16 @@
 and rows copied, by role.
 
 Timings swing by tens of percent between runs on a shared machine; counts at
-temperature 0 are exact. Each run is a seed-7 pin's shape (the doc task at a
-2K prompt and 64 generated tokens, see ``test_seed_runs.py``) with every
-forward pass of the draft (``drafting.decode_step``) and of the target's
-verify and commit passes (``verification.decode_step``) counted, every
-attention score element those passes compute (``attn.attend``: query rows,
-heads included, times the summed key widths of the parts), and every prompt
-row ``KVCache.hold_prefix`` gathers. A change that makes a count rise fails
-here; one that makes it fall re-pins it, with the reason in CHANGES.md.
+temperature 0 are exact. Each run is the doc task at seed 7: a seed-7 pin's
+shape (a 2K prompt and 64 generated tokens, see ``test_seed_runs.py``), or a
+benchmark workload's (``bench/workloads.py``: its prompt and policy) at 128
+generated tokens. A run counts every forward pass of the draft
+(``drafting.decode_step``) and of the target's verify and commit passes
+(``verification.decode_step``), every attention score element those passes
+compute (``attn.attend``: query rows, heads included, times the summed key
+widths of the parts), and every prompt row ``KVCache.hold_prefix`` gathers.
+A change that makes a count rise fails here; one that makes it fall re-pins
+it, with the reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -27,19 +29,25 @@ from specdesk.config import parse_config
 COUNTS = [("draft", "forwards"), ("draft", "rows"), ("draft", "scores"),
           ("target", "forwards"), ("target", "rows"), ("target", "scores"),
           ("cache", "gathered")]
-# (drafting, policy): the COUNTS in order
+# (drafting, policy, prompt_len, gen_tokens): the COUNTS in order
 PINS = {
-    ("chain", "retrieval"): (52, 52, 219544, 26, 65, 812058, 4092),
-    ("tree", "full"): (80, 80, 665360, 16, 88, 1100712, 0),
-    ("chain", "full"): (60, 60, 498808, 30, 75, 936438, 0),
-    ("chain", "streaming"): (104, 104, 427024, 52, 130, 1615482, 0),
+    ("chain", "retrieval", 2048, 64): (52, 52, 219544, 26, 65, 812058, 4092),
+    ("tree", "full", 2048, 64): (80, 80, 665360, 15, 78, 977232, 0),
+    ("chain", "full", 2048, 64): (60, 60, 498808, 29, 71, 887190, 0),
+    ("chain", "streaming", 2048, 64): (104, 104, 427024, 36, 66, 824634, 0),
+    # The benchmark workloads at 128 tokens, named as in the test ids below.
+    # Target rows per committed token: 130 / 130, 133 / 129 and 134 / 128.
+    ("chain", "retrieval", 8192, 128): (104, 104, 452832, 52, 130, 6441786, 7165),
+    ("tree", "full", 2048, 128): (130, 130, 1095060, 25, 133, 1688082, 0),
+    ("chain", "full", 8192, 128): (280, 280, 9222432, 86, 134, 6638694, 0),
 }
 
 
-def counted_run(drafting_mode: str, policy: str) -> Counter:
+def counted_run(drafting_mode: str, policy: str, prompt_len: int,
+                gen_tokens: int) -> Counter:
     cfg = parse_config(overrides=[
         "task=doc", "weak_match_mass=100", "loop_len=15", "seed=7",
-        "prompt_len=2048", "gen_tokens=64", f"policy={policy}",
+        f"prompt_len={prompt_len}", f"gen_tokens={gen_tokens}", f"policy={policy}",
         f"drafting={drafting_mode}", "temperature=0",
         "streaming_sink=32", "recent=992"])
     counts: Counter = Counter()
@@ -78,8 +86,9 @@ def counted_run(drafting_mode: str, policy: str) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize("drafting_mode, policy", list(PINS),
-                         ids=[f"{p}-{d}" for d, p in PINS])
-def test_forwards_and_rows_by_role(drafting_mode, policy):
-    counts = counted_run(drafting_mode, policy)
-    assert tuple(counts[key] for key in COUNTS) == PINS[drafting_mode, policy]
+@pytest.mark.parametrize("shape", list(PINS), ids=[
+    f"{p}-{d}" if (n, g) == (2048, 64) else f"doc{n // 1024}k-{p}-{d}-{g}"
+    for d, p, n, g in PINS])
+def test_forwards_and_rows_by_role(shape):
+    counts = counted_run(*shape)
+    assert tuple(counts[key] for key in COUNTS) == PINS[shape]
