@@ -9,23 +9,21 @@ views. Rows keep their absolute positions: keys are stored post-rotation and
 never re-rotated. An append past the reserved capacity raises
 ``CapacityError``.
 
-Committed rows are held in increasing position order. Behind them may come
-a speculative tail, a draft tree's decoded nodes after its root, in any
-order (siblings share a position); every tail position exceeds the root's.
-The target's cache holds committed rows only, every committed position at
-index = position, appended once and never moved: that invariant is what
-lets a draft read those rows in place. ``truncate`` rolls a cache back by
-position; no session does.
+Every held row is a committed row. An unseeded cache, the target's, holds
+positions ``0 .. archive_len - 1`` at index = position: ``append`` takes
+only the next positions, ``world_len ..``, so no row ever moves, and that
+is what lets a draft read those rows in place. ``truncate`` rolls such a
+cache back; no session does. A draft tree's rows are never appended: the
+drafter keeps them beside the tree (``drafting.draft_tree``).
 
 A cache built with ``KVCache.seeded`` is a draft's, whose layers are the
 target's first, so the target's rows at committed positions are its rows.
-It owns only the prompt rows a retrieval update gathers (``hold_prefix``)
-and the root and nodes it decodes in a step; ``read_source`` drops those
-and reads the committed rows before the next root in place, as the runs of
-the target's store its policy names (``in_place``). ``layer_parts`` gives
-the gathered rows, the runs and the own rows in position order. A draft
-never rolls back: its ``truncate`` raises. The cache itself knows no
-policy.
+It appends no row and owns only the prompt rows a retrieval update gathers
+(``hold_prefix``); ``read_source`` reads the committed rows before the next
+root in place, as the runs of the target's store its policy names
+(``in_place``). ``layer_parts`` gives the gathered rows and the runs in
+position order. A draft never rolls back: its ``truncate`` raises. The
+cache itself knows no policy.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, OrderingError, ParameterError, ShapeError, StateError
+from .errors import CapacityError, OrderingError, ParameterError, StateError
 
 _INIT_CAP = 64
 
@@ -113,16 +111,15 @@ class KVCache:
             # dh-major in memory; every method indexes the [H, capacity, dh] view.
             self._v = [np.empty((n_heads, d_head, capacity)).swapaxes(1, 2)
                        for _ in range(n_layers)]
-            self._pos = np.empty(capacity, dtype=np.int64)  # by held row
+            self._pos = np.arange(capacity)  # by held row: an unseeded cache's are its rows
         except (MemoryError, ValueError):  # ValueError: past numpy's size limit
             raise CapacityError(f"cannot reserve {capacity} cache rows") from None
         self._cap = capacity
         self._len = 0
         self._world = 0  # see world_len
         self._prefix_rows = 0  # sealed prefix, positions [0, _prefix_rows), held or not
-        self._gathered = 0  # leading held rows, copied from the source to store rows 0 ..
         self._in_place: list[tuple[int, int]] = []  # source rows read in place, held next
-        self._lent = 0  # rows in _in_place
+        self._lent = 0  # rows in _in_place; the store holds the rest, ahead of them
         self._source: KVCache | None = None  # where a seeded cache reads its rows
 
     @classmethod
@@ -133,12 +130,10 @@ class KVCache:
 
         ``hold_prefix`` gathers prefix rows from ``source`` and
         ``read_source`` reads its committed rows in place. ``capacity``
-        counts the rows the cache owns: the prefix rows it gathers and one
-        step's decoded rows.
+        counts the rows the cache owns: the most prefix rows it gathers.
         """
-        if not np.array_equal(source._pos[:source._len][:rows], np.arange(rows)):
-            raise OrderingError(f"the source's first {rows} rows are not positions "
-                                f"0 .. {rows - 1}")
+        if source._source is not None or source._len < rows:
+            raise OrderingError(f"the source does not hold positions 0 .. {rows - 1} in place")
         cache = cls(n_layers, source.n_heads, source.d_head, capacity)
         cache._pos = np.empty(capacity + source._cap, dtype=np.int64)  # own + in place
         cache._prefix_rows = cache._world = rows
@@ -164,21 +159,19 @@ class KVCache:
 
     @property
     def world_len(self) -> int:
-        """One past the largest position appended and not rolled back,
-        whether or not its row is still held."""
+        """One past the last committed position, whether or not its row is
+        held: a seeded cache's next root is there."""
         return self._world
 
     def layer_parts(self, layer: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Held ``(k, v)`` of one layer as ``[H, L, dh]`` views of the stores in
-        position order: the gathered rows, if any, the source's runs read in
-        place, then the own rows, always the last part. Each head's keys are
-        contiguous ``[L, dh]`` and its values ``[dh, L]``."""
-        k, v, g, src = self._k[layer], self._v[layer], self._gathered, self._source
-        own = self._len - self._lent
-        parts = [(k[:, :g], v[:, :g])] if g else []
-        parts += [(src._k[layer][:, lo:hi], src._v[layer][:, lo:hi])
-                  for lo, hi in self._in_place]
-        return parts + [(k[:, g:own], v[:, g:own])]
+        position order: the store's own rows, always the first part (every
+        row of an unseeded cache; a draft's gathered rows, maybe none), then
+        the source's runs read in place. Each head's keys are contiguous
+        ``[L, dh]`` and its values ``[dh, L]``."""
+        k, v, own, src = self._k[layer], self._v[layer], self._len - self._lent, self._source
+        return [(k[:, :own], v[:, :own])] + [
+            (src._k[layer][:, lo:hi], src._v[layer][:, lo:hi]) for lo, hi in self._in_place]
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``:
@@ -189,70 +182,45 @@ class KVCache:
 
     # -- mutation -----------------------------------------------------------
 
-    def append(self, ks: list[np.ndarray], vs: list[np.ndarray], positions: np.ndarray,
-               tail: int = 0) -> None:
-        """Append one block of rows to every layer.
-
-        ``ks[layer]`` and ``vs[layer]`` are ``[q, H, dh]``.
-        The last ``tail`` held rows are a speculative tail; the block's
-        positions may come in any order, but each must exceed the last held
-        row before the tail, or without a tail ``world_len - 1``.
-        """
+    def append(self, ks: list[np.ndarray], vs: list[np.ndarray], positions: np.ndarray) -> None:
+        """Append one block of rows, at positions ``world_len ..
+        world_len + q - 1``, to every layer. ``ks[layer]`` and ``vs[layer]``
+        are ``[q, H, dh]``. A seeded cache appends none: its committed rows
+        are its source's."""
         positions = np.asarray(positions, dtype=np.int64)
         q = positions.shape[0]
+        if self._source is not None:
+            raise StateError("a draft cache appends no rows: read_source reads them")
         if len(ks) != self.n_layers or len(vs) != self.n_layers:
             raise ParameterError("append expects one K and V block per layer")
-        if not 0 <= tail <= self._len:
-            raise ShapeError(f"a tail of {tail} rows, but {self._len} are held")
-        if q == 0:
-            return
-        if tail:
-            bound = int(self._pos[self._len - tail - 1]) if self._len > tail else -1
-        else:
-            bound = self._world - 1
-        if positions.min() <= bound:
-            raise OrderingError(
-                f"position {int(positions.min())} does not follow position {bound}")
-        own = self._len - self._lent
-        if own + q > self._cap:
-            raise CapacityError(f"appending {q} rows to {own} own rows overflows the "
+        if not np.array_equal(positions, np.arange(self._len, self._len + q)):
+            raise OrderingError(f"appended positions must be {self._len} .. "
+                                f"{self._len + q - 1}")
+        if self._len + q > self._cap:
+            raise CapacityError(f"appending {q} rows to {self._len} rows overflows the "
                                 f"{self._cap} reserved")
         for li in range(self.n_layers):
-            self._k[li][:, own:own + q] = ks[li].transpose(1, 0, 2)
-            self._v[li][:, own:own + q] = vs[li].transpose(1, 0, 2)
-        self._pos[self._len:self._len + q] = positions
-        self._len += q
-        self._world = max(self._world, int(positions.max()) + 1)
+            self._k[li][:, self._len:self._len + q] = ks[li].transpose(1, 0, 2)
+            self._v[li][:, self._len:self._len + q] = vs[li].transpose(1, 0, 2)
+        self._len = self._world = self._len + q
 
     def truncate(self, world_len: int) -> None:
-        """Drop every row whose position is >= ``world_len`` (rollback).
-
-        The rows below ``world_len`` must come first, as they do for any cut
-        at or before a speculative tail; a cut through an unordered tail
-        raises ``OrderingError``.
-        """
+        """Drop every row whose position is >= ``world_len`` (rollback)."""
         if self._source is not None:
-            raise StateError("a draft cache is not rolled back: read_source drops its rows")
-        pos = self._pos[:self._len]
-        cut = int(np.searchsorted(pos, world_len, side="left"))
-        if (pos[:cut] >= world_len).any() or (pos[cut:] < world_len).any():
-            raise OrderingError(f"the rows below position {world_len} do not come first")
-        self._len = cut
-        self._world = min(self._world, world_len)
+            raise StateError("a draft cache is not rolled back: read_source sets its rows")
+        self._len = self._world = max(min(self._len, world_len), 0)
 
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
-        gathered from the source, in front of the rows read in place. It
-        runs between steps, while the cache holds no decoded rows."""
+        gathered from the source, in front of the rows read in place."""
         p = self.prefix_len
         self._check_source(p)
         rows = np.asarray(rows, dtype=np.int64)
         m = rows.shape[0]
         if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= p):
             raise ParameterError(f"prefix rows must be strictly ascending in [0, {p})")
-        src, g, lent = self._source, self._gathered, self._lent
-        if self._len > g + lent:
-            raise StateError("prefix rows are gathered between steps, with no decoded rows")
+        src, lent = self._source, self._lent
+        g = self._len - lent
         if m and lent and rows[-1] >= self._pos[g]:
             raise OrderingError("gathered rows must precede the rows read in place")
         if m > self._cap:
@@ -263,15 +231,15 @@ class KVCache:
                 own[:, at:at + size] = theirs[:, lo:lo + size]
         self._pos[m:m + lent] = self._pos[g:g + lent]
         self._pos[:m] = rows
-        self._gathered, self._len = m, m + lent
+        self._len = m + lent
 
     def read_source(self, end: int, runs) -> None:
-        """Drop every decoded row and read the source rows ``runs``,
-        ascending ``(lo, hi)`` pairs in ``[0, end)``, in place behind the
-        gathered rows: the committed rows a draft sees before its root at
-        position ``end``, which the next append decodes."""
+        """Read the source rows ``runs``, ascending ``(lo, hi)`` pairs in
+        ``[0, end)``, in place behind the gathered rows, instead of the runs
+        read before: the committed rows a draft sees before its root at
+        position ``end``."""
         self._check_source(end)
-        runs, g = [(lo, hi) for lo, hi in runs if lo < hi], self._gathered
+        runs, g = [(lo, hi) for lo, hi in runs if lo < hi], self._len - self._lent
         if np.any(np.diff([self._pos[g - 1] + 1 if g else 0, *np.ravel(runs), end]) < 0):
             raise OrderingError(f"runs must be ascending, after the gathered rows and "
                                 f"below position {end}")
@@ -280,12 +248,12 @@ class KVCache:
         self._in_place, self._lent, self._len, self._world = runs, pos.size, g + pos.size, end
 
     def _check_source(self, end: int) -> None:
-        """The source must still hold positions ``0 .. end - 1`` at index =
-        position; its committed rows ascend, so its row ``end - 1`` tells."""
+        """The source must still hold positions ``0 .. end - 1``: its rows
+        are its positions, so its length tells."""
         src = self._source
         if src is None:
             raise StateError("reading source rows needs a source cache (KVCache.seeded)")
-        if end and (src._len < end or src._pos[end - 1] != end - 1):
+        if src._len < end:
             raise StateError(f"the source no longer holds positions 0 .. {end - 1} in place")
 
 

@@ -11,12 +11,13 @@ drawn from its parent's ``dist``, and ``DraftTree.sampled`` tells
 verification that this ``dist`` is the child's proposal; ``draft_chain`` is
 this tree with depth k.
 
-A drafter decodes the root, then nodes only to expand one, in index order,
-so nodes ``1 .. DraftTree.decoded`` hold the draft-cache rows after the
-root and the leaves added after its last expansion stay undecoded
-(``undecoded``). Once its walk accepts a root child, the target verifies
-nodes ``1 .. size - 1`` in one ``tree_block``. The draft keeps none of
-these rows: the next step reads the committed ones from the target.
+A drafter decodes the root, then nodes only to expand one, in index order:
+``DraftTree.decoded`` counts the nodes after the root it decoded, nodes
+``1 .. decoded``, and the leaves added after its last expansion stay
+undecoded (``undecoded``). The drafter keeps these rows beside the tree and
+never puts them in its cache, which holds committed rows only. Once its
+walk accepts a root child, the target verifies nodes ``1 .. size - 1`` in
+one ``tree_block``; the next step reads the committed rows from the target.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class TreeNode:
 class DraftTree:
     """Speculated token tree; the root is the last committed token.
 
-    Node ``i`` of nodes ``1 .. decoded`` is the one whose K/V the draft
-    decoded into the ``i``-th cached row after the root; the rest are
+    Nodes ``1 .. decoded`` are the ones the draft decoded after the root,
+    node ``i`` into its ``i``-th tree row after the root's; the rest are
     undecoded leaves. ``sampled`` says that each child was drawn from its
     parent's ``dist`` (a chain), not picked as a top child.
     """
@@ -119,12 +120,16 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
     The root is decoded first, in a one-row pass. Each other node is
     decoded once: whenever a node without a distribution must be expanded,
     every such node is decoded in one step, under a mask over the tree rows
-    already cached, so each sees the committed rows, its ancestors and
-    itself; the nodes added after the last such step stay undecoded. The rows stay in the cache after the root, one
-    per decoded node at ``root_pos + depth``, in index order.
+    decoded before, so each sees the committed rows, its ancestors and
+    itself; the nodes added after the last such step stay undecoded. The
+    cache is left as it was: the tree's rows, the root's then one per
+    decoded node in index order, are kept here, per layer as ``[H, N, dh]``
+    K/V, and passed to each pass as its ``tree``.
     """
     root_pos = cache.world_len
-    out = decode_step(spec, weights, [root], cache, positions=np.array([root_pos]))
+    out = decode_step(spec, weights, [root], cache, positions=np.array([root_pos]),
+                      append=False)
+    rows = [(k.transpose(1, 0, 2), v.transpose(1, 0, 2)) for k, v in zip(out.ks, out.vs)]
     logits = out.logits[-1]
     tree = DraftTree(nodes=[TreeNode(token=int(root), parent=-1, depth=0, path_logprob=0.0,
                                      logits=logits, dist=next_token_dist(logits, temperature))],
@@ -132,14 +137,18 @@ def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
 
     def refresh() -> None:
         """Decode every node added since the last refresh, in one pass. A
-        block that sees every cached node, as on a path, reads them with the
-        committed rows, not as a separate tail part."""
+        block that sees every decoded node, as on a path, reads them with the
+        root, not as a separate masked part."""
+        nonlocal rows
         new, n_cached = undecoded(tree), tree.decoded
         tokens, mask, positions = tree_block(tree, new, range(1, n_cached + 1))
         if mask[:, :n_cached].all():
             mask = mask[:, n_cached:]
         step = decode_step(spec, weights, tokens, cache, tree_mask=mask,
-                           positions=positions)
+                           positions=positions, append=False, tree=rows)
+        rows = [(np.concatenate([k, nk.transpose(1, 0, 2)], axis=1),
+                 np.concatenate([v, nv.transpose(1, 0, 2)], axis=1))
+                for (k, v), nk, nv in zip(rows, step.ks, step.vs)]
         for row, i in enumerate(new):
             node = tree.nodes[i]
             node.logits = step.logits[row]

@@ -10,16 +10,15 @@ its policy names in place: all of them for a full draft, the sink and
 recent window for a streaming draft, the generated rows for a retrieval
 draft, which also holds the prompt chunks its last update gathered. It
 decodes the root, then its tree's nodes (a chain is a sampled tree of
-width one); after verification it drops them and reads the rows for the
-new root (``KVCache.read_source``).
+width one), and keeps their rows beside the tree, not in its cache; after
+verification it reads the rows for the new root (``KVCache.read_source``).
 
 The target decodes a step's nodes only when its walk accepts a root child,
 then the correction or bonus (``verification.verify_tree``). Its cache
 holds committed rows only, so it is sized once to the furthest position a
 run may commit: the last step may start one token short of ``gen_tokens``
-and commit its deepest draft plus the bonus. The draft's store holds the
-most prompt rows its policy gathers and one step's root and nodes. An
-append past the reserved rows raises.
+and commit its deepest draft plus the bonus; an append past them raises.
+The draft's store holds only the most prompt rows its policy gathers.
 
 A retrieval draft is updated from the target's last-layer attention row
 of the step's root: at the first step the prefill's last row, after that
@@ -87,8 +86,8 @@ def _check_shared_prefix(tspec: ModelSpec, tw: Weights,
 
 
 def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
-                   capacity: int, policy: CachePolicy = FullPolicy(), *,
-                   max_nodes: int) -> tuple[KVCache, KVCache, ForwardOutput]:
+                   capacity: int, policy: CachePolicy = FullPolicy()
+                   ) -> tuple[KVCache, KVCache, ForwardOutput]:
     """Prefill the target on ``prompt`` and seed the draft cache from it.
 
     Returns ``(target_cache, draft_cache, target prefill output)``; the
@@ -96,15 +95,15 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     target cache reserves ``capacity`` rows. The draft, whose layers are the
     target's first ``dspec.n_layers``, is seeded over those layers' rows for
     all but the last prompt token, the first root, and reads the rows
-    ``policy`` names in place. It reserves store rows for the most prompt
-    rows the policy gathers and for a tree of ``max_nodes`` nodes.
+    ``policy`` names in place. Its store reserves the most prompt rows the
+    policy gathers, and at least one row.
     """
     n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
                   last_row_only=True)
     draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
-                                 policy.prefix_rows(n - 1) + max_nodes)
+                                 max(policy.prefix_rows(n - 1), 1))
     draft_cache.read_source(n - 1, policy.in_place(n - 1, n - 1))
     return target_cache, draft_cache, out
 
@@ -174,8 +173,7 @@ class Session:
 
         t0 = time.perf_counter()
         target_cache, draft_cache, out = prefill_caches(
-            tspec, tw, dspec, prompt, reach, self.policy,
-            max_nodes=self.budget.max_nodes)
+            tspec, tw, dspec, prompt, reach, self.policy)
         root_dist = next_token_dist(out.logits[-1], self.temperature)
         row = out.last_layer_attn[-1]  # the first root's row, which retrieval reads
         prefill_s = time.perf_counter() - t0
@@ -235,7 +233,7 @@ class Session:
             committed.extend(walk.committed)
             root_dist, row = outc.next_root_dist, outc.attn_row
 
-            # The draft drops its tree and reads the rows before the new root.
+            # The draft reads the committed rows before the new root.
             root = len(committed) - 1
             draft_cache.read_source(root, self.policy.in_place(draft_cache.prefix_len, root))
 

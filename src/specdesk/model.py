@@ -188,13 +188,15 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
              positions: np.ndarray, new_mask: np.ndarray | None,
              capture_scores: bool, kv_chunk: int | None,
              out_rows: int | None = None,
-             scores: np.ndarray | None = None, append: bool = True) -> ForwardOutput:
+             scores: np.ndarray | None = None, append: bool = True,
+             tree: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardOutput:
     """One forward pass over a block; its K/V are appended to ``cache``, or
     without ``append`` returned in the output.
 
-    A ``new_mask`` of shape ``[q, T + q]`` reads the cache's last ``T`` held
-    rows, a speculative tail of the cache's own rows, as their own masked
-    part; the rows before them are visible to every query, and the block's
+    ``tree`` holds per layer the ``[H, N, dh]`` K/V of tree rows decoded
+    before, read after the cache's rows. A ``new_mask`` of shape
+    ``[q, T + q]`` reads the last ``T`` of them as their own masked part;
+    the tree rows before those are visible to every query, and the block's
     own columns come last.
     With ``out_rows`` the last layer projects K/V for every row but runs
     attention, the MLP and the unembed only for the trailing ``out_rows``
@@ -233,16 +235,17 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
         new_vs.append(v)
         if last and out_rows == 0:  # a prefill block before the last: K/V only
             break
-        *blocks, (kc, vc) = cache.layer_parts(li)  # [H, L, dh] each
-        P = kc.shape[1] - tail  # own rows every query sees
-        if P < 0:
-            raise ShapeError(f"a tail of {tail} rows reaches past the cache's own rows")
+        blocks = cache.layer_parts(li)  # [H, L, dh] each
+        if tree:
+            kt, vt = tree[li]
+            P = kt.shape[1] - tail  # tree rows every query sees
+            blocks.append((kt[:, :P], vt[:, :P]))
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = []
-        for kb, vb in (*blocks, (kc[:, :P], vc[:, :P])):
+        for kb, vb in blocks:
             for lo, hi in attn.split_chunks(kb.shape[1], kv_chunk or kb.shape[1] or 1):
                 parts.append((kb[:, lo:hi], vb[:, lo:hi], None))
         if tail:
-            parts.append((kc[:, P:], vc[:, P:], new_mask[:, :tail]))
+            parts.append((kt[:, P:], vt[:, P:], new_mask[:, :tail]))
         parts.append((k.transpose(1, 0, 2), v.transpose(1, 0, 2), new_mask[:, tail:]))
         want = capture_scores and last
         out, probs = attn.attend(q.transpose(1, 0, 2), parts, scale, want_probs=want,
@@ -255,7 +258,7 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     check_finite(logits, "logits")
     if not append:  # the caller appends the rows it keeps
         return ForwardOutput(logits, captured, new_ks, new_vs)
-    cache.append(new_ks, new_vs, positions, tail=tail)
+    cache.append(new_ks, new_vs, positions)
     return ForwardOutput(logits=logits, last_layer_attn=captured)
 
 
@@ -316,16 +319,18 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
 def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
                 tree_mask: np.ndarray | None = None, positions=None,
                 capture_scores: bool = False, kv_chunk: int | None = None,
-                append: bool = True) -> ForwardOutput:
+                append: bool = True,
+                tree: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardOutput:
     """Decode a block of new tokens against the cached context.
 
     Queries attend to every cache entry plus the new tokens allowed by
     ``tree_mask`` (row i, column j visible iff node j is an ancestor-or-self
-    of node i); without a mask the block is causal. A ``[q, T + q]`` mask
-    also covers the cache's last ``T`` rows, the tree nodes decoded before:
-    its first ``T`` columns say which of them each query sees. The new
-    tokens' K/V extend the cache, or without ``append`` the output carries
-    them.
+    of node i); without a mask the block is causal. ``tree`` gives per layer
+    the ``(k, v)`` of ``N`` tree rows decoded before, each ``[H, N, dh]``,
+    which are not in the cache. A ``[q, T + q]`` mask covers the last
+    ``T <= N`` of them: its first ``T`` columns say which of them each query
+    sees, and every query sees the ``N - T`` before. The new tokens' K/V
+    extend the cache, or without ``append`` the output carries them.
     """
     new_tokens = np.asarray(new_tokens, dtype=np.int64)
     q_n = new_tokens.shape[0]
@@ -336,14 +341,23 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
     positions = np.asarray(positions, dtype=np.int64)
     if positions.shape[0] != q_n:
         raise ShapeError(f"{q_n} tokens but {positions.shape[0]} positions")
+    n_tree = 0
+    if tree is not None:
+        first = np.shape(tree[0][0]) if len(tree) else ()
+        n_tree = first[1] if len(first) == 3 else 0
+        want = (spec.n_heads, n_tree, spec.d_head)
+        if len(tree) != spec.n_layers or any(
+                tuple(map(np.shape, kv)) != (want, want) for kv in tree):
+            raise ShapeError(f"tree rows must be {spec.n_layers} (k, v) pairs, each "
+                             f"[{spec.n_heads}, N, {spec.d_head}] with one N")
     if tree_mask is not None:
         tree_mask = np.asarray(tree_mask, dtype=bool)
         if (tree_mask.ndim != 2 or tree_mask.shape[0] != q_n
-                or not q_n <= tree_mask.shape[1] <= q_n + cache.archive_len):
+                or not q_n <= tree_mask.shape[1] <= q_n + n_tree):
             raise ShapeError(f"tree mask shape {tree_mask.shape}, expected ({q_n}, {q_n} + T) "
-                             f"for a tail of T <= {cache.archive_len} held rows")
+                             f"for T <= {n_tree} tree rows")
     return _forward(spec, weights, new_tokens, cache, positions, tree_mask,
-                    capture_scores, kv_chunk, append=append)
+                    capture_scores, kv_chunk, append=append, tree=tree)
 
 
 def derive_draft(spec: ModelSpec, weights: Weights, keep_layers: int) -> tuple[ModelSpec, Weights]:

@@ -20,7 +20,7 @@ the target distribution.
 
 The verify pass appends nothing to the target's cache, which holds
 committed rows only: after the walk it appends the verify pass's rows of
-the accepted path (``accepted_path``) behind them, so no committed row
+the accepted path (``WalkResult.path``) behind them, so no committed row
 moves and the draft can read them in place. One pass with score capture
 then decodes and appends the token the step adds, the correction or bonus.
 That token is the next step's root: its row gives the next root
@@ -97,6 +97,7 @@ class WalkResult:
     correction: int | None
     bonus: int | None
     levels: list[LevelRecord]
+    path: list[int]  # the node of each accepted token
 
     def __post_init__(self):
         if (self.correction is None) == (self.bonus is None):
@@ -116,6 +117,7 @@ def walk_tree(tree: DraftTree, rows, rng: Rng, temperature: float) -> WalkResult
     residual is untouched, the bonus."""
     accepted: list[int] = []
     levels: list[LevelRecord] = []
+    path: list[int] = []
     node = 0
     while True:
         q_cur = rows[node]
@@ -140,10 +142,11 @@ def walk_tree(tree: DraftTree, rows, rng: Rng, temperature: float) -> WalkResult
         if chosen is None:
             break
         accepted.append(committed)
+        path.append(chosen)
         node = chosen
     if children:
-        return WalkResult(accepted, committed, None, levels)
-    return WalkResult(accepted, None, committed, levels)
+        return WalkResult(accepted, committed, None, levels, path)
+    return WalkResult(accepted, None, committed, levels, path)
 
 
 @dataclass
@@ -178,8 +181,8 @@ def verify_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
             return row
 
     walk = walk_tree(tree, Rows({0: root_dist}), rng, temperature)
-    if walk.accepted:  # node i is row i - 1 of the verify block
-        path, out = np.array(accepted_path(tree, walk.accepted)) - 1, verify()
+    if walk.path:  # node i is row i - 1 of the verify block
+        path, out = np.array(walk.path) - 1, verify()
         cache.append([k[path] for k in out.ks], [v[path] for v in out.vs], positions[path])
     out = decode_step(spec, weights, walk.committed[-1:], cache,
                       positions=np.array([cache.world_len]), capture_scores=True,
@@ -195,18 +198,6 @@ def verify_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
     ``ChainDraft`` and ``draft_chain`` once a sampled ``draft_tree`` replaces them."""
     return verify_tree(spec, weights, cache, draft.tree, root_dist, rng, temperature,
                        kv_chunk)
-
-
-def accepted_path(tree: DraftTree, tokens: list[int]) -> list[int]:
-    """The nodes of the path that spells ``tokens`` from the root."""
-    path, node = [], 0
-    for tok in tokens:
-        match = [c for c in tree.children_of(node) if tree.nodes[c].token == tok]
-        if not match:
-            raise InternalError(f"token {tok} is not a child of tree node {node}")
-        node = match[0]
-        path.append(node)
-    return path
 
 
 # -- hybrid attention (public, head-free) ----------------------------------------

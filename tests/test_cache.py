@@ -34,13 +34,13 @@ def reading_cache(n, runs, prefix=None, n_layers=2):
     return source, cache
 
 
-def append_tokens(cache, positions, tail=0):
+def append_tokens(cache, positions):
     positions = np.asarray(positions, dtype=np.int64)
     q = positions.shape[0]
     ks = [np.random.default_rng(int(positions[0]) + li).standard_normal(
         (q, cache.n_heads, cache.d_head)) for li in range(cache.n_layers)]
     vs = [k + 1.0 for k in ks]
-    cache.append(ks, vs, positions, tail=tail)
+    cache.append(ks, vs, positions)
 
 
 class TestAppend:
@@ -79,11 +79,30 @@ class TestAppend:
         with pytest.raises(OrderingError):
             append_tokens(c, [4])
 
-    def test_allows_equal_positions_for_siblings(self):
+    def test_a_gap_raises(self):
         c = make_cache()
         append_tokens(c, [0, 1])
-        append_tokens(c, [2, 2, 3])  # two siblings at depth 1
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 2, 3]
+        for bad in ([3], [2, 4], [2, 3, 5]):
+            with pytest.raises(OrderingError, match="must be 2 .. "):
+                append_tokens(c, bad)
+        assert c.layer_view(0)[2].tolist() == [0, 1] and c.world_len == 2
+
+    def test_a_repeated_position_raises(self):
+        # Two siblings share a position: a tree's rows never enter a cache.
+        c = make_cache()
+        append_tokens(c, [0, 1])
+        for bad in ([2, 2, 3], [1], [2, 3, 3], [3, 2]):
+            with pytest.raises(OrderingError):
+                append_tokens(c, bad)
+        assert c.layer_view(0)[2].tolist() == [0, 1] and c.world_len == 2
+
+    def test_a_seeded_cache_appends_nothing(self):
+        # Not its root, not its next committed row: the source holds those.
+        _, c = reading_cache(12, [(0, 12)])
+        for positions in ([12], [12, 13], [11]):
+            with pytest.raises(StateError, match="appends no rows"):
+                append_tokens(c, positions)
+        assert c.layer_view(0)[2].tolist() == list(range(12)) and c.world_len == 12
 
     def test_committed_positions_strictly_increase(self):
         c = make_cache()
@@ -93,86 +112,91 @@ class TestAppend:
 
 
 class TestSpeculativeTail:
-    """A draft tree's rows after its root, appended in decode order."""
+    """A draft tree's rows: ``decode_step`` reads them from its ``tree``
+    argument, beside the cache, and no cache holds them."""
 
-    def test_out_of_order_tail_block_is_accepted(self):
-        c = make_cache()
-        append_tokens(c, list(range(5)))  # root at position 4
-        append_tokens(c, [5, 6, 7])  # a greedy chain
-        append_tokens(c, [5, 6], tail=3)  # a sibling branch, shallower
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 5, 6]
-        assert c.world_len == 8
-        c.truncate(5)
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4]
-        assert c.world_len == 5
+    @staticmethod
+    def model(n_layers):
+        spec = ModelSpec(n_layers=n_layers, n_heads=2, d_model=8, d_head=4, vocab=5,
+                         max_pos=64)
+        return spec, random_weights(spec, 0)
+
+    @staticmethod
+    def tree_rows(out):
+        return [(k.transpose(1, 0, 2), v.transpose(1, 0, 2)) for k, v in zip(out.ks, out.vs)]
 
     def test_block_at_or_before_the_root_raises(self):
+        # Nor a sibling branch after a chain: a block must follow the last row.
         c = make_cache()
-        append_tokens(c, list(range(5)))
+        append_tokens(c, list(range(5)))  # root at position 4
         append_tokens(c, [5, 6])
-        for bad in ([4], [6, 4], [3]):
+        for bad in ([4], [6, 4], [3], [5, 6], [6]):
             with pytest.raises(OrderingError):
-                append_tokens(c, bad, tail=2)
-        with pytest.raises(OrderingError):
-            append_tokens(c, [6])  # no tail: must follow position 6
+                append_tokens(c, bad)
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6]
 
-    def test_tail_longer_than_the_held_rows_raises(self):
-        c = make_cache()
-        append_tokens(c, [0, 1])
-        with pytest.raises(ShapeError):
-            append_tokens(c, [2], tail=3)
-
     def test_mask_wider_than_the_held_rows_raises(self):
-        spec = ModelSpec(n_layers=1, n_heads=2, d_model=8, d_head=4, vocab=5,
-                         max_pos=64)
-        w = random_weights(spec, 0)
+        spec, w = self.model(1)
         c = KVCache(1, 2, 4)
         decode_step(spec, w, [1, 2], c, positions=[0, 1])
-        with pytest.raises(ShapeError):
-            decode_step(spec, w, [3], c, tree_mask=np.ones((1, 4), bool),
-                        positions=[2])
-        out = decode_step(spec, w, [3], c, tree_mask=np.ones((1, 3), bool),
-                          positions=[2])
-        assert out.logits.shape == (1, 5) and c.archive_len == 3
+        rows = self.tree_rows(decode_step(spec, w, [3], c, positions=[2], append=False))
+        with pytest.raises(ShapeError, match="T <= 1 tree rows"):
+            decode_step(spec, w, [4], c, tree_mask=np.ones((1, 3), bool),
+                        positions=[3], append=False, tree=rows)
+        with pytest.raises(ShapeError, match="T <= 0 tree rows"):  # no tree, no tail
+            decode_step(spec, w, [4], c, tree_mask=np.ones((1, 2), bool), positions=[3])
+        out = decode_step(spec, w, [4], c, tree_mask=np.ones((1, 2), bool),
+                          positions=[3], append=False, tree=rows)
+        assert out.logits.shape == (1, 5) and c.archive_len == 2
 
     def test_mask_reaching_into_borrowed_rows_raises(self):
-        # A tail is the draft's own decoded rows; a mask that reaches past
-        # them into the source rows it reads in place is refused.
-        spec = ModelSpec(n_layers=2, n_heads=2, d_model=8, d_head=4, vocab=5,
-                         max_pos=64)
-        w = random_weights(spec, 0)
+        # The tree rows are the draft's own; a mask that reaches past them
+        # into the source rows it reads in place is refused.
+        spec, w = self.model(2)
         source = KVCache(2, 2, 4)
         decode_step(spec, w, [1, 2, 3], source, positions=[0, 1, 2])
         c = KVCache.seeded(source, 1, 2, capacity=8)
         c.read_source(2, [(0, 2)])
         draft, draft_w = derive_draft(spec, w, 1)
-        decode_step(draft, draft_w, [3], c, positions=[2])
-        with pytest.raises(ShapeError, match="own rows"):
+        rows = self.tree_rows(decode_step(draft, draft_w, [3], c, positions=[2],
+                                          append=False))
+        with pytest.raises(ShapeError, match="tree rows"):
             decode_step(draft, draft_w, [4], c, tree_mask=np.ones((1, 3), bool),
-                        positions=[3])
+                        positions=[3], append=False, tree=rows)
         out = decode_step(draft, draft_w, [4], c, tree_mask=np.ones((1, 2), bool),
-                          positions=[3])
-        assert out.logits.shape == (1, 5) and c.archive_len == 4
+                          positions=[3], append=False, tree=rows)
+        assert out.logits.shape == (1, 5) and c.archive_len == 2 and c.world_len == 2
 
-    def test_truncate_checks_the_rows_it_drops(self):
-        c = make_cache()
-        append_tokens(c, list(range(3)))
-        append_tokens(c, [5])
-        append_tokens(c, [3, 4], tail=1)
-        with pytest.raises(OrderingError):
-            c.truncate(4)  # position 3 would follow the cut
-        c.truncate(3)
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2]
+    def test_tree_rows_of_another_layer_count_raise(self):
+        spec, w = self.model(2)
+        c = KVCache(2, 2, 4)
+        decode_step(spec, w, [1, 2], c, positions=[0, 1])
+        rows = self.tree_rows(decode_step(spec, w, [3], c, positions=[2], append=False))
+        for bad in (rows[:1], rows + rows[:1], []):
+            with pytest.raises(ShapeError, match="2 \\(k, v\\) pairs"):
+                decode_step(spec, w, [4], c, positions=[3], append=False, tree=bad)
+        assert c.archive_len == 2
 
-    def test_truncate_checks_the_rows_it_keeps(self):
-        c = make_cache()
-        append_tokens(c, list(range(7)))
-        append_tokens(c, [9])
-        append_tokens(c, [7, 8], tail=1)
-        with pytest.raises(OrderingError):
-            c.truncate(9)  # the search ends past position 9's row
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 7, 8]
+    def test_tree_rows_of_a_bad_shape_raise(self):
+        spec, w = self.model(2)
+        c = KVCache(2, 2, 4)
+        decode_step(spec, w, [1, 2], c, positions=[0, 1])
+        (k0, v0), (k1, v1) = self.tree_rows(decode_step(spec, w, [3, 4, 0], c,
+                                                        positions=[2, 3, 4], append=False))
+        bad = [
+            [(k0.transpose(1, 0, 2), v0), (k1, v1)],  # [q, H, dh], as ForwardOutput holds it
+            [(k0, v0[:, :1]), (k1, v1)],  # k and v of different lengths
+            [(k0, v0), (k1[:, :1], v1[:, :1])],  # layers of different lengths
+            [(k0[..., :2], v0), (k1, v1)],  # not d_head wide
+            [(k0[0], v0), (k1, v1)],  # not 3-D
+            [(k0,), (k1, v1)],  # no v
+        ]
+        for rows in bad:
+            with pytest.raises(ShapeError, match="\\[2, N, 4\\]"):
+                decode_step(spec, w, [4], c, positions=[5], append=False, tree=rows)
+        out = decode_step(spec, w, [4], c, positions=[5], append=False,
+                          tree=[(k0, v0), (k1, v1)])
+        assert out.logits.shape == (1, 5) and c.archive_len == 2
 
 
 def window(n, sink, recent):
@@ -185,7 +209,7 @@ class TestStreaming:
         source, c = window(10, sink=2, recent=3)
         assert c.layer_view(0)[2].tolist() == [0, 1, 7, 8, 9]
         assert c.world_len == 10
-        assert len(c.layer_parts(0)) == 3  # two slices of the source, no own rows
+        assert len(c.layer_parts(0)) == 3  # no store rows, then two slices of the source
         # Oracle: all n rows, or the first sink and the last recent, as
         # slices of the source, and never a copy.
         for n in range(1, 12):
@@ -200,7 +224,7 @@ class TestStreaming:
     def test_noop_when_small(self):
         _, c = window(4, sink=2, recent=3)
         assert c.layer_view(0)[2].tolist() == list(range(4))
-        assert len(c.layer_parts(0)) == 2  # one slice of the source, no own rows
+        assert len(c.layer_parts(0)) == 2  # no store rows, then one slice of the source
 
     def test_zero_sink(self):
         _, c = window(5, sink=0, recent=1)
@@ -243,10 +267,8 @@ class TestRetrievalRebuild:
         assert c.generation_boundary == 4
         with pytest.raises(OrderingError):  # gathered rows 6 and 7 after them
             c.read_source(15, [(6, 15)])
-        append_tokens(c, [15])  # a decoded root: gather between steps
-        with pytest.raises(StateError, match="between steps"):
-            c.hold_prefix([0, 1, 2, 3])
-        assert c.layer_view(0)[2].tolist() == [4, 5, 6, 7, 12, 13, 14, 15]
+        c.hold_prefix([0, 1, 2, 3])
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13, 14]
 
     def test_rebuild_can_restore_dropped_chunks(self):
         c = seeded_cache(12)
@@ -274,18 +296,21 @@ class TestRetrievalRebuild:
         c.hold_prefix([0, 1, 2, 3])
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
         assert c.world_len == 12
-        append_tokens(c, [12])
-        c.read_source(12, [])  # drops the decoded row
+        c.read_source(12, [])
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
         assert c.world_len == 12
 
     def test_the_source_prefix_must_be_positions_from_zero(self):
+        # An unseeded cache's rows are positions 0 .. archive_len - 1, so a
+        # source holds a prefix exactly when it holds as many rows.
         source = make_cache(n_layers=3)
-        append_tokens(source, [0, 1, 2, 4])
-        assert KVCache.seeded(source, 2, 3, capacity=8).world_len == 3
-        for rows in (4, 5):  # a gap at position 3; past the held rows
-            with pytest.raises(OrderingError):
-                KVCache.seeded(source, 2, rows, capacity=8)
+        append_tokens(source, [0, 1, 2, 3])
+        draft = KVCache.seeded(source, 2, 4, capacity=8)
+        assert draft.world_len == 4
+        with pytest.raises(OrderingError):  # past the held rows
+            KVCache.seeded(source, 2, 5, capacity=8)
+        with pytest.raises(OrderingError):  # a draft's rows are not its positions
+            KVCache.seeded(draft, 1, 2, capacity=8)
 
     def test_the_source_must_still_hold_the_prefix(self):
         # The target may drop its last prompt row, never the draft's prefix,
@@ -301,9 +326,8 @@ class TestRetrievalRebuild:
         source.truncate(10)
         with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
             c.hold_prefix(np.arange(4))
-        append_tokens(source, [12])  # as many rows, but row 10 is position 12
-        with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
-            c.hold_prefix(np.arange(4))
+        with pytest.raises(OrderingError):  # row 10 can only be position 10
+            append_tokens(source, [12])
         with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
             c.read_source(11, [])
         assert c.layer_view(0)[2].tolist() == list(range(11))
@@ -332,17 +356,14 @@ class TestRetrievalRebuild:
             assert pos.tolist() == [4, 5, 6, 7]
 
     def test_prefix_past_capacity_raises(self):
-        # Gathered and decoded rows share the reserved store rows.
+        # The reserved store rows hold the gathered rows only.
         source = make_cache()
         append_tokens(source, list(range(12)))
         c = KVCache.seeded(source, 2, 12, capacity=6)
         with pytest.raises(CapacityError):
             c.hold_prefix(np.arange(7))
-        c.hold_prefix(np.arange(4))
-        append_tokens(c, [12, 13])
-        with pytest.raises(CapacityError):
-            append_tokens(c, [14])
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13]
+        c.hold_prefix(np.arange(6))
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 class TestGatherTemporaries:
@@ -376,7 +397,7 @@ class TestGatherTemporaries:
         # Every prefix row but the first: a gather into the store.
         source, c = self.seeded()
         assert self.peak_bytes(lambda: c.hold_prefix(np.arange(1, self.N))) < self.LAYER_ROWS / 8
-        assert len(c.layer_parts(0)) == 2  # the gathered rows, then no own rows
+        assert len(c.layer_parts(0)) == 1  # the gathered rows, read in no run
         self.assert_source_rows(c, source)
 
     def test_a_whole_prefix_is_read_in_place(self):
@@ -384,7 +405,10 @@ class TestGatherTemporaries:
         runs = [(0, 4), (50, self.N + 1)]  # a streaming draft's sink and window
         assert self.peak_bytes(lambda: c.read_source(self.N + 1, runs)) < self.LAYER_ROWS / 8
         sk, sv, _ = source.layer_view(1)
-        for (k, v), (lo, hi) in zip(c.layer_parts(1), runs):
+        (gk, gv), *parts = c.layer_parts(1)
+        assert gk.shape[1] == gv.shape[1] == 0  # nothing gathered
+        assert len(parts) == len(runs)
+        for (k, v), (lo, hi) in zip(parts, runs):
             assert np.shares_memory(k, sk) and np.shares_memory(v, sv)
             assert np.array_equal(k, sk[:, lo:hi]) and np.array_equal(v, sv[:, lo:hi])
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, self.N + 1))
@@ -395,22 +419,13 @@ def test_layer_view_tracks_every_mutation():
     # Each row holds its own position, so a view is right exactly when its
     # rows read back the held positions. ``held`` models the held rows: first
     # of a cache that appends and truncates, then of a draft's, which
-    # gathers prompt rows, reads source runs in place and decodes.
+    # gathers prompt rows and reads source runs in place, and appends none.
     rng = np.random.default_rng(5)
 
     def rows_for(pos, n_layers):
         rows = [np.broadcast_to((pos + li)[:, None, None], (len(pos), 2, 4))
                 for li in range(n_layers)]
         return rows, [-r for r in rows]
-
-    def append(c, held, n, tail_room):
-        # A block of n rows after a tail of up to 4 of the last tail_room
-        # rows: positions in any order, each past the last row before it.
-        tail = int(rng.integers(0, min(4, max(0, tail_room)) + 1))
-        root = held[-tail - 1] if tail else c.world_len - 1
-        pos = rng.permutation(np.arange(root + 1, root + 1 + n))
-        c.append(*rows_for(pos, 2), pos, tail=tail)
-        held.extend(pos.tolist())
 
     def check(c, held, world):
         assert c.world_len == world
@@ -422,20 +437,25 @@ def test_layer_view_tracks_every_mutation():
 
     t = KVCache(2, 2, 4, capacity=400)
     held: list[int] = []
-    world = 0
     for _ in range(300):
         if rng.integers(2) or not held:
-            append(t, held, int(rng.integers(1, 6)), len(held) - 1)
-            world = max(world, max(held) + 1)
+            # The next positions, or a block that skips, repeats or reorders.
+            n = int(rng.integers(1, 6))
+            pos = np.arange(len(held), len(held) + n)
+            bad = rng.integers(4) == 0
+            if bad:
+                pos = [pos + 1, pos - 1, pos[::-1], np.r_[pos, pos[-1]]][rng.integers(4)]
+            if bad and not np.array_equal(pos, np.arange(len(held), len(held) + len(pos))):
+                with pytest.raises(OrderingError):
+                    t.append(*rows_for(pos, 2), pos)
+            else:
+                t.append(*rows_for(pos, 2), pos)
+                held.extend(pos.tolist())
         else:
-            # Cut at or before any unordered tail, as a rollback does.
-            lo = min([world] + [p for i, p in enumerate(held)
-                                if p <= max(held[:i], default=-1)])
-            w = int(rng.integers(max(0, min(lo, world - 6)), lo + 1))
+            w = int(rng.integers(max(0, len(held) - 6), len(held) + 2))
             t.truncate(w)
-            held[:] = [p for p in held if p < w]
-            world = min(world, w)
-        check(t, held, world)
+            held[:] = held[:w]
+        check(t, held, len(held))
 
     source = KVCache(3, 2, 4, capacity=80)
     source.append(*rows_for(np.arange(80), 3), np.arange(80))
@@ -445,7 +465,6 @@ def test_layer_view_tracks_every_mutation():
     held, world = [], 40
     for _ in range(400):
         op = rng.integers(3)
-        own = len(held) - len(gathered) - len(read)
         if op == 0:
             end = int(rng.integers(40, 81))
             policy = [FullPolicy(), RetrievalPolicy(4, 2, 1),
@@ -462,44 +481,37 @@ def test_layer_view_tracks_every_mutation():
         elif op == 1:
             chunks = np.flatnonzero(rng.random(10) < rng.choice([0.0, 0.4]))
             rows = chunk_rows(chunks, 4, 40, int(rng.integers(0, 3))).tolist()
-            if own:
-                with pytest.raises(StateError):
-                    c.hold_prefix(rows)
-            elif rows and read and rows[-1] >= read[0]:
+            if rows and read and rows[-1] >= read[0]:
                 with pytest.raises(OrderingError):
                     c.hold_prefix(rows)
             else:
                 c.hold_prefix(rows)
                 gathered, held = rows, rows + read
         else:
-            n = int(rng.integers(1, 6))
-            if len(gathered) + own + n <= 56:
-                append(c, held, n, own)
-                world = max(world, max(held) + 1)
-            else:
-                with pytest.raises(CapacityError):
-                    append(c, [*held], n, own)
+            pos = np.arange(world, world + int(rng.integers(1, 6)))
+            with pytest.raises(StateError):
+                c.append(*rows_for(pos, 2), pos)
         check(c, held, world)
 
 
 class TestTruncate:
     def test_rollback_by_position(self):
         c = make_cache()
-        append_tokens(c, list(range(6)))
-        append_tokens(c, [6, 6, 7])  # speculative tree rows
+        append_tokens(c, list(range(9)))
         c.truncate(6)
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 4, 5] and c.world_len == 6
+        c.truncate(8)  # past the held rows: nothing to drop
+        assert c.archive_len == c.world_len == 6
+        c.truncate(-3)  # before the first row: every row
+        assert c.archive_len == c.world_len == 0
 
     def test_a_draft_cache_never_rolls_back(self):
-        # A draft drops its decoded rows by reading the source again; it
-        # never truncates, so no row it reads in place moves.
+        # A draft reads the source again instead; it never truncates, so no
+        # row it reads in place moves.
         _, c = reading_cache(12, [(0, 12)])
-        append_tokens(c, [12, 13])
         with pytest.raises(StateError, match="read_source"):
-            c.truncate(12)
-        assert c.layer_view(0)[2].tolist() == list(range(14))
-        c.read_source(12, [(0, 12)])
-        assert c.layer_view(0)[2].tolist() == list(range(12))
+            c.truncate(8)
+        assert c.layer_view(0)[2].tolist() == list(range(12)) and c.world_len == 12
 
     def test_truncate_then_reappend(self):
         c = make_cache()

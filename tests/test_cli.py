@@ -233,14 +233,21 @@ def test_rejects_missing_file_or_zero_heads(tmp_path, capsys, argv, message):
     (["k=1000000000000"], "past max_pos 32768"),
     (["gen_tokens=1000000000000"], "past max_pos 32768"),
     (["prompt_len=1000000"], "past max_pos 32768"),
-    (["drafting=tree", "max_nodes=1000000000000"], "cannot reserve"),
-    (["drafting=tree", "max_nodes=1000000000000000000"], "cannot reserve"),
 ])
 def test_run_rejects_a_size_that_can_never_run(overrides, message, capsys):
-    # Each fails before a row is reserved, or when the reservation fails.
+    # Each fails before a row is reserved.
     assert main(["run", "prompt_len=64", "gen_tokens=4", *overrides]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_nodes", [10**12, 10**18])
+def test_a_node_budget_past_any_store_only_caps_the_tree(max_nodes, capsys):
+    # No cache reserves rows for the tree, which the default depth of 10
+    # bounds, so the budget reserves nothing.
+    assert main(["run", "prompt_len=64", "gen_tokens=4", "drafting=tree",
+                 f"max_nodes={max_nodes}"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "gen-model"])

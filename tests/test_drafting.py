@@ -11,7 +11,7 @@ from specdesk.errors import ParameterError
 from specdesk.model import (ModelSpec, decode_step, next_token_dist, prefill)
 from specdesk.modelgen import random_weights
 from specdesk.tensor import Rng, draw
-from specdesk.verification import WalkResult, accepted_path, verify_tree
+from specdesk.verification import WalkResult, verify_tree
 
 
 def small_model(seed=0, vocab=7, n_layers=1):
@@ -24,6 +24,28 @@ def prepped_cache(spec, w, prompt):
     cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
     prefill(spec, w, prompt[:-1], cache)
     return cache
+
+
+def spy_decodes(monkeypatch):
+    """Record each draft pass as ``(tokens, kwargs, output)``."""
+    calls, orig = [], drafting.decode_step
+
+    def spy(spec, weights, new_tokens, *args, **kwargs):
+        out = orig(spec, weights, new_tokens, *args, **kwargs)
+        calls.append((list(new_tokens), kwargs, out))
+        return out
+
+    monkeypatch.setattr(drafting, "decode_step", spy)
+    return calls
+
+
+def tree_rows(calls, layer):
+    """The ``(k, v)`` of every tree row the passes in ``calls`` decoded, in
+    decode order, ``[H, N, dh]``: the last pass's ``tree`` and its own rows."""
+    _, kwargs, out = calls[-1]
+    held = [kwargs["tree"][layer]] if "tree" in kwargs else []
+    new = (out.ks[layer].transpose(1, 0, 2), out.vs[layer].transpose(1, 0, 2))
+    return tuple(np.concatenate(x, axis=1) for x in zip(*held, new))
 
 
 PROMPT = [1, 3, 2, 5]
@@ -45,15 +67,17 @@ class TestDraftChain:
                                  positions=np.array([pos])).logits[-1]
             pos += 1
 
-    def test_k1_single_forward(self):
+    def test_k1_single_forward(self, monkeypatch):
         spec, w = small_model()
         cache = prepped_cache(spec, w, PROMPT)
-        before = cache.archive_len
+        before = cache.layer_view(0)[2].tolist()
+        calls = spy_decodes(monkeypatch)
         chain = draft_chain(spec, w, cache, PROMPT[-1], k=1, temperature=0.0,
                             rng=Rng(0))
         assert len(chain.tokens) == 1
-        # One forward pass: only the root was appended.
-        assert cache.archive_len == before + 1
+        # One forward pass, of the root, which the cache does not keep.
+        assert [len(tokens) for tokens, _, _ in calls] == [1]
+        assert cache.layer_view(0)[2].tolist() == before
 
     def test_recorded_dists_normalized(self):
         spec, w = small_model(seed=4)
@@ -89,7 +113,7 @@ class TestChainTree:
         for node in tree.nodes[:4]:
             assert np.array_equal(node.dist, next_token_dist(node.logits, 0.7))
         assert tree.nodes[4].dist is None and tree.nodes[4].logits is None
-        assert cache.layer_view(0)[2].tolist() == list(range(len(PROMPT) + 3))
+        assert cache.layer_view(0)[2].tolist() == list(range(len(PROMPT) - 1))
 
     def test_a_sampled_tree_is_its_chain_whatever_the_budget(self):
         # A top-child sibling of a sampled child would be verified against
@@ -115,27 +139,37 @@ class TestChainTree:
 
 class TestChainBits:
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
-    def test_nodes_are_one_row_causal_decodes(self, temperature):
+    def test_nodes_are_one_row_causal_decodes(self, temperature, monkeypatch):
         # A chain is draft_tree's sampled tree, with the bits of decoding the
-        # root and each drawn token alone on a plain causal cache, and the
-        # same RNG draws.
+        # root, then each drawn token alone over the chain's rows before it,
+        # and the same RNG draws. The cache keeps none of those rows.
         spec, w = small_model(seed=4, n_layers=2)
         k, rng, cache = 5, Rng(9), prepped_cache(spec, w, PROMPT)
+        before = [[x.copy() for x in cache.layer_view(li)] for li in range(spec.n_layers)]
+        calls = spy_decodes(monkeypatch)
         chain = draft_chain(spec, w, cache, PROMPT[-1], k, temperature, rng)
+        monkeypatch.undo()
         ref_rng, ref = Rng(9), prepped_cache(spec, w, PROMPT)
-        logits = decode_step(spec, w, PROMPT[-1:], ref,
-                             positions=np.array([ref.world_len])).logits[-1]
+        pos = ref.world_len
+        out = decode_step(spec, w, PROMPT[-1:], ref, positions=[pos], append=False)
+        rows = [(kk.transpose(1, 0, 2), vv.transpose(1, 0, 2)) for kk, vv in zip(out.ks, out.vs)]
         tokens = []
         for i in range(k):
-            assert np.array_equal(chain.tree.nodes[i].logits, logits)
-            tokens.append(draw(next_token_dist(logits, temperature), ref_rng, temperature))
+            assert np.array_equal(chain.tree.nodes[i].logits, out.logits[-1])
+            dist = next_token_dist(out.logits[-1], temperature)
+            tokens.append(draw(dist, ref_rng, temperature))
             if i < k - 1:
-                logits = decode_step(spec, w, tokens[-1:], ref,
-                                     positions=np.array([ref.world_len])).logits[-1]
+                out = decode_step(spec, w, tokens[-1:], ref, positions=[pos + i + 1],
+                                  append=False, tree=rows)
+                rows = [tuple(np.concatenate([a, b.transpose(1, 0, 2)], axis=1)
+                              for a, b in zip(kv, new))
+                        for kv, new in zip(rows, zip(out.ks, out.vs))]
         assert chain.tokens == tokens
         assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
         for li in range(spec.n_layers):
-            for got, want in zip(cache.layer_view(li), ref.layer_view(li)):
+            for got, want in zip(cache.layer_view(li), before[li]):
+                assert np.array_equal(got, want)
+            for got, want in zip(tree_rows(calls, li), rows[li]):
                 assert np.array_equal(got, want)
 
 
@@ -167,9 +201,10 @@ class TestDraftTree:
         assert tree.size <= 12
         assert max(n.depth for n in tree.nodes) <= 3
 
-    def test_leaves_committed_rows_then_one_row_per_node(self):
+    def test_leaves_committed_rows_then_one_row_per_node(self, monkeypatch):
         spec, w = small_model(seed=14)
         cache = prepped_cache(spec, w, PROMPT)
+        calls = spy_decodes(monkeypatch)
         tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(12, 4, 0.3),
                           temperature=0.8)
         assert tree.size > 2 and undecoded(tree)
@@ -181,10 +216,12 @@ class TestDraftTree:
         assert all(tree.nodes[i].dist is not None for i in decoded)
         assert all(not tree.nodes[i].children and tree.nodes[i].dist is None
                    for i in undecoded(tree))
-        pos = cache.layer_view(0)[2].tolist()
-        assert pos[:len(PROMPT)] == list(range(len(PROMPT)))
-        assert pos[len(PROMPT):] == [tree.root_pos + tree.nodes[i].depth for i in decoded]
+        assert cache.layer_view(0)[2].tolist() == list(range(len(PROMPT) - 1))
+        pos = np.concatenate([kwargs["positions"] for _, kwargs, _ in calls]).tolist()
+        assert pos == [tree.root_pos] + [tree.root_pos + tree.nodes[i].depth for i in decoded]
         assert [tree.nodes[i].depth for i in decoded][-3:] == [4, 3, 3]
+        for li in range(spec.n_layers):  # the last pass saw every row before its own
+            assert all(x.shape[1] == 1 + tree.decoded for x in tree_rows(calls, li))
 
     def test_path_logprob_monotone(self):
         spec, w = small_model(seed=11)
@@ -310,7 +347,7 @@ class TestDecodeOnce:
         tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(16, 4, 0.2), 0.9)
         assert tree.size > 8 and undecoded(tree)  # it leaves leaves undecoded
         assert decoded[0] == 1 and sum(decoded) == 1 + tree.decoded  # the root alone first
-        assert cache.archive_len == len(PROMPT) + tree.decoded
+        assert cache.archive_len == len(PROMPT) - 1
 
     def test_the_path_append_holds_the_verify_rows(self, monkeypatch):
         # The target's verify pass decodes every node after the root and
@@ -325,17 +362,17 @@ class TestDecodeOnce:
         tokens, mask, positions = tree_block(tree, range(1, tree.size))
         ref = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
         prefill(spec, w, PROMPT, ref)
-        decode_step(spec, w, tokens, ref, tree_mask=mask, positions=positions)
+        block = decode_step(spec, w, tokens, ref, tree_mask=mask, positions=positions,
+                            append=False)
         uniform = np.full(spec.vocab, 1.0 / spec.vocab)
         for ends in (range(1, tree.decoded + 1), undecoded(tree)):
             path = path_to(tree, max(ends, key=lambda i: (tree.nodes[i].depth, i)))[1:]
             accepted = [tree.nodes[i].token for i in path]
-            assert accepted_path(tree, accepted) == path
 
             def fixed_walk(tree, rows, *args):
                 for node in [0, *path]:
                     rows[node]
-                return WalkResult(accepted, 0, None, [])
+                return WalkResult(accepted, 0, None, [], path)
 
             monkeypatch.setattr(verification, "walk_tree", fixed_walk)
             cache = KVCache(spec.n_layers, spec.n_heads, spec.d_head)
@@ -343,11 +380,16 @@ class TestDecodeOnce:
             verify_tree(spec, w, cache, tree, uniform, Rng(0), 0.9)
             n = len(PROMPT) + len(path)
             assert cache.layer_view(0)[2].tolist() == list(range(n + 1))
-            rows = [len(PROMPT) + i - 1 for i in path]  # node i's row in ref
+            rows = np.array(path) - 1  # node i's row in the block
             for li in range(spec.n_layers):
-                for got, want in zip(cache.layer_view(li)[:2], ref.layer_view(li)[:2]):
-                    assert np.array_equal(got[:, :len(PROMPT)], want[:, :len(PROMPT)])
-                    assert np.array_equal(got[:, len(PROMPT):n], want[:, rows])
+                got_k, got_v, _ = cache.layer_view(li)
+                want_k, want_v, _ = ref.layer_view(li)
+                assert np.array_equal(got_k[:, :len(PROMPT)], want_k)
+                assert np.array_equal(got_v[:, :len(PROMPT)], want_v)
+                assert np.array_equal(got_k[:, len(PROMPT):n],
+                                      block.ks[li][rows].transpose(1, 0, 2))
+                assert np.array_equal(got_v[:, len(PROMPT):n],
+                                      block.vs[li][rows].transpose(1, 0, 2))
 
 
 def hand_tree(structure, root_pos=3, vocab=6):
@@ -416,11 +458,13 @@ class TestFlattenTree:
         tree = draft_tree(spec, w, cache, PROMPT[-1], TreeBudget(10, 3, 0.2),
                           temperature=1.0)
         assert tree.size > 5
-        # Drop the draft's tree rows; the root's row stays.
-        cache.truncate(tree.root_pos + 1)
+        # The draft kept none of its tree's rows: commit the root's, as the
+        # target does before it verifies.
+        assert cache.world_len == tree.root_pos
+        decode_step(spec, w, PROMPT[-1:], cache, positions=[tree.root_pos])
         tokens, mask, positions = tree_block(tree, range(1, tree.size))
         batch = decode_step(spec, w, tokens, cache, tree_mask=mask,
-                            positions=positions)
+                            positions=positions, append=False)
         leaves = [i for i in range(tree.size) if not tree.nodes[i].children]
         for leaf in leaves:
             path = path_to(tree, leaf)

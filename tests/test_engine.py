@@ -7,7 +7,7 @@ from specdesk import attn, engine, retrieval, verification
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget, undecoded
 from specdesk.engine import Session, greedy_reference, prefill_caches
-from specdesk.errors import CapacityError, ParameterError
+from specdesk.errors import CapacityError, ParameterError, StateError
 from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
                             prefill)
 from specdesk.modelgen import random_weights
@@ -140,19 +140,10 @@ class TestWorkingCacheBound:
         assert max(result.draft_cache_len_by_step) <= 4 + 16 + 8
 
 
-def path_nodes(tree, accepted):
-    """The nodes of the path that spells ``accepted`` from the root."""
-    path = [0]
-    for tok in accepted:
-        path.append(next(c for c in tree.children_of(path[-1])
-                         if tree.nodes[c].token == tok))
-    return path[1:]
-
-
-def ends_without_a_row(tree, accepted):
-    """Whether the path that spells ``accepted`` ends at a node the draft
-    did not decode."""
-    return max(path_nodes(tree, accepted), default=0) > tree.decoded
+def ends_without_a_row(tree, walk):
+    """Whether the walk's accepted path ends at a node the draft did not
+    decode."""
+    return max(walk.path, default=0) > tree.decoded
 
 
 def record_steps(monkeypatch):
@@ -184,9 +175,10 @@ def record_steps(monkeypatch):
 
 class TestDraftCacheInvariant:
     """One rule for chains and trees: a drafter never decodes a leaf it does
-    not expand, and after every step the draft drops its tree and reads the
-    committed rows before the new root from the target, so the next pending
-    block is that root alone. The target holds the committed rows only."""
+    not expand, keeps its tree's rows beside the tree, never in its cache,
+    and after every step reads the committed rows before the new root from
+    the target, so the next pending block is that root alone. The target
+    holds the committed rows only."""
 
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     @pytest.mark.parametrize("hta_chunk", [None, 5])
@@ -203,7 +195,7 @@ class TestDraftCacheInvariant:
         for s, held, tree, walk in zip(result.steps, result.draft_cache_len_by_step,
                                        seen["trees"], seen["walks"]):
             generated += s.accepted + 1
-            short.append(ends_without_a_row(tree, walk.accepted))
+            short.append(ends_without_a_row(tree, walk))
             assert held == len(PROMPT) - 1 + generated
         assert True in short  # a path that ended at a leaf the draft never decoded
 
@@ -225,7 +217,7 @@ class TestDraftCacheInvariant:
         assert len(trees) == len(walks) == len(result.steps)
         for tree in trees:
             assert all(not tree.nodes[i].children for i in undecoded(tree))
-        assert True in [ends_without_a_row(t, wk.accepted) for t, wk in zip(trees, walks)]
+        assert True in [ends_without_a_row(t, wk) for t, wk in zip(trees, walks)]
         assert seen["roots"][0] == PROMPT[-1]
         for root, walk in zip(seen["roots"][1:], walks):
             assert root == walk.committed[-1]
@@ -264,13 +256,10 @@ class TestDraftCacheInvariant:
             assert draft.layer_view(0)[2].tolist() == gathered + read
             assert draft.world_len == root
             for li in range(draft.n_layers):
-                parts = draft.layer_parts(li)
+                (gk, gv), *parts = draft.layer_parts(li)  # the store's rows first
                 (tk, tv), = target.layer_parts(li)
-                own_k, own_v = parts.pop()
-                assert own_k.shape[1] == own_v.shape[1] == 0
+                assert gk.shape[1] == gv.shape[1] == len(gathered)
                 if gathered:
-                    gk, gv = parts.pop(0)
-                    assert gk.shape[1] == len(gathered)
                     assert not np.shares_memory(gk, tk) and not np.shares_memory(gv, tv)
                     assert np.array_equal(gk, tk[:, gathered])
                     assert np.array_equal(gv, tv[:, gathered])
@@ -311,6 +300,43 @@ class TestDraftCacheInvariant:
         if isinstance(policy, StreamingPolicy):
             assert checked[-1] > 2 + 6  # the window slid
 
+    @pytest.mark.parametrize("policy", [
+        FullPolicy(),
+        StreamingPolicy(sink=2, recent=6),
+        RetrievalPolicy(chunk_size=4, top_k=2, frequency=2, sink=1),
+    ])
+    @pytest.mark.parametrize("drafting", ["chain", "tree"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    def test_drafting_leaves_the_draft_cache_as_it_found_it(self, monkeypatch, policy,
+                                                             drafting, temperature):
+        # The drafter keeps its root's and nodes' rows beside the tree: no
+        # draft call adds, drops or changes a row of the draft cache.
+        trees = []
+
+        def state(cache):
+            return (cache.archive_len, cache.world_len,
+                    [[x.copy() for x in cache.layer_view(li)] for li in range(cache.n_layers)])
+
+        def drafted(fn):
+            def draft(spec, weights, cache, *args, **kwargs):
+                before = state(cache)
+                out = fn(spec, weights, cache, *args, **kwargs)
+                after = state(cache)
+                assert after[:2] == before[:2]
+                for got, want in zip(after[2], before[2]):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                trees.append(getattr(out, "tree", out))
+                return out
+            return draft
+
+        for name in ("draft_chain", "draft_tree"):
+            monkeypatch.setattr(engine, name, drafted(getattr(engine, name)))
+        spec, w = target_model(seed=13, n_layers=3)
+        result = session_for(spec, w, policy, drafting=drafting, temperature=temperature,
+                             seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
+        assert len(trees) == len(result.steps)
+        assert min(t.decoded for t in trees) >= 1  # every step decoded nodes after its root
+
 
 class TestSessionInvariants:
     @pytest.mark.parametrize("policy", [
@@ -339,7 +365,7 @@ class TestSessionInvariants:
                 assert np.array_equal(k[:, :held], tk[:, pos[:held]])
                 assert np.array_equal(v[:, :held], tv[:, pos[:held]])
             if isinstance(policy, FullPolicy):
-                assert np.shares_memory(draft.layer_parts(0)[0][0], target.layer_view(0)[0])
+                assert np.shares_memory(draft.layer_parts(0)[1][0], target.layer_view(0)[0])
             checked.append(committed[0])
 
         def spy(fn, role):
@@ -396,8 +422,8 @@ class TestSessionInvariants:
 
 class TestBorrowedPrefix:
     # A draft reads its committed rows from the target in place:
-    # ``layer_parts`` gives any gathered chunks, the target's runs, then the
-    # own rows.
+    # ``layer_parts`` gives the store's rows, the gathered chunks or none,
+    # then the target's runs.
     @pytest.mark.parametrize("policy, parts", [
         # One run of the target until the window slides, then two.
         pytest.param(StreamingPolicy(sink=2, recent=20),
@@ -405,7 +431,7 @@ class TestBorrowedPrefix:
         # A budget that covers every prompt chunk: the gathered chunks, then
         # from the second step one run of generated rows.
         pytest.param(RetrievalPolicy(chunk_size=4, top_k=4, frequency=2),
-                     lambda seen: seen[0] == 2 and set(seen[1:]) == {3}, id="retrieval"),
+                     lambda seen: seen[0] == 1 and set(seen[1:]) == {2}, id="retrieval"),
     ])
     @pytest.mark.parametrize("drafting", ["chain", "tree"])
     def test_output_matches_target_greedy(self, monkeypatch, policy, parts, drafting):
@@ -473,10 +499,10 @@ class TestTargetAppends:
             caches["target"] = out[0]
             return out
 
-        def append(cache, ks, vs, positions, tail=0):
+        def append(cache, ks, vs, positions):
             if cache is caches.get("target"):
                 steps[-1][2].append(("append", np.asarray(positions).tolist(), ks, vs))
-            real_append(cache, ks, vs, positions, tail)
+            real_append(cache, ks, vs, positions)
 
         def decode(spec, weights, tokens, cache, **kwargs):
             out = real_decode(spec, weights, tokens, cache, **kwargs)
@@ -500,7 +526,7 @@ class TestTargetAppends:
         session_for(spec, w, FullPolicy(), drafting=drafting, temperature=temperature,
                     seed=3, budget=TreeBudget(12, 4, 0.3)).run(PROMPT, 40)
         for tree, walk, events in steps:
-            path = path_nodes(tree, walk.accepted)
+            path = walk.path
             root, n = tree.root_pos, len(path)
             if path:
                 (kind, verify), *events = events
@@ -516,23 +542,27 @@ class TestTargetAppends:
             assert commit.ks is None  # the commit pass appended its row itself
         assert {len(walk.accepted) for _, walk, _ in steps} > {0}
         if drafting == "tree":
-            assert True in [ends_without_a_row(t, wk.accepted) for t, wk, _ in steps]
+            assert True in [ends_without_a_row(t, wk) for t, wk, _ in steps]
 
 
 class TestOneRowPasses:
-    # A one-row pass over a full draft's borrowed and own rows, as a chain
-    # step, a tree node after a decoded tail, or a commit with score capture.
+    # A one-row pass over a full draft's borrowed rows and its tree's rows,
+    # as a chain step, a tree node after a decoded tail, or a commit with
+    # score capture.
     @pytest.mark.parametrize("shape", ["chain", "tree-tail", "commit"])
     def test_matches_one_softmax_over_the_layer_view(self, monkeypatch, shape):
         spec, w = target_model(seed=5, n_layers=3)
         dspec, dw = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(5).integers(0, 19, 300))
-        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=340, max_nodes=5)
+        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=340)
         n = len(prompt) - 1
-        decode_step(dspec, dw, [1, 2, 3, 4], draft, positions=np.arange(n, n + 4))
+        out = decode_step(dspec, dw, [1, 2, 3, 4], draft, positions=np.arange(n, n + 4),
+                          append=False)
+        tree = [(k.transpose(1, 0, 2), v.transpose(1, 0, 2)) for k, v in zip(out.ks, out.vs)]
         # The tree node at n + 3 sees its parent at n + 2, not its sibling.
         tail, mask = (2, np.array([[True, False, True]])) if shape == "tree-tail" else (0, None)
-        views = [draft.layer_view(li) for li in range(dspec.n_layers)]
+        views = [[np.concatenate([a, t], axis=1) for a, t in zip(draft.layer_view(li), kv)]
+                 for li, kv in enumerate(tree)]
         calls, real = [], attn.attend
 
         def attend(q, parts, scale, want_probs=False, scores=None):
@@ -542,12 +572,12 @@ class TestOneRowPasses:
 
         monkeypatch.setattr(attn, "attend", attend)
         decode_step(dspec, dw, [5], draft, tree_mask=mask, positions=[n + 3 if tail else n + 4],
-                    capture_scores=shape == "commit")
+                    capture_scores=shape == "commit", append=False, tree=tree)
         assert len(calls) == dspec.n_layers
-        for (k, v, _), (q, parts, scale, want, (out, probs)) in zip(views, calls):
-            assert len(parts) == 3 + bool(tail)  # in place, own, [tail,] new block
-            # Every cached head's values are dh contiguous rows in the store.
-            assert all(pv.strides[-2] == pv.itemsize for _, pv, _ in parts[:-1])
+        for (k, v), (q, parts, scale, want, (out, probs)) in zip(views, calls):
+            assert len(parts) == 3 + bool(tail)  # in place, tree, [tail,] new block
+            # Every borrowed head's values are dh contiguous rows in the store.
+            assert parts[0][1].strides[-2] == parts[0][1].itemsize
             seen = np.ones((1, k.shape[1]), dtype=bool)
             if tail:
                 seen[:, -tail:] = mask[:, :tail]
@@ -585,7 +615,7 @@ class TestSeededDraftCache:
         prompt = list(np.random.default_rng(n_layers).integers(0, 19, 600))
         drafts = [derive_draft(spec, w, keep) for keep in range(1, n_layers)]
         for dspec, dw in drafts + [(spec, w)]:
-            _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700, max_nodes=8)
+            _, seeded, _ = prefill_caches(spec, w, dspec, prompt, capacity=700)
             ref = KVCache(dspec.n_layers, dspec.n_heads, dspec.d_head, capacity=600)
             prefill(dspec, dw, prompt[:-1], ref)
             assert np.array_equal(seeded.layer_view(0)[2], ref.layer_view(0)[2])
@@ -603,8 +633,8 @@ class TestSeededDraftCache:
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         policy = RetrievalPolicy(chunk_size=8, top_k=3, frequency=2, sink=sink)
-        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy, max_nodes=8)
-        _, full, _ = prefill_caches(spec, w, dspec, prompt, 64, max_nodes=8)
+        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
+        _, full, _ = prefill_caches(spec, w, dspec, prompt, 64)
         draft.hold_prefix(chunk_rows([1], 8, draft.prefix_len, sink))
         draft.hold_prefix(chunk_rows([0, 2, 4], 8, draft.prefix_len, sink))
         pos = draft.layer_view(0)[2]
@@ -625,7 +655,7 @@ class TestSeededDraftCache:
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         policy = RetrievalPolicy(chunk_size=8, top_k=2, frequency=2, sink=3)
-        target, empty, _ = prefill_caches(spec, w, dspec, prompt, 64, policy, max_nodes=8)
+        target, empty, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
         assert empty.archive_len == empty.generation_boundary == 0
         assert empty.world_len == empty.prefix_len == 39
         empty.hold_prefix(chunk_rows([1, 2], 8, empty.prefix_len, sink=3))
@@ -636,11 +666,13 @@ class TestSeededDraftCache:
             k, v, _ = empty.layer_view(li)
             tk, tv, _ = target.layer_view(li)
             assert np.array_equal(k, tk[:, pos]) and np.array_equal(v, tv[:, pos])
-        # It reserves top_k * chunk_size + sink rows plus a tree of 8 nodes.
-        block = [np.zeros((8, 2, 8))] * 2
-        empty.append(block, block, np.arange(39, 47))
+        # It reserves top_k * chunk_size + sink rows and appends none.
         with pytest.raises(CapacityError):
-            empty.append([a[:1] for a in block], [a[:1] for a in block], [47])
+            empty.hold_prefix(np.arange(20))
+        block = [np.zeros((1, 2, 8))] * 2
+        with pytest.raises(StateError):
+            empty.append(block, block, [39])
+        assert empty.layer_view(0)[2].tolist() == pos.tolist()
 
     def test_streaming_draft_holds_only_its_window(self):
         # A streaming draft reads only its sink and recent rows, in place in
@@ -649,40 +681,36 @@ class TestSeededDraftCache:
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         policy = StreamingPolicy(sink=3, recent=5)
-        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy, max_nodes=8)
+        target, draft, _ = prefill_caches(spec, w, dspec, prompt, 64, policy)
         assert draft.layer_view(0)[2].tolist() == [0, 1, 2] + list(range(34, 39))
         assert (draft.world_len, draft.generation_boundary, draft.prefix_len) == (39, 8, 39)
         for li in range(2):
-            (sk, sv), (rk, rv), (ok, _) = draft.layer_parts(li)
+            (ok, _), (sk, sv), (rk, rv) = draft.layer_parts(li)
             tk, tv, _ = target.layer_view(li)
             assert np.shares_memory(sk, tk) and np.shares_memory(rv, tv)
             assert np.array_equal(sk, tk[:, :3]) and np.array_equal(sv, tv[:, :3])
             assert np.array_equal(rk, tk[:, 34:39]) and np.array_equal(rv, tv[:, 34:39])
             assert ok.shape[1] == 0
-        # It reserves a tree of 8 nodes and no prompt row.
-        block = [np.zeros((8, 2, 8))] * 2
-        draft.append(block, block, np.arange(39, 47))
-        with pytest.raises(CapacityError):
-            draft.append([a[:1] for a in block], [a[:1] for a in block], [47])
+        # It holds no row of its own and appends none.
+        block = [np.zeros((1, 2, 8))] * 2
+        with pytest.raises(StateError):
+            draft.append(block, block, [39])
 
     def test_a_full_draft_owns_only_its_generated_rows(self):
-        # It reads all 39 prompt rows in place, so its store holds only one
-        # step's tree of 24 nodes, its own rows from store row 0, and V
+        # It reads all 39 prompt rows in place, and its tree's rows live
+        # beside the tree, so its store is the 1-row floor, empty, with V
         # dh-major.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
-        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64, max_nodes=24)
-        block = [np.ones((24, 2, 8))] * 2
-        draft.append(block, block, np.arange(39, 63))
-        with pytest.raises(CapacityError):
-            draft.append([a[:1] for a in block], [a[:1] for a in block], [63])
+        _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
+        block = [np.ones((1, 2, 8))] * 2
+        with pytest.raises(StateError):
+            draft.append(block, block, [39])
         for li in range(2):
-            _, (k, v) = draft.layer_parts(li)
-            assert k.shape == v.shape == (2, 24, 8)
-            assert k.base.shape == (2, 24, 8) and v.base.shape == (2, 8, 24)
-            for a in (k, v):
-                assert a.__array_interface__["data"] == a.base.__array_interface__["data"]
+            (k, v), _ = draft.layer_parts(li)
+            assert k.shape == v.shape == (2, 0, 8)
+            assert k.base.shape == (2, 1, 8) and v.base.shape == (2, 8, 1)
 
     def test_rejects_a_draft_that_is_not_the_target_prefix(self):
         spec, w = target_model(seed=1, n_layers=3)

@@ -376,7 +376,7 @@ class TestDecodeStep:
         # Two siblings: neither sees the other.
         mask = np.eye(2, dtype=bool)
         out = decode_step(spec, w, [5, 6], cache, tree_mask=mask,
-                          positions=np.array([2, 2]), capture_scores=True)
+                          positions=np.array([2, 2]), capture_scores=True, append=False)
         attn = out.last_layer_attn
         assert attn[0, 3] == 0.0  # row 0 never attends to sibling column
         assert attn[1, 2] == 0.0

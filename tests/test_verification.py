@@ -14,7 +14,7 @@ from specdesk.modelgen import random_weights
 from specdesk.retrieval import extract_scores
 from specdesk.tensor import Rng, draw, sample_categorical
 from specdesk.verification import (LevelRecord, WalkResult, accept_probability,
-                                   accepted_path, hybrid_attention, residual_after_reject,
+                                   hybrid_attention, residual_after_reject,
                                    verify_chain, verify_tree, walk_tree)
 
 
@@ -68,7 +68,7 @@ def walk_chain(tokens, proposals, rows, root_dist, rng, temperature, logits):
         levels.append(LevelRecord(target_dist=q_cur, proposal_dist=None,
                                   first_candidate=None, committed=bonus,
                                   accepted=False))
-    return WalkResult(accepted, correction, bonus, levels)
+    return WalkResult(accepted, correction, bonus, levels, list(range(1, len(accepted) + 1)))
 
 
 def chain_draft(root, tokens, dists, logits, root_pos):
@@ -216,9 +216,10 @@ class TestChainVerification:
     def test_outcome_invariant(self):
         for correction, bonus in ((1, 2), (None, None)):
             with pytest.raises(InternalError):
-                WalkResult(accepted=[], correction=correction, bonus=bonus, levels=[])
-        assert WalkResult([3], None, 2, []).committed == [3, 2]
-        assert WalkResult([3], 1, None, []).committed == [3, 1]
+                WalkResult(accepted=[], correction=correction, bonus=bonus, levels=[],
+                           path=[])
+        assert WalkResult([3], None, 2, [], [1]).committed == [3, 2]
+        assert WalkResult([3], 1, None, [], [1]).committed == [3, 1]
 
 
 def hand_tree(structure, dists, root_pos, vocab):
@@ -235,11 +236,22 @@ def hand_tree(structure, dists, root_pos, vocab):
 
 class TestWalkTree:
     def test_the_accepted_path_is_found_by_token(self):
-        tree = hand_tree([(1, -1), (2, 0), (4, 0), (3, 1)], [None] * 4, 3, 6)
-        assert accepted_path(tree, [2, 3]) == [1, 3]
-        assert accepted_path(tree, [4]) == [2]
-        with pytest.raises(InternalError, match="token 5 is not a child of tree node 1"):
-            accepted_path(tree, [2, 5])
+        # The walk reports the node of each token it accepts; the tokens
+        # spell that path from the root.
+        uniform = np.full(6, 1 / 6)
+        tree = hand_tree([(1, -1), (2, 0), (4, 0), (3, 1), (5, 1)],
+                         [uniform, uniform, None, None, None], 3, 6)
+        onehot = np.eye(6)
+        for rows, accepted, path in [
+            ({0: onehot[2], 1: onehot[3], 3: onehot[0]}, [2, 3], [1, 3]),
+            ({0: onehot[2], 1: onehot[5], 4: onehot[0]}, [2, 5], [1, 4]),
+            ({0: onehot[4], 2: onehot[0]}, [4], [2]),
+            ({0: onehot[0]}, [], []),
+        ]:
+            walk = walk_tree(tree, rows, Rng(0), 0.0)
+            assert walk.accepted == accepted and walk.path == path
+            assert [tree.nodes[i].token for i in walk.path] == accepted
+            assert all(tree.nodes[i].parent == ([0] + path)[j] for j, i in enumerate(path))
 
     def test_single_chain_tree_matches_walk_chain_same_seed(self):
         # A path tree whose children were sampled from their parents' dists

@@ -9,7 +9,9 @@ generated tokens. A run counts every forward pass of the draft
 (``drafting.decode_step``) and of the target's verify and commit passes
 (``verification.decode_step``), every attention score element those passes
 compute (``attn.attend``: query rows, heads included, times the summed key
-widths of the parts), and every prompt row ``KVCache.hold_prefix`` gathers.
+widths of the parts), every prompt row ``KVCache.hold_prefix`` gathers,
+and the store rows the draft cache reserves (``KVCache.seeded``): the most
+prompt rows its policy gathers, or a 1-row floor; no tree row is stored.
 A change that makes a count rise fails here; one that makes it fall re-pins
 it, with the reason in CHANGES.md.
 """
@@ -28,18 +30,18 @@ from specdesk.config import parse_config
 
 COUNTS = [("draft", "forwards"), ("draft", "rows"), ("draft", "scores"),
           ("target", "forwards"), ("target", "rows"), ("target", "scores"),
-          ("cache", "gathered")]
+          ("cache", "gathered"), ("cache", "reserved")]
 # (drafting, policy, prompt_len, gen_tokens): the COUNTS in order
 PINS = {
-    ("chain", "retrieval", 2048, 64): (52, 52, 219544, 26, 65, 812058, 4092),
-    ("tree", "full", 2048, 64): (80, 80, 665360, 15, 78, 977232, 0),
-    ("chain", "full", 2048, 64): (60, 60, 498808, 29, 71, 887190, 0),
-    ("chain", "streaming", 2048, 64): (104, 104, 427024, 36, 66, 824634, 0),
+    ("chain", "retrieval", 2048, 64): (52, 52, 219544, 26, 65, 812058, 4092, 1024),
+    ("tree", "full", 2048, 64): (80, 80, 665360, 15, 78, 977232, 0, 1),
+    ("chain", "full", 2048, 64): (60, 60, 498808, 29, 71, 887190, 0, 1),
+    ("chain", "streaming", 2048, 64): (104, 104, 427024, 36, 66, 824634, 0, 1),
     # The benchmark workloads at 128 tokens, named as in the test ids below.
     # Target rows per committed token: 130 / 130, 133 / 129 and 134 / 128.
-    ("chain", "retrieval", 8192, 128): (104, 104, 452832, 52, 130, 6441786, 7165),
-    ("tree", "full", 2048, 128): (130, 130, 1095060, 25, 133, 1688082, 0),
-    ("chain", "full", 8192, 128): (280, 280, 9222432, 86, 134, 6638694, 0),
+    ("chain", "retrieval", 8192, 128): (104, 104, 452832, 52, 130, 6441786, 7165, 1024),
+    ("tree", "full", 2048, 128): (130, 130, 1095060, 25, 133, 1688082, 0, 1),
+    ("chain", "full", 8192, 128): (280, 280, 9222432, 86, 134, 6638694, 0, 1),
 }
 
 
@@ -64,7 +66,7 @@ def counted_run(drafting_mode: str, policy: str, prompt_len: int,
                 role.pop()
         return decode_step
 
-    attend, hold_prefix = attn.attend, KVCache.hold_prefix
+    attend, hold_prefix, seeded = attn.attend, KVCache.hold_prefix, KVCache.seeded
 
     def scoring(q, parts, *args, **kwargs):
         if role:  # a prefill's attention belongs to no role
@@ -76,12 +78,17 @@ def counted_run(drafting_mode: str, policy: str, prompt_len: int,
         counts["cache", "gathered"] += len(rows)
         hold_prefix(cache, rows)
 
+    def reserving(source, n_layers, rows, capacity):
+        counts["cache", "reserved"] += capacity
+        return seeded(source, n_layers, rows, capacity)
+
     with mock.patch.object(drafting, "decode_step",
                            counting("draft", drafting.decode_step)), \
             mock.patch.object(verification, "decode_step",
                               counting("target", verification.decode_step)), \
             mock.patch.object(attn, "attend", scoring), \
-            mock.patch.object(KVCache, "hold_prefix", gathering):
+            mock.patch.object(KVCache, "hold_prefix", gathering), \
+            mock.patch.object(KVCache, "seeded", reserving):
         harness.run_experiment(cfg)
     return counts
 
