@@ -19,11 +19,12 @@ drafter keeps them beside the tree (``drafting.draft_tree``).
 A cache built with ``KVCache.seeded`` is a draft's, whose layers are the
 target's first, so the target's rows at committed positions are its rows.
 It appends no row and owns only the prompt rows a retrieval update gathers
-(``hold_prefix``); ``read_source`` reads the committed rows before the next
-root in place, as the runs of the target's store its policy names
-(``in_place``). ``layer_parts`` gives the gathered rows and the runs in
-position order. A draft never rolls back: its ``truncate`` raises. The
-cache itself knows no policy.
+(``hold_prefix``). Its root is its source's last row; the committed rows
+before it that its policy names (``in_place``) it reads in place, as runs
+of the source's store derived from the source's length on every read, so
+the view follows the source and cannot go stale. ``layer_parts`` gives the
+gathered rows and the runs in position order. A draft never rolls back:
+its ``truncate`` raises. Which rows a draft reads is decided here alone.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ CachePolicy = FullPolicy | StreamingPolicy | RetrievalPolicy
 class KVCache:
     """Fixed-size per-layer K/V store shared by one generation session.
 
-    ``capacity`` store rows are reserved up front; a caller passes the most
-    rows a session can own: every row it holds but those read in place.
+    ``capacity`` store rows are reserved up front: the most rows the cache
+    owns. The caller of an unseeded cache passes it; a seeded cache reserves
+    the most prompt rows its policy gathers.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int,
@@ -111,42 +113,48 @@ class KVCache:
             # dh-major in memory; every method indexes the [H, capacity, dh] view.
             self._v = [np.empty((n_heads, d_head, capacity)).swapaxes(1, 2)
                        for _ in range(n_layers)]
-            self._pos = np.arange(capacity)  # by held row: an unseeded cache's are its rows
         except (MemoryError, ValueError):  # ValueError: past numpy's size limit
             raise CapacityError(f"cannot reserve {capacity} cache rows") from None
         self._cap = capacity
-        self._len = 0
-        self._world = 0  # see world_len
+        self._len = 0  # store rows in use: an unseeded cache's rows, a draft's gathered rows
+        self._gathered = np.arange(0)  # a draft's: the positions of its store rows
         self._prefix_rows = 0  # sealed prefix, positions [0, _prefix_rows), held or not
-        self._in_place: list[tuple[int, int]] = []  # source rows read in place, held next
-        self._lent = 0  # rows in _in_place; the store holds the rest, ahead of them
         self._source: KVCache | None = None  # where a seeded cache reads its rows
+        self._policy: CachePolicy | None = None  # which of them it reads in place
 
     @classmethod
-    def seeded(cls, source: KVCache, n_layers: int, rows: int, capacity: int) -> KVCache:
+    def seeded(cls, source: KVCache, n_layers: int, rows: int,
+               policy: CachePolicy) -> KVCache:
         """An empty cache over the first ``n_layers`` layers of ``source``,
         whose rows ``[0, rows)``, at positions ``0 .. rows - 1`` as a prefill
-        writes them, are its sealed prefix.
+        writes them, are its sealed prefix; its root is the source's last row.
 
-        ``hold_prefix`` gathers prefix rows from ``source`` and
-        ``read_source`` reads its committed rows in place. ``capacity``
-        counts the rows the cache owns: the most prefix rows it gathers.
+        It reads the committed rows ``policy`` names in place, and reserves
+        store rows for the most prefix rows ``policy`` gathers
+        (``hold_prefix``), and at least one.
         """
-        if source._source is not None or source._len < rows:
-            raise OrderingError(f"the source does not hold positions 0 .. {rows - 1} in place")
-        cache = cls(n_layers, source.n_heads, source.d_head, capacity)
-        cache._pos = np.empty(capacity + source._cap, dtype=np.int64)  # own + in place
-        cache._prefix_rows = cache._world = rows
-        cache._source = source
+        if source._source is not None or source._len <= rows:
+            raise OrderingError(f"the source does not hold positions 0 .. {rows} in place")
+        cache = cls(n_layers, source.n_heads, source.d_head, max(policy.prefix_rows(rows), 1))
+        cache._prefix_rows, cache._source, cache._policy = rows, source, policy
         return cache
 
     # -- core state ---------------------------------------------------------
+
+    def _read_runs(self) -> list[tuple[int, int]]:
+        """The non-empty runs ``(lo, hi)`` of the source a seeded cache reads
+        in place: what its policy names before its root."""
+        if self._source is None:
+            return []
+        return [(lo, hi) for lo, hi in self._policy.in_place(self._prefix_rows, self.world_len)
+                if lo < hi]
 
     @property
     def generation_boundary(self) -> int:
         """Count of held rows that belong to the sealed input prefix; they
         lead the held rows."""
-        return int(np.searchsorted(self._pos[:self._len], self._prefix_rows))
+        p = self._prefix_rows
+        return self._gathered.size + sum(max(min(hi, p) - lo, 0) for lo, hi in self._read_runs())
 
     @property
     def prefix_len(self) -> int:
@@ -155,13 +163,13 @@ class KVCache:
     @property
     def archive_len(self) -> int:
         """Number of held rows: what attention reads."""
-        return self._len
+        return self._len + sum(hi - lo for lo, hi in self._read_runs())
 
     @property
     def world_len(self) -> int:
         """One past the last committed position, whether or not its row is
-        held: a seeded cache's next root is there."""
-        return self._world
+        held: a seeded cache's root is there, at its source's last row."""
+        return self._len if self._source is None else self._source._len - 1
 
     def layer_parts(self, layer: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Held ``(k, v)`` of one layer as ``[H, L, dh]`` views of the stores in
@@ -169,16 +177,20 @@ class KVCache:
         row of an unseeded cache; a draft's gathered rows, maybe none), then
         the source's runs read in place. Each head's keys are contiguous
         ``[L, dh]`` and its values ``[dh, L]``."""
-        k, v, own, src = self._k[layer], self._v[layer], self._len - self._lent, self._source
+        k, v, own, src = self._k[layer], self._v[layer], self._len, self._source
         return [(k[:, :own], v[:, :own])] + [
-            (src._k[layer][:, lo:hi], src._v[layer][:, lo:hi]) for lo, hi in self._in_place]
+            (src._k[layer][:, lo:hi], src._v[layer][:, lo:hi]) for lo, hi in self._read_runs()]
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Held ``(k, v, pos)`` for one layer, k/v shaped ``[H, L, dh]``:
-        slices of the store, or a copy when the rows lie in several parts."""
+        slices of the store, or a copy when the rows lie in several parts.
+        ``pos`` is a draft's gathered rows, then its runs."""
         parts = self.layer_parts(layer)
         k, v = (np.concatenate(x, axis=1) if len(x) > 1 else x[0] for x in zip(*parts))
-        return k, v, self._pos[:self._len]
+        if self._source is None:
+            return k, v, np.arange(self._len)
+        return k, v, np.concatenate([self._gathered,
+                                     *(np.arange(lo, hi) for lo, hi in self._read_runs())])
 
     # -- mutation -----------------------------------------------------------
 
@@ -190,7 +202,7 @@ class KVCache:
         positions = np.asarray(positions, dtype=np.int64)
         q = positions.shape[0]
         if self._source is not None:
-            raise StateError("a draft cache appends no rows: read_source reads them")
+            raise StateError("a draft cache appends no rows: its source holds them")
         if len(ks) != self.n_layers or len(vs) != self.n_layers:
             raise ParameterError("append expects one K and V block per layer")
         if not np.array_equal(positions, np.arange(self._len, self._len + q)):
@@ -202,26 +214,28 @@ class KVCache:
         for li in range(self.n_layers):
             self._k[li][:, self._len:self._len + q] = ks[li].transpose(1, 0, 2)
             self._v[li][:, self._len:self._len + q] = vs[li].transpose(1, 0, 2)
-        self._len = self._world = self._len + q
+        self._len += q
 
     def truncate(self, world_len: int) -> None:
         """Drop every row whose position is >= ``world_len`` (rollback)."""
         if self._source is not None:
-            raise StateError("a draft cache is not rolled back: read_source sets its rows")
-        self._len = self._world = max(min(self._len, world_len), 0)
+            raise StateError("a draft cache is not rolled back: its rows follow its source")
+        self._len = max(min(self._len, world_len), 0)
 
     def hold_prefix(self, rows) -> None:
         """Hold the sealed prefix rows ``rows`` (strictly ascending indices),
         gathered from the source, in front of the rows read in place."""
-        p = self.prefix_len
-        self._check_source(p)
-        rows = np.asarray(rows, dtype=np.int64)
+        p, src = self.prefix_len, self._source
+        if src is None:
+            raise StateError("holding prefix rows needs a source cache (KVCache.seeded)")
+        if src._len < p:
+            raise StateError(f"the source no longer holds positions 0 .. {p - 1} in place")
+        rows = np.array(rows, dtype=np.int64)
         m = rows.shape[0]
         if m and (np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= p):
             raise ParameterError(f"prefix rows must be strictly ascending in [0, {p})")
-        src, lent = self._source, self._lent
-        g = self._len - lent
-        if m and lent and rows[-1] >= self._pos[g]:
+        read = self._read_runs()
+        if m and read and rows[-1] >= read[0][0]:
             raise OrderingError("gathered rows must precede the rows read in place")
         if m > self._cap:
             raise CapacityError(f"holding {m} prefix rows overflows the {self._cap} reserved")
@@ -229,32 +243,7 @@ class KVCache:
         for own, theirs in zip((*self._k, *self._v), (*src._k[:n], *src._v[:n])):
             for at, lo, size in runs:  # a slice copy per run, without a temporary
                 own[:, at:at + size] = theirs[:, lo:lo + size]
-        self._pos[m:m + lent] = self._pos[g:g + lent]
-        self._pos[:m] = rows
-        self._len = m + lent
-
-    def read_source(self, end: int, runs) -> None:
-        """Read the source rows ``runs``, ascending ``(lo, hi)`` pairs in
-        ``[0, end)``, in place behind the gathered rows, instead of the runs
-        read before: the committed rows a draft sees before its root at
-        position ``end``."""
-        self._check_source(end)
-        runs, g = [(lo, hi) for lo, hi in runs if lo < hi], self._len - self._lent
-        if np.any(np.diff([self._pos[g - 1] + 1 if g else 0, *np.ravel(runs), end]) < 0):
-            raise OrderingError(f"runs must be ascending, after the gathered rows and "
-                                f"below position {end}")
-        pos = np.concatenate([np.arange(lo, hi) for lo, hi in [(0, 0), *runs]])
-        self._pos[g:g + pos.size] = pos
-        self._in_place, self._lent, self._len, self._world = runs, pos.size, g + pos.size, end
-
-    def _check_source(self, end: int) -> None:
-        """The source must still hold positions ``0 .. end - 1``: its rows
-        are its positions, so its length tells."""
-        src = self._source
-        if src is None:
-            raise StateError("reading source rows needs a source cache (KVCache.seeded)")
-        if src._len < end:
-            raise StateError(f"the source no longer holds positions 0 .. {end - 1} in place")
+        self._gathered, self._len = rows, m
 
 
 def _runs(rows: np.ndarray) -> list[tuple[int, int, int]]:

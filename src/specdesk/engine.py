@@ -10,8 +10,9 @@ its policy names in place: all of them for a full draft, the sink and
 recent window for a streaming draft, the generated rows for a retrieval
 draft, which also holds the prompt chunks its last update gathered. It
 decodes the root, then its tree's nodes (a chain is a sampled tree of
-width one), and keeps their rows beside the tree, not in its cache; after
-verification it reads the rows for the new root (``KVCache.read_source``).
+width one), and keeps their rows beside the tree, not in its cache. Its
+cache follows the target's (``KVCache.seeded``): the next root is always
+the target's last row, so nothing re-points the draft after a step.
 
 The target decodes a step's nodes only when its walk accepts a root child,
 then the correction or bonus (``verification.verify_tree``). Its cache
@@ -94,17 +95,12 @@ def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
     output holds the last prompt row's logits and attention only. The
     target cache reserves ``capacity`` rows. The draft, whose layers are the
     target's first ``dspec.n_layers``, is seeded over those layers' rows for
-    all but the last prompt token, the first root, and reads the rows
-    ``policy`` names in place. Its store reserves the most prompt rows the
-    policy gathers, and at least one row.
+    all but the last prompt token, the first root, under ``policy``.
     """
-    n = len(prompt)
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
                   last_row_only=True)
-    draft_cache = KVCache.seeded(target_cache, dspec.n_layers, n - 1,
-                                 max(policy.prefix_rows(n - 1), 1))
-    draft_cache.read_source(n - 1, policy.in_place(n - 1, n - 1))
+    draft_cache = KVCache.seeded(target_cache, dspec.n_layers, len(prompt) - 1, policy)
     return target_cache, draft_cache, out
 
 
@@ -232,10 +228,6 @@ class Session:
             walk = outc.walk
             committed.extend(walk.committed)
             root_dist, row = outc.next_root_dist, outc.attn_row
-
-            # The draft reads the committed rows before the new root.
-            root = len(committed) - 1
-            draft_cache.read_source(root, self.policy.in_place(draft_cache.prefix_len, root))
 
             # Metrics bookkeeping.
             div = []

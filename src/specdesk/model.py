@@ -209,6 +209,8 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     scale = 1.0 / np.sqrt(dh)
     if np.any(positions >= spec.max_pos):
         raise CapacityError(f"position >= max_pos ({spec.max_pos})")
+    if np.any(positions < 0):
+        raise ParameterError("positions must be >= 0")
     if new_mask is None:
         new_mask = _causal_mask(q_n)
     tail = new_mask.shape[1] - q_n
@@ -330,9 +332,10 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
     which are not in the cache. A ``[q, T + q]`` mask covers the last
     ``T <= N`` of them: its first ``T`` columns say which of them each query
     sees, and every query sees the ``N - T`` before. The new tokens' K/V
-    extend the cache, or without ``append`` the output carries them.
+    extend the cache, or without ``append`` (required with ``tree``) the
+    output carries them. Bad tokens raise ``ParameterError``, as in prefill.
     """
-    new_tokens = np.asarray(new_tokens, dtype=np.int64)
+    new_tokens = token_ids(new_tokens, spec.vocab, "new tokens")
     q_n = new_tokens.shape[0]
     if q_n == 0:
         raise ShapeError("decode_step requires at least one new token")
@@ -350,6 +353,8 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
                 tuple(map(np.shape, kv)) != (want, want) for kv in tree):
             raise ShapeError(f"tree rows must be {spec.n_layers} (k, v) pairs, each "
                              f"[{spec.n_heads}, N, {spec.d_head}] with one N")
+        if append:
+            raise ParameterError("a block over tree rows needs append=False")
     if tree_mask is not None:
         tree_mask = np.asarray(tree_mask, dtype=bool)
         if (tree_mask.ndim != 2 or tree_mask.shape[0] != q_n

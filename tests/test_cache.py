@@ -16,21 +16,21 @@ def make_cache(n_layers=2, n_heads=2, d_head=4):
 
 
 def seeded_cache(n, n_layers=2):
-    # A draft cache holding all n prompt rows of a deeper source cache, gathered.
+    # A retrieval draft cache holding all n prompt rows of a deeper source
+    # cache, gathered, before its root at position n.
     source = make_cache(n_layers=n_layers + 1)
-    append_tokens(source, list(range(n)))
-    cache = KVCache.seeded(source, n_layers, n, capacity=64)
+    append_tokens(source, list(range(n + 1)))
+    cache = KVCache.seeded(source, n_layers, n, RetrievalPolicy(1, n, 1))
     cache.hold_prefix(np.arange(n))
     return cache
 
 
-def reading_cache(n, runs, prefix=None, n_layers=2):
-    # A draft cache over a source of n committed rows that reads ``runs`` in
-    # place before a root at position n.
+def reading_cache(n, policy, prefix=None, n_layers=2):
+    # A draft cache over a source of n committed rows and a root at
+    # position n, reading what ``policy`` names in place.
     source = make_cache(n_layers=n_layers + 1)
-    append_tokens(source, list(range(n)))
-    cache = KVCache.seeded(source, n_layers, n if prefix is None else prefix, capacity=64)
-    cache.read_source(n, runs)
+    append_tokens(source, list(range(n + 1)))
+    cache = KVCache.seeded(source, n_layers, n if prefix is None else prefix, policy)
     return source, cache
 
 
@@ -98,7 +98,7 @@ class TestAppend:
 
     def test_a_seeded_cache_appends_nothing(self):
         # Not its root, not its next committed row: the source holds those.
-        _, c = reading_cache(12, [(0, 12)])
+        _, c = reading_cache(12, FullPolicy())
         for positions in ([12], [12, 13], [11]):
             with pytest.raises(StateError, match="appends no rows"):
                 append_tokens(c, positions)
@@ -155,8 +155,7 @@ class TestSpeculativeTail:
         spec, w = self.model(2)
         source = KVCache(2, 2, 4)
         decode_step(spec, w, [1, 2, 3], source, positions=[0, 1, 2])
-        c = KVCache.seeded(source, 1, 2, capacity=8)
-        c.read_source(2, [(0, 2)])
+        c = KVCache.seeded(source, 1, 2, FullPolicy())
         draft, draft_w = derive_draft(spec, w, 1)
         rows = self.tree_rows(decode_step(draft, draft_w, [3], c, positions=[2],
                                           append=False))
@@ -201,7 +200,7 @@ class TestSpeculativeTail:
 
 def window(n, sink, recent):
     # What a streaming draft reads in place before a root at position n.
-    return reading_cache(n, StreamingPolicy(sink, recent).in_place(n, n))
+    return reading_cache(n, StreamingPolicy(sink, recent))
 
 
 class TestStreaming:
@@ -260,15 +259,16 @@ class TestRetrievalRebuild:
         assert c.layer_view(0)[2].tolist() == list(range(10))
 
     def test_suffix_always_survives(self):
-        # The generated rows, read in place, stay behind a new selection.
-        _, c = reading_cache(15, [(12, 15)], prefix=12)
+        # The generated rows, read in place, stay behind a new selection,
+        # and a row the source commits joins them.
+        source, c = reading_cache(15, RetrievalPolicy(4, 3, 1), prefix=12)
         c.hold_prefix([4, 5, 6, 7])
         assert c.layer_view(0)[2].tolist() == [4, 5, 6, 7, 12, 13, 14]
         assert c.generation_boundary == 4
-        with pytest.raises(OrderingError):  # gathered rows 6 and 7 after them
-            c.read_source(15, [(6, 15)])
+        append_tokens(source, [16])
         c.hold_prefix([0, 1, 2, 3])
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13, 14]
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3, 12, 13, 14, 15]
+        assert c.generation_boundary == 4 and c.world_len == 16
 
     def test_rebuild_can_restore_dropped_chunks(self):
         c = seeded_cache(12)
@@ -279,10 +279,9 @@ class TestRetrievalRebuild:
 
     def test_restored_rows_are_the_source_rows(self):
         source = make_cache(n_layers=3)
-        append_tokens(source, list(range(14)))
-        c = KVCache.seeded(source, 2, 12, capacity=64)
-        assert c.archive_len == 0 and c.world_len == 12
-        c.read_source(14, [(12, 14)])
+        append_tokens(source, list(range(15)))
+        c = KVCache.seeded(source, 2, 12, RetrievalPolicy(4, 2, 1))
+        assert c.archive_len == 2 and c.world_len == 14  # generated rows 12 and 13
         c.hold_prefix([4, 5, 6, 7])
         c.hold_prefix([0, 1, 2, 3, 8, 9, 10, 11])
         for li in range(2):
@@ -295,50 +294,43 @@ class TestRetrievalRebuild:
         c = seeded_cache(12)
         c.hold_prefix([0, 1, 2, 3])
         assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
-        assert c.world_len == 12
-        c.read_source(12, [])
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3]
-        assert c.world_len == 12
+        assert c.world_len == 12  # the source's last row, not the held rows
 
-    def test_the_source_prefix_must_be_positions_from_zero(self):
+    def test_the_source_must_hold_the_prefix_and_the_root(self):
         # An unseeded cache's rows are positions 0 .. archive_len - 1, so a
-        # source holds a prefix exactly when it holds as many rows.
+        # source holds a prefix and the root after it exactly when it holds
+        # one row more.
         source = make_cache(n_layers=3)
-        append_tokens(source, [0, 1, 2, 3])
-        draft = KVCache.seeded(source, 2, 4, capacity=8)
-        assert draft.world_len == 4
+        append_tokens(source, [0, 1, 2, 3, 4])
+        draft = KVCache.seeded(source, 2, 4, FullPolicy())
+        assert draft.world_len == 4 and draft.prefix_len == 4
+        with pytest.raises(OrderingError, match="0 .. 5"):  # the root is not held
+            KVCache.seeded(source, 2, 5, FullPolicy())
         with pytest.raises(OrderingError):  # past the held rows
-            KVCache.seeded(source, 2, 5, capacity=8)
+            KVCache.seeded(source, 2, 6, FullPolicy())
         with pytest.raises(OrderingError):  # a draft's rows are not its positions
-            KVCache.seeded(draft, 1, 2, capacity=8)
+            KVCache.seeded(draft, 1, 2, FullPolicy())
 
     def test_the_source_must_still_hold_the_prefix(self):
         # The target may drop its last prompt row, never the draft's prefix,
         # nor a committed row the draft reads in place.
         source = make_cache(n_layers=3)
         append_tokens(source, list(range(12)))
-        c = KVCache.seeded(source, 2, 11, capacity=16)
+        c = KVCache.seeded(source, 2, 11, RetrievalPolicy(1, 11, 1))
         source.truncate(11)
         c.hold_prefix(np.arange(11))
-        c.read_source(11, [])
-        with pytest.raises(StateError, match="no longer holds positions 0 .. 11"):
-            c.read_source(12, [])
         source.truncate(10)
         with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
             c.hold_prefix(np.arange(4))
         with pytest.raises(OrderingError):  # row 10 can only be position 10
             append_tokens(source, [12])
-        with pytest.raises(StateError, match="no longer holds positions 0 .. 10"):
-            c.read_source(11, [])
         assert c.layer_view(0)[2].tolist() == list(range(11))
 
     def test_rebuild_needs_a_source(self):
         c = make_cache()
         append_tokens(c, list(range(12)))
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match="needs a source cache"):
             c.hold_prefix([0])
-        with pytest.raises(StateError):
-            c.read_source(12, [(0, 12)])
 
     def test_idempotent(self):
         c = seeded_cache(16)
@@ -358,8 +350,8 @@ class TestRetrievalRebuild:
     def test_prefix_past_capacity_raises(self):
         # The reserved store rows hold the gathered rows only.
         source = make_cache()
-        append_tokens(source, list(range(12)))
-        c = KVCache.seeded(source, 2, 12, capacity=6)
+        append_tokens(source, list(range(13)))
+        c = KVCache.seeded(source, 2, 12, RetrievalPolicy(3, 2, 1))
         with pytest.raises(CapacityError):
             c.hold_prefix(np.arange(7))
         c.hold_prefix(np.arange(6))
@@ -382,10 +374,10 @@ class TestGatherTemporaries:
     N, HEADS, D_HEAD = 2047, 2, 64
     LAYER_ROWS = N * HEADS * D_HEAD * 8  # bytes of one layer's prefix keys
 
-    def seeded(self):
+    def seeded(self, policy):
         source = KVCache(3, self.HEADS, self.D_HEAD, capacity=self.N + 1)
         append_tokens(source, list(range(self.N + 1)))
-        return source, KVCache.seeded(source, 2, self.N, capacity=self.N + 16)
+        return source, KVCache.seeded(source, 2, self.N, policy)
 
     def assert_source_rows(self, c, source):
         for li in range(2):
@@ -395,15 +387,15 @@ class TestGatherTemporaries:
 
     def test_hold_prefix_gathers_one_head_at_a_time(self):
         # Every prefix row but the first: a gather into the store.
-        source, c = self.seeded()
+        source, c = self.seeded(RetrievalPolicy(1, self.N, 1))
         assert self.peak_bytes(lambda: c.hold_prefix(np.arange(1, self.N))) < self.LAYER_ROWS / 8
         assert len(c.layer_parts(0)) == 1  # the gathered rows, read in no run
         self.assert_source_rows(c, source)
 
     def test_a_whole_prefix_is_read_in_place(self):
-        source, c = self.seeded()
-        runs = [(0, 4), (50, self.N + 1)]  # a streaming draft's sink and window
-        assert self.peak_bytes(lambda: c.read_source(self.N + 1, runs)) < self.LAYER_ROWS / 8
+        source, c = self.seeded(StreamingPolicy(4, self.N - 50))
+        runs = [(0, 4), (50, self.N)]  # its sink and window, before the root
+        assert self.peak_bytes(lambda: c.layer_parts(1)) < self.LAYER_ROWS / 8
         sk, sv, _ = source.layer_view(1)
         (gk, gv), *parts = c.layer_parts(1)
         assert gk.shape[1] == gv.shape[1] == 0  # nothing gathered
@@ -411,15 +403,16 @@ class TestGatherTemporaries:
         for (k, v), (lo, hi) in zip(parts, runs):
             assert np.shares_memory(k, sk) and np.shares_memory(v, sv)
             assert np.array_equal(k, sk[:, lo:hi]) and np.array_equal(v, sv[:, lo:hi])
-        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, self.N + 1))
+        assert c.layer_view(0)[2].tolist() == [0, 1, 2, 3] + list(range(50, self.N))
         self.assert_source_rows(c, source)
 
 
 def test_layer_view_tracks_every_mutation():
     # Each row holds its own position, so a view is right exactly when its
     # rows read back the held positions. ``held`` models the held rows: first
-    # of a cache that appends and truncates, then of a draft's, which
-    # gathers prompt rows and reads source runs in place, and appends none.
+    # of a cache that appends and truncates, then of drafts', which gather
+    # prompt rows, read source runs in place as the source commits rows, and
+    # append none.
     rng = np.random.default_rng(5)
 
     def rows_for(pos, n_layers):
@@ -457,41 +450,64 @@ def test_layer_view_tracks_every_mutation():
             held[:] = held[:w]
         check(t, held, len(held))
 
-    source = KVCache(3, 2, 4, capacity=80)
-    source.append(*rows_for(np.arange(80), 3), np.arange(80))
-    c = KVCache.seeded(source, 2, 40, capacity=56)
-    gathered: list[int] = []
-    read: list[int] = []
-    held, world = [], 40
-    for _ in range(400):
-        op = rng.integers(3)
-        if op == 0:
-            end = int(rng.integers(40, 81))
-            policy = [FullPolicy(), RetrievalPolicy(4, 2, 1),
-                      StreamingPolicy(int(rng.integers(0, 4)),
-                                      int(rng.integers(1, 30)))][rng.integers(3)]
-            runs = policy.in_place(40, end)
-            rows = [p for lo, hi in runs for p in range(lo, hi)]
-            if gathered and rows and rows[0] <= gathered[-1]:
-                with pytest.raises(OrderingError):
-                    c.read_source(end, runs)
-            else:
-                c.read_source(end, runs)
-                read, held, world = rows, gathered + rows, end
+    # A draft follows its source, which only commits rows, as in a session.
+    source = KVCache(3, 2, 4, capacity=400)
+    source.append(*rows_for(np.arange(41), 3), np.arange(41))
+    policies = [FullPolicy(), RetrievalPolicy(4, 10, 1), StreamingPolicy(0, 20),
+                StreamingPolicy(3, 29)]
+    drafts = [KVCache.seeded(source, 2, 40, policy) for policy in policies]
+    gathered: list[list[int]] = [[] for _ in drafts]
+    for _ in range(300):
+        op, i = rng.integers(3), int(rng.integers(len(drafts)))
+        c, policy = drafts[i], policies[i]
+        world = source.archive_len - 1
+        read = [p for lo, hi in policy.in_place(40, world) for p in range(lo, hi)]
+        if op == 0 and source.archive_len < 395:
+            pos = np.arange(world + 1, world + 1 + int(rng.integers(1, 6)))
+            source.append(*rows_for(pos, 3), pos)
         elif op == 1:
-            chunks = np.flatnonzero(rng.random(10) < rng.choice([0.0, 0.4]))
+            chunks = np.flatnonzero(rng.random(10) < rng.choice([0.0, 0.1, 0.4]))
             rows = chunk_rows(chunks, 4, 40, int(rng.integers(0, 3))).tolist()
             if rows and read and rows[-1] >= read[0]:
                 with pytest.raises(OrderingError):
                     c.hold_prefix(rows)
+            elif len(rows) > max(policy.prefix_rows(40), 1):
+                with pytest.raises(CapacityError):
+                    c.hold_prefix(rows)
             else:
                 c.hold_prefix(rows)
-                gathered, held = rows, rows + read
+                gathered[i] = rows
         else:
-            pos = np.arange(world, world + int(rng.integers(1, 6)))
+            pos = np.arange(world + 1, world + 1 + int(rng.integers(1, 6)))
             with pytest.raises(StateError):
                 c.append(*rows_for(pos, 2), pos)
-        check(c, held, world)
+        world = source.archive_len - 1
+        for c, policy, rows in zip(drafts, policies, gathered):
+            read = [p for lo, hi in policy.in_place(40, world) for p in range(lo, hi)]
+            check(c, rows + read, world)
+
+
+@pytest.mark.parametrize("policy", [FullPolicy(), StreamingPolicy(2, 5),
+                                    RetrievalPolicy(4, 2, 1)], ids=lambda p: type(p).__name__)
+def test_a_draft_follows_its_source_without_a_call(policy):
+    # The source commits rows and nothing touches the draft: it reads what
+    # its policy names before the source's last row, its root.
+    source = make_cache(n_layers=3)
+    append_tokens(source, list(range(13)))
+    c = KVCache.seeded(source, 2, 12, policy)
+    gathered = [4, 5, 6, 7] if isinstance(policy, RetrievalPolicy) else []
+    c.hold_prefix(gathered)
+    for block in (1, 3, 5, 1):
+        n = source.archive_len
+        append_tokens(source, list(range(n, n + block)))
+        root = source.archive_len - 1
+        want = gathered + [p for lo, hi in policy.in_place(12, root) for p in range(lo, hi)]
+        assert (c.world_len, c.archive_len) == (root, len(want))
+        for li in range(2):
+            k, v, pos = c.layer_view(li)
+            sk, sv, _ = source.layer_view(li)
+            assert pos.tolist() == want
+            assert np.array_equal(k, sk[:, want]) and np.array_equal(v, sv[:, want])
 
 
 class TestTruncate:
@@ -508,8 +524,8 @@ class TestTruncate:
     def test_a_draft_cache_never_rolls_back(self):
         # A draft reads the source again instead; it never truncates, so no
         # row it reads in place moves.
-        _, c = reading_cache(12, [(0, 12)])
-        with pytest.raises(StateError, match="read_source"):
+        _, c = reading_cache(12, FullPolicy())
+        with pytest.raises(StateError, match="follow its source"):
             c.truncate(8)
         assert c.layer_view(0)[2].tolist() == list(range(12)) and c.world_len == 12
 

@@ -341,6 +341,47 @@ class TestDecodeStep:
             decode_step(spec, w, [1, 2], cache, tree_mask=np.ones((3, 3), bool),
                         positions=np.array([1, 1]))
 
+    @staticmethod
+    def spied_attend(monkeypatch):
+        calls, real = [], attn.attend
+
+        def attend(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(attn, "attend", attend)
+        return calls
+
+    @pytest.mark.parametrize("tokens, positions", [
+        ([99], [3]), ([10], [3]), ([-1], [3]), ([2.7], [3]), ([True], [3]),
+        ([4, np.True_], [3, 4]), ([[4]], [3]), (4, [3]),  # not a 1-D int sequence
+        ([4], [-1]), ([4, 5], [-1, 0]),  # a negative position
+    ])
+    def test_bad_tokens_or_positions_raise_before_any_work(self, monkeypatch, tokens,
+                                                           positions):
+        spec, w = small_model(vocab=10)
+        cache = fresh_cache(spec)
+        prefill(spec, w, [1, 2, 3], cache)
+        keys = cache.layer_view(0)[0].copy()
+        calls = self.spied_attend(monkeypatch)
+        for append in (True, False):
+            with pytest.raises(ParameterError):
+                decode_step(spec, w, tokens, cache, positions=positions, append=append)
+        assert calls == [] and cache.archive_len == 3
+        assert np.array_equal(cache.layer_view(0)[0], keys)
+
+    def test_tree_rows_need_append_false(self, monkeypatch):
+        # Tree rows follow rows the cache does not hold, so appending the
+        # block could never succeed: it is refused before the forward pass.
+        spec, w = small_model(n_layers=1)
+        cache = fresh_cache(spec)
+        prefill(spec, w, [1, 2], cache)
+        out = decode_step(spec, w, [3], cache, positions=[2], append=False)
+        rows = [(k.transpose(1, 0, 2), v.transpose(1, 0, 2)) for k, v in zip(out.ks, out.vs)]
+        calls = self.spied_attend(monkeypatch)
+        with pytest.raises(ParameterError, match="append=False"):
+            decode_step(spec, w, [4], cache, positions=[3], tree=rows)
+        assert calls == [] and cache.archive_len == 2
+
     def test_chain_mask_equals_sequential(self):
         spec, w = small_model(seed=3)
         prompt = [2, 5, 1]

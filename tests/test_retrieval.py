@@ -95,22 +95,24 @@ class TestSelectTopK:
         assert {int(perm[i]) for i in sel_perm} == sel
 
 
-def _cache_with_prefix(n):
-    source = KVCache(1, 1, 2, capacity=n)
-    source.append([np.zeros((n, 1, 2))], [np.zeros((n, 1, 2))], np.arange(n))
-    return KVCache.seeded(source, 1, n, capacity=n)
+def _cache_with_prefix(n, policy):
+    # A draft over an n-row prompt prefix and its root, reserving what
+    # ``policy`` gathers.
+    source = KVCache(1, 1, 2, capacity=n + 1)
+    source.append([np.zeros((n + 1, 1, 2))], [np.zeros((n + 1, 1, 2))], np.arange(n + 1))
+    return KVCache.seeded(source, 1, n, policy)
 
 
 class TestMaybeUpdate:
     def test_frequency_one_updates_every_step(self):
-        c = _cache_with_prefix(16)
         st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=1))
+        c = _cache_with_prefix(16, st.policy)
         s = np.full(16, 1 / 16)
         assert all(maybe_update(st, s, c) for _ in range(5))
 
     def test_frequency_four_updates_on_steps_1_5_9(self):
-        c = _cache_with_prefix(16)
         st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=4))
+        c = _cache_with_prefix(16, st.policy)
         s = np.full(16, 1 / 16)
         fired = [maybe_update(st, s, c) for _ in range(12)]
         assert fired == [True, False, False, False,
@@ -119,8 +121,8 @@ class TestMaybeUpdate:
         assert 0 <= st.countdown < st.policy.frequency
 
     def test_idempotent_selection(self):
-        c = _cache_with_prefix(16)
         st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=1))
+        c = _cache_with_prefix(16, st.policy)
         s = np.array([0.0] * 4 + [0.5] * 4 + [0.0] * 4 + [0.5] * 4) / 4
         maybe_update(st, s, c)
         first = c.layer_view(0)[2].tolist()
@@ -128,14 +130,14 @@ class TestMaybeUpdate:
         assert c.layer_view(0)[2].tolist() == first == list(range(4, 8)) + list(range(12, 16))
 
     def test_missing_scores_is_state_error(self):
-        c = _cache_with_prefix(8)
         st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=1, frequency=1))
+        c = _cache_with_prefix(8, st.policy)
         with pytest.raises(StateError):
             maybe_update(st, None, c)
 
     def test_a_step_without_an_update_does_not_read_the_row(self):
-        c = _cache_with_prefix(8)
         st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=1, frequency=3))
+        c = _cache_with_prefix(8, st.policy)
         assert maybe_update(st, np.full(8, 1 / 8), c)
         assert not maybe_update(st, None, c) and not maybe_update(st, None, c)
         with pytest.raises(StateError):
@@ -145,8 +147,8 @@ class TestMaybeUpdate:
         # Prefix live size after an update never exceeds top_k * chunk_size.
         rng = Rng(4)
         for prefix_len in (100, 1000, 5000):
-            c = _cache_with_prefix(prefix_len)
             st = RetrievalState(RetrievalPolicy(chunk_size=32, top_k=8, frequency=1))
+            c = _cache_with_prefix(prefix_len, st.policy)
             s = rng.generator.random(prefix_len)
             s /= s.sum()
             maybe_update(st, s, c)
@@ -167,9 +169,9 @@ class TestMaybeUpdate:
     def test_a_raw_row_selects_the_top_chunks_of_its_prefix_scores(self, extra, sink):
         rng = np.random.default_rng(11 + extra + sink)
         for n in (1, 5, 16, 37):
-            c = _cache_with_prefix(n)
             policy = RetrievalPolicy(chunk_size=4, top_k=2, frequency=1, sink=sink)
             st = RetrievalState(policy)
+            c = _cache_with_prefix(n, policy)
             row = rng.random((3, n + extra)).mean(axis=0)  # a head-averaged row
             row /= row.sum()
             assert maybe_update(st, row, c)
@@ -178,8 +180,8 @@ class TestMaybeUpdate:
             assert c.layer_view(0)[2].tolist() == chunk_rows(want, 4, n, sink).tolist()
 
     def test_a_row_without_prefix_mass_selects_uniformly(self):
-        c = _cache_with_prefix(16)
         st = RetrievalState(RetrievalPolicy(chunk_size=4, top_k=2, frequency=1))
+        c = _cache_with_prefix(16, st.policy)
         row = np.r_[np.zeros(16), 1.0]  # all mass past the prefix
         assert maybe_update(st, row, c)
         # Uniform scores tie every chunk; ties go to the lower index.

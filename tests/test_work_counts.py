@@ -10,8 +10,9 @@ generated tokens. A run counts every forward pass of the draft
 (``verification.decode_step``), every attention score element those passes
 compute (``attn.attend``: query rows, heads included, times the summed key
 widths of the parts), every prompt row ``KVCache.hold_prefix`` gathers,
-and the store rows the draft cache reserves (``KVCache.seeded``): the most
-prompt rows its policy gathers, or a 1-row floor; no tree row is stored.
+and the store rows the draft cache reserves (``KVCache.seeded`` sizes them
+from the policy): the most prompt rows its policy gathers, or a 1-row
+floor; no tree row is stored.
 A change that makes a count rise fails here; one that makes it fall re-pins
 it, with the reason in CHANGES.md.
 """
@@ -78,9 +79,10 @@ def counted_run(drafting_mode: str, policy: str, prompt_len: int,
         counts["cache", "gathered"] += len(rows)
         hold_prefix(cache, rows)
 
-    def reserving(source, n_layers, rows, capacity):
-        counts["cache", "reserved"] += capacity
-        return seeded(source, n_layers, rows, capacity)
+    def reserving(source, n_layers, rows, policy):
+        cache = seeded(source, n_layers, rows, policy)
+        counts["cache", "reserved"] += cache._k[0].shape[1]
+        return cache
 
     with mock.patch.object(drafting, "decode_step",
                            counting("draft", drafting.decode_step)), \
