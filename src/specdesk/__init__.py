@@ -1,6 +1,6 @@
 """Desk-scale speculative decoding with a retrieval-guided draft KV cache."""
 
-from .cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
+from .cache import DraftCache, FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from .drafting import DraftTree, TreeBudget, draft_chain, draft_tree
 from .engine import Session, greedy_reference
 from .model import (ForwardOutput, ModelSpec, Weights, decode_step, derive_draft,

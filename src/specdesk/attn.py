@@ -20,9 +20,10 @@ reference the tests compare :func:`attend` against.
 Shapes are head-generic: queries ``[..., nq, dh]`` against parts
 ``[..., L, dh]`` with leading batch/head axes broadcast by numpy matmul.
 The model passes ``[H, nq, dh]`` queries and ``[H, L, dh]`` parts; the
-cached parts are views of the cache's stores (``KVCache.layer_parts``): each
-head's keys are contiguous ``[L, dh]`` rows and its values ``[dh, L]`` rows,
-so a one-row pass reads both as dot-form gemvs, ``K @ q`` and ``V^T @ w``.
+cached parts are views of the stores (``KVCache`` or ``DraftCache``
+``.layer_parts``): each head's keys are contiguous ``[L, dh]`` rows and its
+values ``[dh, L]`` rows, so a one-row pass reads both as dot-form gemvs,
+``K @ q`` and ``V^T @ w``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import KVCache
+from .cache import DraftCache, KVCache
 from .errors import ParameterError
 from .model import ModelSpec, Weights, decode_step, next_token_dist
 from .tensor import Rng, draw
@@ -101,7 +101,7 @@ class ChainDraft:
         return [node.token for node in self.tree.nodes[1:]]
 
 
-def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
+def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache | DraftCache,
                 root: int, k: int, temperature: float, rng: Rng) -> ChainDraft:
     """Sample a k-token chain: ``draft_tree``'s sampled tree of depth k. It
     runs exactly k one-row forward passes, the root's first, and never
@@ -110,7 +110,7 @@ def draft_chain(spec: ModelSpec, weights: Weights, cache: KVCache,
                                  TreeBudget(k + 1, k, 1.0), temperature, rng))
 
 
-def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache,
+def draft_tree(spec: ModelSpec, weights: Weights, cache: KVCache | DraftCache,
                root: int, budget: TreeBudget, temperature: float,
                rng: Rng | None = None) -> DraftTree:
     """Expand a draft tree rooted at ``root``, the last committed token, at

@@ -11,7 +11,7 @@ recent window for a streaming draft, the generated rows for a retrieval
 draft, which also holds the prompt chunks its last update gathered. It
 decodes the root, then its tree's nodes (a chain is a sampled tree of
 width one), and keeps their rows beside the tree, not in its cache. Its
-cache follows the target's (``KVCache.seeded``): the next root is always
+cache follows the target's (``DraftCache``): the next root is always
 the target's last row, so nothing re-points the draft after a step.
 
 The target decodes a step's nodes only when its walk accepts a root child,
@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import CachePolicy, FullPolicy, KVCache, RetrievalPolicy
+from .cache import CachePolicy, DraftCache, FullPolicy, KVCache, RetrievalPolicy
 from .drafting import TreeBudget, draft_chain, draft_tree
-from .errors import CapacityError, InternalError, ParameterError
+from .errors import CapacityError, ParameterError
 from .metrics import ProposalLog, natural_divergence, shannon_entropy
 from .model import ForwardOutput, ModelSpec, Weights, next_token_dist, prefill, token_ids
 from .retrieval import RetrievalState, maybe_update
@@ -88,19 +88,19 @@ def _check_shared_prefix(tspec: ModelSpec, tw: Weights,
 
 def prefill_caches(tspec: ModelSpec, tw: Weights, dspec: ModelSpec, prompt,
                    capacity: int, policy: CachePolicy = FullPolicy()
-                   ) -> tuple[KVCache, KVCache, ForwardOutput]:
-    """Prefill the target on ``prompt`` and seed the draft cache from it.
+                   ) -> tuple[KVCache, DraftCache, ForwardOutput]:
+    """Prefill the target on ``prompt`` and build the draft cache over it.
 
     Returns ``(target_cache, draft_cache, target prefill output)``; the
     output holds the last prompt row's logits and attention only. The
     target cache reserves ``capacity`` rows. The draft, whose layers are the
-    target's first ``dspec.n_layers``, is seeded over those layers' rows for
+    target's first ``dspec.n_layers``, is a view of those layers' rows for
     all but the last prompt token, the first root, under ``policy``.
     """
     target_cache = KVCache(tspec.n_layers, tspec.n_heads, tspec.d_head, capacity)
     out = prefill(tspec, tw, prompt, target_cache, capture_scores=True,
                   last_row_only=True)
-    draft_cache = KVCache.seeded(target_cache, dspec.n_layers, len(prompt) - 1, policy)
+    draft_cache = DraftCache(target_cache, dspec.n_layers, len(prompt) - 1, policy)
     return target_cache, draft_cache, out
 
 
@@ -192,13 +192,6 @@ class Session:
             updated = False
             if retr is not None:
                 updated = maybe_update(retr, row, draft_cache)
-                if updated:
-                    bound = self.policy.prefix_rows(draft_cache.prefix_len)
-                    if draft_cache.generation_boundary > bound:
-                        raise InternalError(
-                            f"draft prefix cache {draft_cache.generation_boundary} "
-                            f"exceeds working bound {bound}"
-                        )
             update_ms = (time.perf_counter() - t0) * 1e3
             max_prefix_live = max(max_prefix_live, draft_cache.generation_boundary)
 

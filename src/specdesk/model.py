@@ -8,9 +8,9 @@ non-contiguous position sets; keys enter the cache post-rotation.
 The forward pass is shared verbatim between prefill and decode so that a
 one-token prefill and a one-token decode on an empty cache are bitwise
 identical. Attention reads the cache's ``[H, L, dh]`` views in place: keys
-head-major, values dh-major underneath (``KVCache.layer_parts``). A prefill
-scores its 256-row blocks one head at a time into one buffer, allocated
-once and sized for one head's largest block.
+head-major, values dh-major underneath (``KVCache`` or ``DraftCache``
+``.layer_parts``). A prefill scores its 256-row blocks one head at a time
+into one buffer, allocated once and sized for one head's largest block.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import attn
-from .cache import KVCache
+from .cache import DraftCache, KVCache
 from .errors import CapacityError, ParameterError, ShapeError, StateError
 from .tensor import check_finite
 
@@ -184,7 +184,7 @@ def _causal_mask(n: int) -> np.ndarray:
 
 # -- forward -----------------------------------------------------------------
 
-def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
+def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache | DraftCache,
              positions: np.ndarray, new_mask: np.ndarray | None,
              capture_scores: bool, kv_chunk: int | None,
              out_rows: int | None = None,
@@ -264,16 +264,26 @@ def _forward(spec: ModelSpec, w: Weights, tokens: np.ndarray, cache: KVCache,
     return ForwardOutput(logits=logits, last_layer_attn=captured)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64; anything but a sequence of integers (a bool is
+    not one) raises ``ParameterError``."""
+    try:
+        ids = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise ParameterError(f"{what} must be a sequence of integers") from None
+    if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"
+                     or not {bool, np.bool_}.isdisjoint(map(type, values))):
+        raise ParameterError(f"{what} must be a sequence of integers")
+    return ids.astype(np.int64)
+
+
 def token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
     """``tokens`` as int64; anything but integers (a bool is not one) in
     ``[0, vocab)`` raises ``ParameterError``."""
-    ids = np.asarray(tokens)
-    if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"
-                     or not {bool, np.bool_}.isdisjoint(map(type, tokens))):
-        raise ParameterError(f"{what} must be a sequence of integers")
+    ids = _integers(tokens, what)
     if ids.size and not 0 <= ids.min() <= ids.max() < vocab:
         raise ParameterError(f"{what} must lie in [0, {vocab})")
-    return ids.astype(np.int64)
+    return ids
 
 
 def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
@@ -318,7 +328,7 @@ def prefill(spec: ModelSpec, weights: Weights, tokens, cache: KVCache,
     return ForwardOutput(logits=logits, last_layer_attn=out.last_layer_attn)
 
 
-def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
+def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache | DraftCache,
                 tree_mask: np.ndarray | None = None, positions=None,
                 capture_scores: bool = False, kv_chunk: int | None = None,
                 append: bool = True,
@@ -332,8 +342,9 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
     which are not in the cache. A ``[q, T + q]`` mask covers the last
     ``T <= N`` of them: its first ``T`` columns say which of them each query
     sees, and every query sees the ``N - T`` before. The new tokens' K/V
-    extend the cache, or without ``append`` (required with ``tree``) the
-    output carries them. Bad tokens raise ``ParameterError``, as in prefill.
+    extend the cache, or without ``append`` (required with ``tree`` or a
+    ``DraftCache``) the output carries them. Bad tokens raise ``ParameterError``, as in prefill,
+    and so do positions that are not integers.
     """
     new_tokens = token_ids(new_tokens, spec.vocab, "new tokens")
     q_n = new_tokens.shape[0]
@@ -341,9 +352,11 @@ def decode_step(spec: ModelSpec, weights: Weights, new_tokens, cache: KVCache,
         raise ShapeError("decode_step requires at least one new token")
     if positions is None:
         raise ShapeError("decode_step requires explicit positions")
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = _integers(positions, "positions")
     if positions.shape[0] != q_n:
         raise ShapeError(f"{q_n} tokens but {positions.shape[0]} positions")
+    if append and isinstance(cache, DraftCache):
+        raise ParameterError("a draft cache takes no rows: decode with append=False")
     n_tree = 0
     if tree is not None:
         first = np.shape(tree[0][0]) if len(tree) else ()
@@ -450,9 +463,9 @@ def _parse_header(path: str, line: bytes) -> tuple[ModelSpec, list[dict]]:
             raise ShapeError(f"{path}: spec {name} must be {types[name]}, got {value!r}")
     for entry in header["tensors"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("offset"), int)
+                and type(entry.get("offset")) is int  # not a bool
                 and isinstance(entry.get("shape"), list)
-                and all(isinstance(d, int) for d in entry["shape"])):
+                and all(type(d) is int for d in entry["shape"])):
             raise ShapeError(f"{path}: malformed tensor entry {entry!r}")
     return ModelSpec(**raw), header["tensors"]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import KVCache, RetrievalPolicy
+from .cache import DraftCache, RetrievalPolicy
 from .errors import ParameterError, ShapeError, StateError
 
 
@@ -107,7 +107,7 @@ def select_top_k(scores: np.ndarray, top_k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def maybe_update(state: RetrievalState, row: np.ndarray | None, cache: KVCache) -> bool:
+def maybe_update(state: RetrievalState, row: np.ndarray | None, cache: DraftCache) -> bool:
     """Reselect the draft's prefix rows from the attention ``row`` when an
     update is due; otherwise count down. Returns whether it updated."""
     if state.countdown:

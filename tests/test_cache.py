@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
+from specdesk.cache import DraftCache, FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.errors import (CapacityError, OrderingError, ParameterError, ShapeError,
                              StateError)
 from specdesk.model import ModelSpec, decode_step, derive_draft
@@ -20,7 +20,7 @@ def seeded_cache(n, n_layers=2):
     # cache, gathered, before its root at position n.
     source = make_cache(n_layers=n_layers + 1)
     append_tokens(source, list(range(n + 1)))
-    cache = KVCache.seeded(source, n_layers, n, RetrievalPolicy(1, n, 1))
+    cache = DraftCache(source, n_layers, n, RetrievalPolicy(1, n, 1))
     cache.hold_prefix(np.arange(n))
     return cache
 
@@ -30,7 +30,7 @@ def reading_cache(n, policy, prefix=None, n_layers=2):
     # position n, reading what ``policy`` names in place.
     source = make_cache(n_layers=n_layers + 1)
     append_tokens(source, list(range(n + 1)))
-    cache = KVCache.seeded(source, n_layers, n if prefix is None else prefix, policy)
+    cache = DraftCache(source, n_layers, n if prefix is None else prefix, policy)
     return source, cache
 
 
@@ -96,14 +96,6 @@ class TestAppend:
                 append_tokens(c, bad)
         assert c.layer_view(0)[2].tolist() == [0, 1] and c.world_len == 2
 
-    def test_a_seeded_cache_appends_nothing(self):
-        # Not its root, not its next committed row: the source holds those.
-        _, c = reading_cache(12, FullPolicy())
-        for positions in ([12], [12, 13], [11]):
-            with pytest.raises(StateError, match="appends no rows"):
-                append_tokens(c, positions)
-        assert c.layer_view(0)[2].tolist() == list(range(12)) and c.world_len == 12
-
     def test_committed_positions_strictly_increase(self):
         c = make_cache()
         append_tokens(c, list(range(10)))
@@ -155,7 +147,7 @@ class TestSpeculativeTail:
         spec, w = self.model(2)
         source = KVCache(2, 2, 4)
         decode_step(spec, w, [1, 2, 3], source, positions=[0, 1, 2])
-        c = KVCache.seeded(source, 1, 2, FullPolicy())
+        c = DraftCache(source, 1, 2, FullPolicy())
         draft, draft_w = derive_draft(spec, w, 1)
         rows = self.tree_rows(decode_step(draft, draft_w, [3], c, positions=[2],
                                           append=False))
@@ -280,7 +272,7 @@ class TestRetrievalRebuild:
     def test_restored_rows_are_the_source_rows(self):
         source = make_cache(n_layers=3)
         append_tokens(source, list(range(15)))
-        c = KVCache.seeded(source, 2, 12, RetrievalPolicy(4, 2, 1))
+        c = DraftCache(source, 2, 12, RetrievalPolicy(4, 2, 1))
         assert c.archive_len == 2 and c.world_len == 14  # generated rows 12 and 13
         c.hold_prefix([4, 5, 6, 7])
         c.hold_prefix([0, 1, 2, 3, 8, 9, 10, 11])
@@ -302,21 +294,21 @@ class TestRetrievalRebuild:
         # one row more.
         source = make_cache(n_layers=3)
         append_tokens(source, [0, 1, 2, 3, 4])
-        draft = KVCache.seeded(source, 2, 4, FullPolicy())
+        draft = DraftCache(source, 2, 4, FullPolicy())
         assert draft.world_len == 4 and draft.prefix_len == 4
         with pytest.raises(OrderingError, match="0 .. 5"):  # the root is not held
-            KVCache.seeded(source, 2, 5, FullPolicy())
+            DraftCache(source, 2, 5, FullPolicy())
         with pytest.raises(OrderingError):  # past the held rows
-            KVCache.seeded(source, 2, 6, FullPolicy())
+            DraftCache(source, 2, 6, FullPolicy())
         with pytest.raises(OrderingError):  # a draft's rows are not its positions
-            KVCache.seeded(draft, 1, 2, FullPolicy())
+            DraftCache(draft, 1, 2, FullPolicy())
 
     def test_the_source_must_still_hold_the_prefix(self):
         # The target may drop its last prompt row, never the draft's prefix,
         # nor a committed row the draft reads in place.
         source = make_cache(n_layers=3)
         append_tokens(source, list(range(12)))
-        c = KVCache.seeded(source, 2, 11, RetrievalPolicy(1, 11, 1))
+        c = DraftCache(source, 2, 11, RetrievalPolicy(1, 11, 1))
         source.truncate(11)
         c.hold_prefix(np.arange(11))
         source.truncate(10)
@@ -325,12 +317,6 @@ class TestRetrievalRebuild:
         with pytest.raises(OrderingError):  # row 10 can only be position 10
             append_tokens(source, [12])
         assert c.layer_view(0)[2].tolist() == list(range(11))
-
-    def test_rebuild_needs_a_source(self):
-        c = make_cache()
-        append_tokens(c, list(range(12)))
-        with pytest.raises(StateError, match="needs a source cache"):
-            c.hold_prefix([0])
 
     def test_idempotent(self):
         c = seeded_cache(16)
@@ -351,7 +337,7 @@ class TestRetrievalRebuild:
         # The reserved store rows hold the gathered rows only.
         source = make_cache()
         append_tokens(source, list(range(13)))
-        c = KVCache.seeded(source, 2, 12, RetrievalPolicy(3, 2, 1))
+        c = DraftCache(source, 2, 12, RetrievalPolicy(3, 2, 1))
         with pytest.raises(CapacityError):
             c.hold_prefix(np.arange(7))
         c.hold_prefix(np.arange(6))
@@ -377,7 +363,7 @@ class TestGatherTemporaries:
     def seeded(self, policy):
         source = KVCache(3, self.HEADS, self.D_HEAD, capacity=self.N + 1)
         append_tokens(source, list(range(self.N + 1)))
-        return source, KVCache.seeded(source, 2, self.N, policy)
+        return source, DraftCache(source, 2, self.N, policy)
 
     def assert_source_rows(self, c, source):
         for li in range(2):
@@ -411,8 +397,7 @@ def test_layer_view_tracks_every_mutation():
     # Each row holds its own position, so a view is right exactly when its
     # rows read back the held positions. ``held`` models the held rows: first
     # of a cache that appends and truncates, then of drafts', which gather
-    # prompt rows, read source runs in place as the source commits rows, and
-    # append none.
+    # prompt rows and read source runs in place as the source commits rows.
     rng = np.random.default_rng(5)
 
     def rows_for(pos, n_layers):
@@ -455,32 +440,24 @@ def test_layer_view_tracks_every_mutation():
     source.append(*rows_for(np.arange(41), 3), np.arange(41))
     policies = [FullPolicy(), RetrievalPolicy(4, 10, 1), StreamingPolicy(0, 20),
                 StreamingPolicy(3, 29)]
-    drafts = [KVCache.seeded(source, 2, 40, policy) for policy in policies]
+    drafts = [DraftCache(source, 2, 40, policy) for policy in policies]
     gathered: list[list[int]] = [[] for _ in drafts]
     for _ in range(300):
-        op, i = rng.integers(3), int(rng.integers(len(drafts)))
+        op, i = rng.integers(2), int(rng.integers(len(drafts)))
         c, policy = drafts[i], policies[i]
         world = source.archive_len - 1
-        read = [p for lo, hi in policy.in_place(40, world) for p in range(lo, hi)]
         if op == 0 and source.archive_len < 395:
             pos = np.arange(world + 1, world + 1 + int(rng.integers(1, 6)))
             source.append(*rows_for(pos, 3), pos)
         elif op == 1:
             chunks = np.flatnonzero(rng.random(10) < rng.choice([0.0, 0.1, 0.4]))
             rows = chunk_rows(chunks, 4, 40, int(rng.integers(0, 3))).tolist()
-            if rows and read and rows[-1] >= read[0]:
-                with pytest.raises(OrderingError):
-                    c.hold_prefix(rows)
-            elif len(rows) > max(policy.prefix_rows(40), 1):
+            if len(rows) > policy.prefix_rows(40):
                 with pytest.raises(CapacityError):
                     c.hold_prefix(rows)
             else:
                 c.hold_prefix(rows)
                 gathered[i] = rows
-        else:
-            pos = np.arange(world + 1, world + 1 + int(rng.integers(1, 6)))
-            with pytest.raises(StateError):
-                c.append(*rows_for(pos, 2), pos)
         world = source.archive_len - 1
         for c, policy, rows in zip(drafts, policies, gathered):
             read = [p for lo, hi in policy.in_place(40, world) for p in range(lo, hi)]
@@ -494,7 +471,7 @@ def test_a_draft_follows_its_source_without_a_call(policy):
     # its policy names before the source's last row, its root.
     source = make_cache(n_layers=3)
     append_tokens(source, list(range(13)))
-    c = KVCache.seeded(source, 2, 12, policy)
+    c = DraftCache(source, 2, 12, policy)
     gathered = [4, 5, 6, 7] if isinstance(policy, RetrievalPolicy) else []
     c.hold_prefix(gathered)
     for block in (1, 3, 5, 1):
@@ -510,6 +487,51 @@ def test_a_draft_follows_its_source_without_a_call(policy):
             assert np.array_equal(k, sk[:, want]) and np.array_equal(v, sv[:, want])
 
 
+@pytest.mark.parametrize("policy", [FullPolicy(), StreamingPolicy(0, 20), StreamingPolicy(3, 29),
+                                    RetrievalPolicy(4, 5, 1, sink=2)],
+                         ids=lambda p: type(p).__name__)
+def test_a_draft_view_stays_bounded_and_in_position_order(policy):
+    # A draft stores at most the prompt rows its policy gathers (none for a
+    # full or streaming draft), and only a retrieval policy's runs, which
+    # start at the prefix's end, read in place behind them. So a larger
+    # gather is refused and leaves the view as it was, and the held positions
+    # strictly ascend after any gather and any rollback of the source.
+    rng = np.random.default_rng(11)
+    source = make_cache(n_layers=3)
+    append_tokens(source, list(range(41)))
+    c = DraftCache(source, 2, 40, policy)
+    bound = policy.prefix_rows(40)
+
+    def check():
+        pos = c.layer_view(0)[2]
+        assert np.all(np.diff(pos) > 0) and c.archive_len == pos.size
+        assert c.world_len == source.archive_len - 1
+
+    for _ in range(100):
+        n = source.archive_len  # commit rows until the source holds the prefix and a root
+        hi = min(max(n, 41) + int(rng.integers(0, 8)), 60)
+        if hi > n:
+            append_tokens(source, list(range(n, hi)))
+        rows = np.flatnonzero(rng.random(40) < rng.choice([0.0, 0.05, 0.3, 0.9]))
+        if len(rows) > bound:
+            before = c.layer_view(1)
+            with pytest.raises(CapacityError):
+                c.hold_prefix(rows)
+            assert all(np.array_equal(a, b) for a, b in zip(before, c.layer_view(1)))
+        else:
+            c.hold_prefix(rows)
+        check()
+        source.truncate(int(rng.integers(0, source.archive_len + 1)))
+        check()
+
+
+def test_each_cache_has_only_its_roles_methods():
+    # The target's store commits and rolls back rows; a draft's view of it
+    # gathers prompt rows and does neither.
+    assert not {"append", "truncate"} & set(dir(DraftCache))
+    assert not {"hold_prefix", "prefix_len", "generation_boundary"} & set(dir(KVCache))
+
+
 class TestTruncate:
     def test_rollback_by_position(self):
         c = make_cache()
@@ -520,14 +542,6 @@ class TestTruncate:
         assert c.archive_len == c.world_len == 6
         c.truncate(-3)  # before the first row: every row
         assert c.archive_len == c.world_len == 0
-
-    def test_a_draft_cache_never_rolls_back(self):
-        # A draft reads the source again instead; it never truncates, so no
-        # row it reads in place moves.
-        _, c = reading_cache(12, FullPolicy())
-        with pytest.raises(StateError, match="follow its source"):
-            c.truncate(8)
-        assert c.layer_view(0)[2].tolist() == list(range(12)) and c.world_len == 12
 
     def test_truncate_then_reappend(self):
         c = make_cache()

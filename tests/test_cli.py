@@ -301,6 +301,8 @@ def test_run_rejects_a_report_path_that_is_a_file(tmp_path, capsys):
     (b',"vocab":11', b"", "missing ['vocab']"),
     (b'"n_layers":2', b'"n_layers":"2"', "spec n_layers must be int"),
     (b'"offset":0,', b"", "malformed tensor entry"),
+    (b'"offset":0,', b'"offset":true,', "malformed tensor entry"),
+    (b'"shape":[11,', b'"shape":[true,', "malformed tensor entry"),
 ])
 def test_run_rejects_malformed_weight_header(tmp_path, capsys, old, new, message):
     path = tmp_path / "m.bin"
@@ -312,7 +314,7 @@ def test_run_rejects_malformed_weight_header(tmp_path, capsys, old, new, message
     capsys.readouterr()
     assert main(["run", f"model={path}", "draft_layers=1", "gen_tokens=4"]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("summary, steps, message", [

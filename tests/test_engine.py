@@ -7,7 +7,7 @@ from specdesk import attn, engine, retrieval, verification
 from specdesk.cache import FullPolicy, KVCache, RetrievalPolicy, StreamingPolicy
 from specdesk.drafting import TreeBudget, undecoded
 from specdesk.engine import Session, greedy_reference, prefill_caches
-from specdesk.errors import CapacityError, ParameterError, StateError
+from specdesk.errors import CapacityError, ParameterError
 from specdesk.model import (PREFILL_BLOCK, ModelSpec, decode_step, derive_draft,
                             prefill)
 from specdesk.modelgen import random_weights
@@ -666,12 +666,9 @@ class TestSeededDraftCache:
             k, v, _ = empty.layer_view(li)
             tk, tv, _ = target.layer_view(li)
             assert np.array_equal(k, tk[:, pos]) and np.array_equal(v, tv[:, pos])
-        # It reserves top_k * chunk_size + sink rows and appends none.
+        # It reserves top_k * chunk_size + sink rows.
         with pytest.raises(CapacityError):
             empty.hold_prefix(np.arange(20))
-        block = [np.zeros((1, 2, 8))] * 2
-        with pytest.raises(StateError):
-            empty.append(block, block, [39])
         assert empty.layer_view(0)[2].tolist() == pos.tolist()
 
     def test_streaming_draft_holds_only_its_window(self):
@@ -691,26 +688,18 @@ class TestSeededDraftCache:
             assert np.array_equal(sk, tk[:, :3]) and np.array_equal(sv, tv[:, :3])
             assert np.array_equal(rk, tk[:, 34:39]) and np.array_equal(rv, tv[:, 34:39])
             assert ok.shape[1] == 0
-        # It holds no row of its own and appends none.
-        block = [np.zeros((1, 2, 8))] * 2
-        with pytest.raises(StateError):
-            draft.append(block, block, [39])
 
     def test_a_full_draft_owns_only_its_generated_rows(self):
         # It reads all 39 prompt rows in place, and its tree's rows live
-        # beside the tree, so its store is the 1-row floor, empty, with V
-        # dh-major.
+        # beside the tree, so it reserves no store row; V stays dh-major.
         spec, w = target_model(seed=3, n_layers=3)
         dspec, _ = derive_draft(spec, w, 2)
         prompt = list(np.random.default_rng(3).integers(0, 19, 40))
         _, draft, _ = prefill_caches(spec, w, dspec, prompt, capacity=64)
-        block = [np.ones((1, 2, 8))] * 2
-        with pytest.raises(StateError):
-            draft.append(block, block, [39])
         for li in range(2):
             (k, v), _ = draft.layer_parts(li)
             assert k.shape == v.shape == (2, 0, 8)
-            assert k.base.shape == (2, 1, 8) and v.base.shape == (2, 8, 1)
+            assert k.base.shape == (2, 0, 8) and v.base.shape == (2, 8, 0)
 
     def test_rejects_a_draft_that_is_not_the_target_prefix(self):
         spec, w = target_model(seed=1, n_layers=3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specdesk import attn, harness
-from specdesk.cache import KVCache
+from specdesk.cache import DraftCache, FullPolicy, KVCache
 from specdesk.config import parse_config
 from specdesk.errors import CapacityError, ParameterError, ShapeError, StateError
 from specdesk.model import (PREFILL_BLOCK, RMS_EPS, LayerWeights, ModelSpec,
@@ -369,6 +369,22 @@ class TestDecodeStep:
         assert calls == [] and cache.archive_len == 3
         assert np.array_equal(cache.layer_view(0)[0], keys)
 
+    @pytest.mark.parametrize("positions", [
+        [2.7], [True], [np.True_], [[3]], np.array([3.0]), np.array(3), [[3], [4, 5]],
+    ], ids=["float", "bool", "numpy-bool", "2-D", "float-array", "0-D", "ragged"])
+    def test_positions_that_are_not_integers_raise_before_any_work(self, monkeypatch,
+                                                                   positions):
+        spec, w = small_model(vocab=10)
+        cache = fresh_cache(spec)
+        prefill(spec, w, [1, 2, 3], cache)
+        keys = cache.layer_view(0)[0].copy()
+        calls = self.spied_attend(monkeypatch)
+        for append in (True, False):
+            with pytest.raises(ParameterError, match="positions must be a sequence of integers"):
+                decode_step(spec, w, [4], cache, positions=positions, append=append)
+        assert calls == [] and cache.archive_len == 3
+        assert np.array_equal(cache.layer_view(0)[0], keys)
+
     def test_tree_rows_need_append_false(self, monkeypatch):
         # Tree rows follow rows the cache does not hold, so appending the
         # block could never succeed: it is refused before the forward pass.
@@ -381,6 +397,19 @@ class TestDecodeStep:
         with pytest.raises(ParameterError, match="append=False"):
             decode_step(spec, w, [4], cache, positions=[3], tree=rows)
         assert calls == [] and cache.archive_len == 2
+
+    def test_a_draft_cache_needs_append_false(self, monkeypatch):
+        # A draft's view holds committed rows only, and those are its
+        # source's: its block is refused before the forward pass.
+        spec, w = small_model(n_layers=2)
+        source = fresh_cache(spec)
+        prefill(spec, w, [1, 2, 3], source)
+        draft, dw = derive_draft(spec, w, 1)
+        cache = DraftCache(source, 1, 2, FullPolicy())
+        calls = self.spied_attend(monkeypatch)
+        with pytest.raises(ParameterError, match="append=False"):
+            decode_step(draft, dw, [3], cache, positions=[2])
+        assert calls == [] and source.archive_len == 3 and cache.archive_len == 2
 
     def test_chain_mask_equals_sequential(self):
         spec, w = small_model(seed=3)
@@ -565,6 +594,21 @@ class TestWeightFiles:
         bad.write_bytes(broken)
         with pytest.raises((ShapeError, ValueError)):
             load_weights(str(bad))
+
+    @pytest.mark.parametrize("field, value", [("offset", True), ("shape", [2, True])])
+    def test_a_bool_offset_or_dimension_is_a_shape_error(self, tmp_path, field, value):
+        # JSON's true is a Python int: read as 1, it would load garbage.
+        import json
+
+        spec, w = small_model()
+        path = tmp_path / "m.bin"
+        save_weights(str(path), spec, w)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        h = json.loads(header)
+        h["tensors"][0][field] = value
+        path.write_bytes(json.dumps(h).encode() + b"\n" + payload)
+        with pytest.raises(ShapeError, match="malformed tensor entry"):
+            load_weights(str(path))
 
     def test_truncated_or_incomplete_file_is_a_shape_error(self, tmp_path):
         spec, w = small_model()

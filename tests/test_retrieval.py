@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specdesk.cache import KVCache, RetrievalPolicy
+from specdesk.cache import DraftCache, KVCache, RetrievalPolicy
 from specdesk.errors import ParameterError, StateError
 from specdesk.retrieval import (RetrievalState, chunk_rows, chunk_scores, extract_scores,
                                 maybe_update, select_top_k)
@@ -100,7 +100,7 @@ def _cache_with_prefix(n, policy):
     # ``policy`` gathers.
     source = KVCache(1, 1, 2, capacity=n + 1)
     source.append([np.zeros((n + 1, 1, 2))], [np.zeros((n + 1, 1, 2))], np.arange(n + 1))
-    return KVCache.seeded(source, 1, n, policy)
+    return DraftCache(source, 1, n, policy)
 
 
 class TestMaybeUpdate:

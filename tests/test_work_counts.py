@@ -9,10 +9,10 @@ generated tokens. A run counts every forward pass of the draft
 (``drafting.decode_step``) and of the target's verify and commit passes
 (``verification.decode_step``), every attention score element those passes
 compute (``attn.attend``: query rows, heads included, times the summed key
-widths of the parts), every prompt row ``KVCache.hold_prefix`` gathers,
-and the store rows the draft cache reserves (``KVCache.seeded`` sizes them
-from the policy): the most prompt rows its policy gathers, or a 1-row
-floor; no tree row is stored.
+widths of the parts), every prompt row ``DraftCache.hold_prefix`` gathers,
+and the store rows the draft cache reserves (``DraftCache`` sizes them from
+the policy): the most prompt rows its policy gathers, none for a full or
+streaming draft; no tree row is stored.
 A change that makes a count rise fails here; one that makes it fall re-pins
 it, with the reason in CHANGES.md.
 """
@@ -25,8 +25,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from specdesk import attn, drafting, harness, verification
-from specdesk.cache import KVCache
+from specdesk import attn, drafting, engine, harness, verification
+from specdesk.cache import DraftCache
 from specdesk.config import parse_config
 
 COUNTS = [("draft", "forwards"), ("draft", "rows"), ("draft", "scores"),
@@ -35,14 +35,14 @@ COUNTS = [("draft", "forwards"), ("draft", "rows"), ("draft", "scores"),
 # (drafting, policy, prompt_len, gen_tokens): the COUNTS in order
 PINS = {
     ("chain", "retrieval", 2048, 64): (52, 52, 219544, 26, 65, 812058, 4092, 1024),
-    ("tree", "full", 2048, 64): (80, 80, 665360, 15, 78, 977232, 0, 1),
-    ("chain", "full", 2048, 64): (60, 60, 498808, 29, 71, 887190, 0, 1),
-    ("chain", "streaming", 2048, 64): (104, 104, 427024, 36, 66, 824634, 0, 1),
+    ("tree", "full", 2048, 64): (80, 80, 665360, 15, 78, 977232, 0, 0),
+    ("chain", "full", 2048, 64): (60, 60, 498808, 29, 71, 887190, 0, 0),
+    ("chain", "streaming", 2048, 64): (104, 104, 427024, 36, 66, 824634, 0, 0),
     # The benchmark workloads at 128 tokens, named as in the test ids below.
     # Target rows per committed token: 130 / 130, 133 / 129 and 134 / 128.
     ("chain", "retrieval", 8192, 128): (104, 104, 452832, 52, 130, 6441786, 7165, 1024),
-    ("tree", "full", 2048, 128): (130, 130, 1095060, 25, 133, 1688082, 0, 1),
-    ("chain", "full", 8192, 128): (280, 280, 9222432, 86, 134, 6638694, 0, 1),
+    ("tree", "full", 2048, 128): (130, 130, 1095060, 25, 133, 1688082, 0, 0),
+    ("chain", "full", 8192, 128): (280, 280, 9222432, 86, 134, 6638694, 0, 0),
 }
 
 
@@ -67,7 +67,7 @@ def counted_run(drafting_mode: str, policy: str, prompt_len: int,
                 role.pop()
         return decode_step
 
-    attend, hold_prefix, seeded = attn.attend, KVCache.hold_prefix, KVCache.seeded
+    attend, hold_prefix = attn.attend, DraftCache.hold_prefix
 
     def scoring(q, parts, *args, **kwargs):
         if role:  # a prefill's attention belongs to no role
@@ -80,7 +80,7 @@ def counted_run(drafting_mode: str, policy: str, prompt_len: int,
         hold_prefix(cache, rows)
 
     def reserving(source, n_layers, rows, policy):
-        cache = seeded(source, n_layers, rows, policy)
+        cache = DraftCache(source, n_layers, rows, policy)
         counts["cache", "reserved"] += cache._k[0].shape[1]
         return cache
 
@@ -89,8 +89,8 @@ def counted_run(drafting_mode: str, policy: str, prompt_len: int,
             mock.patch.object(verification, "decode_step",
                               counting("target", verification.decode_step)), \
             mock.patch.object(attn, "attend", scoring), \
-            mock.patch.object(KVCache, "hold_prefix", gathering), \
-            mock.patch.object(KVCache, "seeded", reserving):
+            mock.patch.object(DraftCache, "hold_prefix", gathering), \
+            mock.patch.object(engine, "DraftCache", reserving):
         harness.run_experiment(cfg)
     return counts
 
